@@ -31,7 +31,6 @@ from .dictionary import (
     load_points_csv,
     load_tabulated_csv,
     population_gram,
-    population_norms,
     uniform_measure,
     validate_a2,
 )
@@ -74,8 +73,10 @@ from .oracles import (
     linear_truth,
     membership,
     oracle_fourier,
+    oracle_at_k,
     oracle_general,
     oracle_report,
+    oracle_scan,
     population_dist2,
     sparsity,
     sup_norm_error,

@@ -233,7 +233,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracles import oracle_fourier, oracle_general, population_dist2, sparsity
+    from .oracles import oracle_at_k, population_dist2, sparsity
 
     dictionary = _parse_dictionary(args.dict)
     measure = _parse_measure(args.measure)
@@ -244,16 +244,8 @@ def _cmd_oracle(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "residual2", "support", "exact"])
-    closed_form = (
-        dictionary.kind == "fourier"
-        and truth.kind == "fourier"
-        and measure.kind == "uniform"
-    )
     for k in range(args.kmin, min(args.kmax, dictionary.M) + 1):
-        if closed_form:
-            lam, exact = oracle_fourier(truth, dictionary.M, k), True
-        else:
-            lam, exact = oracle_general(dictionary, measure, truth, k)
+        lam, exact = oracle_at_k(dictionary, measure, truth, k)
         dist2 = population_dist2(dictionary, measure, truth, lam)
         support, _ = sparsity(lam)
         writer.writerow(

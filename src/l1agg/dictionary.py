@@ -338,13 +338,37 @@ def empirical_norms(design: DesignMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _product_mesh(box: np.ndarray, per_axis_cap: int):
+    """Product grid on a d > 1 box with at most MAX_TOTAL_GRID_POINTS nodes.
+
+    Returns ``(points, per_axis)``. Raises when even two nodes per axis
+    (2^d points) exceed the budget.
+    """
+    d = box.shape[0]
+    per_axis = min(per_axis_cap, int(MAX_TOTAL_GRID_POINTS ** (1.0 / d)))
+    if per_axis < 2:
+        raise UnsupportedOperationError(
+            f"a {d}-d product grid needs 2^{d} points, above the budget of "
+            f"{MAX_TOTAL_GRID_POINTS}"
+        )
+    axes = [np.linspace(box[a, 0], box[a, 1], per_axis) for a in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1), per_axis
+
+
 def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     """Quadrature nodes and probability weights for population integrals.
 
     d = 1 uses composite trapezoid on G nodes. For d > 1 a product grid is
     formed with the per-axis count reduced so the total stays below
-    MAX_TOTAL_GRID_POINTS.
+    MAX_TOTAL_GRID_POINTS. A fourier dictionary needs M < G - 1: beyond
+    that, products of basis functions alias on the G nodes.
     """
+    if dictionary.kind == "fourier" and dictionary.M >= measure.G - 1:
+        raise ConfigError(
+            f"fourier dictionary with M = {dictionary.M} aliases on a "
+            f"{measure.G}-node quadrature grid; need G > M + 1"
+        )
     d = dictionary.d
     box = dictionary.domain
     if d == 1:
@@ -365,47 +389,52 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
         raise UnsupportedOperationError(
             "grid-density measures are only supported for d = 1"
         )
-    per_axis = min(measure.G, max(2, int(MAX_TOTAL_GRID_POINTS ** (1.0 / d))))
-    axes, axis_w = [], []
-    for a in range(d):
-        x = np.linspace(box[a, 0], box[a, 1], per_axis)
-        w = np.full(per_axis, 1.0 / (per_axis - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        axes.append(x)
-        axis_w.append(w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    wmesh = np.meshgrid(*axis_w, indexing="ij")
+    pts, per_axis = _product_mesh(box, measure.G)
+    w_axis = np.full(per_axis, 1.0 / (per_axis - 1))
+    w_axis[0] *= 0.5
+    w_axis[-1] *= 0.5
     w = np.ones(pts.shape[0])
-    for wm in wmesh:
+    for wm in np.meshgrid(*([w_axis] * d), indexing="ij"):
         w *= wm.ravel()
     return pts, w
 
 
-def _uniform_box_moments(dictionary: Dictionary):
-    """Exact first/second/fourth coordinate moments of the uniform box law."""
-    a = dictionary.domain[:, 0]
-    b = dictionary.domain[:, 1]
+def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
+    """Exact ``(Psi, L0)`` under the uniform measure, or None without one.
+
+    The fourier basis is orthonormal, Psi = I, and its largest mixed
+    fourth moment is E[f_2^4] = 3/2. Coordinate dictionaries use the
+    first, second and fourth moments of the uniform box law.
+    """
+    if measure.kind != "uniform":
+        return None
+    M = dictionary.M
+    if dictionary.kind == "fourier":
+        return np.eye(M), 1.5
+    if dictionary.kind != "coordinate":
+        return None
+    a = dictionary.domain[:M, 0]
+    b = dictionary.domain[:M, 1]
     m1 = (a + b) / 2.0
     m2 = (a * a + a * b + b * b) / 3.0
     m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
-    return m1, m2, m4
+    psi = np.outer(m1, m1)
+    np.fill_diagonal(psi, m2)
+    mixed = np.outer(m2, m2)
+    np.fill_diagonal(mixed, m4)
+    return psi, float(mixed.max())
 
 
 def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
     """Population Gram matrix of inner products <f_i, f_j> under the measure.
 
-    Coordinate dictionaries under the uniform measure use exact product
-    moments (a G-per-axis grid is infeasible for d up to tens); everything
-    else goes through quadrature.
+    Under the uniform measure it is exact: the identity for fourier
+    dictionaries, product box moments for coordinate ones. Tabulated
+    dictionaries and grid-density measures go through quadrature.
     """
-    if dictionary.kind == "coordinate" and measure.kind == "uniform":
-        m1, m2, _ = _uniform_box_moments(dictionary)
-        m1 = m1[: dictionary.M]
-        psi = np.outer(m1, m1)
-        np.fill_diagonal(psi, m2[: dictionary.M])
-        return psi
+    exact = _uniform_closed_form(dictionary, measure)
+    if exact is not None:
+        return exact[0]
     pts, w = quadrature_grid(dictionary, measure)
     phi = evaluate(dictionary, pts).entries
     psi = phi.T @ (phi * w[:, None])
@@ -415,35 +444,44 @@ def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
     return psi
 
 
-def population_norms(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
-    """Population L2(mu) norms ||f_j||, from the population Gram diagonal."""
-    return np.sqrt(np.clip(np.diag(population_gram(dictionary, measure)), 0.0, None))
+def _sup_norm(dictionary: Dictionary) -> float:
+    """Exact L = max_j sup_x |f_j(x)| over the dictionary domain.
+
+    sqrt(2) for fourier, the largest |bound| of the first M axes for
+    coordinate, and for tabulated the largest |value| of the clamped
+    interpolant, which peaks at a table node or at a domain end.
+    """
+    if dictionary.kind == "fourier":
+        return float(np.sqrt(2.0))
+    box = dictionary.domain
+    if dictionary.kind == "coordinate":
+        return float(np.abs(box[: dictionary.M]).max())
+    lo, hi = box[0]
+    peaks = []
+    for grid, vals in dictionary.tables:
+        inside = vals[(grid > lo) & (grid < hi)]
+        ends = np.interp([lo, hi], grid, vals)
+        peaks.append(max(np.abs(inside).max(initial=0.0), np.abs(ends).max()))
+    return float(max(peaks))
 
 
-def sup_norm_grid(dictionary: Dictionary):
+def sup_norm_grid(dictionary: Dictionary) -> np.ndarray:
     """Dense evaluation grid used for sup-norm scans (lower-bound estimates)."""
-    d = dictionary.d
-    if d == 1:
-        n_pts = SUP_GRID_POINTS
-        pts = np.linspace(dictionary.domain[0, 0], dictionary.domain[0, 1], n_pts)[:, None]
-        return pts, n_pts
-    per_axis = min(10_000, max(2, int(MAX_TOTAL_GRID_POINTS ** (1.0 / d))))
-    axes = [
-        np.linspace(dictionary.domain[a, 0], dictionary.domain[a, 1], per_axis)
-        for a in range(d)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return pts, per_axis
+    if dictionary.d == 1:
+        lo, hi = dictionary.domain[0]
+        return np.linspace(lo, hi, SUP_GRID_POINTS)[:, None]
+    pts, _ = _product_mesh(dictionary.domain, 10_000)
+    return pts
 
 
 @dataclass(frozen=True)
 class DictionaryValidation:
     """Boundedness / non-degeneracy report for a dictionary.
 
-    ``L`` is the grid-estimated max sup-norm (a lower bound at the recorded
-    resolution), ``c0`` the smallest population norm, ``L0`` the largest
-    mixed fourth moment max E[f_i^2 f_j^2].
+    ``L`` is the exact max sup-norm, ``c0`` the smallest population norm,
+    ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]. c0 and L0
+    are exact for fourier and coordinate dictionaries under the uniform
+    measure and quadrature estimates otherwise.
     """
 
     L: float
@@ -452,7 +490,6 @@ class DictionaryValidation:
     bounded_ok: bool
     norms_ok: bool
     moments_ok: bool
-    sup_grid_points: int
 
     @property
     def satisfied(self) -> bool:
@@ -466,31 +503,26 @@ def validate_a2(
     c0_min: float = 0.0,
     L0_max: float = np.inf,
 ) -> DictionaryValidation:
-    """Estimate L, c0, L0 and check the boundedness conditions.
+    """Compute L, c0, L0 and check the boundedness conditions.
 
+    L is exact for every kind; c0 and L0 use the same closed forms as
+    :func:`population_gram` and quadrature where those do not apply.
     Defaults pass (a) for any finite L and (b) for any c0 > 0; tighter
     user thresholds may be supplied.
     """
-    pts, resolution = sup_norm_grid(dictionary)
-    phi_sup = evaluate(dictionary, pts).entries
-    L = float(np.max(np.abs(phi_sup)))
-
-    if dictionary.kind == "coordinate" and measure.kind == "uniform":
-        _, m2, m4 = _uniform_box_moments(dictionary)
-        m2 = m2[: dictionary.M]
-        m4 = m4[: dictionary.M]
-        c0 = float(np.sqrt(m2.min()))
-        mixed = np.outer(m2, m2)
-        np.fill_diagonal(mixed, m4)
-        L0 = float(mixed.max())
+    L = _sup_norm(dictionary)
+    exact = _uniform_closed_form(dictionary, measure)
+    if exact is not None:
+        psi, L0 = exact
+        norms_sq = np.diag(psi)
     else:
         qpts, w = quadrature_grid(dictionary, measure)
         phi = evaluate(dictionary, qpts).entries
-        norms_sq = (phi * phi * w[:, None]).sum(axis=0)
-        c0 = float(np.sqrt(max(norms_sq.min(), 0.0)))
         sq = phi * phi
-        mixed = sq.T @ (sq * w[:, None])
-        L0 = float(mixed.max())
+        weighted = sq * w[:, None]
+        norms_sq = weighted.sum(axis=0)
+        L0 = float((sq.T @ weighted).max())
+    c0 = float(np.sqrt(max(norms_sq.min(), 0.0)))
 
     if not (np.isfinite(L) and np.isfinite(c0) and np.isfinite(L0)):
         raise ValidationError("validation produced non-finite L, c0 or L0")
@@ -502,5 +534,4 @@ def validate_a2(
         bounded_ok=np.isfinite(L) and L <= L_max,
         norms_ok=c0 > max(c0_min, 0.0),
         moments_ok=np.isfinite(L0) and L0 <= L0_max,
-        sup_grid_points=resolution,
     )

@@ -30,7 +30,7 @@ class DegenerateDictionaryError(L1AggError):
 
 
 class ValidationError(L1AggError):
-    """Dictionary validation (quadrature / sup-norm scan) failed."""
+    """Dictionary validation produced non-finite L, c0 or L0."""
 
 
 class UnsupportedOperationError(L1AggError):

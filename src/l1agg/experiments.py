@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from ._util import atomic_write_text, fmt
 from .dictionary import (
@@ -52,7 +51,7 @@ from .oracles import (
     fourier_truth,
     lemma_bounds,
     linear_truth,
-    oracle_fourier,
+    oracle_scan,
     population_dist2,
     sparsity,
     sup_norm_error,
@@ -101,11 +100,13 @@ def noise_rademacher(a: float = 1.0) -> NoiseModel:
 
 def noise_truncated_gaussian(sigma: float, c: float) -> NoiseModel:
     """N(0, sigma^2) conditioned on |W| <= c; moment bound by quadrature."""
+    from scipy import stats
+
     if sigma <= 0 or c <= 0:
         raise ConfigError("truncated gaussian needs sigma > 0 and c > 0")
     grid = np.linspace(0.0, c, 4097)
-    density = _sps.norm.pdf(grid, scale=sigma)
-    mass = _sps.norm.cdf(c / sigma) - _sps.norm.cdf(-c / sigma)
+    density = stats.norm.pdf(grid, scale=sigma)
+    mass = stats.norm.cdf(c / sigma) - stats.norm.cdf(-c / sigma)
     b = float(np.trapezoid(2.0 * np.exp(grid) * density, grid) / mass)
     return NoiseModel(family="truncated-gaussian", params=(float(sigma), float(c)), b=b)
 
@@ -129,8 +130,10 @@ def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndar
         (a,) = noise.params
         return a * (2.0 * rng.integers(0, 2, n) - 1.0)
     if noise.family == "truncated-gaussian":
+        from scipy import stats
+
         sigma, c = noise.params
-        return _sps.truncnorm.rvs(
+        return stats.truncnorm.rvs(
             -c / sigma, c / sigma, scale=sigma, size=n, random_state=rng
         )
     if noise.family == "laplace":
@@ -401,40 +404,21 @@ class CellContext:
     regime_ok: bool
 
 
-def _fourier_oracle_scan(truth: TruthSpec, M: int, r_nM: float, C_f: float):
-    """Effective dimension scan via the closed-form orthonormal oracle."""
-    theta = np.zeros(M)
-    m = min(truth.theta.size, M)
-    theta[:m] = truth.theta[:m]
-    tail = float(truth.theta[m:] @ truth.theta[m:]) if truth.theta.size > m else 0.0
-    sq_sorted = np.sort(theta**2)[::-1]
-    nnz = int(np.count_nonzero(theta))
-    total = float(sq_sorted.sum())
-    dropped = total
-    for k in range(0, nnz + 1):
-        if k > 0:
-            dropped -= float(sq_sorted[k - 1])
-        dist2 = dropped + tail
-        if dist2 <= C_f * r_nM * r_nM * k:
-            return k, oracle_fourier(truth, M, k), dist2
-    return None, oracle_fourier(truth, M, nnz), tail
-
-
 @functools.lru_cache(maxsize=128)
 def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     m_of = _parse_m_rule(config.m_rule)
     n = config.n_values[cell_index]
     M = m_of(n)
     measure = uniform_measure()
+    r_nM = rate(config.A, n, M, config.rate_kind)
 
     oracle_found = True
     if config.preset == "linear":
         dictionary = build_coordinate(M, domain=[-1.0, 1.0])
-        truth = linear_truth(linear_pattern(M, int(config.k_or_beta)), dictionary.domain)
+        truth = linear_truth(linear_pattern(M, int(config.k_or_beta)))
         noise = noiseless()
         lambda_star = truth.theta.copy()
-        _, k_star = sparsity(lambda_star)
-        dist2_star, l_lambda = 0.0, 0.0
+        dist2_star = 0.0
     else:
         dictionary = build_fourier(M)
         if config.preset == "fourier-L0k":
@@ -442,21 +426,16 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         else:
             truth = sobolev_truth(float(config.k_or_beta))
         noise = noise_bounded_uniform(1.0)
-        r_scan = rate(config.A, n, M, config.rate_kind)
-        k_star, lambda_star, dist2_star = _fourier_oracle_scan(
-            truth, M, r_scan, config.C_f
+        # With the oracle set empty at this resolution the scan's last
+        # vector (the whole truncated truth) keeps rows computable; the
+        # cell stays out of the slope-eligible regime.
+        lambda_star, dist2_star, _, oracle_found = oracle_scan(
+            dictionary, measure, truth, r_nM, config.C_f
         )
-        if k_star is None:
-            # Oracle set empty at this resolution: fall back to the full
-            # coefficient vector so rows stay computable, and keep this
-            # cell out of the slope-eligible regime.
-            oracle_found = False
-            k_star = int(np.count_nonzero(lambda_star))
-        l_lambda = sup_norm_error(dictionary, truth, lambda_star)
-        if dist2_star == 0.0:
-            l_lambda = 0.0  # exact representation: the grid scan is noise
+    _, k_star = sparsity(lambda_star)
+    # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
+    l_lambda = 0.0 if dist2_star == 0.0 else sup_norm_error(dictionary, truth, lambda_star)
 
-    r_nM = rate(config.A, n, M, config.rate_kind)
     validation = validate_a2(dictionary, measure)
     psi = population_gram(dictionary, measure)
     kappa_m = kappa(psi)

@@ -24,7 +24,7 @@ _SYM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GramPair:
-    """Population Gram (quadrature) and empirical Gram (design average)."""
+    """Population Gram and empirical Gram (design average)."""
 
     psi_M: np.ndarray
     psi_nM: np.ndarray
@@ -48,16 +48,15 @@ class CoherenceReport:
     """Correlation structure of a Gram pair.
 
     ``rho``/``rho_lambda`` are computed from the population Gram;
-    ``rho_empirical``/``rho_lambda_empirical`` apply the same formula to
-    the empirical Gram and are diagnostics only (the bound conditions are
-    stated for the population matrix).
+    ``rho_lambda_empirical`` applies the same formula to the empirical
+    Gram and is a diagnostic only (the bound conditions are stated for
+    the population matrix).
     """
 
     rho: np.ndarray
     rho_lambda: float
     kappa_M: float
     eta_nM: float
-    rho_empirical: np.ndarray | None = None
     rho_lambda_empirical: float | None = None
 
 
@@ -146,15 +145,14 @@ def diagnostics(pair: GramPair, support=()) -> CoherenceReport:
     """Assemble the full coherence report for a Gram pair."""
     rho, rho_lambda = coherence(pair.psi_M, support)
     try:
-        rho_emp, rho_lambda_emp = coherence(pair.psi_nM, support)
+        _, rho_lambda_emp = coherence(pair.psi_nM, support)
     except DegenerateDictionaryError:
-        rho_emp, rho_lambda_emp = None, None
+        rho_lambda_emp = None
     return CoherenceReport(
         rho=rho,
         rho_lambda=rho_lambda,
         kappa_M=kappa(pair.psi_M),
         eta_nM=eta(pair),
-        rho_empirical=rho_emp,
         rho_lambda_empirical=rho_lambda_emp,
     )
 
@@ -168,15 +166,3 @@ def write_gram_csv(path, psi: np.ndarray) -> None:
         for row in psi:
             writer.writerow([repr(float(v)) for v in row])
 
-
-def report_lines(report: CoherenceReport) -> list[str]:
-    """Flatten a coherence report to ``key=value`` lines."""
-    lines = [
-        f"kappa_M={report.kappa_M!r}",
-        f"rho_max={float(np.max(np.abs(report.rho - np.diag(np.diag(report.rho)))))!r}",
-        f"rho_lambda={report.rho_lambda!r}",
-        f"eta_nM={report.eta_nM!r}",
-    ]
-    if report.rho_lambda_empirical is not None:
-        lines.append(f"rho_lambda_empirical={report.rho_lambda_empirical!r}")
-    return lines

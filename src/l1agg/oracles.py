@@ -55,17 +55,15 @@ class TruthSpec:
     basis; ``linear`` truths are coordinate coefficients (exact
     representation); ``callable``/``tabulated`` cover arbitrary targets.
     Class tags are validated at construction: ``l0k`` requires exactly
-    that many nonzero coefficients, ``ell1_budget`` bounds sum |theta_j|,
-    ``sobolev`` is a (beta, Q) pair bounding sum j^(2 beta) theta_j^2.
+    that many nonzero coefficients, ``sobolev`` is a (beta, Q) pair
+    bounding sum j^(2 beta) theta_j^2.
     """
 
     kind: str
     theta: np.ndarray | None = None
     fn: Callable | None = None
     table: tuple = ()
-    L_star: float = math.nan
     l0k: int | None = None
-    ell1_budget: float | None = None
     sobolev: tuple | None = None
 
     def __post_init__(self):
@@ -79,8 +77,6 @@ class TruthSpec:
                 raise ConfigError(
                     f"l0k tag {self.l0k} does not match {nnz} nonzero coefficients"
                 )
-            if self.ell1_budget is not None and np.abs(self.theta).sum() > self.ell1_budget:
-                raise ConfigError("coefficients exceed the declared l1 budget")
             if self.sobolev is not None:
                 beta, Q = self.sobolev
                 j = np.arange(1, self.theta.size + 1, dtype=float)
@@ -88,40 +84,25 @@ class TruthSpec:
                     raise ConfigError("coefficients exceed the declared Sobolev budget")
 
 
-def fourier_truth(theta, l0k=None, ell1_budget=None, sobolev=None) -> TruthSpec:
+def fourier_truth(theta, l0k=None, sobolev=None) -> TruthSpec:
     """Truth f = sum_j theta_j f_j against the trigonometric basis."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ConfigError("theta must be a nonempty 1-d coefficient vector")
-    # Linear interpolation on a dense grid lower-bounds the sup norm; the
-    # crude coefficient bound sum sqrt(2)|theta_j| is an upper bound.
-    dictionary = build_fourier(max(theta.size, 2))
-    pts, _ = sup_norm_grid(dictionary)
-    values = evaluate(dictionary, pts).entries[:, : theta.size] @ theta
-    return TruthSpec(
-        kind="fourier",
-        theta=theta,
-        L_star=float(np.max(np.abs(values))),
-        l0k=l0k,
-        ell1_budget=ell1_budget,
-        sobolev=sobolev,
-    )
+    return TruthSpec(kind="fourier", theta=theta, l0k=l0k, sobolev=sobolev)
 
 
-def linear_truth(coeffs, domain=None) -> TruthSpec:
-    """Exact-representation truth f(x) = sum_j coeffs_j x_j on a box."""
+def linear_truth(coeffs) -> TruthSpec:
+    """Exact-representation truth f(x) = sum_j coeffs_j x_j."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size < 1:
         raise ConfigError("coeffs must be a nonempty 1-d vector")
-    box = np.asarray(domain if domain is not None else [[-1.0, 1.0]] * coeffs.size, float)
-    hi = np.sum(np.maximum(coeffs * box[: coeffs.size, 0], coeffs * box[: coeffs.size, 1]))
-    lo = np.sum(np.minimum(coeffs * box[: coeffs.size, 0], coeffs * box[: coeffs.size, 1]))
-    return TruthSpec(kind="linear", theta=coeffs, L_star=float(max(abs(hi), abs(lo))))
+    return TruthSpec(kind="linear", theta=coeffs)
 
 
-def callable_truth(fn: Callable, L_star: float = math.nan) -> TruthSpec:
+def callable_truth(fn: Callable) -> TruthSpec:
     """Arbitrary truth given as a function of an (n, d) point array."""
-    return TruthSpec(kind="callable", fn=fn, L_star=L_star)
+    return TruthSpec(kind="callable", fn=fn)
 
 
 def tabulated_truth(grid, values) -> TruthSpec:
@@ -130,9 +111,7 @@ def tabulated_truth(grid, values) -> TruthSpec:
     values = np.asarray(values, dtype=float)
     if grid.shape != values.shape or grid.ndim != 1 or grid.size < 2:
         raise ShapeError("tabulated truth needs matching 1-d grid and values")
-    return TruthSpec(
-        kind="tabulated", table=(grid, values), L_star=float(np.max(np.abs(values)))
-    )
+    return TruthSpec(kind="tabulated", table=(grid, values))
 
 
 def evaluate_truth(truth: TruthSpec, points) -> np.ndarray:
@@ -197,15 +176,13 @@ def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
 
 
 def _population_projection(dictionary, measure, truth):
-    """Quadrature approximations of Psi, g_j = <f_j, f>, and ||f||^2."""
+    """Psi, and quadrature approximations of g_j = <f_j, f> and ||f||^2."""
     pts, w = quadrature_grid(dictionary, measure)
     phi = evaluate(dictionary, pts).entries
     f = evaluate_truth(truth, pts)
-    psi = phi.T @ (phi * w[:, None])
-    psi = 0.5 * (psi + psi.T)
     g = phi.T @ (w * f)
     f2 = float(w @ (f * f))
-    return psi, g, f2
+    return population_gram(dictionary, measure), g, f2
 
 
 def _restricted_residual(psi, g, f2, support):
@@ -271,6 +248,15 @@ def oracle_general(
     return lam, False
 
 
+def _orthonormal_case(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec) -> bool:
+    """Fourier dictionary, fourier truth, uniform measure: exact closed forms."""
+    return (
+        dictionary.kind == "fourier"
+        and truth.kind == "fourier"
+        and measure.kind == "uniform"
+    )
+
+
 def population_dist2(
     dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, lam
 ) -> float:
@@ -284,11 +270,7 @@ def population_dist2(
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (dictionary.M,):
         raise ShapeError(f"lambda must have shape ({dictionary.M},)")
-    if (
-        dictionary.kind == "fourier"
-        and truth.kind == "fourier"
-        and measure.kind == "uniform"
-    ):
+    if _orthonormal_case(dictionary, measure, truth):
         theta = truth.theta
         m = min(theta.size, dictionary.M)
         diff = lam.copy()
@@ -314,7 +296,7 @@ def population_dist2(
 
 def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
     """Grid estimate of L(lambda) = ||f - f_lambda||_inf (a lower bound)."""
-    pts, _ = sup_norm_grid(dictionary)
+    pts = sup_norm_grid(dictionary)
     values = evaluate(dictionary, pts).entries @ np.asarray(lam, dtype=float)
     f = evaluate_truth(truth, pts)
     return float(np.max(np.abs(values - f)))
@@ -599,17 +581,45 @@ class OracleReport:
     C_f_prime: float
     memberships: MembershipFlags | None
     exact: bool
-    sup_grid_points: int
 
 
-def _oracle_at_k(dictionary, measure, truth, k):
-    if (
-        dictionary.kind == "fourier"
-        and truth.kind == "fourier"
-        and measure.kind == "uniform"
-    ):
+def oracle_at_k(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, k: int):
+    """Best k-sparse approximation: ``(lambda, exact_flag)``.
+
+    Closed form in the orthonormal case, :func:`oracle_general` otherwise.
+    """
+    if _orthonormal_case(dictionary, measure, truth):
         return oracle_fourier(truth, dictionary.M, k), True
     return oracle_general(dictionary, measure, truth, k)
+
+
+def oracle_scan(
+    dictionary: Dictionary,
+    measure: MeasureSpec,
+    truth: TruthSpec,
+    r_nM: float,
+    C_f: float = 1.0,
+    k_max: int | None = None,
+):
+    """Scan k = 0, 1, ... for the effective dimension.
+
+    Returns ``(lambda, dist2, exact, found)`` for the smallest k whose best
+    k-sparse approximation satisfies ||f_lambda - f||^2 <= C_f r^2 M(lambda).
+    When no k up to ``k_max`` does, ``found`` is False and the other
+    entries belong to the last k tried.
+    """
+    if r_nM <= 0:
+        raise ConfigError("oracle scan needs r_nM > 0")
+    k_max = dictionary.M if k_max is None else min(int(k_max), dictionary.M)
+    if k_max < 0:
+        raise ConfigError("oracle scan needs k_max >= 0")
+    for k in range(k_max + 1):
+        lam, exact = oracle_at_k(dictionary, measure, truth, k)
+        dist2 = population_dist2(dictionary, measure, truth, lam)
+        _, m_lambda = sparsity(lam)
+        if dist2 <= C_f * r_nM * r_nM * m_lambda:
+            return lam, dist2, exact, True
+    return lam, dist2, exact, False
 
 
 def oracle_report(
@@ -621,42 +631,32 @@ def oracle_report(
     C_f_prime: float = 1.0,
     k_max: int | None = None,
 ) -> OracleReport:
-    """Scan k = 0, 1, ... for the effective dimension and build the report.
+    """Scan for the effective dimension with :func:`oracle_scan` and build the report.
 
-    k_star is the smallest k whose best k-sparse approximation satisfies
-    ||f_lambda - f||^2 <= C_f r^2 k.
+    k_star is the smallest M(lambda) whose best approximation satisfies
+    ||f_lambda - f||^2 <= C_f r^2 M(lambda).
     """
-    if r_nM <= 0:
-        raise ConfigError("oracle_report needs r_nM > 0")
-    k_max = dictionary.M if k_max is None else min(int(k_max), dictionary.M)
-    psi = population_gram(dictionary, measure)
-    _, grid_points = sup_norm_grid(dictionary)
-
-    for k in range(k_max + 1):
-        lam, exact = _oracle_at_k(dictionary, measure, truth, k)
-        dist2 = population_dist2(dictionary, measure, truth, lam)
-        support, m_lambda = sparsity(lam)
-        if dist2 <= C_f * r_nM * r_nM * m_lambda:
-            _, rho_lambda = coherence(psi, support)
-            return OracleReport(
-                lambda_star=lam,
-                k_star=m_lambda,
-                dist2=dist2,
-                L_lambda=sup_norm_error(dictionary, truth, lam),
-                C_f=C_f,
-                C_f_prime=C_f_prime,
-                memberships=membership(dist2, m_lambda, rho_lambda, r_nM, C_f, C_f_prime),
-                exact=exact,
-                sup_grid_points=grid_points,
-            )
+    lam, dist2, exact, found = oracle_scan(dictionary, measure, truth, r_nM, C_f, k_max)
+    if not found:
+        return OracleReport(
+            lambda_star=None,
+            k_star=None,
+            dist2=math.nan,
+            L_lambda=math.nan,
+            C_f=C_f,
+            C_f_prime=C_f_prime,
+            memberships=None,
+            exact=True,
+        )
+    support, m_lambda = sparsity(lam)
+    _, rho_lambda = coherence(population_gram(dictionary, measure), support)
     return OracleReport(
-        lambda_star=None,
-        k_star=None,
-        dist2=math.nan,
-        L_lambda=math.nan,
+        lambda_star=lam,
+        k_star=m_lambda,
+        dist2=dist2,
+        L_lambda=sup_norm_error(dictionary, truth, lam),
         C_f=C_f,
         C_f_prime=C_f_prime,
-        memberships=None,
-        exact=True,
-        sup_grid_points=grid_points,
+        memberships=membership(dist2, m_lambda, rho_lambda, r_nM, C_f, C_f_prime),
+        exact=exact,
     )

@@ -39,6 +39,14 @@ class TestDispatch:
         )
         assert proc.returncode == 0
 
+    def test_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import l1agg.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestFit:
     def write_data(self, tmp_path, n=80, seed=0):

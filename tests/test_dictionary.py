@@ -6,21 +6,29 @@ import numpy as np
 import pytest
 
 from l1agg import (
+    ConfigError,
     DictionaryError,
     DomainError,
     ShapeError,
+    UnsupportedOperationError,
     build_coordinate,
     build_fourier,
     build_tabulated,
     empirical_norms,
     evaluate,
+    fourier_truth,
+    generate,
+    grid_density_measure,
+    linear_truth,
     load_points_csv,
     load_tabulated_csv,
+    noiseless,
     population_gram,
+    sup_norm_error,
     uniform_measure,
     validate_a2,
 )
-from l1agg.dictionary import QUADRATURE_TOL
+from l1agg.dictionary import QUADRATURE_TOL, quadrature_grid
 
 
 def _quadrature_column_norm(fn, n_nodes=200_001):
@@ -163,12 +171,103 @@ class TestValidateA2:
             v = validate_a2(d, uniform_measure())
             assert v.L0 <= v.L**4 + 1e-9
 
+    def test_coordinate_sup_norm_uses_first_m_axes(self):
+        box = [[-2.0, 1.0], [0.5, 3.0], [-4.0, -1.0]]
+        v = validate_a2(build_coordinate(3, M=2, domain=box), uniform_measure())
+        assert v.L == 3.0
+
+    @pytest.mark.filterwarnings("ignore:evaluation points outside the tabulated grid")
+    def test_tabulated_sup_norm_matches_dense_scan(self):
+        # The first table extends past the domain, the second is clamped on
+        # both sides, and the third peaks at a node off the scan grid.
+        d = build_tabulated(
+            [
+                (np.array([-0.5, 0.3, 0.6, 1.5]), np.array([10.0, -1.0, 0.5, 8.0])),
+                (np.array([0.2, 0.4]), np.array([-5.0, 1.0])),
+                (np.array([0.0, 1.0 / 3.0, 1.0]), np.array([0.0, 6.0, 0.0])),
+            ],
+            domain=[0.0, 1.0],
+        )
+        phi = evaluate(d, np.linspace(0.0, 1.0, 400_001)).entries
+        scan = np.abs(phi).max(axis=0)
+        exact = [validate_a2(build_tabulated([t, t]), uniform_measure()).L for t in d.tables]
+        np.testing.assert_allclose(exact, scan, rtol=1e-4)
+        assert np.all(np.asarray(exact) >= scan)
+        assert exact[2] == 6.0
+        assert validate_a2(d, uniform_measure()).L == max(exact)
+
 
 class TestFourierOrthonormality:
     @pytest.mark.parametrize("M", [2, 5, 17, 65])
     def test_quadrature_gram_is_identity(self, M):
         psi = population_gram(build_fourier(M), uniform_measure())
         assert np.max(np.abs(psi - np.eye(M))) < 10 * QUADRATURE_TOL
+
+    def test_uniform_gram_exact_when_m_reaches_g(self):
+        # Trapezoid quadrature on G = 64 nodes would alias frequency pairs
+        # summing to G - 1; the uniform Gram is exact instead.
+        psi = population_gram(build_fourier(64), uniform_measure(G=64))
+        np.testing.assert_array_equal(psi, np.eye(64))
+
+    def test_density_measure_rejects_aliasing_size(self):
+        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0], G=64)
+        for call in (population_gram, quadrature_grid):
+            with pytest.raises(ConfigError):
+                call(build_fourier(63), flat)
+        psi = population_gram(build_fourier(62), flat)
+        assert np.max(np.abs(psi - np.eye(62))) < 1e-12
+
+
+class TestGridDensityMeasure:
+    def ramp(self):
+        grid = np.linspace(0.0, 1.0, 1001)
+        return grid_density_measure(grid, 3.0 * (1.0 + grid))  # normalises to 2(1 + x)/3
+
+    def test_density_normalised(self):
+        measure = self.ramp()
+        grid, density = measure.density_table
+        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(density, 2.0 * (1.0 + grid) / 3.0, atol=1e-12)
+        assert (measure.mu_min, measure.mu_max) == pytest.approx((2.0 / 3.0, 4.0 / 3.0))
+
+    def test_quadrature_weights_sum_to_one(self):
+        _, w = quadrature_grid(build_fourier(5), self.ramp())
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(w >= 0.0)
+
+    def test_inverse_cdf_sampling_mean(self):
+        n = 200_000
+        sample = generate(
+            build_fourier(3), fourier_truth([0.0]), self.ramp(), noiseless(), n, seed=0
+        )
+        # Density 2(1 + x)/3 on [0, 1]: mean 5/9, variance 13/162.
+        assert sample.x.mean() == pytest.approx(5.0 / 9.0, abs=5.0 * math.sqrt(13.0 / 162.0 / n))
+
+    def test_flat_density_matches_exact_fourier_constants(self):
+        d = build_fourier(9)
+        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
+        np.testing.assert_allclose(population_gram(d, flat), np.eye(9), rtol=0.0, atol=1e-9)
+        exact = validate_a2(d, uniform_measure())
+        quad = validate_a2(d, flat)
+        assert (exact.L, exact.c0, exact.L0) == (math.sqrt(2.0), 1.0, 1.5)
+        assert quad.c0 == pytest.approx(exact.c0, abs=1e-9)
+        assert quad.L0 == pytest.approx(exact.L0, abs=1e-9)
+
+
+class TestGridBudget:
+    # 2^20 points already exceed MAX_TOTAL_GRID_POINTS = 10^6.
+    def test_sup_norm_scan_over_budget(self):
+        d = build_coordinate(20)
+        with pytest.raises(UnsupportedOperationError):
+            sup_norm_error(d, linear_truth(np.ones(20)), np.zeros(20))
+
+    def test_quadrature_over_budget(self):
+        with pytest.raises(UnsupportedOperationError):
+            quadrature_grid(build_coordinate(20), uniform_measure())
+
+    def test_closed_forms_need_no_grid(self):
+        v = validate_a2(build_coordinate(20, domain=[-1.0, 1.0]), uniform_measure())
+        assert (v.L, v.c0, v.L0) == (1.0, math.sqrt(1.0 / 3.0), 0.2)
 
 
 class TestCsvLoaders:

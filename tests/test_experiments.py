@@ -206,6 +206,15 @@ class TestRun:
         assert all(r.risk < 1e-8 for r in rows)
         assert all(r.e1 and r.e3 for r in rows)
 
+    def test_exact_cell_skips_sup_norm_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("sup-norm scan run for an exactly represented truth")
+
+        monkeypatch.setattr("l1agg.experiments.sup_norm_error", scan)
+        ctx = cell_context(tiny_config(n_values=(96,), seed=41), 0)
+        assert ctx.k_star == 3
+        assert ctx.dist2_star == 0.0 and ctx.L_lambda_star == 0.0
+
     def test_linear_full_support_matches_least_squares(self):
         # Noiseless M = k exact representation: the fit approaches the
         # ordinary least squares solution (= the truth) as A shrinks.

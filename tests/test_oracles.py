@@ -24,6 +24,7 @@ from l1agg import (
     oracle_fourier,
     oracle_general,
     oracle_report,
+    oracle_scan,
     population_dist2,
     sparsity,
     sup_norm_error,
@@ -372,6 +373,17 @@ class TestOracleReport:
         assert report.k_star is None
         assert report.lambda_star is None
         assert report.memberships is None
+
+    def test_scan_without_oracle_keeps_last_vector(self):
+        # The tail beyond M keeps dist2 above C_f r^2 M(lambda) at every k.
+        theta = np.arange(40, 0, -1, dtype=float) / 40.0
+        d = build_fourier(8)
+        lam, dist2, exact, found = oracle_scan(
+            d, uniform_measure(), fourier_truth(theta), r_nM=1e-3
+        )
+        assert not found and exact
+        np.testing.assert_array_equal(lam, theta[:8])
+        assert dist2 == pytest.approx(float(theta[8:] @ theta[8:]), rel=1e-12)
 
     def test_zero_truth(self):
         truth = fourier_truth(np.zeros(3))

@@ -1,9 +1,16 @@
-"""Small shared helpers (atomic file output, deterministic formatting)."""
+"""The text formats, each read or written in one place: headered CSV
+tables, ``key = value`` files and values in; CSV text out, atomically."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
+
+import numpy as np
+
+from .errors import ConfigError, ShapeError
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -25,8 +32,81 @@ def atomic_write_text(path, text: str) -> None:
 
 def fmt(value) -> str:
     """Deterministic CSV cell formatting (shortest round-trip for floats)."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the ``header`` row, then one row of :func:`fmt` cells per
+    item of ``rows``; every line ends in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
+def read_csv(path, parse_row, header=None):
+    """Read a headered CSV file into ``(names, records)``: the header cells
+    stripped of white space (checked against ``header`` when given) and
+    ``parse_row(cells)`` for each non-blank row. Raises ShapeError naming
+    ``path:line`` for a row whose width differs from the header's or that
+    ``parse_row`` rejects with ValueError, and for a file without rows."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        names = [name.strip() for name in next(reader, [])]
+        if header is not None and names != list(header):
+            raise ShapeError(f"{path}:1: expected the header {','.join(header)}")
+        records = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(names):
+                n_cells, width = len(cells), len(names)
+                raise ShapeError(f"{path}:{reader.line_num}: {n_cells} cells, header has {width}")
+            try:
+                records.append(parse_row(cells))
+            except ValueError as exc:
+                raise ShapeError(f"{path}:{reader.line_num}: {exc}") from None
+    if not records:
+        raise ShapeError(f"{path}: no data rows")
+    return names, records
+
+
+def read_numeric_csv(path):
+    """Read a headered CSV of numbers into ``(names, values)``, ``values``
+    a float array with one row per data row; errors as in :func:`read_csv`."""
+    names, records = read_csv(path, lambda cells: list(map(float, cells)))
+    return names, np.array(records)
+
+
+def read_key_values(path) -> dict[str, tuple[int, str]]:
+    """Read a ``key = value`` file into ``{key: (line number, value)}``,
+    skipping blank lines and ``#`` comments; a later line overrides an
+    earlier one. Raises ConfigError naming ``path:line`` for a line
+    without ``=``."""
+    entries = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigError(f"{path}:{line_number}: expected key = value")
+            entries[key.strip()] = (line_number, value.strip())
+    return entries
+
+
+def parse_value(text: str, convert, where: str):
+    """``convert(text)`` for a value from a flag or a file; a ValueError
+    becomes a ConfigError naming ``where`` (a flag, or ``path:line: key``)."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot read {text!r}") from None

@@ -16,15 +16,13 @@ in CSV artifacts are 1-based (function f_1 is column j=1).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import sys
 
 import numpy as np
 
 from . import __version__
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text, parse_value, read_key_values, read_numeric_csv
 from .dictionary import (
     build_coordinate,
     build_fourier,
@@ -76,16 +74,22 @@ class _UsageError(Exception):
 def _parse_dictionary(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "fourier":
-        return build_fourier(int(rest))
+        return build_fourier(parse_value(rest, int, spec))
     if kind == "coordinate":
         d, _, box = rest.partition(":")
-        if box:
-            lo, hi = (float(v) for v in box.split(","))
-            return build_coordinate(int(d), domain=[lo, hi])
-        return build_coordinate(int(d))
+        domain = [parse_value(v, float, spec) for v in box.split(",")] if box else None
+        return build_coordinate(parse_value(d, int, spec), domain=domain)
     if kind == "tabulated":
         return load_tabulated_csv(rest)
     raise ConfigError(f"unknown dictionary shorthand {spec!r}")
+
+
+def _read_table(path, header: list[str]):
+    """The columns of a numeric CSV whose header must be ``header``."""
+    names, data = read_numeric_csv(path)
+    if names != header:
+        raise ConfigError(f"{path}: CSV must have header {','.join(header)}")
+    return data.T
 
 
 def _parse_measure(spec: str):
@@ -93,15 +97,7 @@ def _parse_measure(spec: str):
         return uniform_measure()
     kind, _, path = spec.partition(":")
     if kind == "density" and path:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["x", "density"]:
-                raise ConfigError("density CSV must have header x,density")
-            rows = [(float(a), float(b)) for a, b in reader]
-        grid = np.array([r[0] for r in rows])
-        dens = np.array([r[1] for r in rows])
-        return grid_density_measure(grid, dens)
+        return grid_density_measure(*_read_table(path, ["x", "density"]))
     raise ConfigError(f"unknown measure shorthand {spec!r}")
 
 
@@ -111,29 +107,23 @@ def _parse_truth(spec: str):
 
     kind, _, rest = spec.partition(":")
     if kind == "l0k":
-        return l0k_truth(int(rest))
+        return l0k_truth(parse_value(rest, int, spec))
     if kind == "sobolev":
-        return sobolev_truth(float(rest))
+        return sobolev_truth(parse_value(rest, float, spec))
     if kind == "theta":
         entries = []
         for chunk in rest.split(","):
             value, _, index = chunk.partition("@")
-            j = int(index)
+            j = parse_value(index, int, spec)
             if j < 1:
                 raise ConfigError("theta indices are 1-based")
-            entries.append((j, float(value)))
+            entries.append((j, parse_value(value, float, spec)))
         theta = np.zeros(max(j for j, _ in entries))
         for j, value in entries:
             theta[j - 1] = value
         return fourier_truth(theta)
     if kind == "tabulated":
-        with open(rest, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["x", "f"]:
-                raise ConfigError("tabulated truth CSV must have header x,f")
-            rows = [(float(a), float(b)) for a, b in reader]
-        return tabulated_truth([r[0] for r in rows], [r[1] for r in rows])
+        return tabulated_truth(*_read_table(rest, ["x", "f"]))
     raise ConfigError(f"unknown truth shorthand {spec!r}")
 
 
@@ -144,7 +134,7 @@ def _parse_rate(spec: str):
         return "log_n", None
     kind, _, value = spec.partition(":")
     if kind == "explicit" and value:
-        return "explicit", float(value)
+        return "explicit", parse_value(value, float, spec)
     raise ConfigError(f"unknown rate {spec!r}; expected logM, logn or explicit:<v>")
 
 
@@ -170,12 +160,8 @@ def _cmd_fit(args) -> int:
         exit_code = 2
         print(f"warning: {exc}", file=sys.stderr)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["j", "lambda", "omega"])
-    for j in range(design.M):
-        writer.writerow([j + 1, fmt(float(result.lambda_hat[j])), fmt(float(penalty.weights[j]))])
-    atomic_write_text(args.out, buf.getvalue())
+    table = zip(range(1, design.M + 1), result.lambda_hat, penalty.weights)
+    atomic_write_text(args.out, csv_text(["j", "lambda", "omega"], table))
 
     for line in (
         f"objective={result.objective!r}",
@@ -191,9 +177,8 @@ def _cmd_fit(args) -> int:
 def _cmd_diagnose(args) -> int:
     dictionary = _parse_dictionary(args.dict)
     measure = _parse_measure(args.measure)
-    support = (
-        [int(tok) - 1 for tok in args.support.split(",")] if args.support else []
-    )
+    tokens = args.support.split(",") if args.support else []
+    support = [parse_value(tok, int, "--support") - 1 for tok in tokens]
 
     from .dictionary import population_gram
 
@@ -241,17 +226,13 @@ def _cmd_oracle(args) -> int:
     if args.kmax < args.kmin or args.kmin < 0:
         raise ConfigError("need 0 <= kmin <= kmax")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "residual2", "support", "exact"])
+    table = []
     for k in range(args.kmin, min(args.kmax, dictionary.M) + 1):
         lam, exact = oracle_at_k(dictionary, measure, truth, k)
         dist2 = population_dist2(dictionary, measure, truth, lam)
         support, _ = sparsity(lam)
-        writer.writerow(
-            [k, fmt(dist2), "|".join(str(j + 1) for j in support), fmt(exact)]
-        )
-    atomic_write_text(args.out, buf.getvalue())
+        table.append([k, dist2, "|".join(str(j + 1) for j in support), exact])
+    atomic_write_text(args.out, csv_text(["k", "residual2", "support", "exact"], table))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -259,16 +240,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_bounds(args) -> int:
     from .oracles import LEMMA_KINDS, lemma_bounds
 
-    params: dict[str, float] = {}
-    with open(args.params, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{args.params}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            params[key] = float(value)
+    params = {
+        key: parse_value(value, float, f"{args.params}:{line}: {key}")
+        for key, (line, value) in read_key_values(args.params).items()
+    }
     if "n" not in params:
         raise ConfigError("bounds parameter file needs n")
 
@@ -299,7 +274,7 @@ def _cmd_experiment(args) -> int:
     if not config.out:
         raise ConfigError("experiment needs an output path (config key out or --out)")
     rows = run(config)
-    nonconverged = sum(1 for r in rows if not r.converged)
+    nonconverged = sum(1 for r in rows if r.nonconverged)
     print(f"wrote {len(rows)} rows to {config.out}", file=sys.stderr)
     if nonconverged:
         print(f"warning: {nonconverged} non-convergent replicates", file=sys.stderr)
@@ -324,12 +299,8 @@ def _cmd_summary(args) -> int:
         print(f"{label}_intercept={intercept!r}")
         print(f"{label}_stderr={stderr!r}")
     if args.slopes_out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["quantity", "slope", "intercept", "stderr"])
-        for y_field, slope, intercept, stderr in slope_records:
-            writer.writerow([y_field, fmt(slope), fmt(intercept), fmt(stderr)])
-        atomic_write_text(args.slopes_out, buf.getvalue())
+        header = ["quantity", "slope", "intercept", "stderr"]
+        atomic_write_text(args.slopes_out, csv_text(header, slope_records))
     return 0
 
 

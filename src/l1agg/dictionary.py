@@ -17,13 +17,13 @@ indices in its CSV artifacts.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._util import read_numeric_csv
 from .errors import (
     ConfigError,
     DictionaryError,
@@ -207,49 +207,34 @@ def build_tabulated(tables: Sequence, domain=None) -> Dictionary:
 
 
 def load_tabulated_csv(path) -> Dictionary:
-    """Load a tabulated dictionary from CSV with header ``x,f1,...,fM``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "x":
-            raise DictionaryError("tabulated CSV must start with header x,f1,...,fM")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
-        raise DictionaryError("tabulated CSV has no data rows")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(header):
-        raise DictionaryError("tabulated CSV rows do not match the header width")
+    """Load a tabulated dictionary from CSV with header ``x,f1,...,fM``.
+
+    The domain is the x range of the table. A header whose first name is
+    not ``x`` raises DictionaryError; a non-numeric cell, a ragged row or a
+    file without data rows raises ShapeError naming ``path:line``.
+    """
+    names, data = read_numeric_csv(path)
+    if names[0] != "x":
+        raise DictionaryError(f"{path}: tabulated CSV must start with header x,f1,...,fM")
     grid = data[:, 0]
     tables = [(grid, data[:, j]) for j in range(1, data.shape[1])]
-    lo, hi = float(grid.min()), float(grid.max())
-    return build_tabulated(tables, domain=[lo, hi])
+    return build_tabulated(tables, domain=[float(grid.min()), float(grid.max())])
 
 
 def load_points_csv(path):
     """Load design points from CSV ``x1,...,xd[,y]``.
 
     Returns ``(points, y)`` with ``y = None`` when no response column is
-    present. ``points`` has shape (n, d).
+    present. ``points`` has shape (n, d). A bad header, a non-numeric cell,
+    a ragged row or a file without data rows raises ShapeError; the last
+    three name ``path:line``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ShapeError("points CSV is empty")
-        names = [h.strip() for h in header]
-        has_y = names[-1] == "y"
-        d = len(names) - (1 if has_y else 0)
-        if d < 1 or any(names[i] != f"x{i + 1}" for i in range(d)):
-            raise ShapeError("points CSV header must be x1,...,xd[,y]")
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    if not rows:
-        raise ShapeError("points CSV has no data rows")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(names):
-        raise ShapeError("points CSV rows do not match the header width")
-    pts = data[:, :d]
-    y = data[:, d] if has_y else None
-    return pts, y
+    names, data = read_numeric_csv(path)
+    has_y = names[-1] == "y"
+    d = len(names) - (1 if has_y else 0)
+    if d < 1 or any(names[i] != f"x{i + 1}" for i in range(d)):
+        raise ShapeError(f"{path}: points CSV header must be x1,...,xd[,y]")
+    return data[:, :d], (data[:, d] if has_y else None)
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +280,29 @@ def _check_points(dictionary: Dictionary, points) -> np.ndarray:
 def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
     """Evaluate every dictionary function at every point.
 
-    Entry (i, j) is f_j(x_i). Points must lie in the dictionary domain;
-    the tabulated kind clamps to its grid range instead and emits a
-    warning.
+    Entry (i, j) is f_j(x_i). Points must lie in the dictionary domain.
+    A tabulated function is its clamped interpolant on the whole domain;
+    points outside the domain are clamped too, with a warning.
     """
     pts = _check_points(dictionary, points)
     lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
     hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
+    outside = np.any(pts < lo) or np.any(pts > hi)
 
     if dictionary.kind == "tabulated":
         x = pts[:, 0]
         out = np.empty((x.size, dictionary.M))
-        clamped = False
         for j, (grid, vals) in enumerate(dictionary.tables):
-            if np.any(x < grid[0]) or np.any(x > grid[-1]):
-                clamped = True
             out[:, j] = np.interp(x, grid, vals)
-        if clamped:
+        if outside:
             warnings.warn(
-                "evaluation points outside the tabulated grid range were clamped",
+                "evaluation points outside the dictionary domain were clamped",
                 RuntimeWarning,
                 stacklevel=2,
             )
         return DesignMatrix(n=pts.shape[0], M=dictionary.M, entries=out)
 
-    if np.any(pts < lo) or np.any(pts > hi):
+    if outside:
         raise DomainError("evaluation points fall outside the dictionary domain")
     if dictionary.kind == "fourier":
         out = _fourier_columns(pts[:, 0], dictionary.M)

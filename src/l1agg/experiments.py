@@ -19,16 +19,15 @@ in-memory rows).
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import functools
-import io
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text, parse_value, read_csv, read_key_values
 from .dictionary import (
     Dictionary,
     MeasureSpec,
@@ -57,16 +56,11 @@ from .oracles import (
     sup_norm_error,
     theorem_rhs,
 )
-from .solver import PenaltyConfig, fit, rate
+from .solver import DEFAULT_TOL, PenaltyConfig, fit, rate
 
 PRESETS = ("linear", "fourier-L0k", "fourier-sobolev")
 SEED_CELL_STRIDE = 1_000_000
 SOBOLEV_TRUTH_TERMS = 400
-
-CSV_HEADER = (
-    "preset,n,M,k_or_beta,A,rep,seed,risk,l1_err,m_hat,kkt,"
-    "e1,e2,e3,rhs_t21_risk,rhs_t21_l1,runtime_ms"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +94,11 @@ def noise_rademacher(a: float = 1.0) -> NoiseModel:
 
 def noise_truncated_gaussian(sigma: float, c: float) -> NoiseModel:
     """N(0, sigma^2) conditioned on |W| <= c; moment bound by quadrature."""
-    from scipy import stats
-
     if sigma <= 0 or c <= 0:
         raise ConfigError("truncated gaussian needs sigma > 0 and c > 0")
     grid = np.linspace(0.0, c, 4097)
-    density = stats.norm.pdf(grid, scale=sigma)
-    mass = stats.norm.cdf(c / sigma) - stats.norm.cdf(-c / sigma)
+    density = np.exp(-0.5 * (grid / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    mass = math.erf(c / (sigma * math.sqrt(2.0)))
     b = float(np.trapezoid(2.0 * np.exp(grid) * density, grid) / mass)
     return NoiseModel(family="truncated-gaussian", params=(float(sigma), float(c)), b=b)
 
@@ -130,12 +122,13 @@ def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndar
         (a,) = noise.params
         return a * (2.0 * rng.integers(0, 2, n) - 1.0)
     if noise.family == "truncated-gaussian":
-        from scipy import stats
-
+        # Rejection from N(0, sigma^2): keep the draws with |w| <= c.
         sigma, c = noise.params
-        return stats.truncnorm.rvs(
-            -c / sigma, c / sigma, scale=sigma, size=n, random_state=rng
-        )
+        kept = np.empty(0)
+        while kept.size < n:
+            draw = rng.normal(0.0, sigma, n)
+            kept = np.concatenate([kept, draw[np.abs(draw) <= c]])
+        return kept[:n]
     if noise.family == "laplace":
         (sigma,) = noise.params
         return rng.laplace(0.0, sigma, n)
@@ -216,7 +209,7 @@ class ExperimentConfig:
     """
 
     preset: str
-    n_values: tuple
+    n_values: tuple[int, ...]
     m_rule: str
     k_or_beta: float
     A: float
@@ -258,65 +251,57 @@ def _parse_m_rule(rule: str):
     except ValueError:
         raise ConfigError(f"m_rule {rule!r} must look like fixed:<M> or power:<s>") from None
     if kind == "fixed":
-        m = int(value)
+        m = parse_value(value, int, f"m_rule {rule!r}")
         if m < 2:
             raise ConfigError("fixed dictionary size must be >= 2")
         return lambda n: m
     if kind == "power":
-        s = float(value)
+        s = parse_value(value, float, f"m_rule {rule!r}")
         if s <= 0:
             raise ConfigError("power m_rule needs a positive exponent")
         return lambda n: max(2, int(math.floor(n**s)))
     raise ConfigError(f"unknown m_rule kind {kind!r}")
 
 
-CONFIG_KEYS = (
-    "preset",
-    "n_values",
-    "m_rule",
-    "k_or_beta",
-    "A",
-    "rate_kind",
-    "R",
-    "seed",
-    "C_f",
-    "out",
-)
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, found {text!r}")
+    return text == "1"
+
+
+# How a text field becomes a value, keyed by the field's annotation; the
+# config file and the rows CSV both read their dataclass fields this way.
+_PARSERS = {
+    "str": str,
+    "str | None": str,
+    "int": int,
+    "float": float,
+    "bool": _flag,
+    "tuple[int, ...]": lambda text: tuple(int(v) for v in text.split(",")),
+}
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse a line-oriented ``key = value`` config file.
 
-    Keys are exactly the ExperimentConfig fields; lists are
-    comma-separated; blank lines and ``#`` comments are ignored.
+    Keys are exactly the ExperimentConfig fields, each read as its annotated
+    type (lists comma-separated); only the optional ``out`` may be left out.
+    Errors are ConfigErrors naming ``path:line``, or ``path`` for a config
+    that fails validation.
     """
-    raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw[key] = value
-    missing = [k for k in CONFIG_KEYS if k not in raw and k != "out"]
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
+    for key, (line, text) in read_key_values(path).items():
+        if key not in types:
+            raise ConfigError(f"{path}:{line}: unknown config key {key!r}")
+        values[key] = parse_value(text, _PARSERS[types[key]], f"{path}:{line}: {key}")
+    missing = [k for k, t in types.items() if k not in values and not t.endswith("| None")]
     if missing:
         raise ConfigError(f"{path}: missing config keys: {', '.join(missing)}")
-    return ExperimentConfig(
-        preset=raw["preset"],
-        n_values=tuple(int(v) for v in raw["n_values"].split(",")),
-        m_rule=raw["m_rule"],
-        k_or_beta=float(raw["k_or_beta"]),
-        A=float(raw["A"]),
-        rate_kind=raw["rate_kind"],
-        R=int(raw["R"]),
-        seed=int(raw["seed"]),
-        C_f=float(raw["C_f"]),
-        out=raw.get("out"),
-    )
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +466,8 @@ def replicate_seed(config: ExperimentConfig, cell_index: int, rep: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One replicate's record. ``converged`` is in-memory only (the CSV
-    schema is fixed); rows read back from CSV carry ``converged=None``."""
+    """One replicate's record. ``converged`` (the solver's flag) is in-memory
+    only; rows read back from CSV carry ``converged=None``."""
 
     preset: str
     n: int
@@ -502,6 +487,17 @@ class ExperimentRow:
     rhs_t21_l1: float
     runtime_ms: float
     converged: bool | None = True
+
+    @property
+    def nonconverged(self) -> bool:
+        """The KKT residual exceeds the bound ``solver.fit`` enforces at the
+        default tolerance; read from ``kkt`` alone, so CSV rows agree."""
+        return self.kkt > 1e3 * DEFAULT_TOL
+
+
+# The rows CSV columns: every ExperimentRow field but ``converged``.
+_ROW_FIELDS = [f for f in dataclasses.fields(ExperimentRow) if f.name != "converged"]
+CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
 def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> ExperimentRow:
@@ -584,32 +580,13 @@ def run_single(config: ExperimentConfig, cell_index: int, rep: int) -> Experimen
 def rows_csv_text(rows) -> str:
     """Render rows as CSV. ``runtime_ms`` is zeroed so that identical
     configs produce byte-identical artifacts."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                row.preset,
-                fmt(row.n),
-                fmt(row.M),
-                fmt(row.k_or_beta),
-                fmt(row.A),
-                fmt(row.rep),
-                fmt(row.seed),
-                fmt(row.risk),
-                fmt(row.l1_err),
-                fmt(row.m_hat),
-                fmt(row.kkt),
-                fmt(row.e1),
-                fmt(row.e2),
-                fmt(row.e3),
-                fmt(row.rhs_t21_risk),
-                fmt(row.rhs_t21_l1),
-                fmt(0.0),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(
+        CSV_HEADER.split(","),
+        (
+            [0.0 if f.name == "runtime_ms" else getattr(row, f.name) for f in _ROW_FIELDS]
+            for row in rows
+        ),
+    )
 
 
 def write_rows_csv(path, rows) -> None:
@@ -617,49 +594,26 @@ def write_rows_csv(path, rows) -> None:
 
 
 def read_rows_csv(path) -> list[ExperimentRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise ShapeError(f"{path} does not carry the experiment CSV header")
-        rows = []
-        for rec in reader:
-            rows.append(
-                ExperimentRow(
-                    preset=rec[0],
-                    n=int(rec[1]),
-                    M=int(rec[2]),
-                    k_or_beta=float(rec[3]),
-                    A=float(rec[4]),
-                    rep=int(rec[5]),
-                    seed=int(rec[6]),
-                    risk=float(rec[7]),
-                    l1_err=float(rec[8]),
-                    m_hat=int(rec[9]),
-                    kkt=float(rec[10]),
-                    e1=rec[11] == "1",
-                    e2=rec[12] == "1",
-                    e3=rec[13] == "1",
-                    rhs_t21_risk=float(rec[14]),
-                    rhs_t21_l1=float(rec[15]),
-                    runtime_ms=float(rec[16]),
-                    converged=None,
-                )
-            )
+    """Read a rows CSV back; the rows carry ``converged=None``.
+
+    Raises ShapeError for a header other than :data:`CSV_HEADER`, and
+    naming ``path:line`` for a ragged row or a cell that does not parse as
+    its column's type.
+    """
+    parsers = [_PARSERS[f.type] for f in _ROW_FIELDS]
+    _, rows = read_csv(
+        path,
+        lambda cells: ExperimentRow(
+            *(parse(cell) for parse, cell in zip(parsers, cells)), converged=None
+        ),
+        header=CSV_HEADER.split(","),
+    )
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Summaries, slopes, bound checks
 # ---------------------------------------------------------------------------
-
-_NONCONVERGED_KKT = 1e-6  # proxy threshold for rows loaded from CSV
-
-
-def _row_converged(row: ExperimentRow) -> bool:
-    if row.converged is None:
-        return row.kkt <= _NONCONVERGED_KKT
-    return row.converged
 
 
 @dataclass(frozen=True)
@@ -682,20 +636,42 @@ class CellSummary:
     r_nM: float
 
 
+def _rows_by_cell(config: ExperimentConfig, rows) -> list[list[ExperimentRow]]:
+    """Each cell's rows in replicate order. Row ``rep`` of cell ``c`` has the
+    config's preset, k_or_beta, A, n and M for ``c`` and the seed
+    ``replicate_seed(config, c, rep)``. Raises ConfigError for a row that
+    matches no cell, a (cell, rep) given twice, or a cell without R rows."""
+    m_of = _parse_m_rule(config.m_rule)
+    cells = [[None] * config.R for _ in config.n_values]
+    for row in rows:
+        cell, rep = divmod(row.seed - config.seed, SEED_CELL_STRIDE)  # inverts replicate_seed
+        n = config.n_values[cell] if 0 <= cell < len(cells) and rep < config.R else None
+        if n is None or (row.preset, row.k_or_beta, row.A, row.n, row.M, row.rep) != (
+            config.preset, config.k_or_beta, config.A, n, m_of(n), rep
+        ):
+            raise ConfigError(f"row n = {row.n}, seed = {row.seed} is not from this config")
+        if cells[cell][rep] is not None:
+            raise ConfigError(f"two rows for cell n = {n}, rep = {rep}")
+        cells[cell][rep] = row
+    for n, reps in zip(config.n_values, cells):
+        if None in reps:
+            present = config.R - reps.count(None)
+            raise ConfigError(f"cell n = {n} has {present} rows, not R = {config.R}")
+    return cells
+
+
 def summarize(config: ExperimentConfig, rows) -> list[CellSummary]:
     """Per-cell medians, event frequencies, and validity/regime flags.
 
-    Cells with more than 20% non-convergent replicates are flagged
+    Rows must be exactly the config's replicates (:func:`_rows_by_cell`).
+    Cells with more than 20% ``nonconverged`` replicates are flagged
     invalid; cells outside the dictionary-growth regime
     n / (k*^2 log M) >= 1 are flagged for exclusion from slope fits.
     """
     out = []
-    for cell_index in range(len(config.n_values)):
+    for cell_index, cell_rows in enumerate(_rows_by_cell(config, rows)):
         ctx = cell_context(config, cell_index)
-        cell_rows = [r for r in rows if r.n == ctx.n and r.M == ctx.M]
-        if not cell_rows:
-            raise ConfigError(f"no rows for cell n = {ctx.n}, M = {ctx.M}")
-        nonconv = np.mean([not _row_converged(r) for r in cell_rows])
+        nonconv = np.mean([r.nonconverged for r in cell_rows])
         out.append(
             CellSummary(
                 preset=config.preset,
@@ -720,25 +696,11 @@ def summarize(config: ExperimentConfig, rows) -> list[CellSummary]:
 
 
 def summary_csv_text(summaries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "preset", "n", "M", "k_or_beta", "A", "reps",
-            "median_risk", "median_l1_err", "freq_e1", "freq_e2", "freq_e3",
-            "frac_nonconverged", "valid", "regime_ok", "k_star", "r_nM",
-        ]
+    """Render summaries as CSV, one column per CellSummary field."""
+    return csv_text(
+        [f.name for f in dataclasses.fields(CellSummary)],
+        map(dataclasses.astuple, summaries),
     )
-    for s in summaries:
-        writer.writerow(
-            [
-                s.preset, fmt(s.n), fmt(s.M), fmt(s.k_or_beta), fmt(s.A), fmt(s.reps),
-                fmt(s.median_risk), fmt(s.median_l1_err), fmt(s.freq_e1),
-                fmt(s.freq_e2), fmt(s.freq_e3), fmt(s.frac_nonconverged),
-                fmt(s.valid), fmt(s.regime_ok), fmt(s.k_star), fmt(s.r_nM),
-            ]
-        )
-    return buf.getvalue()
 
 
 def ols_line(x, y) -> tuple[float, float, float]:
@@ -839,11 +801,8 @@ def bound_check(
     if not fit_scale and constants is None:
         raise ConfigError("bound_check needs constants unless fit_scale is set")
     out = []
-    for cell_index in range(len(config.n_values)):
+    for cell_index, cell_rows in enumerate(_rows_by_cell(config, rows)):
         ctx = cell_context(config, cell_index)
-        cell_rows = [r for r in rows if r.n == ctx.n and r.M == ctx.M]
-        if not cell_rows:
-            raise ConfigError(f"no rows for cell n = {ctx.n}, M = {ctx.M}")
         base = ctx.rhs_t21_risk if kind == "t21_risk" else ctx.rhs_t21_l1
         values = np.array(
             [r.risk if kind == "t21_risk" else r.l1_err for r in cell_rows]

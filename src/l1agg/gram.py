@@ -11,11 +11,11 @@ All functions are pure and operate on immutable inputs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import atomic_write_text, csv_text
 from .dictionary import Dictionary, DesignMatrix, MeasureSpec, population_gram
 from .errors import DegenerateDictionaryError, NumericError, ShapeError
 
@@ -158,11 +158,8 @@ def diagnostics(pair: GramPair, support=()) -> CoherenceReport:
 
 
 def write_gram_csv(path, psi: np.ndarray) -> None:
-    """Write a Gram matrix as CSV, row-major, header ``j1,...,jM``."""
+    """Write a Gram matrix as CSV, row-major, header ``j1,...,jM``,
+    atomically and with ``\\n`` line ends."""
     psi = np.asarray(psi, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"j{k + 1}" for k in range(psi.shape[1])])
-        for row in psi:
-            writer.writerow([repr(float(v)) for v in row])
-
+    header = [f"j{k + 1}" for k in range(psi.shape[1])]
+    atomic_write_text(path, csv_text(header, psi))

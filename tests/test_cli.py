@@ -285,3 +285,97 @@ class TestExperimentAndSummary:
         assert lines[0] == "quantity,slope,intercept,stderr"
         assert lines[1].startswith("risk,")
         assert float(lines[1].split(",")[1]) < 0.0
+
+
+CONFIG = (
+    "preset = fourier-L0k\nn_values = 64,128\nm_rule = fixed:10\nk_or_beta = 3\n"
+    "A = 2.0\nrate_kind = log_n\nR = 30\nseed = 11\nC_f = 1.0\n"
+)
+ROWS_HEADER = (
+    "preset,n,M,k_or_beta,A,rep,seed,risk,l1_err,m_hat,kkt,"
+    "e1,e2,e3,rhs_t21_risk,rhs_t21_l1,runtime_ms\n"
+)
+
+
+def malformed_case(case, tmp_path):
+    """argv for one malformed input, and the location its error must name
+    (``None`` for a flag value)."""
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    out = str(tmp_path / "out.csv")
+    good_data = write("good.csv", "x1,y\n0.1,1.0\n0.2,2.0\n0.3,0.5\n")
+
+    def fit(data, rate="logn", dictionary="fourier:3"):
+        return ["fit", "--dict", dictionary, "--data", data, "--A", "1.0",
+                "--rate", rate, "--out", out]
+
+    def oracle(truth):
+        return ["oracle", "--dict", "fourier:4", "--truth", truth, "--kmax", "1",
+                "--out", out]
+
+    if case == "fit-nonnumeric-y":
+        data = write("data.csv", "x1,y\n0.1,1.0\n0.2,abc\n")
+        return fit(data), f"{data}:3"
+    if case == "fit-ragged-row":
+        data = write("data.csv", "x1,y\n0.1,1.0\n0.2\n")
+        return fit(data), f"{data}:3"
+    if case == "dict-fourier":
+        return fit(good_data, dictionary="fourier:x"), None
+    if case == "dict-coordinate-box":
+        return ["diagnose", "--dict", "coordinate:3:1"], None
+    if case == "rate-explicit":
+        return fit(good_data, rate="explicit:z"), None
+    if case == "support":
+        return ["diagnose", "--dict", "fourier:4", "--support", "a"], None
+    if case == "density-short-row":
+        dens = write("dens.csv", "x,density\n0,1\n0.5\n1,1\n")
+        return ["diagnose", "--dict", "fourier:4", "--measure", f"density:{dens}"], f"{dens}:3"
+    if case == "tabulated-dict-nonnumeric":
+        tab = write("tab.csv", "x,f1\n0,1\n0.5,abc\n1,1\n")
+        return ["diagnose", "--dict", f"tabulated:{tab}"], f"{tab}:3"
+    if case == "tabulated-truth-short-row":
+        truth = write("truth.csv", "x,f\n0,1\n0.5\n1,1\n")
+        return oracle(f"tabulated:{truth}"), f"{truth}:3"
+    if case == "theta-index":
+        return oracle("theta:1@x"), None
+    if case == "bounds-value":
+        params = write("params.txt", "n = 100\nM = ten\nc0 = 1\nL = 1\n")
+        return ["bounds", "--params", params, "--which", "L4"], f"{params}:2"
+    if case == "config-value":
+        cfg = write("cfg.txt", CONFIG.replace("R = 30", "R = thirty"))
+        return ["experiment", "--config", cfg, "--out", out], f"{cfg}:7"
+    if case == "config-m-rule":
+        # The m_rule is checked with the whole config, so the error names the file.
+        cfg = write("cfg.txt", CONFIG.replace("fixed:10", "fixed:x"))
+        return ["experiment", "--config", cfg, "--out", out], cfg
+    if case == "summary-short-row":
+        cfg = write("cfg.txt", CONFIG)
+        rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
+        return ["summary", "--config", cfg, "--rows", rows, "--out", out], f"{rows}:2"
+    raise AssertionError(case)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "fit-nonnumeric-y", "fit-ragged-row", "dict-fourier", "dict-coordinate-box",
+            "rate-explicit", "support", "density-short-row", "tabulated-dict-nonnumeric",
+            "tabulated-truth-short-row", "theta-index", "bounds-value", "config-value",
+            "config-m-rule", "summary-short-row",
+        ],
+    )
+    def test_one_error_line(self, case, tmp_path, capsys):
+        argv, location = malformed_case(case, tmp_path)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        if location is not None:
+            assert location in lines[0]
+        assert not os.path.exists(tmp_path / "out.csv")

@@ -1,6 +1,8 @@
 """Dictionary construction, evaluation, norms, and validation."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +93,16 @@ class TestEvaluate:
             out = evaluate(d, [1.0 + 1e-6]).entries
         assert out[0, 0] == pytest.approx(2.0)
 
+    def test_tabulated_clamped_inside_domain_does_not_warn(self):
+        # Inside its domain a tabulated function is its clamped interpolant,
+        # so quadrature over tables narrower than the domain is silent.
+        d = build_tabulated([(np.array([0.2, 0.4]), np.array([-5.0, 1.0]))] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_a2(d, uniform_measure())
+            population_gram(d, uniform_measure())
+            assert evaluate(d, [0.0, 1.0]).entries[:, 0].tolist() == [-5.0, 1.0]
+
     def test_dimension_mismatch(self):
         d = build_coordinate(3)
         with pytest.raises(ShapeError):
@@ -176,7 +188,6 @@ class TestValidateA2:
         v = validate_a2(build_coordinate(3, M=2, domain=box), uniform_measure())
         assert v.L == 3.0
 
-    @pytest.mark.filterwarnings("ignore:evaluation points outside the tabulated grid")
     def test_tabulated_sup_norm_matches_dense_scan(self):
         # The first table extends past the domain, the second is clamped on
         # both sides, and the third peaks at a node off the scan grid.
@@ -298,6 +309,29 @@ class TestCsvLoaders:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ShapeError):
             load_points_csv(path)
+
+    @pytest.mark.parametrize("loader", [load_points_csv, load_tabulated_csv])
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("0.1,1.0\n0.2,abc\n", 3),  # non-numeric cell
+            ("0.1,1.0\n\n0.2\n", 4),  # ragged row, after a blank line
+            ("0.1,1.0,2.0\n", 2),  # row wider than the header
+        ],
+    )
+    def test_malformed_rows_name_the_line(self, tmp_path, loader, body, line):
+        header = "x1,y\n" if loader is load_points_csv else "x,f1\n"
+        path = tmp_path / "table.csv"
+        path.write_text(header + body)
+        with pytest.raises(ShapeError, match=re.escape(f"{path}:{line}: ")):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_points_csv, load_tabulated_csv])
+    def test_no_data_rows(self, tmp_path, loader):
+        path = tmp_path / "table.csv"
+        path.write_text("x1,y\n" if loader is load_points_csv else "x,f1\n")
+        with pytest.raises(ShapeError, match="no data rows"):
+            loader(path)
 
 
 class TestInvariants:

@@ -1,6 +1,10 @@
 """Noise models, generation, the replicated harness, slopes, bound checks."""
 
+import dataclasses
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from l1agg import (
     BoundConstants,
     ConfigError,
     ExperimentConfig,
+    ShapeError,
     UnsupportedOperationError,
     bound_check,
     build_fourier,
@@ -35,6 +40,7 @@ from l1agg import (
     write_rows_csv,
 )
 from l1agg.experiments import (
+    CSV_HEADER,
     cell_context,
     replicate_seed,
     rows_csv_text,
@@ -83,6 +89,18 @@ class TestNoiseModels:
         w = sample_noise(noise, 200_000, np.random.default_rng(2))
         assert np.max(np.abs(w)) <= 1.5
         assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.01)
+
+    def test_truncated_gaussian_without_scipy(self):
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from l1agg.experiments import noise_truncated_gaussian, sample_noise\n"
+            "noise = noise_truncated_gaussian(sigma=0.5, c=1.5)\n"
+            "w = sample_noise(noise, 1000, np.random.default_rng(0))\n"
+            "assert w.shape == (1000,) and np.abs(w).max() <= 1.5\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_laplace(self):
         noise = noise_laplace(0.4)
@@ -184,6 +202,32 @@ class TestRun:
             assert b.converged is None
             assert b.runtime_ms == 0.0
 
+    @pytest.mark.parametrize(
+        "line, column, cell",
+        [(3, 16, None), (4, 1, "x"), (2, 11, "2")],
+        ids=["short-row", "non-numeric-cell", "flag-not-0-or-1"],
+    )
+    def test_malformed_rows_csv_names_the_line(self, tmp_path, line, column, cell):
+        cfg = ExperimentConfig(preset="linear", n_values=(32,), m_rule="fixed:4",
+                               k_or_beta=1, A=0.001, rate_kind="log_M", R=4, seed=1)
+        lines = rows_csv_text(run(cfg)).splitlines()
+        cells = lines[line - 1].split(",")
+        if cell is None:
+            del cells[column]
+        else:
+            cells[column] = cell
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ShapeError, match=re.escape(f"{path}:{line}: ")):
+            read_rows_csv(path)
+
+    def test_rows_csv_header_from_row_fields(self):
+        assert CSV_HEADER == (
+            "preset,n,M,k_or_beta,A,rep,seed,risk,l1_err,m_hat,kkt,"
+            "e1,e2,e3,rhs_t21_risk,rhs_t21_l1,runtime_ms"
+        )
+
     def test_zero_truth_large_penalty(self):
         cfg = tiny_config(k_or_beta=0, A=8.0)
         rows = run(cfg)
@@ -278,6 +322,45 @@ class TestSummaries:
         cfg = tiny_config()
         with pytest.raises(ConfigError):
             summarize(cfg, [])
+
+    def linear_config(self, **overrides):
+        base = dict(preset="linear", n_values=(32, 64), m_rule="fixed:6", k_or_beta=2,
+                    A=0.001, rate_kind="log_M", R=5, seed=1)
+        base.update(overrides)
+        return ExperimentConfig(**base)
+
+    def test_rows_from_another_config_rejected(self):
+        rows = run(self.linear_config())
+        other = self.linear_config(k_or_beta=1, seed=99)
+        with pytest.raises(ConfigError, match="not from this config"):
+            summarize(other, rows)
+        with pytest.raises(ConfigError, match="not from this config"):
+            bound_check(other, rows, fit_scale=True)
+        with pytest.raises(ConfigError, match="not from this config"):
+            summarize(self.linear_config(A=0.002), rows)
+
+    def test_duplicate_and_missing_replicates_rejected(self):
+        cfg = self.linear_config()
+        rows = run(cfg)
+        with pytest.raises(ConfigError, match="two rows"):
+            summarize(cfg, rows + rows)
+        with pytest.raises(ConfigError, match="has 4 rows, not R = 5"):
+            summarize(cfg, rows[1:])
+        with pytest.raises(ConfigError, match="has 4 rows"):
+            bound_check(cfg, rows[1:], fit_scale=True)
+        assert [c.reps for c in summarize(cfg, rows[::-1])] == [5, 5]
+
+    def test_nonconvergence_rule_survives_csv(self, tmp_path):
+        # Non-convergence is kkt > 1e3 * DEFAULT_TOL, whatever the in-memory
+        # solver flag says, so a CSV round trip cannot change the count.
+        cfg = self.linear_config(n_values=(64,), R=1)
+        (row,) = run(cfg)
+        path = tmp_path / "rows.csv"
+        for converged, kkt, expected in ((False, 1e-8, 0.0), (True, 1e-5, 1.0)):
+            rows = [dataclasses.replace(row, converged=converged, kkt=kkt)]
+            write_rows_csv(path, rows)
+            assert summarize(cfg, rows)[0].frac_nonconverged == expected
+            assert summarize(cfg, read_rows_csv(path))[0].frac_nonconverged == expected
 
 
 class TestOlsLine:
@@ -417,6 +500,26 @@ class TestConfigFile:
         path = tmp_path / "cfg.txt"
         path.write_text("preset = fourier-L0k\nbogus = 3\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("preset = linear\nR = thirty\n", ":2: R: "),
+            ("# comment\n\nn_values = 64,x\n", ":3: n_values: "),
+            ("preset = linear\nR 30\n", ":2: expected key = value"),
+        ],
+    )
+    def test_bad_line_names_path_line_key(self, tmp_path, text, where):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
+            load_config(path)
+
+    def test_missing_keys_named(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("preset = linear\nout = rows.csv\n")
+        with pytest.raises(ConfigError, match="missing config keys: n_values, m_rule"):
             load_config(path)
 
     def test_rate_preset_needs_30_reps(self):

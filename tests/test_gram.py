@@ -1,5 +1,7 @@
 """Gram pairs, kappa, mutual coherence, and the entrywise deviation."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from l1agg import (
     kappa,
     uniform_measure,
 )
+from l1agg.gram import write_gram_csv
 
 
 def kappa_bisection_oracle(psi, tol=1e-12):
@@ -191,3 +194,24 @@ class TestDiagnostics:
         assert report.rho_lambda < 1e-6
         assert report.eta_nM > 0.0
         assert report.rho_lambda_empirical is not None
+
+
+class TestWriteGramCsv:
+    def test_lf_line_ends(self, tmp_path):
+        path = tmp_path / "psi.csv"
+        write_gram_csv(path, np.eye(2))
+        assert path.read_bytes() == b"j1,j2\n1.0,0.0\n0.0,1.0\n"
+
+    def test_failed_write_leaves_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "psi.csv"
+        path.write_text("previous\n")
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_gram_csv(path, np.eye(3))
+        monkeypatch.undo()
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["psi.csv"]

@@ -30,6 +30,7 @@ from .dictionary import (
     grid_density_measure,
     load_points_csv,
     load_tabulated_csv,
+    population_gram,
     uniform_measure,
     validate_a2,
 )
@@ -46,16 +47,27 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    l0k_truth,
     load_config,
     rate_slope,
     read_rows_csv,
     run,
+    sobolev_truth,
     summarize,
     summary_csv_text,
 )
-from .gram import GramPair, diagnostics, gram_pair, write_gram_csv
-from .oracles import fourier_truth
-from .solver import fit as solver_fit, penalty_config
+from .gram import GramPair, diagnostics, empirical_gram, write_gram_csv
+from .oracles import (
+    LEMMA_KINDS,
+    LEMMA_PARAMS,
+    fourier_truth,
+    lemma_bounds,
+    oracle_at_k,
+    population_dist2,
+    sparsity,
+    tabulated_truth,
+)
+from .solver import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, fit as solver_fit, penalty_config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,9 +114,6 @@ def _parse_measure(spec: str):
 
 
 def _parse_truth(spec: str):
-    from .experiments import l0k_truth, sobolev_truth
-    from .oracles import tabulated_truth
-
     kind, _, rest = spec.partition(":")
     if kind == "l0k":
         return l0k_truth(parse_value(rest, int, spec))
@@ -179,14 +188,10 @@ def _cmd_diagnose(args) -> int:
     measure = _parse_measure(args.measure)
     tokens = args.support.split(",") if args.support else []
     support = [parse_value(tok, int, "--support") - 1 for tok in tokens]
-
-    from .dictionary import population_gram
-
     psi = population_gram(dictionary, measure)
     if args.data:
         points, _ = load_points_csv(args.data)
-        design = evaluate(dictionary, points)
-        pair = gram_pair(dictionary, measure, design)
+        pair = GramPair(psi_M=psi, psi_nM=empirical_gram(evaluate(dictionary, points)))
     else:
         pair = GramPair(psi_M=psi, psi_nM=psi)
     report = diagnostics(pair, support)
@@ -218,8 +223,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracles import oracle_at_k, population_dist2, sparsity
-
     dictionary = _parse_dictionary(args.dict)
     measure = _parse_measure(args.measure)
     truth = _parse_truth(args.truth)
@@ -237,33 +240,26 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    from .oracles import LEMMA_KINDS, lemma_bounds
+def _count(text: str) -> int:
+    """An integer written as an integer or an integral float (``1e3``)."""
+    value = float(text)
+    if not value.is_integer():  # also false for nan and inf
+        raise ValueError(text)
+    return int(value)
 
-    params = {
-        key: parse_value(value, float, f"{args.params}:{line}: {key}")
-        for key, (line, value) in read_key_values(args.params).items()
-    }
+
+def _cmd_bounds(args) -> int:
+    params = {}
+    for key, (line, value) in read_key_values(args.params).items():
+        convert = _count if key in ("n", "M") else float
+        params[key] = parse_value(value, convert, f"{args.params}:{line}: {key}")
     if "n" not in params:
         raise ConfigError("bounds parameter file needs n")
-
-    allowed = {
-        "L4": ("M", "c0", "L"),
-        "L5": ("M", "r_nM", "b", "c0", "L"),
-        "L6": ("r_nM", "m_lambda", "L_lambda"),
-        "L7": ("M", "m_lambda", "c0", "L", "L0", "kappa_M", "C_f"),
-        "L9": ("M", "r_nM", "c0", "L", "L0"),
-    }
-    which = args.which.split(",") if args.which else list(LEMMA_KINDS)
-    n = int(params["n"])
-    for lemma in which:
-        if lemma not in allowed:
+    for lemma in args.which.split(",") if args.which else LEMMA_KINDS:
+        if lemma not in LEMMA_PARAMS:
             raise ConfigError(f"unknown lemma {lemma!r}")
-        kwargs = {key: params[key] for key in allowed[lemma] if key in params}
-        if lemma in ("L4", "L5", "L7", "L9") and "M" in kwargs:
-            kwargs["M"] = int(kwargs["M"])
-        value = lemma_bounds(lemma, n, **kwargs)
-        print(f"{lemma}={value!r}")
+        kwargs = {key: params[key] for key in LEMMA_PARAMS[lemma] if key in params}
+        print(f"{lemma}={lemma_bounds(lemma, params['n'], **kwargs)!r}")
     return 0
 
 
@@ -322,8 +318,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="points CSV x1,...,xd,y")
     p.add_argument("--A", type=float, required=True, help="penalty tuning constant")
     p.add_argument("--rate", default="logM", help="logM | logn | explicit:<v>")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-sweeps", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p.add_argument("--out", required=True, help="coefficient CSV j,lambda,omega")
     p.set_defaults(func=_cmd_fit)
 

@@ -122,23 +122,18 @@ class MeasureSpec:
     """Design measure used for population integrals.
 
     ``uniform`` is the uniform distribution on the dictionary domain.
-    ``grid-density`` is a tabulated density on a 1-d grid (linearly
-    interpolated, trapezoid-normalized); ``mu_min``/``mu_max`` record its
-    range for the density-bounded-away-from-zero checks.
+    ``grid-density`` is a positive density tabulated on a 1-d grid
+    (linearly interpolated, trapezoid-normalized).
     ``G`` is the per-axis quadrature resolution.
     """
 
     kind: str = "uniform"
-    mu_min: float = 1.0
-    mu_max: float = 1.0
     G: int = DEFAULT_QUADRATURE_POINTS
     density_table: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("uniform", "grid-density"):
             raise ConfigError(f"unknown measure kind {self.kind!r}")
-        if not (0 < self.mu_min <= self.mu_max < np.inf):
-            raise ConfigError("need 0 < mu_min <= mu_max < inf")
         if self.G < 64:
             raise ConfigError("quadrature resolution G must be >= 64")
         if self.kind == "grid-density" and not self.density_table:
@@ -146,28 +141,25 @@ class MeasureSpec:
 
 
 def uniform_measure(G: int = DEFAULT_QUADRATURE_POINTS) -> MeasureSpec:
-    return MeasureSpec(kind="uniform", mu_min=1.0, mu_max=1.0, G=G)
+    return MeasureSpec(kind="uniform", G=G)
 
 
 def grid_density_measure(grid, density, G: int = DEFAULT_QUADRATURE_POINTS) -> MeasureSpec:
-    """Tabulated 1-d design density, trapezoid-normalized to integrate to 1."""
+    """Tabulated 1-d design density, trapezoid-normalized to integrate to 1.
+
+    Every density value must be positive: the design density is bounded
+    away from zero.
+    """
     grid = np.asarray(grid, dtype=float)
     density = np.asarray(density, dtype=float)
     if grid.ndim != 1 or grid.shape != density.shape or grid.size < 2:
         raise ShapeError("density table needs matching 1-d grid and values")
-    if np.any(density < 0):
-        raise ConfigError("density values must be nonnegative")
+    if not np.all(density > 0):
+        raise ConfigError("density values must be positive")
     total = np.trapezoid(density, grid)
     if not (np.isfinite(total) and total > 0):
         raise NumericError("density does not integrate to a positive value")
-    density = density / total
-    return MeasureSpec(
-        kind="grid-density",
-        mu_min=float(density.min()),
-        mu_max=float(density.max()),
-        G=G,
-        density_table=(grid, density),
-    )
+    return MeasureSpec(kind="grid-density", G=G, density_table=(grid, density / total))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +314,11 @@ def empirical_norms(design: DesignMatrix) -> np.ndarray:
 
 
 def _product_mesh(box: np.ndarray, per_axis_cap: int):
-    """Product grid on a d > 1 box with at most MAX_TOTAL_GRID_POINTS nodes.
+    """Product grid on a box with at most ``per_axis_cap`` nodes per axis and
+    at most MAX_TOTAL_GRID_POINTS nodes in all.
 
-    Returns ``(points, per_axis)``. Raises when even two nodes per axis
-    (2^d points) exceed the budget.
+    Returns ``(points, per_axis)``; points has shape (per_axis^d, d). Raises
+    when even two nodes per axis (2^d points) exceed the budget.
     """
     d = box.shape[0]
     per_axis = min(per_axis_cap, int(MAX_TOTAL_GRID_POINTS ** (1.0 / d)))
@@ -342,10 +335,11 @@ def _product_mesh(box: np.ndarray, per_axis_cap: int):
 def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     """Quadrature nodes and probability weights for population integrals.
 
-    d = 1 uses composite trapezoid on G nodes. For d > 1 a product grid is
-    formed with the per-axis count reduced so the total stays below
-    MAX_TOTAL_GRID_POINTS. A fourier dictionary needs M < G - 1: beyond
-    that, products of basis functions alias on the G nodes.
+    Composite trapezoid on a product grid of G nodes per axis, the
+    per-axis count reduced so the total stays below MAX_TOTAL_GRID_POINTS.
+    A grid-density measure (d = 1 only) reweights the nodes by the density.
+    A fourier dictionary needs M < G - 1: beyond that, products of basis
+    functions alias on the G nodes.
     """
     if dictionary.kind == "fourier" and dictionary.M >= measure.G - 1:
         raise ConfigError(
@@ -353,32 +347,21 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
             f"{measure.G}-node quadrature grid; need G > M + 1"
         )
     d = dictionary.d
-    box = dictionary.domain
-    if d == 1:
-        G = measure.G
-        x = np.linspace(box[0, 0], box[0, 1], G)
-        w = np.full(G, (box[0, 1] - box[0, 0]) / (G - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if measure.kind == "uniform":
-            w = w / (box[0, 1] - box[0, 0])
-        else:
-            grid, density = measure.density_table
-            w = w * np.interp(x, grid, density)
-            w = w / w.sum()
-        return x[:, None], w
-
-    if measure.kind != "uniform":
+    if d > 1 and measure.kind != "uniform":
         raise UnsupportedOperationError(
             "grid-density measures are only supported for d = 1"
         )
-    pts, per_axis = _product_mesh(box, measure.G)
+    pts, per_axis = _product_mesh(dictionary.domain, measure.G)
     w_axis = np.full(per_axis, 1.0 / (per_axis - 1))
     w_axis[0] *= 0.5
     w_axis[-1] *= 0.5
     w = np.ones(pts.shape[0])
     for wm in np.meshgrid(*([w_axis] * d), indexing="ij"):
         w *= wm.ravel()
+    if measure.kind == "grid-density":
+        grid, density = measure.density_table
+        w = w * np.interp(pts[:, 0], grid, density)
+        w = w / w.sum()
     return pts, w
 
 
@@ -449,11 +432,10 @@ def _sup_norm(dictionary: Dictionary) -> float:
 
 
 def sup_norm_grid(dictionary: Dictionary) -> np.ndarray:
-    """Dense evaluation grid used for sup-norm scans (lower-bound estimates)."""
-    if dictionary.d == 1:
-        lo, hi = dictionary.domain[0]
-        return np.linspace(lo, hi, SUP_GRID_POINTS)[:, None]
-    pts, _ = _product_mesh(dictionary.domain, 10_000)
+    """Dense evaluation grid used for sup-norm scans (lower-bound estimates):
+    SUP_GRID_POINTS nodes for d = 1, a product grid within
+    MAX_TOTAL_GRID_POINTS for d > 1."""
+    pts, _ = _product_mesh(dictionary.domain, SUP_GRID_POINTS)
     return pts
 
 
@@ -464,7 +446,8 @@ class DictionaryValidation:
     ``L`` is the exact max sup-norm, ``c0`` the smallest population norm,
     ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]. c0 and L0
     are exact for fourier and coordinate dictionaries under the uniform
-    measure and quadrature estimates otherwise.
+    measure and quadrature estimates otherwise. The flags record the
+    conditions (a) L finite, (b) c0 > 0 and (c) L0 finite.
     """
 
     L: float
@@ -479,19 +462,13 @@ class DictionaryValidation:
         return self.bounded_ok and self.norms_ok and self.moments_ok
 
 
-def validate_a2(
-    dictionary: Dictionary,
-    measure: MeasureSpec,
-    L_max: float = np.inf,
-    c0_min: float = 0.0,
-    L0_max: float = np.inf,
-) -> DictionaryValidation:
+def validate_a2(dictionary: Dictionary, measure: MeasureSpec) -> DictionaryValidation:
     """Compute L, c0, L0 and check the boundedness conditions.
 
     L is exact for every kind; c0 and L0 use the same closed forms as
     :func:`population_gram` and quadrature where those do not apply.
-    Defaults pass (a) for any finite L and (b) for any c0 > 0; tighter
-    user thresholds may be supplied.
+    A non-finite L, c0 or L0 raises ValidationError, so (a) and (c) hold
+    whenever a report is returned; (b) holds when c0 > 0.
     """
     L = _sup_norm(dictionary)
     exact = _uniform_closed_form(dictionary, measure)
@@ -511,10 +488,5 @@ def validate_a2(
         raise ValidationError("validation produced non-finite L, c0 or L0")
 
     return DictionaryValidation(
-        L=L,
-        c0=c0,
-        L0=L0,
-        bounded_ok=np.isfinite(L) and L <= L_max,
-        norms_ok=c0 > max(c0_min, 0.0),
-        moments_ok=np.isfinite(L0) and L0 <= L0_max,
+        L=L, c0=c0, L0=L0, bounded_ok=True, norms_ok=c0 > 0.0, moments_ok=True
     )

@@ -56,7 +56,7 @@ from .oracles import (
     sup_norm_error,
     theorem_rhs,
 )
-from .solver import DEFAULT_TOL, PenaltyConfig, fit, rate
+from .solver import DEFAULT_TOL, fit, penalty_config, rate
 
 PRESETS = ("linear", "fourier-L0k", "fourier-sobolev")
 SEED_CELL_STRIDE = 1_000_000
@@ -149,7 +149,6 @@ class Sample:
     y: np.ndarray
     f_values: np.ndarray | None
     w: np.ndarray | None
-    seed: int | None
 
 
 def observed_sample(x, y) -> Sample:
@@ -159,7 +158,7 @@ def observed_sample(x, y) -> Sample:
         x = x[:, None]
     if y.shape != (x.shape[0],):
         raise ShapeError("response length must match the number of points")
-    return Sample(x=x, y=y, f_values=None, w=None, seed=None)
+    return Sample(x=x, y=y, f_values=None, w=None)
 
 
 def generate(
@@ -190,7 +189,7 @@ def generate(
         x = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)[:, None]
     f_values = evaluate_truth(truth, x)
     w = sample_noise(noise, n, rng)
-    return Sample(x=x, y=f_values + w, f_values=f_values, w=w, seed=seed)
+    return Sample(x=x, y=f_values + w, f_values=f_values, w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +319,27 @@ def l0k_truth(k: int) -> TruthSpec:
     if k < 0:
         raise ConfigError("k must be nonnegative")
     if k == 0:
-        return fourier_truth(np.zeros(2), l0k=0)
+        return fourier_truth(np.zeros(2))
     idx = [i * (i + 1) // 2 for i in range(1, k + 1)]  # 0-based: 1, 3, 6, 10, ...
     theta = np.zeros(idx[-1] + 1)
     for rank, j in enumerate(idx):
         theta[j] = float(k - rank)
-    return fourier_truth(theta, l0k=k)
+    return fourier_truth(theta)
 
 
 @functools.lru_cache(maxsize=32)
-def sobolev_truth(beta: float, terms: int = SOBOLEV_TRUTH_TERMS) -> TruthSpec:
-    """Polynomially decaying coefficients theta_j = (-1)^(j+1) j^-(beta+0.6).
+def sobolev_truth(beta: float) -> TruthSpec:
+    """Polynomially decaying coefficients theta_j = (-1)^(j+1) j^-(beta+0.6),
+    j = 1..SOBOLEV_TRUTH_TERMS.
 
     The decay exponent keeps sum j^(2 beta) theta_j^2 finite for every
     beta > 0, so the truth sits in the smoothness-beta ellipsoid.
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
-    j = np.arange(1, terms + 1, dtype=float)
-    theta = np.where(np.arange(terms) % 2 == 0, 1.0, -1.0) * j ** -(beta + 0.6)
-    q = float(np.sum(j ** (2 * beta) * theta**2))
-    return fourier_truth(theta, sobolev=(beta, q * (1 + 1e-12)))
+    j = np.arange(1, SOBOLEV_TRUTH_TERMS + 1, dtype=float)
+    theta = np.where(np.arange(SOBOLEV_TRUTH_TERMS) % 2 == 0, 1.0, -1.0) * j ** -(beta + 0.6)
+    return fourier_truth(theta)
 
 
 def linear_pattern(M: int, k: int) -> np.ndarray:
@@ -424,7 +423,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     validation = validate_a2(dictionary, measure)
     psi = population_gram(dictionary, measure)
     kappa_m = kappa(psi)
-    constants = BoundConstants(b=noise.b)
+    constants = BoundConstants()
     rhs_risk = theorem_rhs("t21_risk", constants, r_nM, k_star, kappa_m)
     rhs_l1 = theorem_rhs("t21_l1", constants, r_nM, k_star, kappa_m)
     pop_norms_sq = np.diag(psi).copy()
@@ -505,12 +504,8 @@ def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> Expe
     start = time.perf_counter()
     sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
     design = evaluate(ctx.dictionary, sample.x)
-    penalty = PenaltyConfig(
-        A=config.A,
-        rate_kind=config.rate_kind,
-        r_nM=ctx.r_nM,
-        weights=ctx.r_nM * empirical_norms(design),
-    )
+    # Same rate arguments as ctx.r_nM, so the same r_nM.
+    penalty = penalty_config(design, config.A, config.rate_kind)
     try:
         result = fit(design, sample.y, penalty)
         converged = result.converged
@@ -519,16 +514,7 @@ def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> Expe
         converged = False
     risk = population_dist2(ctx.dictionary, ctx.measure, ctx.truth, result.lambda_hat)
     l1_err = float(np.abs(result.lambda_hat - ctx.lambda_star).sum())
-    flags = event_flags(
-        design,
-        sample.w,
-        penalty.weights,
-        ctx.pop_norms_sq,
-        design.entries @ ctx.lambda_star - sample.f_values,
-        ctx.dist2_star,
-        ctx.r_nM,
-        ctx.k_star,
-    )
+    flags = _design_event_flags(ctx, sample, design, penalty.weights)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentRow(
         preset=config.preset,
@@ -839,18 +825,8 @@ def bound_check(
 # ---------------------------------------------------------------------------
 
 
-def sample_event_flags(ctx: CellContext, sample: Sample, penalty_weights=None):
-    """Good-event indicators for one sample against the cell's oracle."""
-    if sample.w is None or sample.f_values is None:
-        raise UnsupportedOperationError(
-            "event diagnostics need simulated samples with known truth and noise"
-        )
-    design = evaluate(ctx.dictionary, sample.x)
-    weights = (
-        ctx.r_nM * empirical_norms(design)
-        if penalty_weights is None
-        else penalty_weights
-    )
+def _design_event_flags(ctx: CellContext, sample: Sample, design, weights):
+    """Good-event indicators for a simulated sample whose design is evaluated."""
     return event_flags(
         design,
         sample.w,
@@ -861,6 +837,20 @@ def sample_event_flags(ctx: CellContext, sample: Sample, penalty_weights=None):
         ctx.r_nM,
         ctx.k_star,
     )
+
+
+def sample_event_flags(ctx: CellContext, sample: Sample, penalty_weights=None):
+    """Good-event indicators for one sample against the cell's oracle.
+
+    The weights default to omega_j = r_nM ||f_j||_n of the cell's rate.
+    """
+    if sample.w is None or sample.f_values is None:
+        raise UnsupportedOperationError(
+            "event diagnostics need simulated samples with known truth and noise"
+        )
+    design = evaluate(ctx.dictionary, sample.x)
+    weights = ctx.r_nM * empirical_norms(design) if penalty_weights is None else penalty_weights
+    return _design_event_flags(ctx, sample, design, weights)
 
 
 def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):

@@ -47,13 +47,12 @@ class GramPair:
 class CoherenceReport:
     """Correlation structure of a Gram pair.
 
-    ``rho``/``rho_lambda`` are computed from the population Gram;
+    ``rho_lambda`` is computed from the population Gram;
     ``rho_lambda_empirical`` applies the same formula to the empirical
     Gram and is a diagnostic only (the bound conditions are stated for
     the population matrix).
     """
 
-    rho: np.ndarray
     rho_lambda: float
     kappa_M: float
     eta_nM: float
@@ -143,13 +142,12 @@ def eta(pair: GramPair) -> float:
 
 def diagnostics(pair: GramPair, support=()) -> CoherenceReport:
     """Assemble the full coherence report for a Gram pair."""
-    rho, rho_lambda = coherence(pair.psi_M, support)
+    _, rho_lambda = coherence(pair.psi_M, support)
     try:
         _, rho_lambda_emp = coherence(pair.psi_nM, support)
     except DegenerateDictionaryError:
         rho_lambda_emp = None
     return CoherenceReport(
-        rho=rho,
         rho_lambda=rho_lambda,
         kappa_M=kappa(pair.psi_M),
         eta_nM=eta(pair),

@@ -54,42 +54,26 @@ class TruthSpec:
     ``fourier`` truths are coefficient sequences against the trigonometric
     basis; ``linear`` truths are coordinate coefficients (exact
     representation); ``callable``/``tabulated`` cover arbitrary targets.
-    Class tags are validated at construction: ``l0k`` requires exactly
-    that many nonzero coefficients, ``sobolev`` is a (beta, Q) pair
-    bounding sum j^(2 beta) theta_j^2.
     """
 
     kind: str
     theta: np.ndarray | None = None
     fn: Callable | None = None
     table: tuple = ()
-    l0k: int | None = None
-    sobolev: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("fourier", "linear", "callable", "tabulated"):
             raise ConfigError(f"unknown truth kind {self.kind!r}")
         if self.kind in ("fourier", "linear") and self.theta is None:
             raise ConfigError(f"{self.kind} truths need a coefficient vector")
-        if self.theta is not None:
-            nnz = int(np.count_nonzero(self.theta))
-            if self.l0k is not None and nnz != self.l0k:
-                raise ConfigError(
-                    f"l0k tag {self.l0k} does not match {nnz} nonzero coefficients"
-                )
-            if self.sobolev is not None:
-                beta, Q = self.sobolev
-                j = np.arange(1, self.theta.size + 1, dtype=float)
-                if float(np.sum(j ** (2 * beta) * self.theta**2)) > Q:
-                    raise ConfigError("coefficients exceed the declared Sobolev budget")
 
 
-def fourier_truth(theta, l0k=None, sobolev=None) -> TruthSpec:
+def fourier_truth(theta) -> TruthSpec:
     """Truth f = sum_j theta_j f_j against the trigonometric basis."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.size < 1:
         raise ConfigError("theta must be a nonempty 1-d coefficient vector")
-    return TruthSpec(kind="fourier", theta=theta, l0k=l0k, sobolev=sobolev)
+    return TruthSpec(kind="fourier", theta=theta)
 
 
 def linear_truth(coeffs) -> TruthSpec:
@@ -138,16 +122,16 @@ def evaluate_truth(truth: TruthSpec, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sparsity(lam, zero_tol: float = 0.0):
+def sparsity(lam):
     """Support J(lambda) and its cardinality M(lambda).
 
-    Entries with |lambda_j| <= zero_tol count as zero; the default treats
-    only exact zeros as zero (coordinate descent produces exact zeros).
+    Only exact zeros count as zero (coordinate descent produces exact
+    zeros).
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise NumericError("coefficient vector contains non-finite entries")
-    support = np.flatnonzero(np.abs(lam) > zero_tol)
+    support = np.flatnonzero(lam != 0.0)
     return support, int(support.size)
 
 
@@ -351,23 +335,19 @@ def membership(
 class BoundConstants:
     """User-supplied or empirically fitted constants of the risk bounds.
 
-    None of these have sharp known values; defaults of 1 give bound
-    *shapes* whose scaling can be checked even though levels cannot.
-    ``b`` is the noise moment bound E exp|W|.
+    B1 and B2 scale the kappa-dependent risk and l1 bounds, C the
+    kappa-free ones and C_prime the weak-approximation bound. None of
+    these have sharp known values; defaults of 1 give bound *shapes*
+    whose scaling can be checked even though levels cannot.
     """
 
     B1: float = 1.0
     B2: float = 1.0
     C: float = 1.0
     C_prime: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c1_prime: float = 1.0
-    c2_prime: float = 1.0
-    b: float = 1.0
 
     def __post_init__(self):
-        for name in ("B1", "B2", "C", "C_prime", "c1", "c2", "c1_prime", "c2_prime", "b"):
+        for name in ("B1", "B2", "C", "C_prime"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"bound constant {name} must be positive")
 
@@ -424,16 +404,15 @@ def bernstein_bound(n: int, epsilon: float, w2: float, d: float) -> float:
     return float(min(1.0, math.exp(-n * epsilon * epsilon / denom)))
 
 
-LEMMA_KINDS = ("L4", "L5", "L6", "L7", "L9")
-
-
-def _require(which, **params):
-    for name, value in params.items():
-        if value is None:
-            raise ConfigError(f"lemma {which} needs parameter {name}")
-        if value < 0 or not np.isfinite(value):
-            raise ConfigError(f"lemma {which} needs finite nonnegative {name}, got {value}")
-    return params
+# The parameters each lemma's bound reads, besides n.
+LEMMA_PARAMS = {
+    "L4": ("M", "c0", "L"),
+    "L5": ("M", "r_nM", "b", "c0", "L"),
+    "L6": ("r_nM", "m_lambda", "L_lambda"),
+    "L7": ("M", "m_lambda", "c0", "L", "L0", "kappa_M", "C_f"),
+    "L9": ("M", "r_nM", "c0", "L", "L0"),
+}
+LEMMA_KINDS = tuple(LEMMA_PARAMS)
 
 
 def lemma_bounds(
@@ -454,22 +433,30 @@ def lemma_bounds(
 
     L4 bounds P(E2^c); L5 bounds P((E1 n E2)^c); L6 bounds P(E3(lambda)^c);
     L7 and L9 bound the empirical-norm distortion events entering the
-    weak-sparsity and weak-approximation results. All outputs are clamped
-    to [0, 1]. L6 returns 0 in the exact-representation case
-    L(lambda) = 0, where the event holds surely.
+    weak-sparsity and weak-approximation results. Each lemma needs the
+    parameters :data:`LEMMA_PARAMS` lists for it, finite and nonnegative;
+    the others are ignored. All outputs are clamped to [0, 1]. L6 returns
+    0 in the exact-representation case L(lambda) = 0, where the event
+    holds surely.
     """
-    if which not in LEMMA_KINDS:
+    if which not in LEMMA_PARAMS:
         raise ConfigError(f"unknown lemma {which!r}; expected one of {LEMMA_KINDS}")
     if n < 1:
         raise ConfigError("lemma bounds need n >= 1")
+    given = dict(M=M, r_nM=r_nM, c0=c0, L=L, L0=L0, b=b, C_f=C_f, kappa_M=kappa_M,
+                 m_lambda=m_lambda, L_lambda=L_lambda)
+    for name in LEMMA_PARAMS[which]:
+        value = given[name]
+        if value is None:
+            raise ConfigError(f"lemma {which} needs parameter {name}")
+        if value < 0 or not np.isfinite(value):
+            raise ConfigError(f"lemma {which} needs finite nonnegative {name}, got {value}")
 
     if which == "L4":
-        _require(which, M=M, c0=c0, L=L)
         if c0 <= 0 or L <= 0:
             raise ConfigError("L4 needs positive c0 and L")
         value = 2.0 * M * math.exp(-n * c0 * c0 / (12.0 * L * L))
     elif which == "L5":
-        _require(which, M=M, r_nM=r_nM, b=b, c0=c0, L=L)
         if min(r_nM, b, c0, L) <= 0:
             raise ConfigError("L5 needs positive r_nM, b, c0, L")
         value = (
@@ -478,14 +465,12 @@ def lemma_bounds(
             + 2.0 * M * math.exp(-n * c0 * c0 / (12.0 * L * L))
         )
     elif which == "L6":
-        _require(which, r_nM=r_nM, m_lambda=m_lambda, L_lambda=L_lambda)
         if r_nM <= 0:
             raise ConfigError("L6 needs positive r_nM")
         if L_lambda == 0.0:
             return 0.0
         value = math.exp(-m_lambda * n * r_nM * r_nM / (4.0 * L_lambda * L_lambda))
     elif which == "L7":
-        _require(which, M=M, m_lambda=m_lambda, c0=c0, L=L, L0=L0, kappa_M=kappa_M, C_f=C_f)
         if min(c0, L, L0, kappa_M) <= 0 or m_lambda < 1:
             raise ConfigError("L7 needs positive c0, L, L0, kappa_M and m_lambda >= 1")
         big_c = 2.0 / (c0 * c0) * (2.0 * C_f + 1.0 + 4.0 * math.sqrt(2.0 / kappa_M)) ** 2
@@ -494,7 +479,6 @@ def lemma_bounds(
             + math.exp(-n / (8.0 * L * L * big_c * m_lambda))
         )
     else:  # L9
-        _require(which, M=M, r_nM=r_nM, c0=c0, L=L, L0=L0)
         if min(r_nM, c0, L, L0) <= 0:
             raise ConfigError("L9 needs positive r_nM, c0, L, L0")
         big_c = 8.0 * 11.0**2 / (c0 * c0)
@@ -567,7 +551,7 @@ def event_frequencies(flags) -> tuple[float, float, float]:
 class OracleReport:
     """Oracle vector, effective dimension, and membership flags.
 
-    ``k_star`` is None when no sparsity level up to ``k_max`` satisfies the
+    ``k_star`` is None when no sparsity level up to M satisfies the
     weak-sparsity inequality (the oracle set is empty); the remaining
     fields are then NaN/None. ``exact`` records whether the oracle search
     was exhaustive.
@@ -577,8 +561,6 @@ class OracleReport:
     k_star: int | None
     dist2: float
     L_lambda: float
-    C_f: float
-    C_f_prime: float
     memberships: MembershipFlags | None
     exact: bool
 
@@ -599,21 +581,17 @@ def oracle_scan(
     truth: TruthSpec,
     r_nM: float,
     C_f: float = 1.0,
-    k_max: int | None = None,
 ):
-    """Scan k = 0, 1, ... for the effective dimension.
+    """Scan k = 0, 1, ..., M for the effective dimension.
 
     Returns ``(lambda, dist2, exact, found)`` for the smallest k whose best
     k-sparse approximation satisfies ||f_lambda - f||^2 <= C_f r^2 M(lambda).
-    When no k up to ``k_max`` does, ``found`` is False and the other
-    entries belong to the last k tried.
+    When no k up to M does, ``found`` is False and the other entries
+    belong to k = M.
     """
     if r_nM <= 0:
         raise ConfigError("oracle scan needs r_nM > 0")
-    k_max = dictionary.M if k_max is None else min(int(k_max), dictionary.M)
-    if k_max < 0:
-        raise ConfigError("oracle scan needs k_max >= 0")
-    for k in range(k_max + 1):
+    for k in range(dictionary.M + 1):
         lam, exact = oracle_at_k(dictionary, measure, truth, k)
         dist2 = population_dist2(dictionary, measure, truth, lam)
         _, m_lambda = sparsity(lam)
@@ -629,22 +607,20 @@ def oracle_report(
     r_nM: float,
     C_f: float = 1.0,
     C_f_prime: float = 1.0,
-    k_max: int | None = None,
 ) -> OracleReport:
     """Scan for the effective dimension with :func:`oracle_scan` and build the report.
 
     k_star is the smallest M(lambda) whose best approximation satisfies
-    ||f_lambda - f||^2 <= C_f r^2 M(lambda).
+    ||f_lambda - f||^2 <= C_f r^2 M(lambda); ``C_f_prime`` enters only the
+    weak-approximation membership flags.
     """
-    lam, dist2, exact, found = oracle_scan(dictionary, measure, truth, r_nM, C_f, k_max)
+    lam, dist2, exact, found = oracle_scan(dictionary, measure, truth, r_nM, C_f)
     if not found:
         return OracleReport(
             lambda_star=None,
             k_star=None,
             dist2=math.nan,
             L_lambda=math.nan,
-            C_f=C_f,
-            C_f_prime=C_f_prime,
             memberships=None,
             exact=True,
         )
@@ -655,8 +631,6 @@ def oracle_report(
         k_star=m_lambda,
         dist2=dist2,
         L_lambda=sup_norm_error(dictionary, truth, lam),
-        C_f=C_f,
-        C_f_prime=C_f_prime,
         memberships=membership(dist2, m_lambda, rho_lambda, r_nM, C_f, C_f_prime),
         exact=exact,
     )

@@ -334,6 +334,9 @@ def malformed_case(case, tmp_path):
     if case == "density-short-row":
         dens = write("dens.csv", "x,density\n0,1\n0.5\n1,1\n")
         return ["diagnose", "--dict", "fourier:4", "--measure", f"density:{dens}"], f"{dens}:3"
+    if case == "density-zero":
+        dens = write("dens.csv", "x,density\n0,1\n0.5,0\n1,1\n")
+        return ["diagnose", "--dict", "fourier:4", "--measure", f"density:{dens}"], None
     if case == "tabulated-dict-nonnumeric":
         tab = write("tab.csv", "x,f1\n0,1\n0.5,abc\n1,1\n")
         return ["diagnose", "--dict", f"tabulated:{tab}"], f"{tab}:3"
@@ -345,6 +348,13 @@ def malformed_case(case, tmp_path):
     if case == "bounds-value":
         params = write("params.txt", "n = 100\nM = ten\nc0 = 1\nL = 1\n")
         return ["bounds", "--params", params, "--which", "L4"], f"{params}:2"
+    if case.startswith(("bounds-n-", "bounds-M-")):
+        # n and M are counts: a non-finite or fractional value is refused.
+        _, key, value = case.split("-")
+        values = {"n": "100", "M": "10", "c0": "1", "L": "1"} | {key: value}
+        params = write("params.txt", "".join(f"{k} = {v}\n" for k, v in values.items()))
+        line = 1 if key == "n" else 2
+        return ["bounds", "--params", params, "--which", "L4"], f"{params}:{line}: {key}"
     if case == "config-value":
         cfg = write("cfg.txt", CONFIG.replace("R = 30", "R = thirty"))
         return ["experiment", "--config", cfg, "--out", out], f"{cfg}:7"
@@ -364,9 +374,11 @@ class TestMalformedInput:
         "case",
         [
             "fit-nonnumeric-y", "fit-ragged-row", "dict-fourier", "dict-coordinate-box",
-            "rate-explicit", "support", "density-short-row", "tabulated-dict-nonnumeric",
+            "rate-explicit", "support", "density-short-row", "density-zero",
+            "tabulated-dict-nonnumeric",
             "tabulated-truth-short-row", "theta-index", "bounds-value", "config-value",
-            "config-m-rule", "summary-short-row",
+            "config-m-rule", "summary-short-row", "bounds-n-nan", "bounds-n-inf",
+            "bounds-n-2.5", "bounds-M-nan", "bounds-M-inf", "bounds-M-2.5",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

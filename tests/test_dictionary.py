@@ -30,7 +30,7 @@ from l1agg import (
     uniform_measure,
     validate_a2,
 )
-from l1agg.dictionary import QUADRATURE_TOL, quadrature_grid
+from l1agg.dictionary import QUADRATURE_TOL, SUP_GRID_POINTS, quadrature_grid, sup_norm_grid
 
 
 def _quadrature_column_norm(fn, n_nodes=200_001):
@@ -239,7 +239,11 @@ class TestGridDensityMeasure:
         grid, density = measure.density_table
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(density, 2.0 * (1.0 + grid) / 3.0, atol=1e-12)
-        assert (measure.mu_min, measure.mu_max) == pytest.approx((2.0 / 3.0, 4.0 / 3.0))
+
+    @pytest.mark.parametrize("density", [[1.0, 0.0, 1.0], [1.0, -1.0, 1.0]])
+    def test_nonpositive_density_rejected(self, density):
+        with pytest.raises(ConfigError, match="density values must be positive"):
+            grid_density_measure([0.0, 0.5, 1.0], density)
 
     def test_quadrature_weights_sum_to_one(self):
         _, w = quadrature_grid(build_fourier(5), self.ramp())
@@ -263,6 +267,20 @@ class TestGridDensityMeasure:
         assert (exact.L, exact.c0, exact.L0) == (math.sqrt(2.0), 1.0, 1.5)
         assert quad.c0 == pytest.approx(exact.c0, abs=1e-9)
         assert quad.L0 == pytest.approx(exact.L0, abs=1e-9)
+
+
+class TestOneDimensionalGrids:
+    @pytest.mark.parametrize("box", [[0.0, 1.0], [-0.3, 2.7]])
+    def test_product_grid_is_the_plain_trapezoid(self, box):
+        t = np.array(box)
+        d = build_tabulated([(t, t), (t, 1.0 - t)], domain=box)
+        np.testing.assert_array_equal(sup_norm_grid(d), np.linspace(*box, SUP_GRID_POINTS)[:, None])
+        pts, w = quadrature_grid(d, uniform_measure(G=64))
+        h = (box[1] - box[0]) / 63
+        trapezoid = np.full(64, h)
+        trapezoid[[0, -1]] *= 0.5
+        np.testing.assert_array_equal(pts, np.linspace(*box, 64)[:, None])
+        np.testing.assert_allclose(w, trapezoid / (box[1] - box[0]), rtol=1e-15, atol=0.0)
 
 
 class TestGridBudget:

@@ -151,9 +151,6 @@ class TestPresetTruths:
         theta = truth.theta
         assert theta[0] == pytest.approx(1.0)
         assert theta[1] == pytest.approx(-(2.0 ** -1.6))
-        beta, Q = truth.sobolev
-        j = np.arange(1, theta.size + 1)
-        assert np.sum(j ** (2 * beta) * theta**2) <= Q
 
     def test_linear_pattern(self):
         coeffs = linear_pattern(10, 3)
@@ -187,6 +184,17 @@ class TestRun:
         assert alone.risk == probe.risk
         assert alone.l1_err == probe.l1_err
         assert alone.m_hat == probe.m_hat
+
+    def test_row_flags_match_sample_event_flags(self):
+        cfg = tiny_config()
+        ctx = cell_context(cfg, 1)
+        for rep in (0, 7):
+            row = run_single(cfg, 1, rep)
+            sample = generate(
+                ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, replicate_seed(cfg, 1, rep)
+            )
+            flags = sample_event_flags(ctx, sample)
+            assert (row.e1, row.e2, row.e3) == (flags.e1, flags.e2, flags.e3)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = tiny_config()

@@ -31,7 +31,7 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
-from l1agg.oracles import COHERENCE_THRESHOLD
+from l1agg.oracles import COHERENCE_THRESHOLD, LEMMA_KINDS, LEMMA_PARAMS
 
 RNG = np.random.default_rng(2024)
 
@@ -57,11 +57,6 @@ class TestSparsity:
         support, count = sparsity(np.array([1.0, 0.0, -2.0]))
         np.testing.assert_array_equal(support, [0, 2])
         assert count == 2
-
-    def test_zero_tolerance(self):
-        support, count = sparsity(np.array([1e-17, 1.0]), zero_tol=1e-12)
-        np.testing.assert_array_equal(support, [1])
-        assert count == 1
 
     def test_default_counts_tiny_values(self):
         _, count = sparsity(np.array([1e-17, 1.0]))
@@ -301,6 +296,16 @@ class TestLemmaBounds:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigError):
             lemma_bounds("L5", 100, M=5, r_nM=0.1, c0=1.0, L=1.0)  # no b
+
+    @pytest.mark.parametrize("which", LEMMA_KINDS)
+    def test_parameter_table(self, which):
+        values = dict(M=5, r_nM=0.3, b=1.2, c0=0.9, L=1.5, L0=1.4, kappa_M=0.9,
+                      C_f=1.0, m_lambda=2, L_lambda=0.5)
+        params = {k: values[k] for k in LEMMA_PARAMS[which]}
+        assert 0.0 <= lemma_bounds(which, 100, **params) <= 1.0
+        for name in params:
+            with pytest.raises(ConfigError, match=f"needs parameter {name}$"):
+                lemma_bounds(which, 100, **{k: v for k, v in params.items() if k != name})
 
 
 class TestEventFlags:

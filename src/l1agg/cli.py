@@ -38,12 +38,8 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateDictionaryError,
-    DictionaryError,
-    DomainError,
     L1AggError,
     NumericError,
-    ShapeError,
-    UnsupportedOperationError,
     ValidationError,
 )
 from .experiments import (
@@ -249,10 +245,14 @@ def _count(text: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    known = {"n"}.union(*LEMMA_PARAMS.values())
     params = {}
     for key, (line, value) in read_key_values(args.params).items():
-        convert = _count if key in ("n", "M") else float
-        params[key] = parse_value(value, convert, f"{args.params}:{line}: {key}")
+        where = f"{args.params}:{line}: {key}"
+        if key not in known:
+            raise ConfigError(f"{where}: unknown parameter")
+        convert = _count if key in ("n", "M", "m_lambda") else float
+        params[key] = parse_value(value, convert, where)
     if "n" not in params:
         raise ConfigError("bounds parameter file needs n")
     for lemma in args.which.split(",") if args.which else LEMMA_KINDS:
@@ -360,47 +360,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Exit code of each error class; an error takes the code of the first
+# class in its MRO that is listed here.
+_EXIT_CODES = {
+    _UsageError: 1,
+    L1AggError: 1,
+    ConvergenceError: 2,
+    OSError: 3,
+    NumericError: 4,
+    ValidationError: 4,
+    DegenerateDictionaryError: 4,
+    np.linalg.LinAlgError: 4,
+    FloatingPointError: 4,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return 0 if (exc.code == 0 or exc.code is None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except SystemExit as exc:  # --help and --version
+        return 0 if (exc.code == 0 or exc.code is None) else 1
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ConfigError,
-        DictionaryError,
-        ShapeError,
-        DomainError,
-        UnsupportedOperationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        NumericError,
-        ValidationError,
-        DegenerateDictionaryError,
-        np.linalg.LinAlgError,
-        FloatingPointError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except L1AggError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

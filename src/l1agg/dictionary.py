@@ -234,27 +234,13 @@ def load_points_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _fourier_columns(x: np.ndarray, M: int) -> np.ndarray:
-    out = np.empty((x.size, M))
-    out[:, 0] = 1.0
-    if M == 1:
-        return out
-    root2 = np.sqrt(2.0)
-    n_freq = M // 2
-    n_sin = (M - 1) // 2
-    freqs = 2.0 * np.pi * np.arange(1, n_freq + 1)
-    # Chunk rows so the (rows, n_freq) phase block stays bounded in memory.
-    chunk = max(1, 5_000_000 // max(n_freq, 1))
-    for start in range(0, x.size, chunk):
-        stop = min(start + chunk, x.size)
-        phase = x[start:stop, None] * freqs
-        out[start:stop, 1::2] = root2 * np.cos(phase)
-        if n_sin:
-            out[start:stop, 2::2] = root2 * np.sin(phase[:, :n_sin])
-    return out
-
-
 def _check_points(dictionary: Dictionary, points) -> np.ndarray:
+    """The points as an (n, d) array within the dictionary domain.
+
+    Points outside the domain raise DomainError, except for a tabulated
+    dictionary: its functions are clamped interpolants on the whole line,
+    so such points only warn.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         if dictionary.d != 1:
@@ -266,41 +252,80 @@ def _check_points(dictionary: Dictionary, points) -> np.ndarray:
         )
     if not np.all(np.isfinite(pts)):
         raise NumericError("evaluation points contain non-finite values")
+    lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
+    hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
+    if np.any(pts < lo) or np.any(pts > hi):
+        if dictionary.kind != "tabulated":
+            raise DomainError("evaluation points fall outside the dictionary domain")
+        warnings.warn(
+            "evaluation points outside the dictionary domain were clamped",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return pts
+
+
+def _columns(dictionary: Dictionary, pts: np.ndarray):
+    """Yield f_1(pts), ..., f_M(pts) for checked points, one column at a time.
+
+    Fourier pairs come from the angle-addition recurrence
+    (c, s) <- (c c1 - s s1, s c1 + c s1) with c1 + i s1 = exp(2 pi i x);
+    its rounding error grows about linearly in the frequency, to a few
+    1e-12 at M ~ 4000.
+    """
+    M = dictionary.M
+    if dictionary.kind == "coordinate":
+        yield from pts[:, :M].T
+    elif dictionary.kind == "tabulated":
+        for grid, vals in dictionary.tables:
+            yield np.interp(pts[:, 0], grid, vals)
+    else:
+        yield np.ones(pts.shape[0])
+        angle = 2.0 * np.pi * pts[:, 0]
+        c1, s1 = np.cos(angle), np.sin(angle)
+        c, s = c1, s1
+        root2 = np.sqrt(2.0)
+        for j in range(1, M, 2):
+            yield root2 * c
+            if j + 1 < M:
+                yield root2 * s
+            c, s = c * c1 - s * s1, s * c1 + c * s1
 
 
 def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
     """Evaluate every dictionary function at every point.
 
-    Entry (i, j) is f_j(x_i). Points must lie in the dictionary domain.
-    A tabulated function is its clamped interpolant on the whole domain;
-    points outside the domain are clamped too, with a warning.
+    Entry (i, j) is f_j(x_i), stored column-major. Points must lie in the
+    dictionary domain. A tabulated function is its clamped interpolant on
+    the whole domain; points outside the domain are clamped too, with a
+    warning.
     """
     pts = _check_points(dictionary, points)
-    lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
-    hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
-    outside = np.any(pts < lo) or np.any(pts > hi)
-
-    if dictionary.kind == "tabulated":
-        x = pts[:, 0]
-        out = np.empty((x.size, dictionary.M))
-        for j, (grid, vals) in enumerate(dictionary.tables):
-            out[:, j] = np.interp(x, grid, vals)
-        if outside:
-            warnings.warn(
-                "evaluation points outside the dictionary domain were clamped",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return DesignMatrix(n=pts.shape[0], M=dictionary.M, entries=out)
-
-    if outside:
-        raise DomainError("evaluation points fall outside the dictionary domain")
-    if dictionary.kind == "fourier":
-        out = _fourier_columns(pts[:, 0], dictionary.M)
-    else:
-        out = pts[:, : dictionary.M].copy()
+    out = np.empty((pts.shape[0], dictionary.M), order="F")
+    for j, column in enumerate(_columns(dictionary, pts)):
+        out[:, j] = column
     return DesignMatrix(n=pts.shape[0], M=dictionary.M, entries=out)
+
+
+def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
+    """Evaluate the aggregate f_lambda = sum_j lambda_j f_j at the points.
+
+    The sum accumulates one column at a time and never holds the n x M
+    design; columns past the last nonzero coefficient are not generated.
+    Points are checked as in :func:`evaluate`.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (dictionary.M,):
+        raise ShapeError(
+            f"coefficient vector must have shape ({dictionary.M},), got {lam.shape}"
+        )
+    pts = _check_points(dictionary, points)
+    out = np.zeros(pts.shape[0])
+    last = np.flatnonzero(lam).max(initial=-1) + 1
+    for coef, column in zip(lam[:last], _columns(dictionary, pts)):
+        if coef != 0.0:
+            out += coef * column
+    return out
 
 
 def empirical_norms(design: DesignMatrix) -> np.ndarray:

@@ -33,7 +33,6 @@ from .dictionary import (
     MeasureSpec,
     build_coordinate,
     build_fourier,
-    empirical_norms,
     evaluate,
     population_gram,
     uniform_measure,
@@ -839,18 +838,17 @@ def _design_event_flags(ctx: CellContext, sample: Sample, design, weights):
     )
 
 
-def sample_event_flags(ctx: CellContext, sample: Sample, penalty_weights=None):
-    """Good-event indicators for one sample against the cell's oracle.
-
-    The weights default to omega_j = r_nM ||f_j||_n of the cell's rate.
-    """
+def sample_event_flags(ctx: CellContext, sample: Sample):
+    """Good-event indicators for one sample against the cell's oracle,
+    with the penalty weights of the cell's rate."""
     if sample.w is None or sample.f_values is None:
         raise UnsupportedOperationError(
             "event diagnostics need simulated samples with known truth and noise"
         )
     design = evaluate(ctx.dictionary, sample.x)
-    weights = ctx.r_nM * empirical_norms(design) if penalty_weights is None else penalty_weights
-    return _design_event_flags(ctx, sample, design, weights)
+    # An explicit rate ignores the tuning constant A.
+    penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
+    return _design_event_flags(ctx, sample, design, penalty.weights)
 
 
 def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):

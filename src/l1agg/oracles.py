@@ -32,6 +32,7 @@ from .dictionary import (
     build_fourier,
     evaluate,
     population_gram,
+    predict,
     quadrature_grid,
     sup_norm_grid,
 )
@@ -100,13 +101,13 @@ def tabulated_truth(grid, values) -> TruthSpec:
 
 def evaluate_truth(truth: TruthSpec, points) -> np.ndarray:
     """Evaluate the true regression function at an (n, d) point array."""
+    if truth.kind == "fourier":
+        lam = np.zeros(max(truth.theta.size, 2))
+        lam[: truth.theta.size] = truth.theta
+        return predict(build_fourier(lam.size), lam, points)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if truth.kind == "fourier":
-        theta = truth.theta
-        dictionary = build_fourier(max(theta.size, 2))
-        return evaluate(dictionary, pts).entries[:, : theta.size] @ theta
     if truth.kind == "linear":
         if pts.shape[1] < truth.theta.size:
             raise ShapeError("points have fewer coordinates than truth coefficients")
@@ -272,18 +273,15 @@ def population_dist2(
         psi = population_gram(dictionary, measure)
         return float(max(diff @ psi @ diff, 0.0))
     pts, w = quadrature_grid(dictionary, measure)
-    phi = evaluate(dictionary, pts).entries
-    f = evaluate_truth(truth, pts)
-    diff = phi @ lam - f
+    diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)
     return float(w @ (diff * diff))
 
 
 def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
     """Grid estimate of L(lambda) = ||f - f_lambda||_inf (a lower bound)."""
     pts = sup_norm_grid(dictionary)
-    values = evaluate(dictionary, pts).entries @ np.asarray(lam, dtype=float)
-    f = evaluate_truth(truth, pts)
-    return float(np.max(np.abs(values - f)))
+    diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)
+    return float(np.max(np.abs(diff)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, DesignMatrix, empirical_norms, evaluate
+from .dictionary import DesignMatrix, empirical_norms, predict  # noqa: F401 (re-exported)
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
 
 DEFAULT_TOL = 1e-9
@@ -215,12 +215,3 @@ def fit(
         )
     return result
 
-
-def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
-    """Evaluate the aggregate f_lambda = sum_j lambda_j f_j at the points."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (dictionary.M,):
-        raise ShapeError(
-            f"coefficient vector must have shape ({dictionary.M},), got {lam.shape}"
-        )
-    return evaluate(dictionary, points).entries @ lam

@@ -155,6 +155,15 @@ class TestDiagnose:
         report = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert float(report["rho_lambda"]) < 1e-6
 
+    def test_degenerate_dictionary_exit_4(self, capsys):
+        # On the box [0, 0] both coordinates are identically zero, so the
+        # Gram diagonal vanishes and the correlations are undefined.
+        code, out, err = run_cli(["diagnose", "--dict", "coordinate:2:0,0"], capsys)
+        assert code == 4
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
 
 class TestOracle:
     def test_l0k_table(self, tmp_path, capsys):
@@ -355,6 +364,13 @@ def malformed_case(case, tmp_path):
         params = write("params.txt", "".join(f"{k} = {v}\n" for k, v in values.items()))
         line = 1 if key == "n" else 2
         return ["bounds", "--params", params, "--which", "L4"], f"{params}:{line}: {key}"
+    if case == "bounds-m_lambda-2.5":
+        # M(lambda) is a count like n and M.
+        params = write("params.txt", "n = 100\nr_nM = 0.5\nm_lambda = 2.5\nL_lambda = 1\n")
+        return ["bounds", "--params", params, "--which", "L6"], f"{params}:3: m_lambda"
+    if case == "bounds-unknown-key":
+        params = write("params.txt", "n = 100\nM = 10\nc_0 = 3\nL = 1\n")
+        return ["bounds", "--params", params, "--which", "L4"], f"{params}:3: c_0"
     if case == "config-value":
         cfg = write("cfg.txt", CONFIG.replace("R = 30", "R = thirty"))
         return ["experiment", "--config", cfg, "--out", out], f"{cfg}:7"
@@ -379,6 +395,7 @@ class TestMalformedInput:
             "tabulated-truth-short-row", "theta-index", "bounds-value", "config-value",
             "config-m-rule", "summary-short-row", "bounds-n-nan", "bounds-n-inf",
             "bounds-n-2.5", "bounds-M-nan", "bounds-M-inf", "bounds-M-2.5",
+            "bounds-m_lambda-2.5", "bounds-unknown-key",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

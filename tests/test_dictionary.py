@@ -119,6 +119,29 @@ class TestEvaluate:
         b = evaluate(d, pts).entries
         assert np.array_equal(a, b)
 
+    def test_fourier_recurrence_matches_direct_trig(self):
+        # The columns come from the angle-addition recurrence, whose error
+        # grows with the frequency; at k = 2047 it stays below 1e-11.
+        M = 4095
+        x = np.linspace(0.0, 1.0, 10_001)
+        got = evaluate(build_fourier(M), x).entries
+        freq = 2.0 * np.pi * x[:, None] * np.arange(1, M // 2 + 1)
+        assert np.all(got[:, 0] == 1.0)
+        np.testing.assert_allclose(got[:, 1::2], math.sqrt(2) * np.cos(freq), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got[:, 2::2], math.sqrt(2) * np.sin(freq), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "dictionary, points",
+        [
+            (build_fourier(6), np.linspace(0.0, 1.0, 9)),
+            (build_coordinate(4, M=3), np.full((9, 4), 0.5)),
+            (build_tabulated([(np.array([0.0, 1.0]), np.array([1.0, 2.0]))] * 3), np.full(9, 0.5)),
+        ],
+        ids=["fourier", "coordinate", "tabulated"],
+    )
+    def test_entries_column_major(self, dictionary, points):
+        assert evaluate(dictionary, points).entries.flags.f_contiguous
+
 
 class TestEmpiricalNorms:
     def test_constant_column(self):

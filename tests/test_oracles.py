@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from l1agg import (
     BoundConstants,
     ConfigError,
     DesignMatrix,
+    DomainError,
     bernstein_bound,
     build_fourier,
     build_tabulated,
     callable_truth,
     evaluate,
+    evaluate_truth,
     event_flags,
     fourier_truth,
     lemma_bounds,
@@ -26,6 +29,7 @@ from l1agg import (
     oracle_report,
     oracle_scan,
     population_dist2,
+    sobolev_truth,
     sparsity,
     sup_norm_error,
     theorem_rhs,
@@ -396,6 +400,25 @@ class TestOracleReport:
         report = oracle_report(d, uniform_measure(), truth, r_nM=0.1)
         assert report.k_star == 0
         assert report.dist2 == 0.0
+
+    @pytest.mark.parametrize("M", [25, 861])
+    def test_sup_norm_error_streams_fourier_sums(self, M):
+        # Truth and aggregate are summed column by column on the 100,001-point
+        # grid; an (n, M) or (n, 400) block alone would take 20-690 MB.
+        truth = sobolev_truth(1.0)
+        lam = oracle_fourier(truth, M, 10)
+        tracemalloc.start()
+        try:
+            sup_norm_error(build_fourier(M), truth, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_fourier_truth_outside_unit_interval_rejected(self):
+        truth = fourier_truth(np.array([0.5, 1.0, -1.0]))
+        with pytest.raises(DomainError):
+            evaluate_truth(truth, np.array([0.5, 1.5]))
 
     def test_sup_norm_error_reported(self):
         theta = np.array([0.5, 1.0])

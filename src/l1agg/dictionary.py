@@ -307,11 +307,40 @@ def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
     return DesignMatrix(n=pts.shape[0], M=dictionary.M, entries=out)
 
 
+def _spectrum(coef: np.ndarray):
+    """Fourier coefficients c_0, ..., c_{m-1} as ``(c0, a)`` with a complex.
+
+    sum_j c_j f_j(x) = c0 + sqrt(2) Re sum_{k>=1} a_k z^k, z = exp(2 pi i x),
+    with a_k = c_{2k-1} - i c_{2k} (0-based), because
+    sqrt(2) Re((c - i s) z^k) = sqrt(2) (c cos 2 pi k x + s sin 2 pi k x).
+    ``a[k - 1]`` holds a_k; a ends at the last nonzero coefficient.
+    """
+    coef = coef[: np.flatnonzero(coef).max(initial=0) + 1]
+    a = np.zeros(coef.size // 2, dtype=complex)
+    a.real = coef[1::2]
+    a.imag[: (coef.size - 1) // 2] = -coef[2::2]
+    return float(coef[0]), a
+
+
+def _fourier_grid(coef: np.ndarray, N: int) -> np.ndarray:
+    """Values of sum_j c_j f_j at x_i = i / N, i = 0..N-1, by one inverse FFT.
+
+    sum_k a_k exp(2 pi i k i / N) = N ifft(b)_i, where b_m sums the a_k
+    with k = m (mod N). The folding is exact, so any frequency is allowed.
+    """
+    c0, a = _spectrum(coef)
+    k = np.arange(1, a.size + 1) % N
+    b = np.bincount(k, a.real, N) + 1j * np.bincount(k, a.imag, N)
+    return c0 + np.sqrt(2.0) * N * np.fft.ifft(b).real
+
+
 def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
     """Evaluate the aggregate f_lambda = sum_j lambda_j f_j at the points.
 
-    The sum accumulates one column at a time and never holds the n x M
-    design; columns past the last nonzero coefficient are not generated.
+    A fourier sum is c0 + sqrt(2) Re sum_k a_k z^k (see :func:`_spectrum`),
+    evaluated by complex Horner's rule in z = exp(2 pi i x) from the last
+    nonzero coefficient down. Other kinds accumulate one column at a time,
+    up to the last nonzero coefficient. Neither holds the n x M design.
     Points are checked as in :func:`evaluate`.
     """
     lam = np.asarray(lam, dtype=float)
@@ -320,6 +349,14 @@ def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
             f"coefficient vector must have shape ({dictionary.M},), got {lam.shape}"
         )
     pts = _check_points(dictionary, points)
+    if dictionary.kind == "fourier":
+        c0, a = _spectrum(lam)
+        z = np.exp(2j * np.pi * pts[:, 0])
+        acc = np.zeros(pts.shape[0], dtype=complex)
+        for a_k in a[::-1]:
+            acc += a_k
+            acc *= z
+        return c0 + np.sqrt(2.0) * acc.real
     out = np.zeros(pts.shape[0])
     last = np.flatnonzero(lam).max(initial=-1) + 1
     for coef, column in zip(lam[:last], _columns(dictionary, pts)):

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .dictionary import (
+    SUP_GRID_POINTS,
     Dictionary,
     DesignMatrix,
     MeasureSpec,
@@ -35,6 +36,7 @@ from .dictionary import (
     predict,
     quadrature_grid,
     sup_norm_grid,
+    _fourier_grid,
 )
 from .errors import ConfigError, NumericError, ShapeError
 from .gram import coherence
@@ -278,7 +280,23 @@ def population_dist2(
 
 
 def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
-    """Grid estimate of L(lambda) = ||f - f_lambda||_inf (a lower bound)."""
+    """Grid estimate of L(lambda) = ||f - f_lambda||_inf (a lower bound).
+
+    The grid is :func:`sup_norm_grid`. For a fourier dictionary and a
+    fourier truth, f - f_lambda has coefficients theta - lambda, and its
+    values at x_i = i / (SUP_GRID_POINTS - 1) come from one inverse FFT
+    (x = 1 repeats x = 0). Other pairs stream :func:`predict` and
+    :func:`evaluate_truth` over the grid.
+    """
+    if dictionary.kind == "fourier" and truth.kind == "fourier":
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (dictionary.M,):
+            raise ShapeError(f"lambda must have shape ({dictionary.M},)")
+        theta = truth.theta
+        coef = np.zeros(max(lam.size, theta.size))
+        coef[: theta.size] = theta
+        coef[: lam.size] -= lam
+        return float(np.abs(_fourier_grid(coef, SUP_GRID_POINTS - 1)).max())
     pts = sup_norm_grid(dictionary)
     diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)
     return float(np.max(np.abs(diff)))

@@ -161,8 +161,10 @@ def fit(
     weights = np.asarray(penalty.weights, dtype=float)
     if weights.shape != (M,):
         raise ShapeError(f"weights must have shape ({M},), got {weights.shape}")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if max_sweeps < 1:
+        raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
     col_sq = np.mean(phi * phi, axis=0)  # ||f_j||_n^2
     frozen = tuple(int(j) for j in np.flatnonzero(col_sq == 0.0))

@@ -332,6 +332,10 @@ def malformed_case(case, tmp_path):
     if case == "fit-ragged-row":
         data = write("data.csv", "x1,y\n0.1,1.0\n0.2\n")
         return fit(data), f"{data}:3"
+    if case in ("fit-tol-nan", "fit-tol-inf"):
+        return fit(good_data) + ["--tol", case.rsplit("-", 1)[1]], None
+    if case == "fit-max-sweeps-0":
+        return fit(good_data) + ["--max-sweeps", "0"], None
     if case == "dict-fourier":
         return fit(good_data, dictionary="fourier:x"), None
     if case == "dict-coordinate-box":
@@ -395,7 +399,8 @@ class TestMalformedInput:
             "tabulated-truth-short-row", "theta-index", "bounds-value", "config-value",
             "config-m-rule", "summary-short-row", "bounds-n-nan", "bounds-n-inf",
             "bounds-n-2.5", "bounds-M-nan", "bounds-M-inf", "bounds-M-2.5",
-            "bounds-m_lambda-2.5", "bounds-unknown-key",
+            "bounds-m_lambda-2.5", "bounds-unknown-key", "fit-tol-nan", "fit-tol-inf",
+            "fit-max-sweeps-0",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

@@ -26,11 +26,18 @@ from l1agg import (
     load_tabulated_csv,
     noiseless,
     population_gram,
+    predict,
     sup_norm_error,
     uniform_measure,
     validate_a2,
 )
-from l1agg.dictionary import QUADRATURE_TOL, SUP_GRID_POINTS, quadrature_grid, sup_norm_grid
+from l1agg.dictionary import (
+    QUADRATURE_TOL,
+    SUP_GRID_POINTS,
+    _fourier_grid,
+    quadrature_grid,
+    sup_norm_grid,
+)
 
 
 def _quadrature_column_norm(fn, n_nodes=200_001):
@@ -129,6 +136,40 @@ class TestEvaluate:
         assert np.all(got[:, 0] == 1.0)
         np.testing.assert_allclose(got[:, 1::2], math.sqrt(2) * np.cos(freq), rtol=0, atol=1e-11)
         np.testing.assert_allclose(got[:, 2::2], math.sqrt(2) * np.sin(freq), rtol=0, atol=1e-11)
+
+    def test_fourier_predict_matches_direct_trig(self):
+        # Complex Horner in z = exp(2 pi i x): its rounding error grows with
+        # the degree, relative to the coefficients' l1 norm.
+        M = 4095
+        theta = np.random.default_rng(5).normal(size=M)
+        x = np.linspace(0.0, 1.0, 10_001)
+        freq = 2.0 * np.pi * x[:, None] * np.arange(1, M // 2 + 1)
+        direct = theta[0] + math.sqrt(2) * (
+            np.cos(freq) @ theta[1::2] + np.sin(freq) @ theta[2::2]
+        )
+        got = predict(build_fourier(M), theta, x)
+        tol = 1e-12 * math.sqrt(2) * np.abs(theta).sum()
+        np.testing.assert_allclose(got, direct, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("m", [8, 9], ids=["ends-cos", "ends-sin"])
+    def test_fourier_predict_ignores_trailing_zeros(self, m):
+        lam = np.random.default_rng(m).normal(size=m)
+        padded = np.concatenate([lam, np.zeros(12)])
+        x = np.linspace(0.0, 1.0, 257)
+        np.testing.assert_array_equal(
+            predict(build_fourier(m + 12), padded, x), predict(build_fourier(m), lam, x)
+        )
+
+    def test_fourier_grid_folds_frequencies_above_n(self):
+        # Frequencies up to 3N land on the N-point inverse FFT by k mod N;
+        # unfolded, they would be off by O(1).
+        N = 64
+        coef = np.random.default_rng(7).normal(size=6 * N + 1)
+        x = np.arange(N) / N
+        freq = 2.0 * np.pi * x[:, None] * np.arange(1, 3 * N + 1)
+        direct = coef[0] + math.sqrt(2) * (np.cos(freq) @ coef[1::2] + np.sin(freq) @ coef[2::2])
+        tol = 1e-12 * math.sqrt(2) * np.abs(coef).sum()
+        np.testing.assert_allclose(_fourier_grid(coef, N), direct, rtol=0, atol=tol)
 
     @pytest.mark.parametrize(
         "dictionary, points",

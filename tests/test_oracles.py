@@ -14,6 +14,7 @@ from l1agg import (
     ConfigError,
     DesignMatrix,
     DomainError,
+    ShapeError,
     bernstein_bound,
     build_fourier,
     build_tabulated,
@@ -35,6 +36,7 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
+from l1agg.dictionary import sup_norm_grid
 from l1agg.oracles import COHERENCE_THRESHOLD, LEMMA_KINDS, LEMMA_PARAMS
 
 RNG = np.random.default_rng(2024)
@@ -403,8 +405,8 @@ class TestOracleReport:
 
     @pytest.mark.parametrize("M", [25, 861])
     def test_sup_norm_error_streams_fourier_sums(self, M):
-        # Truth and aggregate are summed column by column on the 100,001-point
-        # grid; an (n, M) or (n, 400) block alone would take 20-690 MB.
+        # One inverse FFT of length 10^5 needs a few MB; an (n, M) or
+        # (n, 400) block on the 100,001-point grid alone would take 20-690 MB.
         truth = sobolev_truth(1.0)
         lam = oracle_fourier(truth, M, 10)
         tracemalloc.start()
@@ -413,7 +415,28 @@ class TestOracleReport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("M", [25, 861])
+    def test_sup_norm_error_fft_matches_dense_scan(self, M):
+        truth = sobolev_truth(1.0)
+        d = build_fourier(M)
+        lam = np.random.default_rng(M).normal(size=M)
+        coef = np.zeros(max(M, truth.theta.size))
+        coef[: truth.theta.size] = truth.theta
+        coef[:M] -= lam
+        wide = build_fourier(coef.size)
+        grid = sup_norm_grid(d)
+        # The dense scan in chunks, so no full (100,001, K) block is held.
+        dense = max(
+            np.abs(evaluate(wide, chunk).entries @ coef).max()
+            for chunk in np.array_split(grid, 20)
+        )
+        assert sup_norm_error(d, truth, lam) == pytest.approx(dense, rel=0, abs=1e-12)
+
+    def test_sup_norm_error_fft_rejects_wrong_length(self):
+        with pytest.raises(ShapeError):
+            sup_norm_error(build_fourier(5), sobolev_truth(1.0), np.zeros(4))
 
     def test_fourier_truth_outside_unit_interval_rejected(self):
         truth = fourier_truth(np.array([0.5, 1.0, -1.0]))

@@ -220,6 +220,19 @@ class TestFit:
         assert partial.sweeps == 2
         assert not partial.converged
 
+    @pytest.mark.parametrize(
+        "stop",
+        [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_sweeps": 0}, {"max_sweeps": -5}],
+        ids=["tol-nan", "tol-inf", "tol-0", "max-sweeps-0", "max-sweeps-neg"],
+    )
+    def test_bad_stopping_rule_rejected(self, stop):
+        # A NaN tol never compares below it and an infinite one stops after
+        # one sweep whatever the KKT residual; no sweep budget runs nothing.
+        design = make_design(np.random.default_rng(4).normal(size=(20, 3)))
+        y = design.entries[:, 0]
+        with pytest.raises(ConfigError):
+            fit(design, y, penalty_config(design, A=1.0), **stop)
+
     def test_objective_identity(self):
         rng = np.random.default_rng(17)
         design = make_design(rng.normal(size=(30, 4)))

@@ -96,9 +96,6 @@ from .experiments import (
     linear_pattern,
     load_config,
     noise_bounded_uniform,
-    noise_laplace,
-    noise_rademacher,
-    noise_truncated_gaussian,
     noiseless,
     ols_line,
     rate_slope,

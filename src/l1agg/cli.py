@@ -171,6 +171,7 @@ def _cmd_fit(args) -> int:
     for line in (
         f"objective={result.objective!r}",
         f"kkt_residual={result.kkt_residual!r}",
+        f"duality_gap={result.duality_gap!r}",
         f"sweeps={result.sweeps}",
         f"support_size={result.m_hat}",
         f"converged={1 if exit_code == 0 else 0}",

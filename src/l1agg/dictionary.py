@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +116,13 @@ class DesignMatrix:
             raise ShapeError("design matrices need n >= 1 rows")
         if not np.all(np.isfinite(self.entries)):
             raise NumericError("design matrix contains non-finite entries")
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        """Squared empirical norms ||f_j||_n^2 = n^-1 sum_i f_j(X_i)^2, per
+        column; computed on first use and shared by the penalty weights, the
+        solver and the E2 event (so treat ``entries`` as read-only)."""
+        return np.mean(self.entries**2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -367,7 +375,7 @@ def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
 
 def empirical_norms(design: DesignMatrix) -> np.ndarray:
     """Empirical L2 norms ||f_j||_n = sqrt(n^-1 sum_i f_j(X_i)^2), per column."""
-    return np.sqrt(np.mean(design.entries**2, axis=0))
+    return np.sqrt(design.norms_sq)
 
 
 # ---------------------------------------------------------------------------

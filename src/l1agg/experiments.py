@@ -84,31 +84,6 @@ def noise_bounded_uniform(a: float = 1.0) -> NoiseModel:
     return NoiseModel(family="bounded-uniform", params=(float(a),), b=b)
 
 
-def noise_rademacher(a: float = 1.0) -> NoiseModel:
-    """W = +/- a with equal probability; E exp|W| = e^a."""
-    if a < 0:
-        raise ConfigError("rademacher amplitude must be nonnegative")
-    return NoiseModel(family="rademacher", params=(float(a),), b=float(math.exp(a)))
-
-
-def noise_truncated_gaussian(sigma: float, c: float) -> NoiseModel:
-    """N(0, sigma^2) conditioned on |W| <= c; moment bound by quadrature."""
-    if sigma <= 0 or c <= 0:
-        raise ConfigError("truncated gaussian needs sigma > 0 and c > 0")
-    grid = np.linspace(0.0, c, 4097)
-    density = np.exp(-0.5 * (grid / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    mass = math.erf(c / (sigma * math.sqrt(2.0)))
-    b = float(np.trapezoid(2.0 * np.exp(grid) * density, grid) / mass)
-    return NoiseModel(family="truncated-gaussian", params=(float(sigma), float(c)), b=b)
-
-
-def noise_laplace(sigma: float) -> NoiseModel:
-    """Laplace(scale sigma), sigma < 1; E exp|W| = 1 / (1 - sigma)."""
-    if not 0 < sigma < 1:
-        raise ConfigError("laplace noise needs 0 < sigma < 1 (moment bound diverges)")
-    return NoiseModel(family="laplace", params=(float(sigma),), b=1.0 / (1.0 - sigma))
-
-
 def noiseless() -> NoiseModel:
     return NoiseModel(family="none", params=(), b=1.0)
 
@@ -117,20 +92,6 @@ def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndar
     if noise.family == "bounded-uniform":
         (a,) = noise.params
         return rng.uniform(-a, a, n)
-    if noise.family == "rademacher":
-        (a,) = noise.params
-        return a * (2.0 * rng.integers(0, 2, n) - 1.0)
-    if noise.family == "truncated-gaussian":
-        # Rejection from N(0, sigma^2): keep the draws with |w| <= c.
-        sigma, c = noise.params
-        kept = np.empty(0)
-        while kept.size < n:
-            draw = rng.normal(0.0, sigma, n)
-            kept = np.concatenate([kept, draw[np.abs(draw) <= c]])
-        return kept[:n]
-    if noise.family == "laplace":
-        (sigma,) = noise.params
-        return rng.laplace(0.0, sigma, n)
     return np.zeros(n)
 
 
@@ -227,6 +188,9 @@ class ExperimentConfig:
         if min(n_values) < 2:
             raise ConfigError("n_values entries must be >= 2")
         _parse_m_rule(self.m_rule)
+        for name in ("A", "C_f", "k_or_beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.A <= 0:
             raise ConfigError("tuning constant A must be positive")
         if self.rate_kind not in ("log_M", "log_n"):
@@ -255,8 +219,8 @@ def _parse_m_rule(rule: str):
         return lambda n: m
     if kind == "power":
         s = parse_value(value, float, f"m_rule {rule!r}")
-        if s <= 0:
-            raise ConfigError("power m_rule needs a positive exponent")
+        if not (math.isfinite(s) and s > 0):
+            raise ConfigError(f"power m_rule needs a finite positive exponent, got {s}")
         return lambda n: max(2, int(math.floor(n**s)))
     raise ConfigError(f"unknown m_rule kind {kind!r}")
 

@@ -537,7 +537,7 @@ def event_flags(
         raise ShapeError("noise vector must match the design row count")
     v = design.entries.T @ noise / design.n
     e1 = bool(np.all(2.0 * np.abs(v) <= weights))
-    norms_sq = np.mean(design.entries**2, axis=0)
+    norms_sq = design.norms_sq
     e2 = bool(
         np.all(norms_sq >= 0.5 * pop_norms_sq) and np.all(norms_sq <= 2.0 * pop_norms_sq)
     )

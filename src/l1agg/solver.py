@@ -28,8 +28,8 @@ DEFAULT_MAX_SWEEPS = 100_000
 
 def rate(A: float, n: int, M: int, kind: str) -> float:
     """Penalty scale r_{n,M}: A sqrt(log M / n) or A sqrt(log n / n)."""
-    if A <= 0:
-        raise ConfigError("tuning constant A must be positive")
+    if not (math.isfinite(A) and A > 0):
+        raise ConfigError(f"tuning constant A must be finite and positive, got {A}")
     if n < 1:
         raise ConfigError("sample size n must be >= 1")
     if M < 2:
@@ -60,10 +60,12 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.rate_kind not in ("log_M", "log_n", "explicit"):
             raise ConfigError(f"unknown rate kind {self.rate_kind!r}")
-        if not (self.r_nM > 0):
-            raise ConfigError("rate r_nM must be positive (log_n needs n >= 2)")
-        if np.any(self.weights < 0):
-            raise ConfigError("penalty weights must be nonnegative")
+        if not (math.isfinite(self.r_nM) and self.r_nM > 0):
+            raise ConfigError(
+                f"rate r_nM must be finite and positive (log_n needs n >= 2), got {self.r_nM}"
+            )
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ConfigError("penalty weights must be finite and nonnegative")
 
 
 def penalty_config(
@@ -78,8 +80,10 @@ def penalty_config(
     takes the rate value from ``explicit_r``).
     """
     if rate_kind == "explicit":
-        if explicit_r is None or explicit_r <= 0:
-            raise ConfigError("explicit rate kind needs a positive explicit_r")
+        if explicit_r is None or not (math.isfinite(explicit_r) and explicit_r > 0):
+            raise ConfigError(
+                f"explicit rate kind needs a finite positive explicit_r, got {explicit_r}"
+            )
         r = float(explicit_r)
     else:
         r = rate(A, design.n, design.M, rate_kind)
@@ -98,6 +102,10 @@ class LassoFit:
     ``support``/``m_hat`` count exact nonzeros; ``frozen`` lists columns
     with zero empirical norm that were pinned at 0. ``objective_path``
     holds the penalized objective after each sweep (diagnostic).
+    ``duality_gap`` is P(lambda_hat) - D(theta) >= 0 for the dual point
+    theta = s * (Y - f_lambda_hat(X)), scaled by the largest s <= 1 with
+    |n^-1 <f_j, theta>| <= omega_j for every j; it bounds the objective's
+    distance to the optimum.
     """
 
     lambda_hat: np.ndarray
@@ -105,14 +113,20 @@ class LassoFit:
     m_hat: int
     objective: float
     kkt_residual: float
+    duality_gap: float
     sweeps: int
     converged: bool
     frozen: tuple = ()
     objective_path: tuple = ()
 
 
-def _objective(residual: np.ndarray, lam: np.ndarray, weights: np.ndarray, n: int) -> float:
-    return float(residual @ residual / n + 2.0 * (weights @ np.abs(lam)))
+def _kkt(grad: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> float:
+    viol = np.where(
+        lam == 0.0,
+        np.maximum(np.abs(grad) - weights, 0.0),
+        np.abs(grad - weights * np.sign(lam)),
+    )
+    return float(viol.max())
 
 
 def kkt_residual(
@@ -124,13 +138,19 @@ def kkt_residual(
     require equality with omega_j sign(lambda_j).
     """
     phi = design.entries
-    grad = phi.T @ (y - phi @ lam) / design.n
-    viol = np.where(
-        lam == 0.0,
-        np.maximum(np.abs(grad) - weights, 0.0),
-        np.abs(grad - weights * np.sign(lam)),
-    )
-    return float(viol.max())
+    return _kkt(phi.T @ (y - phi @ lam) / design.n, lam, weights)
+
+
+def _duality_gap(
+    resid_sq: float, grad: np.ndarray, lam: np.ndarray, weights: np.ndarray
+) -> float:
+    """P(lam) - D(s r) for the residual r, grad = n^-1 Phi^T r and
+    resid_sq = n^-1 ||r||^2, where D(theta) = n^-1 (||Y||^2 - ||Y - theta||^2)
+    on |n^-1 <f_j, theta>| <= omega_j. A column with omega_j = 0 forces
+    s = 0 unless its gradient is exactly zero, as a zero column's is."""
+    nonzero = grad != 0.0
+    s = float(np.min(weights[nonzero] / np.abs(grad[nonzero]), initial=1.0))
+    return float((1.0 - s) ** 2 * resid_sq + 2.0 * (weights @ np.abs(lam) - s * (lam @ grad)))
 
 
 def fit(
@@ -140,12 +160,16 @@ def fit(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> LassoFit:
-    """Cyclic coordinate descent from a zero start.
+    """Cyclic coordinate descent from a zero start, on sufficient statistics.
 
     Each update is the exact one-dimensional minimizer
     soft_threshold(c_j, omega_j) / ||f_j||_n^2 with
-    c_j = n^-1 <f_j, partial residual>. Stops when the largest coordinate
-    change relative to 1 + |lambda_j| falls below ``tol``.
+    c_j = grad_j + lambda_j ||f_j||_n^2, where grad = n^-1 Phi^T (Y - Phi lambda)
+    starts at n^-1 Phi^T Y and follows each move Delta of lambda_j through
+    grad -= Delta * Psi_j, Psi_j = n^-1 Phi^T f_j (covariance updates). Psi_j
+    is formed the first time coordinate j moves and kept for this fit only.
+    Stops when the largest coordinate change relative to 1 + |lambda_j|
+    falls below ``tol``.
 
     Raises ConvergenceError (carrying the partial fit) if the sweep budget
     is exhausted while the recomputed KKT violation still exceeds
@@ -166,44 +190,63 @@ def fit(
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
-    col_sq = np.mean(phi * phi, axis=0)  # ||f_j||_n^2
+    col_sq = design.norms_sq
     frozen = tuple(int(j) for j in np.flatnonzero(col_sq == 0.0))
+    coords = [
+        (j, w_j, q_j)
+        for j, (w_j, q_j) in enumerate(zip(weights.tolist(), col_sq.tolist()))
+        if q_j != 0.0
+    ]
 
-    lam = np.zeros(M)
-    residual = y.copy()
+    g = phi.T @ y / n
+    grad = g.copy()
+    yy = float(y @ y) / n
+    gram = {}  # j -> Psi_j, for the coordinates that have moved
+    lam = [0.0] * M
     path = []
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
         sweeps += 1
         max_change = 0.0
-        for j in range(M):
-            if col_sq[j] == 0.0:
-                continue
-            col = phi[:, j]
-            c_j = col @ residual / n + lam[j] * col_sq[j]
-            new = soft_threshold(c_j, weights[j]) / col_sq[j]
-            if new != lam[j]:
-                residual -= (new - lam[j]) * col
-                change = abs(new - lam[j]) / (1.0 + abs(new))
+        for j, w_j, q_j in coords:
+            old = lam[j]
+            c_j = grad[j] + old * q_j
+            if c_j > w_j:
+                new = (c_j - w_j) / q_j
+            elif c_j < -w_j:
+                new = (c_j + w_j) / q_j
+            else:
+                new = 0.0
+            if new != old:
+                col = gram.get(j)
+                if col is None:
+                    col = gram[j] = phi.T @ phi[:, j] / n
+                grad -= (new - old) * col
+                change = abs(new - old) / (1.0 + abs(new))
                 if change > max_change:
                     max_change = change
                 lam[j] = new
-        path.append(_objective(residual, lam, weights, n))
+        lam_v = np.array(lam, dtype=float)
+        path.append(float(yy - lam_v @ g - lam_v @ grad + 2.0 * (weights @ np.abs(lam_v))))
         if max_change < tol:
             converged = True
             break
 
-    # Final certificate from a fresh residual (incremental updates drift).
+    # Final certificates from a fresh residual (incremental updates drift).
+    lam = np.array(lam, dtype=float)
     residual = y - phi @ lam
-    kkt = kkt_residual(design, y, lam, weights)
+    grad = phi.T @ residual / n
+    resid_sq = float(residual @ residual / n)
+    kkt = _kkt(grad, lam, weights)
     support = np.flatnonzero(lam != 0.0)
     result = LassoFit(
         lambda_hat=lam,
         support=support,
         m_hat=int(support.size),
-        objective=_objective(residual, lam, weights, n),
+        objective=resid_sq + 2.0 * float(weights @ np.abs(lam)),
         kkt_residual=kkt,
+        duality_gap=_duality_gap(resid_sq, grad, lam, weights),
         sweeps=sweeps,
         converged=converged,
         frozen=frozen,
@@ -216,4 +259,3 @@ def fit(
             partial_fit=result,
         )
     return result
-

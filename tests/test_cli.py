@@ -77,6 +77,8 @@ class TestFit:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(1.0, abs=0.3)
         assert "objective=" in stdout and "kkt_residual=" in stdout
+        keys = [line.split("=", 1)[0] for line in stdout.splitlines()]
+        assert keys[keys.index("kkt_residual") + 1] == "duality_gap"
         assert "sweeps=" in stdout and "support_size=" in stdout
 
     def test_missing_data_file_exit_3_no_partial_output(self, tmp_path, capsys):
@@ -318,8 +320,8 @@ def malformed_case(case, tmp_path):
     out = str(tmp_path / "out.csv")
     good_data = write("good.csv", "x1,y\n0.1,1.0\n0.2,2.0\n0.3,0.5\n")
 
-    def fit(data, rate="logn", dictionary="fourier:3"):
-        return ["fit", "--dict", dictionary, "--data", data, "--A", "1.0",
+    def fit(data, rate="logn", dictionary="fourier:3", A="1.0"):
+        return ["fit", "--dict", dictionary, "--data", data, "--A", A,
                 "--rate", rate, "--out", out]
 
     def oracle(truth):
@@ -334,6 +336,23 @@ def malformed_case(case, tmp_path):
         return fit(data), f"{data}:3"
     if case in ("fit-tol-nan", "fit-tol-inf"):
         return fit(good_data) + ["--tol", case.rsplit("-", 1)[1]], None
+    if case == "fit-A-inf":
+        # An infinite tuning constant used to fit with omega = inf and print
+        # objective=nan with exit 0.
+        return fit(good_data, A="inf"), None
+    if case == "rate-explicit-inf":
+        return fit(good_data, rate="explicit:inf"), None
+    if case.startswith("config-nonfinite-"):
+        # A non-finite A, C_f or k_or_beta used to run (A = inf wrote rows
+        # with infinite right-hand sides), or fail with a misleading message.
+        _, _, key, value = case.split("-")
+        text = CONFIG
+        if key == "k_or_beta":
+            text = text.replace("fourier-L0k", "fourier-sobolev")
+        lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+                 for ln in text.splitlines()]
+        cfg = write("cfg.txt", "\n".join(lines) + "\n")
+        return ["experiment", "--config", cfg, "--out", out], f"{cfg}: {key}"
     if case == "fit-max-sweeps-0":
         return fit(good_data) + ["--max-sweeps", "0"], None
     if case == "dict-fourier":
@@ -382,6 +401,11 @@ def malformed_case(case, tmp_path):
         # The m_rule is checked with the whole config, so the error names the file.
         cfg = write("cfg.txt", CONFIG.replace("fixed:10", "fixed:x"))
         return ["experiment", "--config", cfg, "--out", out], cfg
+    if case in ("config-m-rule-power-nan", "config-m-rule-power-inf"):
+        # floor(n^s) of a non-finite exponent used to raise a bare ValueError
+        # or OverflowError from the first cell.
+        cfg = write("cfg.txt", CONFIG.replace("fixed:10", "power:" + case.rsplit("-", 1)[1]))
+        return ["experiment", "--config", cfg, "--out", out], cfg
     if case == "summary-short-row":
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
@@ -400,7 +424,9 @@ class TestMalformedInput:
             "config-m-rule", "summary-short-row", "bounds-n-nan", "bounds-n-inf",
             "bounds-n-2.5", "bounds-M-nan", "bounds-M-inf", "bounds-M-2.5",
             "bounds-m_lambda-2.5", "bounds-unknown-key", "fit-tol-nan", "fit-tol-inf",
-            "fit-max-sweeps-0",
+            "fit-max-sweeps-0", "fit-A-inf", "rate-explicit-inf",
+            "config-nonfinite-A-inf", "config-nonfinite-A-nan", "config-nonfinite-C_f-nan",
+            "config-nonfinite-k_or_beta-nan", "config-m-rule-power-nan", "config-m-rule-power-inf",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

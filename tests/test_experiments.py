@@ -3,8 +3,6 @@
 import dataclasses
 import math
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -24,9 +22,6 @@ from l1agg import (
     linear_pattern,
     load_config,
     noise_bounded_uniform,
-    noise_laplace,
-    noise_rademacher,
-    noise_truncated_gaussian,
     noiseless,
     ols_line,
     penalty_config,
@@ -76,41 +71,6 @@ class TestNoiseModels:
         w = sample_noise(noise, 1_000_000, rng)
         assert abs(w.mean()) < 0.005
         assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.01)
-
-    def test_rademacher(self):
-        noise = noise_rademacher(0.7)
-        assert noise.b == pytest.approx(math.exp(0.7))
-        w = sample_noise(noise, 100_000, np.random.default_rng(1))
-        assert set(np.unique(w)) == {-0.7, 0.7}
-        assert abs(w.mean()) < 0.01
-
-    def test_truncated_gaussian(self):
-        noise = noise_truncated_gaussian(sigma=0.5, c=1.5)
-        w = sample_noise(noise, 200_000, np.random.default_rng(2))
-        assert np.max(np.abs(w)) <= 1.5
-        assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.01)
-
-    def test_truncated_gaussian_without_scipy(self):
-        code = (
-            "import sys; sys.modules['scipy'] = None\n"
-            "import numpy as np\n"
-            "from l1agg.experiments import noise_truncated_gaussian, sample_noise\n"
-            "noise = noise_truncated_gaussian(sigma=0.5, c=1.5)\n"
-            "w = sample_noise(noise, 1000, np.random.default_rng(0))\n"
-            "assert w.shape == (1000,) and np.abs(w).max() <= 1.5\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_laplace(self):
-        noise = noise_laplace(0.4)
-        assert noise.b == pytest.approx(1.0 / 0.6)
-        w = sample_noise(noise, 2_000_000, np.random.default_rng(3))
-        assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.02)
-
-    def test_laplace_divergent_scale_rejected(self):
-        with pytest.raises(ConfigError):
-            noise_laplace(1.0)
 
 
 class TestGenerate:

@@ -14,6 +14,8 @@ from l1agg import (
     PenaltyConfig,
     build_coordinate,
     build_fourier,
+    empirical_norms,
+    event_flags,
     fit,
     kkt_residual,
     penalty_config,
@@ -32,6 +34,94 @@ def orthonormalized_design(rng, n, M):
     """Columns exactly orthonormal in the empirical inner product."""
     q, _ = np.linalg.qr(rng.normal(size=(n, M)))
     return make_design(q * math.sqrt(n))
+
+
+def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
+    """The residual-update coordinate descent that ``fit`` replaced: same
+    zero start, sweep order, update and stopping rule, but each visit takes
+    c_j from an O(n) dot product with the running residual."""
+    phi = design.entries
+    n, M = design.n, design.M
+    col_sq = np.mean(phi * phi, axis=0)
+    lam = np.zeros(M)
+    residual = y.copy()
+    path = []
+    sweeps = 0
+    converged = False
+    while sweeps < max_sweeps:
+        sweeps += 1
+        max_change = 0.0
+        for j in range(M):
+            if col_sq[j] == 0.0:
+                continue
+            col = phi[:, j]
+            c_j = col @ residual / n + lam[j] * col_sq[j]
+            new = soft_threshold(c_j, weights[j]) / col_sq[j]
+            if new != lam[j]:
+                residual -= (new - lam[j]) * col
+                max_change = max(max_change, abs(new - lam[j]) / (1.0 + abs(new)))
+                lam[j] = new
+        path.append(float(residual @ residual / n + 2.0 * (weights @ np.abs(lam))))
+        if max_change < tol:
+            converged = True
+            break
+    return {
+        "lambda_hat": lam,
+        "sweeps": sweeps,
+        "converged": converged,
+        "support": np.flatnonzero(lam != 0.0),
+        "frozen": tuple(int(j) for j in np.flatnonzero(col_sq == 0.0)),
+        "objective_path": path,
+    }
+
+
+def reference_cases():
+    """(design, y, weights) for the shapes the covariance updates must
+    track the residual loop on."""
+    rng = np.random.default_rng(101)
+    cases = {}
+    base = rng.normal(size=(60, 8))
+    base[:, 1] = 0.95 * base[:, 0] + 0.05 * base[:, 1]
+    base[:, 5] = 0.8 * base[:, 4] - 0.6 * base[:, 2]
+    cases["correlated"] = (base, 0.2)
+    dup = rng.normal(size=(50, 6))
+    dup[:, 4] = dup[:, 1]
+    cases["duplicated"] = (dup, 0.3)
+    zero = rng.normal(size=(40, 5))
+    zero[:, 2] = 0.0
+    cases["zero-column"] = (zero, 0.5)
+    cases["M-gt-n"] = (rng.normal(size=(20, 45)), 0.5)
+    out = {}
+    for name, (entries, A) in cases.items():
+        design = make_design(entries)
+        y = entries[:, :3] @ np.array([1.5, -2.0, 0.7]) + 0.3 * rng.normal(size=design.n)
+        out[name] = (design, y, penalty_config(design, A=A).weights)
+    return out
+
+
+REFERENCE_CASES = reference_cases()
+
+
+def assert_matches_reference(result, ref):
+    assert result.sweeps == ref["sweeps"]
+    assert result.converged == ref["converged"]
+    assert result.frozen == ref["frozen"]
+    np.testing.assert_array_equal(result.support, ref["support"])
+    assert np.max(np.abs(result.lambda_hat - ref["lambda_hat"])) <= 1e-12
+    np.testing.assert_allclose(result.objective_path, ref["objective_path"], rtol=1e-12, atol=0)
+
+
+def primal_dual_gap(design, y, lam, weights):
+    """P(lam) - D(s r) computed directly: D(theta) = n^-1 (|Y|^2 - |Y - theta|^2),
+    with s the largest value in [0, 1] keeping |n^-1 <f_j, s r>| <= omega_j."""
+    n = design.n
+    r = y - design.entries @ lam
+    corr = np.abs(design.entries.T @ r) / n
+    s = min([1.0] + [w / c for w, c in zip(weights, corr) if c != 0.0])
+    theta = s * r
+    primal = r @ r / n + 2.0 * weights @ np.abs(lam)
+    dual = (y @ y - (y - theta) @ (y - theta)) / n
+    return primal - dual
 
 
 def grid_search_2d(design, y, weights, lo=-5.0, hi=5.0, step=1e-3):
@@ -80,6 +170,25 @@ class TestRate:
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ConfigError):
             rate(0.0, 10, 5, "log_M")
+
+    @pytest.mark.parametrize("A", [math.inf, math.nan])
+    def test_nonfinite_a_rejected(self, A):
+        with pytest.raises(ConfigError):
+            rate(A, 10, 5, "log_M")
+
+    @pytest.mark.parametrize(
+        "r, weights",
+        [(math.inf, [0.1, 0.2]), (0.5, [0.1, math.nan]), (0.5, [math.inf, 0.2])],
+        ids=["rate-inf", "weight-nan", "weight-inf"],
+    )
+    def test_nonfinite_penalty_rejected(self, r, weights):
+        with pytest.raises(ConfigError):
+            PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=r, weights=np.array(weights))
+
+    def test_nonfinite_explicit_rate_rejected(self):
+        design = make_design(np.random.default_rng(2).normal(size=(10, 3)))
+        with pytest.raises(ConfigError):
+            penalty_config(design, 1.0, "explicit", math.inf)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -242,6 +351,80 @@ class TestFit:
         resid = y - design.entries @ result.lambda_hat
         recomputed = resid @ resid / 30 + 2 * penalty.weights @ np.abs(result.lambda_hat)
         assert result.objective == pytest.approx(recomputed, rel=1e-10)
+
+
+class TestReferenceLoop:
+    """``fit`` against the residual loop it replaced: the same sweeps, support
+    and frozen columns, coefficients to 1e-12 and the per-sweep objective to
+    1e-12 relative."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_residual_loop(self, case):
+        design, y, weights = REFERENCE_CASES[case]
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        assert_matches_reference(fit(design, y, penalty), reference_fit(design, y, weights))
+
+    def test_partial_fits_match(self):
+        design, y, weights = REFERENCE_CASES["correlated"]
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        with pytest.raises(ConvergenceError) as excinfo:
+            fit(design, y, penalty, tol=1e-15, max_sweeps=2)
+        ref = reference_fit(design, y, weights, tol=1e-15, max_sweeps=2)
+        assert not ref["converged"]
+        assert_matches_reference(excinfo.value.partial_fit, ref)
+
+
+class TestDualityGap:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_gap_at_convergence(self, case):
+        design, y, weights = REFERENCE_CASES[case]
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        result = fit(design, y, penalty)
+        assert -1e-12 <= result.duality_gap <= 1e-8
+        direct = primal_dual_gap(design, y, result.lambda_hat, weights)
+        assert result.duality_gap == pytest.approx(direct, abs=1e-12)
+
+    def test_unpenalized_column_forces_zero_dual_point(self):
+        # omega_0 = 0 on a nonzero column: only theta = 0 is dual feasible
+        # unless that column's gradient vanishes exactly, so the gap is P.
+        design, y, weights = REFERENCE_CASES["correlated"]
+        weights = weights.copy()
+        weights[0] = 0.0
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        result = fit(design, y, penalty)
+        direct = primal_dual_gap(design, y, result.lambda_hat, weights)
+        assert result.duality_gap == pytest.approx(direct, abs=1e-12)
+        if (design.entries[:, 0] @ (y - design.entries @ result.lambda_hat)) != 0.0:
+            assert result.duality_gap == pytest.approx(result.objective, rel=1e-12)
+
+    def test_gap_before_convergence_is_positive(self):
+        design, y, weights = REFERENCE_CASES["correlated"]
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        with pytest.raises(ConvergenceError) as excinfo:
+            fit(design, y, penalty, tol=1e-15, max_sweeps=1)
+        partial = excinfo.value.partial_fit
+        direct = primal_dual_gap(design, y, partial.lambda_hat, weights)
+        assert partial.duality_gap > 1e-8
+        assert partial.duality_gap == pytest.approx(direct, rel=1e-10)
+
+
+class TestSharedNorms:
+    def test_one_squared_norm_per_design(self):
+        # The penalty weights, the solver and E2 all read design.norms_sq,
+        # computed with the expression each of them used before.
+        rng = np.random.default_rng(12)
+        design = make_design(rng.normal(size=(37, 9)) * rng.uniform(0.1, 3.0, 9))
+        direct = np.mean(design.entries**2, axis=0)
+        assert design.norms_sq is design.norms_sq
+        np.testing.assert_array_equal(design.norms_sq, direct)
+        np.testing.assert_array_equal(empirical_norms(design), np.sqrt(direct))
+        # E2 holds at both of its boundaries only if event_flags reads
+        # exactly these bits (scaling by 2 and 0.5 is exact).
+        for pop in (2.0 * direct, 0.5 * direct):
+            flags = event_flags(
+                design, np.zeros(37), np.ones(9), pop, np.zeros(37), 0.0, 0.1, 0
+            )
+            assert flags.e2
 
 
 class TestPredict:

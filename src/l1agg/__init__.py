@@ -31,6 +31,7 @@ from .dictionary import (
     load_points_csv,
     load_tabulated_csv,
     population_gram,
+    predict,
     uniform_measure,
     validate_a2,
 )
@@ -50,7 +51,6 @@ from .gram import (
     CoherenceReport,
     GramPair,
     coherence,
-    correlation_matrix,
     diagnostics,
     empirical_gram,
     eta,
@@ -64,7 +64,6 @@ from .oracles import (
     OracleReport,
     TruthSpec,
     bernstein_bound,
-    callable_truth,
     evaluate_truth,
     event_flags,
     event_frequencies,
@@ -73,8 +72,8 @@ from .oracles import (
     linear_truth,
     membership,
     oracle_fourier,
-    oracle_at_k,
     oracle_general,
+    oracle_path,
     oracle_report,
     oracle_scan,
     population_dist2,
@@ -90,14 +89,11 @@ from .experiments import (
     NoiseModel,
     Sample,
     bound_check,
-    event_diagnostics,
     generate,
     l0k_truth,
-    linear_pattern,
     load_config,
     noise_bounded_uniform,
     noiseless,
-    ols_line,
     rate_slope,
     read_rows_csv,
     run,
@@ -112,7 +108,6 @@ from .solver import (
     fit,
     kkt_residual,
     penalty_config,
-    predict,
     rate,
     soft_threshold,
 )

@@ -85,8 +85,8 @@ class Dictionary:
                     "fourier dictionaries are defined on [0, 1]; "
                     "rescale your data instead of the basis"
                 )
-        if self.kind == "coordinate" and self.M > self.d:
-            raise DictionaryError("coordinate dictionaries require M <= d")
+        if self.kind == "coordinate" and self.M != self.d:
+            raise DictionaryError("coordinate dictionaries require M = d")
         if self.kind == "tabulated":
             if len(self.tables) != self.M:
                 raise DictionaryError("tabulated kind needs one table per function")
@@ -186,13 +186,13 @@ def build_fourier(M: int) -> Dictionary:
     return Dictionary(kind="fourier", M=int(M), d=1, domain=np.array([[0.0, 1.0]]))
 
 
-def build_coordinate(d: int, M: int | None = None, domain=None) -> Dictionary:
-    """Coordinate-projection dictionary f_j(x) = x_j for linear designs."""
+def build_coordinate(d: int, domain=None) -> Dictionary:
+    """Coordinate-projection dictionary f_j(x) = x_j, j = 1..d, for linear
+    designs."""
     if d < 1:
         raise DictionaryError("coordinate dictionaries need d >= 1")
-    M = d if M is None else int(M)
     box = _as_domain(domain if domain is not None else [0.0, 1.0], d)
-    return Dictionary(kind="coordinate", M=M, d=int(d), domain=box)
+    return Dictionary(kind="coordinate", M=int(d), d=int(d), domain=box)
 
 
 def build_tabulated(tables: Sequence, domain=None) -> Dictionary:
@@ -283,7 +283,7 @@ def _columns(dictionary: Dictionary, pts: np.ndarray):
     """
     M = dictionary.M
     if dictionary.kind == "coordinate":
-        yield from pts[:, :M].T
+        yield from pts.T
     elif dictionary.kind == "tabulated":
         for grid, vals in dictionary.tables:
             yield np.interp(pts[:, 0], grid, vals)
@@ -444,13 +444,12 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     """
     if measure.kind != "uniform":
         return None
-    M = dictionary.M
     if dictionary.kind == "fourier":
-        return np.eye(M), 1.5
+        return np.eye(dictionary.M), 1.5
     if dictionary.kind != "coordinate":
         return None
-    a = dictionary.domain[:M, 0]
-    b = dictionary.domain[:M, 1]
+    a = dictionary.domain[:, 0]
+    b = dictionary.domain[:, 1]
     m1 = (a + b) / 2.0
     m2 = (a * a + a * b + b * b) / 3.0
     m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
@@ -483,7 +482,7 @@ def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
 def _sup_norm(dictionary: Dictionary) -> float:
     """Exact L = max_j sup_x |f_j(x)| over the dictionary domain.
 
-    sqrt(2) for fourier, the largest |bound| of the first M axes for
+    sqrt(2) for fourier, the largest |bound| of the d axes for
     coordinate, and for tabulated the largest |value| of the clamped
     interpolant, which peaks at a table node or at a domain end.
     """
@@ -491,7 +490,7 @@ def _sup_norm(dictionary: Dictionary) -> float:
         return float(np.sqrt(2.0))
     box = dictionary.domain
     if dictionary.kind == "coordinate":
-        return float(np.abs(box[: dictionary.M]).max())
+        return float(np.abs(box).max())
     lo, hi = box[0]
     peaks = []
     for grid, vals in dictionary.tables:
@@ -516,20 +515,19 @@ class DictionaryValidation:
     ``L`` is the exact max sup-norm, ``c0`` the smallest population norm,
     ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]. c0 and L0
     are exact for fourier and coordinate dictionaries under the uniform
-    measure and quadrature estimates otherwise. The flags record the
-    conditions (a) L finite, (b) c0 > 0 and (c) L0 finite.
+    measure and quadrature estimates otherwise. L and L0 are always finite
+    (:func:`validate_a2` raises otherwise), so the boundedness conditions
+    hold exactly when ``norms_ok``: c0 > 0.
     """
 
     L: float
     c0: float
     L0: float
-    bounded_ok: bool
     norms_ok: bool
-    moments_ok: bool
 
     @property
     def satisfied(self) -> bool:
-        return self.bounded_ok and self.norms_ok and self.moments_ok
+        return self.norms_ok
 
 
 def validate_a2(dictionary: Dictionary, measure: MeasureSpec) -> DictionaryValidation:
@@ -537,8 +535,8 @@ def validate_a2(dictionary: Dictionary, measure: MeasureSpec) -> DictionaryValid
 
     L is exact for every kind; c0 and L0 use the same closed forms as
     :func:`population_gram` and quadrature where those do not apply.
-    A non-finite L, c0 or L0 raises ValidationError, so (a) and (c) hold
-    whenever a report is returned; (b) holds when c0 > 0.
+    A non-finite L, c0 or L0 raises ValidationError, so L < inf and
+    L0 < inf whenever a report is returned; c0 > 0 is ``norms_ok``.
     """
     L = _sup_norm(dictionary)
     exact = _uniform_closed_form(dictionary, measure)
@@ -557,6 +555,4 @@ def validate_a2(dictionary: Dictionary, measure: MeasureSpec) -> DictionaryValid
     if not (np.isfinite(L) and np.isfinite(c0) and np.isfinite(L0)):
         raise ValidationError("validation produced non-finite L, c0 or L0")
 
-    return DictionaryValidation(
-        L=L, c0=c0, L0=L0, bounded_ok=True, norms_ok=c0 > 0.0, moments_ok=True
-    )
+    return DictionaryValidation(L=L, c0=c0, L0=L0, norms_ok=c0 > 0.0)

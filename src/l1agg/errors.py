@@ -34,7 +34,8 @@ class ValidationError(L1AggError):
 
 
 class UnsupportedOperationError(L1AggError):
-    """Operation requires simulation-only information (known truth / noise)."""
+    """Operation outside what the library computes: a product grid over the
+    point budget, or a grid-density measure with d > 1."""
 
 
 class ConvergenceError(L1AggError):

@@ -38,7 +38,7 @@ from .dictionary import (
     uniform_measure,
     validate_a2,
 )
-from .errors import ConfigError, ConvergenceError, ShapeError, UnsupportedOperationError
+from .errors import ConfigError, ConvergenceError
 from .gram import kappa
 from .oracles import (
     BoundConstants,
@@ -102,23 +102,13 @@ def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndar
 
 @dataclass(frozen=True)
 class Sample:
-    """Design points with responses; truth values and noise are only
-    available in simulation (``None`` for observed data)."""
+    """Simulated design points X_i, responses Y_i = f(X_i) + W_i, and the
+    truth values f(X_i) and noise W_i behind them."""
 
     x: np.ndarray
     y: np.ndarray
-    f_values: np.ndarray | None
-    w: np.ndarray | None
-
-
-def observed_sample(x, y) -> Sample:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.shape != (x.shape[0],):
-        raise ShapeError("response length must match the number of points")
-    return Sample(x=x, y=y, f_values=None, w=None)
+    f_values: np.ndarray
+    w: np.ndarray
 
 
 def generate(
@@ -305,13 +295,11 @@ def sobolev_truth(beta: float) -> TruthSpec:
     return fourier_truth(theta)
 
 
-def linear_pattern(M: int, k: int) -> np.ndarray:
+def _linear_pattern(M: int, k: int) -> np.ndarray:
     """k nonzero coordinate coefficients k, k-1, ..., 1 spread across M."""
     if not 0 <= k <= M:
         raise ConfigError("need 0 <= k <= M")
     coeffs = np.zeros(M)
-    if k == 0:
-        return coeffs
     if k == 1:
         coeffs[0] = 1.0
         return coeffs
@@ -362,7 +350,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     oracle_found = True
     if config.preset == "linear":
         dictionary = build_coordinate(M, domain=[-1.0, 1.0])
-        truth = linear_truth(linear_pattern(M, int(config.k_or_beta)))
+        truth = linear_truth(_linear_pattern(M, int(config.k_or_beta)))
         noise = noiseless()
         lambda_star = truth.theta.copy()
         dist2_star = 0.0
@@ -652,12 +640,12 @@ def summary_csv_text(summaries) -> str:
     )
 
 
-def ols_line(x, y) -> tuple[float, float, float]:
+def _ols_line(x, y) -> tuple[float, float, float]:
     """Least squares line through (x, y): (slope, intercept, slope stderr)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ConfigError("ols_line needs matching 1-d arrays with >= 2 points")
+        raise ConfigError("a least squares line needs matching 1-d arrays with >= 2 points")
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx <= 0:
@@ -689,7 +677,7 @@ def rate_slope(config: ExperimentConfig, rows, y_field: str = "risk"):
     )
     if np.any(med <= 0):
         raise ConfigError("median errors must be positive to take logs")
-    return ols_line(x, np.log(med))
+    return _ols_line(x, np.log(med))
 
 
 @dataclass(frozen=True)
@@ -802,30 +790,20 @@ def _design_event_flags(ctx: CellContext, sample: Sample, design, weights):
     )
 
 
-def sample_event_flags(ctx: CellContext, sample: Sample):
-    """Good-event indicators for one sample against the cell's oracle,
-    with the penalty weights of the cell's rate."""
-    if sample.w is None or sample.f_values is None:
-        raise UnsupportedOperationError(
-            "event diagnostics need simulated samples with known truth and noise"
-        )
-    design = evaluate(ctx.dictionary, sample.x)
-    # An explicit rate ignores the tuning constant A.
-    penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
-    return _design_event_flags(ctx, sample, design, penalty.weights)
-
-
 def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):
     """Monte Carlo frequencies of the good events over explicit seeds.
 
-    Returns ``((freq_e1, freq_e2, freq_e3), flags)``. Cheaper than
-    :func:`run` when only event frequencies are needed (no fits).
+    Each seed's sample is checked against the cell's oracle with the
+    penalty weights of the cell's rate. Returns
+    ``((freq_e1, freq_e2, freq_e3), flags)``. Cheaper than :func:`run`
+    when only event frequencies are needed (no fits).
     """
     ctx = cell_context(config, cell_index)
-    flags = [
-        sample_event_flags(
-            ctx, generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, s)
-        )
-        for s in seeds
-    ]
+    flags = []
+    for s in seeds:
+        sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, s)
+        design = evaluate(ctx.dictionary, sample.x)
+        # An explicit rate ignores the tuning constant A.
+        penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
+        flags.append(_design_event_flags(ctx, sample, design, penalty.weights))
     return event_frequencies(flags), flags

@@ -101,11 +101,16 @@ def kappa(psi: np.ndarray) -> float:
     return max(smallest, 0.0)
 
 
-def correlation_matrix(psi: np.ndarray) -> np.ndarray:
-    """rho(i, j) = psi(i, j) / sqrt(psi(i, i) psi(j, j))."""
+def coherence(psi: np.ndarray, support) -> tuple[np.ndarray, float]:
+    """Correlation matrix and rho(lambda) = max_{i in J} max_{j != i} |rho(i, j)|.
+
+    rho(i, j) = psi(i, j) / sqrt(psi(i, i) psi(j, j)). ``support`` holds
+    0-based indices; an empty support gives rho(lambda) = 0. Correlations
+    between two off-support functions do not enter rho(lambda).
+    """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.size == 0:
-        raise ShapeError("correlation_matrix needs a nonempty square matrix")
+        raise ShapeError("coherence needs a nonempty square matrix")
     d = np.diag(psi)
     if np.any(d <= 0):
         raise DegenerateDictionaryError("correlations need strictly positive diagonals")
@@ -113,17 +118,7 @@ def correlation_matrix(psi: np.ndarray) -> np.ndarray:
     rho = psi * np.outer(scale, scale)
     if np.max(np.abs(rho)) > 1.0 + 1e-12:
         raise NumericError("correlation magnitude exceeds 1 beyond numeric tolerance")
-    return np.clip(rho, -1.0, 1.0)
-
-
-def coherence(psi: np.ndarray, support) -> tuple[np.ndarray, float]:
-    """Correlation matrix and rho(lambda) = max_{i in J} max_{j != i} |rho(i, j)|.
-
-    ``support`` holds 0-based indices; an empty support gives
-    rho(lambda) = 0. Correlations between two off-support functions do not
-    enter rho(lambda).
-    """
-    rho = correlation_matrix(psi)
+    rho = np.clip(rho, -1.0, 1.0)
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     if support.size == 0:
         return rho, 0.0

@@ -21,7 +21,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,16 +55,15 @@ class TruthSpec:
 
     ``fourier`` truths are coefficient sequences against the trigonometric
     basis; ``linear`` truths are coordinate coefficients (exact
-    representation); ``callable``/``tabulated`` cover arbitrary targets.
+    representation); ``tabulated`` truths cover arbitrary 1-d targets.
     """
 
     kind: str
     theta: np.ndarray | None = None
-    fn: Callable | None = None
     table: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("fourier", "linear", "callable", "tabulated"):
+        if self.kind not in ("fourier", "linear", "tabulated"):
             raise ConfigError(f"unknown truth kind {self.kind!r}")
         if self.kind in ("fourier", "linear") and self.theta is None:
             raise ConfigError(f"{self.kind} truths need a coefficient vector")
@@ -85,11 +83,6 @@ def linear_truth(coeffs) -> TruthSpec:
     if coeffs.ndim != 1 or coeffs.size < 1:
         raise ConfigError("coeffs must be a nonempty 1-d vector")
     return TruthSpec(kind="linear", theta=coeffs)
-
-
-def callable_truth(fn: Callable) -> TruthSpec:
-    """Arbitrary truth given as a function of an (n, d) point array."""
-    return TruthSpec(kind="callable", fn=fn)
 
 
 def tabulated_truth(grid, values) -> TruthSpec:
@@ -114,8 +107,6 @@ def evaluate_truth(truth: TruthSpec, points) -> np.ndarray:
         if pts.shape[1] < truth.theta.size:
             raise ShapeError("points have fewer coordinates than truth coefficients")
         return pts[:, : truth.theta.size] @ truth.theta
-    if truth.kind == "callable":
-        return np.asarray(truth.fn(pts), dtype=float)
     grid, values = truth.table
     return np.interp(pts[:, 0], grid, values)
 
@@ -150,26 +141,11 @@ def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
         raise ConfigError(f"oracle size k = {k} exceeds dictionary size M = {M}")
     if k < 0:
         raise ConfigError("oracle size k must be nonnegative")
-    theta = np.zeros(M)
-    m = min(truth.theta.size, M)
-    theta[:m] = truth.theta[:m]
+    theta = truth.theta[:M]
     lam = np.zeros(M)
-    if k == 0:
-        return lam
-    order = np.argsort(-np.abs(theta), kind="stable")
-    keep = order[:k]
+    keep = np.argsort(-np.abs(theta), kind="stable")[:k]
     lam[keep] = theta[keep]
     return lam
-
-
-def _population_projection(dictionary, measure, truth):
-    """Psi, and quadrature approximations of g_j = <f_j, f> and ||f||^2."""
-    pts, w = quadrature_grid(dictionary, measure)
-    phi = evaluate(dictionary, pts).entries
-    f = evaluate_truth(truth, pts)
-    g = phi.T @ (w * f)
-    f2 = float(w @ (f * f))
-    return population_gram(dictionary, measure), g, f2
 
 
 def _restricted_residual(psi, g, f2, support):
@@ -206,7 +182,13 @@ def oracle_general(
     lam = np.zeros(M)
     if k == 0:
         return lam, True
-    psi, g, f2 = _population_projection(dictionary, measure, truth)
+    # Psi, and quadrature approximations of g_j = <f_j, f> and ||f||^2.
+    pts, w = quadrature_grid(dictionary, measure)
+    phi = evaluate(dictionary, pts).entries
+    f = evaluate_truth(truth, pts)
+    g = phi.T @ (w * f)
+    f2 = float(w @ (f * f))
+    psi = population_gram(dictionary, measure)
 
     if math.comb(M, k) <= EXHAUSTIVE_SUPPORT_CAP:
         best = None
@@ -581,14 +563,19 @@ class OracleReport:
     exact: bool
 
 
-def oracle_at_k(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, k: int):
-    """Best k-sparse approximation: ``(lambda, exact_flag)``.
-
-    Closed form in the orthonormal case, :func:`oracle_general` otherwise.
+def oracle_path(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, ks):
+    """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks``, lazily: the
+    best k-sparse approximation (closed form in the orthonormal case,
+    :func:`oracle_general` otherwise), its squared population distance and
+    whether the search was exhaustive.
     """
-    if _orthonormal_case(dictionary, measure, truth):
-        return oracle_fourier(truth, dictionary.M, k), True
-    return oracle_general(dictionary, measure, truth, k)
+    orthonormal = _orthonormal_case(dictionary, measure, truth)
+    for k in ks:
+        if orthonormal:
+            lam, exact = oracle_fourier(truth, dictionary.M, k), True
+        else:
+            lam, exact = oracle_general(dictionary, measure, truth, k)
+        yield k, lam, population_dist2(dictionary, measure, truth, lam), exact
 
 
 def oracle_scan(
@@ -607,9 +594,8 @@ def oracle_scan(
     """
     if r_nM <= 0:
         raise ConfigError("oracle scan needs r_nM > 0")
-    for k in range(dictionary.M + 1):
-        lam, exact = oracle_at_k(dictionary, measure, truth, k)
-        dist2 = population_dist2(dictionary, measure, truth, lam)
+    ks = range(dictionary.M + 1)
+    for _, lam, dist2, exact in oracle_path(dictionary, measure, truth, ks):
         _, m_lambda = sparsity(lam)
         if dist2 <= C_f * r_nM * r_nM * m_lambda:
             return lam, dist2, exact, True

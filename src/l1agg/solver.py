@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import DesignMatrix, empirical_norms, predict  # noqa: F401 (re-exported)
+from .dictionary import DesignMatrix, empirical_norms
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
 
 DEFAULT_TOL = 1e-9

@@ -7,13 +7,43 @@ import sys
 import numpy as np
 import pytest
 
+from l1agg import (
+    load_tabulated_csv,
+    oracle_general,
+    oracle_path,
+    oracle_scan,
+    population_dist2,
+    sparsity,
+    tabulated_truth,
+    uniform_measure,
+)
 from l1agg.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(args, cwd):
+    """``python -m l1agg.cli`` in a fresh interpreter, importing from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "l1agg.cli", *args], cwd=cwd, env=env,
+        capture_output=True, text=True,
+    )
+
+
+def write_csv(path, header, columns):
+    rows = zip(*columns)
+    path.write_text(
+        ",".join(header) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    )
+    return path
 
 
 class TestDispatch:
@@ -196,6 +226,104 @@ class TestOracle:
         lines = out.read_text().strip().splitlines()
         assert lines[1].split(",")[2] == "2"
 
+    def test_general_path(self, tmp_path, capsys):
+        # A correlated tabulated dictionary (M = 6) and a tabulated truth
+        # take the quadrature path through oracle_general.
+        rng = np.random.default_rng(5)
+        grid = np.linspace(0.0, 1.0, 33)
+        base = np.cumsum(rng.normal(size=grid.size))
+        tables = [1.0 + 0.5 * base + rng.normal(size=grid.size) for _ in range(6)]
+        dict_csv = write_csv(tmp_path / "dict.csv", ["x"] + [f"f{j}" for j in range(1, 7)],
+                             [grid] + tables)
+        x = np.linspace(0.0, 1.0, 257)
+        truth_csv = write_csv(tmp_path / "truth.csv", ["x", "f"], [x, np.sin(2 * np.pi * x) + x * x])
+        out = tmp_path / "oracle.csv"
+        code, _, _ = run_cli(
+            ["oracle", "--dict", f"tabulated:{dict_csv}", "--truth", f"tabulated:{truth_csv}",
+             "--kmax", "6", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "k,residual2,support,exact"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == [str(k) for k in range(7)]
+
+        dictionary, measure = load_tabulated_csv(dict_csv), uniform_measure()
+        truth = tabulated_truth(x, np.sin(2 * np.pi * x) + x * x)
+        for k, (_, residual2, support, exact) in enumerate(rows):
+            lam, _ = oracle_general(dictionary, measure, truth, k)
+            assert residual2 == repr(population_dist2(dictionary, measure, truth, lam))
+            assert support == "|".join(str(j + 1) for j in sparsity(lam)[0])
+            assert exact == "1"
+        residuals = [float(r[1]) for r in rows]
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+        # The scan stops at the first k on the path with dist2 <= C_f r^2 M(lambda).
+        r_nM = (residuals[2] / 2.0) ** 0.5
+        path = oracle_path(dictionary, measure, truth, range(7))
+        first = next(k for k, lam, dist2, _ in path if dist2 <= r_nM * r_nM * sparsity(lam)[1])
+        lam_star, _, _, found = oracle_scan(dictionary, measure, truth, r_nM)
+        assert found and 1 <= first <= 2
+        assert sparsity(lam_star)[1] == first
+
+
+class TestResourceLimits:
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
+        # A huge request such as `diagnose --dict fourier:200000` used to end
+        # in a numpy _ArrayMemoryError traceback.
+        def too_large(*_):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr("l1agg.cli.population_gram", too_large)
+        code, out, err = run_cli(["diagnose", "--dict", "fourier:8"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert lines == ["error: Unable to allocate 298. GiB for an array"], err
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_library_warning_is_one_line(self, tmp_path, command):
+        # Data points outside a tabulated dictionary's domain are clamped
+        # with a RuntimeWarning, which used to print cli.py's file, line and
+        # source line.
+        tab = write_csv(tmp_path / "tab.csv", ["x", "f1", "f2"],
+                        [[0.2, 0.5, 0.8], [0.0, 1.0, 2.0], [1.0, 1.0, 0.5]])
+        data = write_csv(tmp_path / "data.csv", ["x1", "y"],
+                         [[0.0, 0.5, 0.9, 1.2], [1.0, 2.0, 0.5, 0.3]])
+        args = {
+            "fit": ["fit", "--dict", f"tabulated:{tab}", "--data", str(data), "--A", "1",
+                    "--out", str(tmp_path / "coef.csv")],
+            "diagnose": ["diagnose", "--dict", f"tabulated:{tab}", "--data", str(data)],
+        }[command]
+        proc = run_cli_process(args, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: evaluation points outside the dictionary domain were clamped"
+        ]
+        first = "objective=" if command == "fit" else "kappa_M="
+        assert proc.stdout.startswith(first)
+
+    def test_repeated_warning_printed_once(self, monkeypatch, capsys):
+        import warnings
+
+        from l1agg import cli
+
+        def warn_twice(*args):
+            for _ in range(2):
+                warnings.warn("quadrature is coarse", RuntimeWarning)
+            return gram(*args)
+
+        gram = cli.population_gram
+        monkeypatch.setattr(cli, "population_gram", warn_twice)
+        for _ in range(2):  # each call starts afresh
+            code, _, err = run_cli(["diagnose", "--dict", "fourier:3"], capsys)
+            assert code == 0
+            assert err.splitlines() == ["warning: quadrature is coarse"]
+
 
 class TestBounds:
     def test_report(self, tmp_path, capsys):
@@ -363,6 +491,15 @@ def malformed_case(case, tmp_path):
         return fit(good_data, rate="explicit:z"), None
     if case == "support":
         return ["diagnose", "--dict", "fourier:4", "--support", "a"], None
+    if case in ("support-0", "support-9"):
+        # --support is 1-based; 0 used to be refused as outside [0, 8).
+        index = case.rsplit("-", 1)[1]
+        return (["diagnose", "--dict", "fourier:8", "--support", f"2,{index}"],
+                "--support indices must lie in [1, 8]")
+    if case == "oracle-kmin-above-M":
+        # Used to write a table with only a header and exit 0.
+        return (["oracle", "--dict", "fourier:8", "--truth", "l0k:2", "--kmin", "20",
+                 "--kmax", "30", "--out", out], "--kmin 20 exceeds M = 8")
     if case == "density-short-row":
         dens = write("dens.csv", "x,density\n0,1\n0.5\n1,1\n")
         return ["diagnose", "--dict", "fourier:4", "--measure", f"density:{dens}"], f"{dens}:3"
@@ -427,6 +564,7 @@ class TestMalformedInput:
             "fit-max-sweeps-0", "fit-A-inf", "rate-explicit-inf",
             "config-nonfinite-A-inf", "config-nonfinite-A-nan", "config-nonfinite-C_f-nan",
             "config-nonfinite-k_or_beta-nan", "config-m-rule-power-nan", "config-m-rule-power-inf",
+            "support-0", "support-9", "oracle-kmin-above-M",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

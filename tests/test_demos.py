@@ -1,7 +1,9 @@
-"""Each demo script runs to completion against the current library."""
+"""Each demo script, and README's Python quickstart, runs to completion
+against the current library."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,12 +13,26 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    run_python([str(demo)])
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run_python(["-c", code])
+    support, kkt = proc.stdout.rsplit("]", 1)
+    assert support.startswith("[") and float(kkt) < 1e-6

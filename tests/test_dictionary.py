@@ -82,8 +82,8 @@ class TestEvaluate:
         )
 
     def test_coordinate_projection(self):
-        d = build_coordinate(3, M=2, domain=[-10.0, 10.0])
-        row = evaluate(d, [[4.0, -1.0, 7.0]]).entries
+        d = build_coordinate(2, domain=[-10.0, 10.0])
+        row = evaluate(d, [[4.0, -1.0]]).entries
         np.testing.assert_array_equal(row, [[4.0, -1.0]])
 
     def test_tabulated_interpolation(self):
@@ -175,7 +175,7 @@ class TestEvaluate:
         "dictionary, points",
         [
             (build_fourier(6), np.linspace(0.0, 1.0, 9)),
-            (build_coordinate(4, M=3), np.full((9, 4), 0.5)),
+            (build_coordinate(3), np.full((9, 3), 0.5)),
             (build_tabulated([(np.array([0.0, 1.0]), np.array([1.0, 2.0]))] * 3), np.full(9, 0.5)),
         ],
         ids=["fourier", "coordinate", "tabulated"],
@@ -248,8 +248,8 @@ class TestValidateA2:
             assert v.L0 <= v.L**4 + 1e-9
 
     def test_coordinate_sup_norm_uses_first_m_axes(self):
-        box = [[-2.0, 1.0], [0.5, 3.0], [-4.0, -1.0]]
-        v = validate_a2(build_coordinate(3, M=2, domain=box), uniform_measure())
+        box = [[-2.0, 1.0], [0.5, 3.0]]
+        v = validate_a2(build_coordinate(2, domain=box), uniform_measure())
         assert v.L == 3.0
 
     def test_tabulated_sup_norm_matches_dense_scan(self):
@@ -417,9 +417,13 @@ class TestCsvLoaders:
 
 
 class TestInvariants:
-    def test_coordinate_requires_m_le_d(self):
-        with pytest.raises(DictionaryError):
-            build_coordinate(2, M=3)
+    def test_coordinate_requires_m_eq_d(self):
+        from l1agg.dictionary import Dictionary
+
+        box = np.tile([0.0, 1.0], (3, 1))
+        for M in (2, 4):
+            with pytest.raises(DictionaryError, match="M = d"):
+                Dictionary(kind="coordinate", M=M, d=3, domain=box)
 
     def test_tabulated_grid_strictly_increasing(self):
         bad = [(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))] * 2

@@ -12,18 +12,15 @@ from l1agg import (
     ConfigError,
     ExperimentConfig,
     ShapeError,
-    UnsupportedOperationError,
     bound_check,
     build_fourier,
     evaluate,
     fit,
     generate,
     l0k_truth,
-    linear_pattern,
     load_config,
     noise_bounded_uniform,
     noiseless,
-    ols_line,
     penalty_config,
     rate_slope,
     read_rows_csv,
@@ -36,11 +33,12 @@ from l1agg import (
 )
 from l1agg.experiments import (
     CSV_HEADER,
+    _linear_pattern,
+    _ols_line,
     cell_context,
+    event_diagnostics,
     replicate_seed,
     rows_csv_text,
-    sample_event_flags,
-    observed_sample,
     sample_noise,
 )
 
@@ -113,7 +111,7 @@ class TestPresetTruths:
         assert theta[1] == pytest.approx(-(2.0 ** -1.6))
 
     def test_linear_pattern(self):
-        coeffs = linear_pattern(10, 3)
+        coeffs = _linear_pattern(10, 3)
         nz = np.flatnonzero(coeffs)
         assert 0 in nz and 9 in nz and len(nz) == 3
         assert coeffs[0] == 3.0
@@ -145,16 +143,13 @@ class TestRun:
         assert alone.l1_err == probe.l1_err
         assert alone.m_hat == probe.m_hat
 
-    def test_row_flags_match_sample_event_flags(self):
+    def test_row_flags_match_event_diagnostics(self):
         cfg = tiny_config()
-        ctx = cell_context(cfg, 1)
-        for rep in (0, 7):
+        reps = (0, 7)
+        _, flags = event_diagnostics(cfg, 1, [replicate_seed(cfg, 1, rep) for rep in reps])
+        for rep, flag in zip(reps, flags):
             row = run_single(cfg, 1, rep)
-            sample = generate(
-                ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, replicate_seed(cfg, 1, rep)
-            )
-            flags = sample_event_flags(ctx, sample)
-            assert (row.e1, row.e2, row.e3) == (flags.e1, flags.e2, flags.e3)
+            assert (row.e1, row.e2, row.e3) == (flag.e1, flag.e2, flag.e3)
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = tiny_config()
@@ -334,19 +329,19 @@ class TestSummaries:
 class TestOlsLine:
     def test_exact_line(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
-        slope, intercept, stderr = ols_line(x, -x)
+        slope, intercept, stderr = _ols_line(x, -x)
         assert slope == pytest.approx(-1.0)
         assert intercept == pytest.approx(0.0)
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_constant(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
-        slope, _, _ = ols_line(x, np.full(4, 2.5))
+        slope, _, _ = _ols_line(x, np.full(4, 2.5))
         assert slope == pytest.approx(0.0)
 
     def test_degenerate_x_rejected(self):
         with pytest.raises(ConfigError):
-            ols_line(np.ones(4), np.arange(4.0))
+            _ols_line(np.ones(4), np.arange(4.0))
 
 
 class TestRateSlope:
@@ -412,15 +407,6 @@ class TestBoundCheck:
             bound_check(cfg, run(cfg), "t21_risk")
 
 
-class TestEventDiagnosticsErrors:
-    def test_observed_data_unsupported(self):
-        cfg = tiny_config()
-        ctx = cell_context(cfg, 0)
-        sample = observed_sample(np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(UnsupportedOperationError):
-            sample_event_flags(ctx, sample)
-
-
 class TestEventFrequenciesVsBounds:
     def test_e1_and_e2_complement_dominated_by_l5(self):
         # Intersection event against the three-term exponential bound,
@@ -430,7 +416,6 @@ class TestEventFrequenciesVsBounds:
         from scipy import stats as sps
 
         from l1agg import lemma_bounds
-        from l1agg.experiments import event_diagnostics
 
         cfg = tiny_config(n_values=(2000,), m_rule="fixed:5", A=4.0, R=30)
         ctx = cell_context(cfg, 0)

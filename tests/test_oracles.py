@@ -18,7 +18,6 @@ from l1agg import (
     bernstein_bound,
     build_fourier,
     build_tabulated,
-    callable_truth,
     evaluate,
     evaluate_truth,
     event_flags,
@@ -33,6 +32,7 @@ from l1agg import (
     sobolev_truth,
     sparsity,
     sup_norm_error,
+    tabulated_truth,
     theorem_rhs,
     uniform_measure,
 )
@@ -40,6 +40,12 @@ from l1agg.dictionary import sup_norm_grid
 from l1agg.oracles import COHERENCE_THRESHOLD, LEMMA_KINDS, LEMMA_PARAMS
 
 RNG = np.random.default_rng(2024)
+
+
+def fine_tabulated_truth(fn, points=4097):
+    """The truth ``fn`` tabulated on a fine grid of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, points)
+    return tabulated_truth(grid, fn(grid))
 
 
 def correlated_tabulated_dictionary(M=6, knots=33, seed=0):
@@ -121,7 +127,7 @@ class TestOracleGeneral:
 
     def test_full_support_is_projection(self):
         d = correlated_tabulated_dictionary(M=4)
-        truth = callable_truth(lambda pts: np.sin(2 * np.pi * pts[:, 0]))
+        truth = fine_tabulated_truth(lambda x: np.sin(2 * np.pi * x))
         measure = uniform_measure()
         lam_full, exact = oracle_general(d, measure, truth, 4)
         assert exact
@@ -132,7 +138,7 @@ class TestOracleGeneral:
 
     def test_exhaustive_beats_greedy(self, monkeypatch):
         d = correlated_tabulated_dictionary(M=6)
-        truth = callable_truth(lambda pts: np.cos(3 * pts[:, 0]) + pts[:, 0])
+        truth = fine_tabulated_truth(lambda x: np.cos(3 * x) + x)
         measure = uniform_measure()
         lam_ex, exact = oracle_general(d, measure, truth, 2)
         assert exact
@@ -145,7 +151,7 @@ class TestOracleGeneral:
 
     def test_nesting_in_k(self):
         d = correlated_tabulated_dictionary(M=7, seed=3)
-        truth = callable_truth(lambda pts: np.exp(pts[:, 0]))
+        truth = fine_tabulated_truth(np.exp)
         measure = uniform_measure()
         residuals = [
             population_dist2(d, measure, truth, oracle_general(d, measure, truth, k)[0])
@@ -378,7 +384,7 @@ class TestOracleReport:
         assert report.exact
 
     def test_empty_oracle_set(self):
-        truth = callable_truth(lambda pts: np.sign(pts[:, 0] - 0.5))
+        truth = fine_tabulated_truth(lambda x: np.sign(x - 0.5))
         d = build_fourier(4)
         report = oracle_report(d, uniform_measure(), truth, r_nM=1e-6, C_f=1.0)
         assert report.k_star is None

@@ -183,6 +183,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    if args.empirical_gram_out and not args.data:
+        raise ConfigError("--empirical-gram-out needs --data")
     dictionary = _parse_dictionary(args.dict)
     measure = _parse_measure(args.measure)
     tokens = args.support.split(",") if args.support else []
@@ -218,8 +220,6 @@ def _cmd_diagnose(args) -> int:
     if args.gram_out:
         write_gram_csv(args.gram_out, pair.psi_M)
     if args.empirical_gram_out:
-        if not args.data:
-            raise ConfigError("--empirical-gram-out needs --data")
         write_gram_csv(args.empirical_gram_out, pair.psi_nM)
     return 0
 
@@ -262,11 +262,10 @@ def _cmd_bounds(args) -> int:
         params[key] = parse_value(value, convert, where)
     if "n" not in params:
         raise ConfigError("bounds parameter file needs n")
-    for lemma in args.which.split(",") if args.which else LEMMA_KINDS:
-        if lemma not in LEMMA_PARAMS:
-            raise ConfigError(f"unknown lemma {lemma!r}")
-        kwargs = {key: params[key] for key in LEMMA_PARAMS[lemma] if key in params}
-        print(f"{lemma}={lemma_bounds(lemma, params['n'], **kwargs)!r}")
+    n = params.pop("n")
+    which = args.which.split(",") if args.which else LEMMA_KINDS
+    # Every requested lemma is evaluated before anything is printed.
+    print("\n".join([f"{lemma}={lemma_bounds(lemma, n, **params)!r}" for lemma in which]))
     return 0
 
 

@@ -35,11 +35,10 @@ from .errors import (
     ValidationError,
 )
 
-# Quadrature / scan resolutions (d = 1 defaults; d > 1 grids are capped).
+# Quadrature / scan resolutions; every grid spans one axis.
 DEFAULT_QUADRATURE_POINTS = 4096
 SUP_GRID_POINTS = 100_001
 MAX_TOTAL_GRID_POINTS = 1_000_000
-QUADRATURE_TOL = 1e-6
 
 _DOMAIN_SLACK = 1e-12
 
@@ -132,7 +131,7 @@ class MeasureSpec:
     ``uniform`` is the uniform distribution on the dictionary domain.
     ``grid-density`` is a positive density tabulated on a 1-d grid
     (linearly interpolated, trapezoid-normalized).
-    ``G`` is the per-axis quadrature resolution.
+    ``G`` is the number of quadrature nodes, in [64, MAX_TOTAL_GRID_POINTS].
     """
 
     kind: str = "uniform"
@@ -142,8 +141,10 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "grid-density"):
             raise ConfigError(f"unknown measure kind {self.kind!r}")
-        if self.G < 64:
-            raise ConfigError("quadrature resolution G must be >= 64")
+        if not 64 <= self.G <= MAX_TOTAL_GRID_POINTS:
+            raise ConfigError(
+                f"quadrature resolution G must lie in [64, {MAX_TOTAL_GRID_POINTS}], got {self.G}"
+            )
         if self.kind == "grid-density" and not self.density_table:
             raise ConfigError("grid-density measure needs a density table")
 
@@ -383,51 +384,36 @@ def empirical_norms(design: DesignMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _product_mesh(box: np.ndarray, per_axis_cap: int):
-    """Product grid on a box with at most ``per_axis_cap`` nodes per axis and
-    at most MAX_TOTAL_GRID_POINTS nodes in all.
+def _axis_grid(dictionary: Dictionary, nodes: int) -> np.ndarray:
+    """``nodes`` equispaced points spanning the dictionary domain, shape (nodes, 1).
 
-    Returns ``(points, per_axis)``; points has shape (per_axis^d, d). Raises
-    when even two nodes per axis (2^d points) exceed the budget.
+    Grids span one axis. Only coordinate dictionaries have d > 1, and their
+    population constants are closed forms under the uniform measure, so a
+    request for a d-dimensional grid raises UnsupportedOperationError.
     """
-    d = box.shape[0]
-    per_axis = min(per_axis_cap, int(MAX_TOTAL_GRID_POINTS ** (1.0 / d)))
-    if per_axis < 2:
+    if dictionary.d > 1:
         raise UnsupportedOperationError(
-            f"a {d}-d product grid needs 2^{d} points, above the budget of "
-            f"{MAX_TOTAL_GRID_POINTS}"
+            f"grids span one axis; the {dictionary.kind} dictionary has d = {dictionary.d}"
         )
-    axes = [np.linspace(box[a, 0], box[a, 1], per_axis) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1), per_axis
+    return np.linspace(*dictionary.domain[0], nodes)[:, None]
 
 
 def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     """Quadrature nodes and probability weights for population integrals.
 
-    Composite trapezoid on a product grid of G nodes per axis, the
-    per-axis count reduced so the total stays below MAX_TOTAL_GRID_POINTS.
-    A grid-density measure (d = 1 only) reweights the nodes by the density.
-    A fourier dictionary needs M < G - 1: beyond that, products of basis
-    functions alias on the G nodes.
+    Composite trapezoid on G equispaced nodes of the one-axis domain
+    (:func:`_axis_grid`); a grid-density measure reweights the nodes by the
+    density. A fourier dictionary needs M < G - 1: beyond that, products
+    of basis functions alias on the G nodes.
     """
     if dictionary.kind == "fourier" and dictionary.M >= measure.G - 1:
         raise ConfigError(
             f"fourier dictionary with M = {dictionary.M} aliases on a "
             f"{measure.G}-node quadrature grid; need G > M + 1"
         )
-    d = dictionary.d
-    if d > 1 and measure.kind != "uniform":
-        raise UnsupportedOperationError(
-            "grid-density measures are only supported for d = 1"
-        )
-    pts, per_axis = _product_mesh(dictionary.domain, measure.G)
-    w_axis = np.full(per_axis, 1.0 / (per_axis - 1))
-    w_axis[0] *= 0.5
-    w_axis[-1] *= 0.5
-    w = np.ones(pts.shape[0])
-    for wm in np.meshgrid(*([w_axis] * d), indexing="ij"):
-        w *= wm.ravel()
+    pts = _axis_grid(dictionary, measure.G)
+    w = np.full(measure.G, 1.0 / (measure.G - 1))
+    w[[0, -1]] *= 0.5
     if measure.kind == "grid-density":
         grid, density = measure.density_table
         w = w * np.interp(pts[:, 0], grid, density)
@@ -502,10 +488,9 @@ def _sup_norm(dictionary: Dictionary) -> float:
 
 def sup_norm_grid(dictionary: Dictionary) -> np.ndarray:
     """Dense evaluation grid used for sup-norm scans (lower-bound estimates):
-    SUP_GRID_POINTS nodes for d = 1, a product grid within
-    MAX_TOTAL_GRID_POINTS for d > 1."""
-    pts, _ = _product_mesh(dictionary.domain, SUP_GRID_POINTS)
-    return pts
+    SUP_GRID_POINTS equispaced nodes of the one-axis domain
+    (:func:`_axis_grid`)."""
+    return _axis_grid(dictionary, SUP_GRID_POINTS)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ class ValidationError(L1AggError):
 
 
 class UnsupportedOperationError(L1AggError):
-    """Operation outside what the library computes: a product grid over the
-    point budget, or a grid-density measure with d > 1."""
+    """Operation outside what the library computes: a quadrature or sup-norm
+    grid for a dictionary with d > 1 (grids span one axis)."""
 
 
 class ConvergenceError(L1AggError):

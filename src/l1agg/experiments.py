@@ -69,30 +69,30 @@ SOBOLEV_TRUTH_TERMS = 400
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Centered noise family with its exact moment bound b >= E exp|W|."""
+    """Noise W uniform on [-a, a] (none when a = 0), with its exact moment
+    bound b = E exp|W|."""
 
-    family: str
-    params: tuple
+    a: float
     b: float
 
 
 def noise_bounded_uniform(a: float = 1.0) -> NoiseModel:
-    """W uniform on [-a, a]; E exp|W| = (e^a - 1) / a."""
+    """W uniform on [-a, a]; E exp|W| = (e^a - 1) / a, or 1 when a = 0."""
     if a < 0:
         raise ConfigError("uniform noise amplitude must be nonnegative")
     b = 1.0 if a == 0.0 else float(np.expm1(a) / a)
-    return NoiseModel(family="bounded-uniform", params=(float(a),), b=b)
+    return NoiseModel(a=float(a), b=b)
 
 
 def noiseless() -> NoiseModel:
-    return NoiseModel(family="none", params=(), b=1.0)
+    return noise_bounded_uniform(0.0)
 
 
 def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    if noise.family == "bounded-uniform":
-        (a,) = noise.params
-        return rng.uniform(-a, a, n)
-    return np.zeros(n)
+    """n noise draws; zero amplitude returns zeros without drawing."""
+    if noise.a == 0.0:
+        return np.zeros(n)
+    return rng.uniform(-noise.a, noise.a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
 def l0k_truth(k: int) -> TruthSpec:
     """Exactly k nonzero trigonometric coefficients.
 
@@ -280,7 +279,6 @@ def l0k_truth(k: int) -> TruthSpec:
     return fourier_truth(theta)
 
 
-@functools.lru_cache(maxsize=32)
 def sobolev_truth(beta: float) -> TruthSpec:
     """Polynomially decaying coefficients theta_j = (-1)^(j+1) j^-(beta+0.6),
     j = 1..SOBOLEV_TRUTH_TERMS.
@@ -450,13 +448,31 @@ _ROW_FIELDS = [f for f in dataclasses.fields(ExperimentRow) if f.name != "conver
 CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
+def _draw(ctx: CellContext, seed: int):
+    """One replicate's sample, its evaluated design, the penalty with weights
+    at the cell's rate ctx.r_nM, and the good-event indicators of the sample
+    against the cell's oracle."""
+    sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
+    design = evaluate(ctx.dictionary, sample.x)
+    # An explicit rate ignores the tuning constant A.
+    penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
+    flags = event_flags(
+        design,
+        sample.w,
+        penalty.weights,
+        ctx.pop_norms_sq,
+        design.entries @ ctx.lambda_star - sample.f_values,
+        ctx.dist2_star,
+        ctx.r_nM,
+        ctx.k_star,
+    )
+    return sample, design, penalty, flags
+
+
 def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> ExperimentRow:
     seed = replicate_seed(config, ctx.cell_index, rep)
     start = time.perf_counter()
-    sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
-    design = evaluate(ctx.dictionary, sample.x)
-    # Same rate arguments as ctx.r_nM, so the same r_nM.
-    penalty = penalty_config(design, config.A, config.rate_kind)
+    sample, design, penalty, flags = _draw(ctx, seed)
     try:
         result = fit(design, sample.y, penalty)
         converged = result.converged
@@ -465,7 +481,6 @@ def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> Expe
         converged = False
     risk = population_dist2(ctx.dictionary, ctx.measure, ctx.truth, result.lambda_hat)
     l1_err = float(np.abs(result.lambda_hat - ctx.lambda_star).sum())
-    flags = _design_event_flags(ctx, sample, design, penalty.weights)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentRow(
         preset=config.preset,
@@ -697,25 +712,13 @@ class BoundCheckCell:
 
 
 def cell_tail_floor(ctx: CellContext, C_f: float) -> float:
-    """1 - (sum of applicable tail bounds), clamped to [0, 1]."""
-    total = lemma_bounds(
-        "L5", ctx.n, M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=ctx.c0, L=ctx.L
+    """1 - (L5 + L6, plus L7 when k* >= 1), clamped to [0, 1]."""
+    params = dict(
+        M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=ctx.c0, L=ctx.L, L0=ctx.L0,
+        kappa_M=ctx.kappa_M, C_f=C_f, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star,
     )
-    total += lemma_bounds(
-        "L6", ctx.n, r_nM=ctx.r_nM, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star
-    )
-    if ctx.k_star >= 1:
-        total += lemma_bounds(
-            "L7",
-            ctx.n,
-            M=ctx.M,
-            m_lambda=ctx.k_star,
-            c0=ctx.c0,
-            L=ctx.L,
-            L0=ctx.L0,
-            kappa_M=ctx.kappa_M,
-            C_f=C_f,
-        )
+    lemmas = ("L5", "L6", "L7") if ctx.k_star >= 1 else ("L5", "L6")
+    total = sum(lemma_bounds(which, ctx.n, **params) for which in lemmas)
     return max(0.0, 1.0 - min(1.0, total))
 
 
@@ -776,20 +779,6 @@ def bound_check(
 # ---------------------------------------------------------------------------
 
 
-def _design_event_flags(ctx: CellContext, sample: Sample, design, weights):
-    """Good-event indicators for a simulated sample whose design is evaluated."""
-    return event_flags(
-        design,
-        sample.w,
-        weights,
-        ctx.pop_norms_sq,
-        design.entries @ ctx.lambda_star - sample.f_values,
-        ctx.dist2_star,
-        ctx.r_nM,
-        ctx.k_star,
-    )
-
-
 def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):
     """Monte Carlo frequencies of the good events over explicit seeds.
 
@@ -799,11 +788,5 @@ def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):
     when only event frequencies are needed (no fits).
     """
     ctx = cell_context(config, cell_index)
-    flags = []
-    for s in seeds:
-        sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, s)
-        design = evaluate(ctx.dictionary, sample.x)
-        # An explicit rate ignores the tuning constant A.
-        penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
-        flags.append(_design_event_flags(ctx, sample, design, penalty.weights))
+    flags = [_draw(ctx, s)[3] for s in seeds]
     return event_frequencies(flags), flags

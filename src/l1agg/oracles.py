@@ -17,6 +17,7 @@ exact floating-point comparison against ``COHERENCE_THRESHOLD``.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import warnings
@@ -234,7 +235,8 @@ def population_dist2(
     Orthonormality (fourier dictionary, uniform measure, coefficient truth)
     gives the exact closed form sum (lambda_j - theta_j)^2 plus the tail
     of theta beyond M; coordinate dictionaries with linear truths use the
-    exact moment Gram. Everything else is quadrature.
+    exact moment Gram. Everything else is quadrature on the one-axis
+    :func:`quadrature_grid`, which refuses a dictionary with d > 1.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (dictionary.M,):
@@ -402,88 +404,82 @@ def bernstein_bound(n: int, epsilon: float, w2: float, d: float) -> float:
     return float(min(1.0, math.exp(-n * epsilon * epsilon / denom)))
 
 
-# The parameters each lemma's bound reads, besides n.
+def _l4(n, M, c0, L):
+    return 2.0 * M * math.exp(-n * c0 * c0 / (12.0 * L * L))
+
+
+def _l5(n, M, r_nM, b, c0, L):
+    return (
+        2.0 * M * math.exp(-n * r_nM * r_nM / (16.0 * b))
+        + 2.0 * M * math.exp(-n * r_nM * c0 / (8.0 * math.sqrt(2.0) * L))
+        + _l4(n, M, c0, L)
+    )
+
+
+def _l6(n, r_nM, m_lambda, L_lambda):
+    if L_lambda == 0.0:  # exact representation: E3 holds surely
+        return 0.0
+    return math.exp(-m_lambda * n * r_nM * r_nM / (4.0 * L_lambda * L_lambda))
+
+
+def _l7(n, M, m_lambda, c0, L, L0, kappa_M, C_f):
+    big_c = 2.0 / (c0 * c0) * (2.0 * C_f + 1.0 + 4.0 * math.sqrt(2.0 / kappa_M)) ** 2
+    return 2.0 * M * M * (
+        math.exp(-n / (16.0 * L0 * big_c * big_c * m_lambda * m_lambda))
+        + math.exp(-n / (8.0 * L * L * big_c * m_lambda))
+    )
+
+
+def _l9(n, M, r_nM, c0, L, L0):
+    big_c = 8.0 * 11.0**2 / (c0 * c0)
+    return 2.0 * M * M * (
+        math.exp(-n * r_nM * r_nM / (16.0 * big_c * big_c * L0))
+        + math.exp(-n * r_nM / (8.0 * L * L * big_c))
+    )
+
+
+_LEMMAS = {"L4": _l4, "L5": _l5, "L6": _l6, "L7": _l7, "L9": _l9}
+# The parameters each lemma's bound reads, besides n: its formula's arguments.
 LEMMA_PARAMS = {
-    "L4": ("M", "c0", "L"),
-    "L5": ("M", "r_nM", "b", "c0", "L"),
-    "L6": ("r_nM", "m_lambda", "L_lambda"),
-    "L7": ("M", "m_lambda", "c0", "L", "L0", "kappa_M", "C_f"),
-    "L9": ("M", "r_nM", "c0", "L", "L0"),
+    which: tuple(inspect.signature(bound).parameters)[1:] for which, bound in _LEMMAS.items()
 }
 LEMMA_KINDS = tuple(LEMMA_PARAMS)
+# Parameters that may be 0; every other parameter must be positive.
+_MAY_BE_ZERO = ("M", "m_lambda", "C_f", "L_lambda")
 
 
-def lemma_bounds(
-    which: str,
-    n: int,
-    M: int | None = None,
-    r_nM: float | None = None,
-    c0: float | None = None,
-    L: float | None = None,
-    L0: float | None = None,
-    b: float | None = None,
-    C_f: float | None = None,
-    kappa_M: float | None = None,
-    m_lambda: int | None = None,
-    L_lambda: float | None = None,
-) -> float:
+def lemma_bounds(which: str, n: int, **params) -> float:
     """Explicit tail-probability bound for one of the good events.
 
     L4 bounds P(E2^c); L5 bounds P((E1 n E2)^c); L6 bounds P(E3(lambda)^c);
     L7 and L9 bound the empirical-norm distortion events entering the
-    weak-sparsity and weak-approximation results. Each lemma needs the
-    parameters :data:`LEMMA_PARAMS` lists for it, finite and nonnegative;
-    the others are ignored. All outputs are clamped to [0, 1]. L6 returns
-    0 in the exact-representation case L(lambda) = 0, where the event
-    holds surely.
+    weak-sparsity and weak-approximation results. Each lemma reads the
+    parameters :data:`LEMMA_PARAMS` lists for it, and ignores those of the
+    other lemmas; a keyword that no lemma reads raises ConfigError. Every
+    parameter it reads must be finite and positive, except that M,
+    m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1). All
+    outputs are clamped to [0, 1]. L6 returns 0 in the
+    exact-representation case L(lambda) = 0, where the event holds surely.
     """
-    if which not in LEMMA_PARAMS:
+    if which not in _LEMMAS:
         raise ConfigError(f"unknown lemma {which!r}; expected one of {LEMMA_KINDS}")
+    unknown = params.keys() - set().union(*LEMMA_PARAMS.values())
+    if unknown:
+        raise ConfigError(f"no lemma reads parameter {', '.join(sorted(unknown))}")
     if n < 1:
         raise ConfigError("lemma bounds need n >= 1")
-    given = dict(M=M, r_nM=r_nM, c0=c0, L=L, L0=L0, b=b, C_f=C_f, kappa_M=kappa_M,
-                 m_lambda=m_lambda, L_lambda=L_lambda)
     for name in LEMMA_PARAMS[which]:
-        value = given[name]
+        value = params.get(name)
         if value is None:
             raise ConfigError(f"lemma {which} needs parameter {name}")
-        if value < 0 or not np.isfinite(value):
-            raise ConfigError(f"lemma {which} needs finite nonnegative {name}, got {value}")
-
-    if which == "L4":
-        if c0 <= 0 or L <= 0:
-            raise ConfigError("L4 needs positive c0 and L")
-        value = 2.0 * M * math.exp(-n * c0 * c0 / (12.0 * L * L))
-    elif which == "L5":
-        if min(r_nM, b, c0, L) <= 0:
-            raise ConfigError("L5 needs positive r_nM, b, c0, L")
-        value = (
-            2.0 * M * math.exp(-n * r_nM * r_nM / (16.0 * b))
-            + 2.0 * M * math.exp(-n * r_nM * c0 / (8.0 * math.sqrt(2.0) * L))
-            + 2.0 * M * math.exp(-n * c0 * c0 / (12.0 * L * L))
-        )
-    elif which == "L6":
-        if r_nM <= 0:
-            raise ConfigError("L6 needs positive r_nM")
-        if L_lambda == 0.0:
-            return 0.0
-        value = math.exp(-m_lambda * n * r_nM * r_nM / (4.0 * L_lambda * L_lambda))
-    elif which == "L7":
-        if min(c0, L, L0, kappa_M) <= 0 or m_lambda < 1:
-            raise ConfigError("L7 needs positive c0, L, L0, kappa_M and m_lambda >= 1")
-        big_c = 2.0 / (c0 * c0) * (2.0 * C_f + 1.0 + 4.0 * math.sqrt(2.0 / kappa_M)) ** 2
-        value = 2.0 * M * M * (
-            math.exp(-n / (16.0 * L0 * big_c * big_c * m_lambda * m_lambda))
-            + math.exp(-n / (8.0 * L * L * big_c * m_lambda))
-        )
-    else:  # L9
-        if min(r_nM, c0, L, L0) <= 0:
-            raise ConfigError("L9 needs positive r_nM, c0, L, L0")
-        big_c = 8.0 * 11.0**2 / (c0 * c0)
-        value = 2.0 * M * M * (
-            math.exp(-n * r_nM * r_nM / (16.0 * big_c * big_c * L0))
-            + math.exp(-n * r_nM / (8.0 * L * L * big_c))
-        )
+        least = 1 if (which, name) == ("L7", "m_lambda") else 0
+        if name in _MAY_BE_ZERO:
+            ok, need = value >= least, f">= {least}"
+        else:
+            ok, need = value > 0, "> 0"
+        if not (ok and math.isfinite(value)):
+            raise ConfigError(f"lemma {which} needs finite {name} {need}, got {value}")
+    value = _LEMMAS[which](n, *(params[name] for name in LEMMA_PARAMS[which]))
     return float(min(1.0, max(0.0, value)))
 
 

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from l1agg import (
+    build_fourier,
+    empirical_gram,
+    evaluate,
     load_tabulated_csv,
     oracle_general,
     oracle_path,
@@ -18,6 +21,7 @@ from l1agg import (
     uniform_measure,
 )
 from l1agg.cli import main
+from l1agg.gram import write_gram_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -187,6 +191,48 @@ class TestDiagnose:
         report = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert float(report["rho_lambda"]) < 1e-6
 
+    def test_empirical_gram_export(self, tmp_path, capsys):
+        x = np.random.default_rng(2).uniform(0.0, 1.0, 40)
+        data = write_csv(tmp_path / "data.csv", ["x1", "y"], [x, np.cos(x)])
+        got, expected = tmp_path / "emp.csv", tmp_path / "expected.csv"
+        code, out, _ = run_cli(
+            ["diagnose", "--dict", "fourier:5", "--data", str(data),
+             "--empirical-gram-out", str(got)],
+            capsys,
+        )
+        assert code == 0
+        assert "rho_lambda_empirical=" in out
+        write_gram_csv(expected, empirical_gram(evaluate(build_fourier(5), x)))
+        assert got.read_bytes() == expected.read_bytes()
+
+    def test_degenerate_empirical_gram_has_no_empirical_rho(self, tmp_path, capsys):
+        # x2 = 0 at every data point, so f_2 has empirical norm 0 and no
+        # empirical correlations, while the population Gram is regular.
+        x1 = np.linspace(0.1, 0.9, 9)
+        data = write_csv(tmp_path / "data.csv", ["x1", "x2"], [x1, np.zeros(9)])
+        emp = tmp_path / "emp.csv"
+        code, out, _ = run_cli(
+            ["diagnose", "--dict", "coordinate:2", "--data", str(data),
+             "--empirical-gram-out", str(emp)],
+            capsys,
+        )
+        assert code == 0
+        report = dict(line.split("=", 1) for line in out.splitlines())
+        assert "eta_nM" in report and "rho_lambda_empirical" not in report
+        assert emp.read_text().splitlines()[2] == "0.0,0.0"
+
+    def test_empirical_gram_out_needs_data_before_any_output(self, tmp_path, capsys):
+        # Used to print the whole report and write the population Gram first.
+        gram_out = tmp_path / "g.csv"
+        code, out, err = run_cli(
+            ["diagnose", "--dict", "fourier:3", "--gram-out", str(gram_out),
+             "--empirical-gram-out", str(tmp_path / "e.csv")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: --empirical-gram-out needs --data"]
+        assert not gram_out.exists()
+
     def test_degenerate_dictionary_exit_4(self, capsys):
         # On the box [0, 0] both coordinates are identically zero, so the
         # Gram diagonal vanishes and the correlations are undefined.
@@ -266,6 +312,44 @@ class TestOracle:
         lam_star, _, _, found = oracle_scan(dictionary, measure, truth, r_nM)
         assert found and 1 <= first <= 2
         assert sparsity(lam_star)[1] == first
+
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_coordinate_dictionary_needs_no_d_dimensional_grid(self, d, tmp_path, capsys):
+        # ||f||^2 of a tabulated truth against a coordinate dictionary would
+        # need a d-dimensional grid; the product mesh that served it kept
+        # 3 nodes per axis at d = 10 and answered with the wrong value.
+        x = np.linspace(0.0, 1.0, 65)
+        truth = write_csv(tmp_path / "f.csv", ["x", "f"], [x, np.sin(2 * np.pi * x) + x])
+        out = tmp_path / "oracle.csv"
+        code, stdout, err = run_cli(
+            ["oracle", "--dict", f"coordinate:{d}", "--truth", f"tabulated:{truth}",
+             "--kmax", "1", "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: grids span one axis"), err
+        assert not out.exists()
+
+    def test_singular_restricted_gram_is_one_warning(self, tmp_path, capsys):
+        # f1 = f2: every support holding both has a singular restricted Gram.
+        grid = np.linspace(0.0, 1.0, 5)
+        dict_csv = write_csv(tmp_path / "dict.csv", ["x", "f1", "f2", "f3"],
+                             [grid, 1.0 + grid, 1.0 + grid, grid**2])
+        truth = write_csv(tmp_path / "f.csv", ["x", "f"], [grid, np.sin(3.0 * grid)])
+        out = tmp_path / "oracle.csv"
+        code, _, err = run_cli(
+            ["oracle", "--dict", f"tabulated:{dict_csv}", "--truth", f"tabulated:{truth}",
+             "--kmax", "3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: restricted Gram is singular; using a pseudo-inverse solution"
+        ]
+        residuals = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert len(residuals) == 4 and all(np.isfinite(residuals))
 
 
 class TestResourceLimits:
@@ -348,6 +432,24 @@ class TestBounds:
             ["bounds", "--params", str(params), "--which", "L4"], capsys
         )
         assert code == 1
+
+
+    def test_unknown_lemma_prints_nothing(self, tmp_path, capsys):
+        # L4 used to be printed before the error for L8.
+        params = tmp_path / "params.txt"
+        params.write_text("n = 100\nM = 5\nc0 = 1\nL = 1\n")
+        code, out, err = run_cli(["bounds", "--params", str(params), "--which", "L4,L8"], capsys)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unknown lemma 'L8'"), err
+
+    def test_every_lemma_evaluated_before_printing(self, tmp_path, capsys):
+        # Only L4's keys: without --which, L5 fails and L4 is not printed.
+        params = tmp_path / "params.txt"
+        params.write_text("n = 100\nM = 5\nc0 = 1\nL = 1\n")
+        code, out, err = run_cli(["bounds", "--params", str(params)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: lemma L5 needs parameter r_nM"]
 
 
 class TestExperimentAndSummary:

@@ -32,12 +32,14 @@ from l1agg import (
     validate_a2,
 )
 from l1agg.dictionary import (
-    QUADRATURE_TOL,
+    MAX_TOTAL_GRID_POINTS,
     SUP_GRID_POINTS,
     _fourier_grid,
     quadrature_grid,
     sup_norm_grid,
 )
+
+QUADRATURE_TOL = 1e-6
 
 
 def _quadrature_column_norm(fn, n_nodes=200_001):
@@ -348,15 +350,27 @@ class TestOneDimensionalGrids:
 
 
 class TestGridBudget:
-    # 2^20 points already exceed MAX_TOTAL_GRID_POINTS = 10^6.
-    def test_sup_norm_scan_over_budget(self):
+    # Grids span one axis; a coordinate dictionary with d > 1 has none.
+    def test_sup_norm_scan_refuses_d_above_one(self):
         d = build_coordinate(20)
         with pytest.raises(UnsupportedOperationError):
             sup_norm_error(d, linear_truth(np.ones(20)), np.zeros(20))
 
-    def test_quadrature_over_budget(self):
+    def test_quadrature_refuses_d_above_one(self):
         with pytest.raises(UnsupportedOperationError):
             quadrature_grid(build_coordinate(20), uniform_measure())
+
+    def test_density_measure_refuses_d_above_one(self):
+        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(UnsupportedOperationError, match="grids span one axis"):
+            population_gram(build_coordinate(2), flat)
+
+    def test_quadrature_resolution_range(self):
+        # G = 2 * 10^6 used to be capped silently at 10^6 nodes.
+        assert uniform_measure(G=MAX_TOTAL_GRID_POINTS).G == MAX_TOTAL_GRID_POINTS
+        for G in (63, 2_000_000):
+            with pytest.raises(ConfigError, match=r"G must lie in \[64, 1000000\]"):
+                uniform_measure(G=G)
 
     def test_closed_forms_need_no_grid(self):
         v = validate_a2(build_coordinate(20, domain=[-1.0, 1.0]), uniform_measure())

@@ -1,6 +1,7 @@
 """Noise models, generation, the replicated harness, slopes, bound checks."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -31,6 +32,8 @@ from l1agg import (
     uniform_measure,
     write_rows_csv,
 )
+from l1agg import solver
+from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
     _linear_pattern,
@@ -69,6 +72,14 @@ class TestNoiseModels:
         w = sample_noise(noise, 1_000_000, rng)
         assert abs(w.mean()) < 0.005
         assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.01)
+
+    def test_zero_amplitude_draws_nothing(self):
+        # Noiseless is zero amplitude, and its sample leaves the stream as
+        # it was.
+        assert noiseless() == noise_bounded_uniform(0.0)
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(sample_noise(noiseless(), 5, rng), np.zeros(5))
+        assert rng.uniform() == np.random.default_rng(3).uniform()
 
 
 class TestGenerate:
@@ -110,6 +121,14 @@ class TestPresetTruths:
         assert theta[0] == pytest.approx(1.0)
         assert theta[1] == pytest.approx(-(2.0 ** -1.6))
 
+    @pytest.mark.parametrize("make, arg", [(l0k_truth, 3), (sobolev_truth, 1.0)])
+    def test_preset_truths_are_not_shared(self, make, arg):
+        # Both presets were cached, so writing into one returned theta
+        # changed every later truth built with the same argument.
+        fresh = make(arg).theta.copy()
+        make(arg).theta[1] = 99.0
+        np.testing.assert_array_equal(make(arg).theta, fresh)
+
     def test_linear_pattern(self):
         coeffs = _linear_pattern(10, 3)
         nz = np.flatnonzero(coeffs)
@@ -150,6 +169,30 @@ class TestRun:
         for rep, flag in zip(reps, flags):
             row = run_single(cfg, 1, rep)
             assert (row.e1, row.e2, row.e3) == (flag.e1, flag.e2, flag.e3)
+
+    def test_power_m_rule(self):
+        # M = floor(n^s), at least 2: 2^0.75 < 2, 256^0.75 = 64, 2048^0.75 = 304.4.
+        cfg = tiny_config(n_values=(2, 256, 2048), m_rule="power:0.75")
+        assert [cell_context(cfg, i).M for i in range(3)] == [2, 64, 304]
+
+    def test_nonconvergence_recorded_and_reported(self, monkeypatch, tmp_path, capsys):
+        # fit binds DEFAULT_MAX_SWEEPS when it is defined, so a one-sweep
+        # budget replaces fit itself.
+        monkeypatch.setattr("l1agg.experiments.fit", functools.partial(solver.fit, max_sweeps=1))
+        cfg = tiny_config(n_values=(256,), m_rule="fixed:25")
+        rows = run(cfg)
+        assert len(rows) == 30
+        assert all(row.converged is False and row.nonconverged for row in rows)
+        (cell,) = summarize(cfg, rows)
+        assert cell.frac_nonconverged == 1.0 and not cell.valid
+
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "preset = fourier-L0k\nn_values = 256\nm_rule = fixed:25\nk_or_beta = 3\n"
+            "A = 2.0\nrate_kind = log_n\nR = 30\nseed = 11\nC_f = 1.0\n"
+        )
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "rows.csv")]) == 0
+        assert "warning: 30 non-convergent replicates" in capsys.readouterr().err.splitlines()
 
     def test_csv_roundtrip(self, tmp_path):
         cfg = tiny_config()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestOracleGeneral:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
+    def test_singular_restricted_gram_warns_once(self):
+        # f_1 = f_2, so the support {1, 2} has a singular restricted Gram;
+        # the other two supports of size 2 do not.
+        grid = np.linspace(0.0, 1.0, 5)
+        d = build_tabulated([(grid, 1.0 + grid), (grid, 1.0 + grid), (grid, grid**2)])
+        truth = tabulated_truth(grid, np.sin(3.0 * grid))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam, exact = oracle_general(d, uniform_measure(), truth, 2)
+        assert [str(w.message) for w in caught] == [
+            "restricted Gram is singular; using a pseudo-inverse solution"
+        ]
+        assert exact and np.all(np.isfinite(lam))
+        assert math.isfinite(population_dist2(d, uniform_measure(), truth, lam))
+
 
 class TestMembership:
     def test_exact_representation(self):
@@ -308,6 +324,26 @@ class TestLemmaBounds:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigError):
             lemma_bounds("L5", 100, M=5, r_nM=0.1, c0=1.0, L=1.0)  # no b
+
+    @pytest.mark.parametrize("which", LEMMA_KINDS)
+    def test_zero_value_rule(self, which):
+        # M, m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1);
+        # every other parameter must be positive.
+        values = dict(M=0, r_nM=0.3, b=1.2, c0=0.9, L=1.5, L0=1.4, kappa_M=0.9,
+                      C_f=0.0, m_lambda=0, L_lambda=0.0)
+        if which == "L7":
+            with pytest.raises(ConfigError, match="needs finite m_lambda >= 1, got 0$"):
+                lemma_bounds(which, 100, **values)
+            values["m_lambda"] = 1
+        assert lemma_bounds(which, 100, **values) == 0.0
+        for name in set(LEMMA_PARAMS[which]) - {"M", "m_lambda", "C_f", "L_lambda"}:
+            with pytest.raises(ConfigError, match=f"needs finite {name} > 0, got 0$"):
+                lemma_bounds(which, 100, **(values | {name: 0}))
+
+    def test_unknown_keyword_rejected(self):
+        # The explicit keyword signature this replaced raised TypeError.
+        with pytest.raises(ConfigError, match="no lemma reads parameter c_0$"):
+            lemma_bounds("L4", 100, M=5, c0=1.0, L=1.0, c_0=3.0)
 
     @pytest.mark.parametrize("which", LEMMA_KINDS)
     def test_parameter_table(self, which):

@@ -4,7 +4,7 @@ Dictionaries, norms, and Gram diagnostics
 
 Build the three dictionary kinds, validate boundedness, and inspect the
 matrix-level quantities that the sparsity analysis runs on: the
-population/empirical Gram pair, kappa_M, mutual coherence, and the
+population and empirical Gram matrices, kappa_M, mutual coherence, and the
 entrywise Gram deviation eta_{n,M}.
 """
 
@@ -15,9 +15,10 @@ from l1agg import (
     build_fourier,
     build_tabulated,
     diagnostics,
+    empirical_gram,
     empirical_norms,
     evaluate,
-    gram_pair,
+    population_gram,
     uniform_measure,
     validate_a2,
 )
@@ -36,9 +37,8 @@ print(f"L = {validation.L:.4f} (sup norm), c0 = {validation.c0:.4f} "
       f"(min population norm), L0 = {validation.L0:.4f}")
 print("boundedness conditions satisfied:", validation.satisfied)
 
-# --- Gram pair and diagnostics ---------------------------------------------
-pair = gram_pair(fourier, measure, design)
-report = diagnostics(pair, support=[1, 3])
+# --- population and empirical Gram diagnostics ----------------------------
+report = diagnostics(population_gram(fourier, measure), [1, 3], empirical_gram(design))
 print("kappa_M =", round(report.kappa_M, 6), "(orthonormal => 1)")
 print("rho(lambda) for support {2, 4} =", round(report.rho_lambda, 6))
 print("eta_nM (population vs empirical Gram) =", round(report.eta_nM, 4))

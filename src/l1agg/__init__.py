@@ -49,12 +49,9 @@ from .errors import (
 )
 from .gram import (
     CoherenceReport,
-    GramPair,
     coherence,
     diagnostics,
     empirical_gram,
-    eta,
-    gram_pair,
     kappa,
 )
 from .oracles import (

@@ -55,7 +55,7 @@ from .experiments import (
     summarize,
     summary_csv_text,
 )
-from .gram import GramPair, diagnostics, empirical_gram, write_gram_csv
+from .gram import diagnostics, empirical_gram, write_gram_csv
 from .oracles import (
     LEMMA_KINDS,
     LEMMA_PARAMS,
@@ -192,12 +192,11 @@ def _cmd_diagnose(args) -> int:
     if any(not 0 <= j < dictionary.M for j in support):
         raise ConfigError(f"--support indices must lie in [1, {dictionary.M}]")
     psi = population_gram(dictionary, measure)
+    psi_n = None
     if args.data:
         points, _ = load_points_csv(args.data)
-        pair = GramPair(psi_M=psi, psi_nM=empirical_gram(evaluate(dictionary, points)))
-    else:
-        pair = GramPair(psi_M=psi, psi_nM=psi)
-    report = diagnostics(pair, support)
+        psi_n = empirical_gram(evaluate(dictionary, points))
+    report = diagnostics(psi, support, psi_n)
 
     # validate_a2 raises on a non-finite L or L0, so L and L0 are bounded here.
     validation = validate_a2(dictionary, measure)
@@ -218,9 +217,9 @@ def _cmd_diagnose(args) -> int:
     for line in lines:
         print(line)
     if args.gram_out:
-        write_gram_csv(args.gram_out, pair.psi_M)
+        write_gram_csv(args.gram_out, psi)
     if args.empirical_gram_out:
-        write_gram_csv(args.empirical_gram_out, pair.psi_nM)
+        write_gram_csv(args.empirical_gram_out, psi_n)
     return 0
 
 
@@ -377,7 +376,6 @@ _EXIT_CODES = {
     ValidationError: 4,
     DegenerateDictionaryError: 4,
     np.linalg.LinAlgError: 4,
-    FloatingPointError: 4,
     MemoryError: 1,
 }
 

@@ -36,9 +36,8 @@ from .errors import (
 )
 
 # Quadrature / scan resolutions; every grid spans one axis.
-DEFAULT_QUADRATURE_POINTS = 4096
+QUADRATURE_POINTS = 4096
 SUP_GRID_POINTS = 100_001
-MAX_TOTAL_GRID_POINTS = 1_000_000
 
 _DOMAIN_SLACK = 1e-12
 
@@ -54,6 +53,23 @@ def _as_domain(domain, d: int) -> np.ndarray:
     if np.any(box[:, 0] > box[:, 1]):
         raise DictionaryError("domain lower bounds must not exceed upper bounds")
     return box
+
+
+def _check_table(grid, values, error, what: str):
+    """``(grid, values)`` as float arrays, checked by the one table rule.
+
+    Both 1-d, of equal length and at least 2 points, finite, with strictly
+    increasing abscissae; a breach raises ``error`` naming ``what``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+        raise error(f"{what} needs matching 1-d x and value columns of >= 2 points")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise error(f"{what} entries must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise error(f"{what} abscissae must be strictly increasing")
+    return grid, values
 
 
 @dataclass(frozen=True)
@@ -90,12 +106,7 @@ class Dictionary:
             if len(self.tables) != self.M:
                 raise DictionaryError("tabulated kind needs one table per function")
             for grid, vals in self.tables:
-                if grid.ndim != 1 or grid.shape != vals.shape or grid.size < 2:
-                    raise DictionaryError("each table needs >= 2 (x, value) pairs")
-                if not np.all(np.diff(grid) > 0):
-                    raise DictionaryError("table abscissae must be strictly increasing")
-                if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(vals))):
-                    raise DictionaryError("table entries must be finite")
+                _check_table(grid, vals, DictionaryError, "dictionary table")
 
 
 @dataclass(frozen=True)
@@ -130,45 +141,38 @@ class MeasureSpec:
 
     ``uniform`` is the uniform distribution on the dictionary domain.
     ``grid-density`` is a positive density tabulated on a 1-d grid
-    (linearly interpolated, trapezoid-normalized).
-    ``G`` is the number of quadrature nodes, in [64, MAX_TOTAL_GRID_POINTS].
+    (linearly interpolated, trapezoid-normalized). Population integrals
+    under either kind use QUADRATURE_POINTS nodes (:func:`quadrature_grid`).
     """
 
     kind: str = "uniform"
-    G: int = DEFAULT_QUADRATURE_POINTS
     density_table: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("uniform", "grid-density"):
             raise ConfigError(f"unknown measure kind {self.kind!r}")
-        if not 64 <= self.G <= MAX_TOTAL_GRID_POINTS:
-            raise ConfigError(
-                f"quadrature resolution G must lie in [64, {MAX_TOTAL_GRID_POINTS}], got {self.G}"
-            )
         if self.kind == "grid-density" and not self.density_table:
             raise ConfigError("grid-density measure needs a density table")
 
 
-def uniform_measure(G: int = DEFAULT_QUADRATURE_POINTS) -> MeasureSpec:
-    return MeasureSpec(kind="uniform", G=G)
+def uniform_measure() -> MeasureSpec:
+    return MeasureSpec(kind="uniform")
 
 
-def grid_density_measure(grid, density, G: int = DEFAULT_QUADRATURE_POINTS) -> MeasureSpec:
+def grid_density_measure(grid, density) -> MeasureSpec:
     """Tabulated 1-d design density, trapezoid-normalized to integrate to 1.
 
-    Every density value must be positive: the design density is bounded
+    The table follows the rule of :func:`_check_table` (ShapeError), and
+    every density value must be positive: the design density is bounded
     away from zero.
     """
-    grid = np.asarray(grid, dtype=float)
-    density = np.asarray(density, dtype=float)
-    if grid.ndim != 1 or grid.shape != density.shape or grid.size < 2:
-        raise ShapeError("density table needs matching 1-d grid and values")
+    grid, density = _check_table(grid, density, ShapeError, "density table")
     if not np.all(density > 0):
         raise ConfigError("density values must be positive")
     total = np.trapezoid(density, grid)
     if not (np.isfinite(total) and total > 0):
         raise NumericError("density does not integrate to a positive value")
-    return MeasureSpec(kind="grid-density", G=G, density_table=(grid, density / total))
+    return MeasureSpec(kind="grid-density", density_table=(grid, density / total))
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +405,19 @@ def _axis_grid(dictionary: Dictionary, nodes: int) -> np.ndarray:
 def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     """Quadrature nodes and probability weights for population integrals.
 
-    Composite trapezoid on G equispaced nodes of the one-axis domain
-    (:func:`_axis_grid`); a grid-density measure reweights the nodes by the
-    density. A fourier dictionary needs M < G - 1: beyond that, products
-    of basis functions alias on the G nodes.
+    Composite trapezoid on G = QUADRATURE_POINTS equispaced nodes of the
+    one-axis domain (:func:`_axis_grid`); a grid-density measure reweights
+    the nodes by the density. A fourier dictionary needs M < G - 1: beyond
+    that, products of basis functions alias on the G nodes.
     """
-    if dictionary.kind == "fourier" and dictionary.M >= measure.G - 1:
+    G = QUADRATURE_POINTS
+    if dictionary.kind == "fourier" and dictionary.M >= G - 1:
         raise ConfigError(
             f"fourier dictionary with M = {dictionary.M} aliases on a "
-            f"{measure.G}-node quadrature grid; need G > M + 1"
+            f"{G}-node quadrature grid; need G > M + 1"
         )
-    pts = _axis_grid(dictionary, measure.G)
-    w = np.full(measure.G, 1.0 / (measure.G - 1))
+    pts = _axis_grid(dictionary, G)
+    w = np.full(G, 1.0 / (G - 1))
     w[[0, -1]] *= 0.5
     if measure.kind == "grid-density":
         grid, density = measure.density_table

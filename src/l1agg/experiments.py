@@ -313,7 +313,12 @@ def _linear_pattern(M: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CellContext:
-    """Everything replicate-independent about one (n, M) grid cell."""
+    """Everything replicate-independent about one (n, M) grid cell.
+
+    :func:`cell_context` caches contexts, so its arrays (``lambda_star``,
+    ``pop_norms_sq``, ``truth.theta``, ``dictionary.domain``) are
+    read-only: a write raises ValueError instead of changing later runs.
+    """
 
     cell_index: int
     n: int
@@ -379,6 +384,8 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     regime_ok = oracle_found and (
         k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0
     )
+    for shared in (lambda_star, pop_norms_sq, truth.theta, dictionary.domain):
+        shared.flags.writeable = False
     return CellContext(
         cell_index=cell_index,
         n=n,

@@ -36,6 +36,7 @@ from .dictionary import (
     predict,
     quadrature_grid,
     sup_norm_grid,
+    _check_table,
     _fourier_grid,
 )
 from .errors import ConfigError, NumericError, ShapeError
@@ -87,11 +88,12 @@ def linear_truth(coeffs) -> TruthSpec:
 
 
 def tabulated_truth(grid, values) -> TruthSpec:
-    """Truth tabulated on a 1-d grid, completed by linear interpolation."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.shape != values.shape or grid.ndim != 1 or grid.size < 2:
-        raise ShapeError("tabulated truth needs matching 1-d grid and values")
+    """Truth tabulated on a 1-d grid, completed by linear interpolation.
+
+    The table follows the rule of :func:`dictionary._check_table`
+    (ShapeError).
+    """
+    grid, values = _check_table(grid, values, ShapeError, "tabulated truth")
     return TruthSpec(kind="tabulated", table=(grid, values))
 
 
@@ -457,8 +459,9 @@ def lemma_bounds(which: str, n: int, **params) -> float:
     parameters :data:`LEMMA_PARAMS` lists for it, and ignores those of the
     other lemmas; a keyword that no lemma reads raises ConfigError. Every
     parameter it reads must be finite and positive, except that M,
-    m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1). All
-    outputs are clamped to [0, 1]. L6 returns 0 in the
+    m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1). Values
+    at which a formula divides by an underflowed 0 or overflows raise
+    NumericError naming the lemma. All outputs are clamped to [0, 1]. L6 returns 0 in the
     exact-representation case L(lambda) = 0, where the event holds surely.
     """
     if which not in _LEMMAS:
@@ -479,7 +482,12 @@ def lemma_bounds(which: str, n: int, **params) -> float:
             ok, need = value > 0, "> 0"
         if not (ok and math.isfinite(value)):
             raise ConfigError(f"lemma {which} needs finite {name} {need}, got {value}")
-    value = _LEMMAS[which](n, *(params[name] for name in LEMMA_PARAMS[which]))
+    try:
+        value = _LEMMAS[which](n, *(params[name] for name in LEMMA_PARAMS[which]))
+    except ArithmeticError as exc:  # a square underflowing to 0, or overflowing
+        raise NumericError(
+            f"lemma {which} cannot be evaluated at these values ({type(exc).__name__})"
+        ) from None
     return float(min(1.0, max(0.0, value)))
 
 

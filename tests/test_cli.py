@@ -9,6 +9,7 @@ import pytest
 
 from l1agg import (
     build_fourier,
+    diagnostics,
     empirical_gram,
     evaluate,
     load_tabulated_csv,
@@ -233,6 +234,30 @@ class TestDiagnose:
         assert err.splitlines() == ["error: --empirical-gram-out needs --data"]
         assert not gram_out.exists()
 
+    def test_no_data_computes_no_empirical_report(self, monkeypatch, capsys):
+        from l1agg import cli
+
+        reports = []
+
+        def spy(*args):
+            reports.append(diagnostics(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "diagnostics", spy)
+        code, out, _ = run_cli(["diagnose", "--dict", "fourier:5", "--support", "2"], capsys)
+        assert code == 0 and "eta_nM" not in out
+        assert reports[0].eta_nM is None and reports[0].rho_lambda_empirical is None
+
+    def test_unsorted_density_table_is_one_error_line(self, tmp_path, capsys):
+        # Used to exit 0 with c0 = 0.9563 (0.9923 for the same rows sorted).
+        density = write_csv(tmp_path / "d.csv", ["x", "density"],
+                            [[0.0, 0.6, 0.3, 1.0], [1.0, 2.0, 1.0, 3.0]])
+        code, out, err = run_cli(
+            ["diagnose", "--dict", "fourier:4", "--measure", f"density:{density}"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: density table abscissae must be strictly increasing"]
+
     def test_degenerate_dictionary_exit_4(self, capsys):
         # On the box [0, 0] both coordinates are identically zero, so the
         # Gram diagonal vanishes and the correlations are undefined.
@@ -351,6 +376,19 @@ class TestOracle:
         residuals = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert len(residuals) == 4 and all(np.isfinite(residuals))
 
+    def test_unsorted_truth_table_is_one_error_line(self, tmp_path, capsys):
+        # Used to exit 0 with residual2 5.651 at k = 0 (1.771 sorted).
+        truth = write_csv(tmp_path / "t.csv", ["x", "f"], [[0.0, 1.0, 0.5], [1.0, 2.0, 3.0]])
+        out = tmp_path / "oracle.csv"
+        code, stdout, err = run_cli(
+            ["oracle", "--dict", "fourier:4", "--truth", f"tabulated:{truth}",
+             "--kmax", "1", "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: tabulated truth abscissae must be strictly increasing"]
+        assert not out.exists()
+
 
 class TestResourceLimits:
     def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
@@ -433,6 +471,25 @@ class TestBounds:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "which, text",
+        [
+            ("L4", "n = 100\nM = 10\nc0 = 1\nL = 1e-300\n"),  # L * L underflows to 0
+            ("L7", "n = 100\nM = 10\nm_lambda = 1\nc0 = 1\nL = 1\nL0 = 1\n"
+                   "kappa_M = 1\nC_f = 1e200\n"),  # a square overflows
+        ],
+        ids=["L4", "L7"],
+    )
+    def test_arithmetic_failure_is_one_error_line(self, tmp_path, capsys, which, text):
+        # Used to end in a ZeroDivisionError or OverflowError traceback.
+        params = tmp_path / "params.txt"
+        params.write_text(text)
+        code, out, err = run_cli(["bounds", "--params", str(params), "--which", which], capsys)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            f"error: lemma {which} cannot be evaluated at these values "
+            f"({'ZeroDivisionError' if which == 'L4' else 'OverflowError'})"
+        ]
 
     def test_unknown_lemma_prints_nothing(self, tmp_path, capsys):
         # L4 used to be printed before the error for L8.

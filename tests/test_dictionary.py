@@ -31,8 +31,8 @@ from l1agg import (
     uniform_measure,
     validate_a2,
 )
+from l1agg import dictionary as dictionary_module
 from l1agg.dictionary import (
-    MAX_TOTAL_GRID_POINTS,
     SUP_GRID_POINTS,
     _fourier_grid,
     quadrature_grid,
@@ -280,14 +280,16 @@ class TestFourierOrthonormality:
         psi = population_gram(build_fourier(M), uniform_measure())
         assert np.max(np.abs(psi - np.eye(M))) < 10 * QUADRATURE_TOL
 
-    def test_uniform_gram_exact_when_m_reaches_g(self):
+    def test_uniform_gram_exact_when_m_reaches_g(self, monkeypatch):
         # Trapezoid quadrature on G = 64 nodes would alias frequency pairs
         # summing to G - 1; the uniform Gram is exact instead.
-        psi = population_gram(build_fourier(64), uniform_measure(G=64))
+        monkeypatch.setattr(dictionary_module, "QUADRATURE_POINTS", 64)
+        psi = population_gram(build_fourier(64), uniform_measure())
         np.testing.assert_array_equal(psi, np.eye(64))
 
-    def test_density_measure_rejects_aliasing_size(self):
-        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0], G=64)
+    def test_density_measure_rejects_aliasing_size(self, monkeypatch):
+        monkeypatch.setattr(dictionary_module, "QUADRATURE_POINTS", 64)
+        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
         for call in (population_gram, quadrature_grid):
             with pytest.raises(ConfigError):
                 call(build_fourier(63), flat)
@@ -310,6 +312,11 @@ class TestGridDensityMeasure:
     def test_nonpositive_density_rejected(self, density):
         with pytest.raises(ConfigError, match="density values must be positive"):
             grid_density_measure([0.0, 0.5, 1.0], density)
+
+    def test_unsorted_density_table_rejected(self):
+        # Used to be accepted, and interpolated as if sorted.
+        with pytest.raises(ShapeError, match="density table abscissae must be strictly increasing"):
+            grid_density_measure([0.0, 0.6, 0.3, 1.0], [1.0, 2.0, 1.0, 3.0])
 
     def test_quadrature_weights_sum_to_one(self):
         _, w = quadrature_grid(build_fourier(5), self.ramp())
@@ -337,11 +344,12 @@ class TestGridDensityMeasure:
 
 class TestOneDimensionalGrids:
     @pytest.mark.parametrize("box", [[0.0, 1.0], [-0.3, 2.7]])
-    def test_product_grid_is_the_plain_trapezoid(self, box):
+    def test_product_grid_is_the_plain_trapezoid(self, box, monkeypatch):
+        monkeypatch.setattr(dictionary_module, "QUADRATURE_POINTS", 64)
         t = np.array(box)
         d = build_tabulated([(t, t), (t, 1.0 - t)], domain=box)
         np.testing.assert_array_equal(sup_norm_grid(d), np.linspace(*box, SUP_GRID_POINTS)[:, None])
-        pts, w = quadrature_grid(d, uniform_measure(G=64))
+        pts, w = quadrature_grid(d, uniform_measure())
         h = (box[1] - box[0]) / 63
         trapezoid = np.full(64, h)
         trapezoid[[0, -1]] *= 0.5
@@ -364,13 +372,6 @@ class TestGridBudget:
         flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(UnsupportedOperationError, match="grids span one axis"):
             population_gram(build_coordinate(2), flat)
-
-    def test_quadrature_resolution_range(self):
-        # G = 2 * 10^6 used to be capped silently at 10^6 nodes.
-        assert uniform_measure(G=MAX_TOTAL_GRID_POINTS).G == MAX_TOTAL_GRID_POINTS
-        for G in (63, 2_000_000):
-            with pytest.raises(ConfigError, match=r"G must lie in \[64, 1000000\]"):
-                uniform_measure(G=G)
 
     def test_closed_forms_need_no_grid(self):
         v = validate_a2(build_coordinate(20, domain=[-1.0, 1.0]), uniform_measure())

@@ -265,6 +265,25 @@ class TestRun:
         assert ctx.k_star == 3
         assert ctx.dist2_star == 0.0 and ctx.L_lambda_star == 0.0
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(preset="fourier-L0k", n_values=(256, 512), m_rule="fixed:25",
+                             k_or_beta=3, A=4.0, rate_kind="log_n", R=30, seed=1),
+            ExperimentConfig(preset="linear", n_values=(32,), m_rule="fixed:4",
+                             k_or_beta=2, A=1.0, rate_kind="log_M", R=1, seed=0),
+        ],
+        ids=["fourier-L0k", "linear"],
+    )
+    def test_cached_context_arrays_are_read_only(self, cfg):
+        # Contexts are cached, so a write used to reach every later run: in
+        # the fourier-L0k cell, lambda_star[:] = 0 turned row 0's l1_err
+        # from 1.701 into 4.299.
+        ctx = cell_context(cfg, 0)
+        for shared in (ctx.lambda_star, ctx.pop_norms_sq, ctx.truth.theta, ctx.dictionary.domain):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[...] = 0.0
+
     def test_linear_full_support_matches_least_squares(self):
         # Noiseless M = k exact representation: the fit approaches the
         # ordinary least squares solution (= the truth) as A shrinks.

@@ -1,4 +1,4 @@
-"""Gram pairs, kappa, mutual coherence, and the entrywise deviation."""
+"""Gram matrices, kappa, mutual coherence, and the entrywise deviation."""
 
 import os
 
@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from l1agg import (
     DegenerateDictionaryError,
-    GramPair,
+    NumericError,
     ShapeError,
     build_fourier,
     coherence,
     diagnostics,
     empirical_gram,
-    eta,
     evaluate,
-    gram_pair,
     kappa,
+    population_gram,
     uniform_measure,
 )
 from l1agg.gram import write_gram_csv
@@ -52,9 +51,8 @@ def random_psd(rng, M):
 class TestGramPair:
     def test_fourier_population_identity(self):
         d = build_fourier(3)
-        design = evaluate(d, np.linspace(0, 1, 50))
-        pair = gram_pair(d, uniform_measure(), design)
-        assert np.max(np.abs(pair.psi_M - np.eye(3))) < 1e-6
+        psi = population_gram(d, uniform_measure())
+        assert np.max(np.abs(psi - np.eye(3))) < 1e-6
 
     def test_identical_columns_perfectly_correlated(self):
         entries = np.tile(np.arange(1.0, 6.0)[:, None], (1, 2))
@@ -73,7 +71,7 @@ class TestGramPair:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            GramPair(psi_M=np.eye(3), psi_nM=np.eye(4))
+            diagnostics(np.eye(3), (), np.eye(4))
 
 
 class TestKappa:
@@ -154,42 +152,72 @@ class TestCoherence:
 
 class TestEta:
     def test_equal_matrices(self):
-        pair = GramPair(psi_M=np.eye(3), psi_nM=np.eye(3))
-        assert eta(pair) == 0.0
+        assert diagnostics(np.eye(3), (), np.eye(3)).eta_nM == 0.0
 
     def test_single_perturbed_entry(self):
         psi_n = np.eye(3)
         psi_n[0, 1] = psi_n[1, 0] = 0.02
-        assert eta(GramPair(psi_M=np.eye(3), psi_nM=psi_n)) == pytest.approx(0.02)
+        assert diagnostics(np.eye(3), (), psi_n).eta_nM == pytest.approx(0.02)
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(5)
         psi = random_psd(rng, 4)
-        assert eta(GramPair(psi_M=psi, psi_nM=psi.copy())) == 0.0
+        assert diagnostics(psi, (), psi.copy()).eta_nM == 0.0
         bumped = psi.copy()
         bumped[1, 2] += 1e-9
         bumped[2, 1] += 1e-9
-        assert eta(GramPair(psi_M=psi, psi_nM=bumped)) > 0.0
+        assert diagnostics(psi, (), bumped).eta_nM > 0.0
 
     def test_monte_carlo_concentration(self):
         # eta < 0.1 in at least 99 of 100 seeds at n = 1e4, matching the
         # Bernstein control of the entrywise deviation.
         d = build_fourier(5)
-        measure = uniform_measure()
+        psi = population_gram(d, uniform_measure())
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             design = evaluate(d, rng.uniform(0, 1, 10_000))
-            pair = gram_pair(d, measure, design)
-            hits += eta(pair) < 0.1
+            hits += diagnostics(psi, (), empirical_gram(design)).eta_nM < 0.1
         assert hits >= 99
 
 
+class TestGramRule:
+    # kappa and coherence check their matrix by one rule, with one message
+    # per breach.
+    @pytest.mark.parametrize("check", [kappa, lambda psi: coherence(psi, [0])])
+    def test_non_symmetric_rejected(self, check):
+        psi = np.eye(3)
+        psi[0, 1] = 0.1
+        with pytest.raises(NumericError, match="not symmetric"):
+            check(psi)
+
+    @pytest.mark.parametrize("check", [kappa, lambda psi: coherence(psi, [0])])
+    def test_non_finite_rejected(self, check):
+        psi = np.eye(3)
+        psi[2, 2] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            check(psi)
+
+    @pytest.mark.parametrize("check", [kappa, lambda psi: coherence(psi, [0])])
+    def test_zero_diagonal_message(self, check):
+        with pytest.raises(DegenerateDictionaryError, match="has zero norm$"):
+            check(np.diag([1.0, 0.0]))
+
+
 class TestDiagnostics:
+    def test_population_only(self):
+        report = diagnostics(np.eye(4), [1])
+        assert (report.kappa_M, report.rho_lambda) == (1.0, 0.0)
+        assert report.eta_nM is None and report.rho_lambda_empirical is None
+
+    def test_zero_empirical_diagonal_has_no_empirical_rho(self):
+        report = diagnostics(np.eye(2), [0], np.diag([1.0, 0.0]))
+        assert report.eta_nM == 1.0 and report.rho_lambda_empirical is None
+
     def test_report_fields(self):
         d = build_fourier(4)
         design = evaluate(d, np.random.default_rng(1).uniform(0, 1, 500))
-        report = diagnostics(gram_pair(d, uniform_measure(), design), support=[1])
+        report = diagnostics(population_gram(d, uniform_measure()), [1], empirical_gram(design))
         assert report.kappa_M == pytest.approx(1.0, abs=1e-6)
         assert report.rho_lambda < 1e-6
         assert report.eta_nM > 0.0

@@ -15,6 +15,7 @@ from l1agg import (
     ConfigError,
     DesignMatrix,
     DomainError,
+    NumericError,
     ShapeError,
     bernstein_bound,
     build_fourier,
@@ -345,6 +346,20 @@ class TestLemmaBounds:
         with pytest.raises(ConfigError, match="no lemma reads parameter c_0$"):
             lemma_bounds("L4", 100, M=5, c0=1.0, L=1.0, c_0=3.0)
 
+    @pytest.mark.parametrize(
+        "which, params",
+        [
+            # L * L underflows to 0 and the formula divides by it.
+            ("L4", dict(M=10, c0=1.0, L=1e-300)),
+            # (2 C_f + ...) ** 2 overflows.
+            ("L7", dict(M=10, m_lambda=1, c0=1.0, L=1.0, L0=1.0, kappa_M=1.0, C_f=1e200)),
+        ],
+    )
+    def test_arithmetic_failure_is_numeric_error(self, which, params):
+        # Used to end in a ZeroDivisionError or OverflowError.
+        with pytest.raises(NumericError, match=f"^lemma {which} cannot be evaluated"):
+            lemma_bounds(which, 100, **params)
+
     @pytest.mark.parametrize("which", LEMMA_KINDS)
     def test_parameter_table(self, which):
         values = dict(M=5, r_nM=0.3, b=1.2, c0=0.9, L=1.5, L0=1.4, kappa_M=0.9,
@@ -475,6 +490,37 @@ class TestOracleReport:
             for chunk in np.array_split(grid, 20)
         )
         assert sup_norm_error(d, truth, lam) == pytest.approx(dense, rel=0, abs=1e-12)
+
+    def test_sup_norm_error_tabulated_pair_is_node_maximum(self):
+        # f - f_lambda is piecewise linear with kinks at the merged table
+        # nodes, all multiples of 1/1000 and so points of the scan grid:
+        # the scan's maximum is the maximum over those nodes.
+        rng = np.random.default_rng(3)
+        x_dict = np.unique(np.r_[np.arange(0, 1001, 7), 1000]) / 1000
+        x_truth = np.unique(np.r_[np.arange(0, 1001, 3), 1000]) / 1000
+        d = build_tabulated([(x_dict, rng.uniform(-1, 1, x_dict.size)) for _ in range(3)])
+        truth = tabulated_truth(x_truth, rng.uniform(-1, 1, x_truth.size))
+        lam = np.array([0.7, -1.3, 0.4])
+        nodes = np.union1d(x_dict, x_truth)
+        f_lam = sum(c * np.interp(nodes, g, v) for c, (g, v) in zip(lam, d.tables))
+        expected = np.abs(np.interp(nodes, *truth.table) - f_lam).max()
+        assert sup_norm_error(d, truth, lam) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_sup_norm_error_fourier_dictionary_tabulated_truth(self):
+        # lambda = 0 leaves |f|, whose maximum sits at a table node.
+        x = np.unique(np.r_[np.arange(0, 1001, 9), 1000]) / 1000
+        values = np.random.default_rng(4).normal(size=x.size)
+        got = sup_norm_error(build_fourier(4), tabulated_truth(x, values), np.zeros(4))
+        assert got == pytest.approx(np.abs(values).max(), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [([0.0, 1.0, 0.5], "strictly increasing"), ([0.0, np.nan, 1.0], "finite"),
+         ([0.0], "matching 1-d")],
+    )
+    def test_tabulated_truth_table_rule(self, x, message):
+        with pytest.raises(ShapeError, match=message):
+            tabulated_truth(x, np.ones(len(x)))
 
     def test_sup_norm_error_fft_rejects_wrong_length(self):
         with pytest.raises(ShapeError):

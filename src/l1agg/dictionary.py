@@ -248,13 +248,15 @@ def load_points_csv(path):
 
 
 def _check_points(dictionary: Dictionary, points) -> np.ndarray:
-    """The points as an (n, d) array within the dictionary domain.
+    """A private column-major (n, d) copy of the points, within the domain.
 
-    Points outside the domain raise DomainError, except for a tabulated
-    dictionary: its functions are clamped interpolants on the whole line,
-    so such points only warn.
+    One per-axis min/max over the copy tests the bounds; NaN propagates
+    through both, so only a failed test scans for non-finite values
+    (NumericError) and points outside the domain (DomainError). A tabulated
+    dictionary's functions are clamped interpolants on the whole line, so
+    for it such points only warn.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.array(points, dtype=float, order="F")
     if pts.ndim == 1:
         if dictionary.d != 1:
             raise ShapeError(f"points are 1-d but the dictionary has d = {dictionary.d}")
@@ -263,61 +265,62 @@ def _check_points(dictionary: Dictionary, points) -> np.ndarray:
         raise ShapeError(
             f"points shape {pts.shape} does not match dictionary dimension d = {dictionary.d}"
         )
-    if not np.all(np.isfinite(pts)):
-        raise NumericError("evaluation points contain non-finite values")
     lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
     hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
-    if np.any(pts < lo) or np.any(pts > hi):
-        if dictionary.kind != "tabulated":
-            raise DomainError("evaluation points fall outside the dictionary domain")
-        warnings.warn(
-            "evaluation points outside the dictionary domain were clamped",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    smallest, largest = pts.min(axis=0, initial=np.inf), pts.max(axis=0, initial=-np.inf)
+    if np.all(lo <= smallest) and np.all(largest <= hi):
+        return pts
+    if not np.all(np.isfinite(pts)):
+        raise NumericError("evaluation points contain non-finite values")
+    if dictionary.kind != "tabulated":
+        raise DomainError("evaluation points fall outside the dictionary domain")
+    warnings.warn(
+        "evaluation points outside the dictionary domain were clamped",
+        RuntimeWarning,
+        stacklevel=3,
+    )
     return pts
 
 
 def _columns(dictionary: Dictionary, pts: np.ndarray):
-    """Yield f_1(pts), ..., f_M(pts) for checked points, one column at a time.
-
-    Fourier pairs come from the angle-addition recurrence
-    (c, s) <- (c c1 - s s1, s c1 + c s1) with c1 + i s1 = exp(2 pi i x);
-    its rounding error grows about linearly in the frequency, to a few
-    1e-12 at M ~ 4000.
-    """
-    M = dictionary.M
+    """Yield f_1(pts), ..., f_M(pts) of a coordinate or tabulated dictionary
+    for checked points, one column at a time."""
     if dictionary.kind == "coordinate":
         yield from pts.T
-    elif dictionary.kind == "tabulated":
+    else:
         for grid, vals in dictionary.tables:
             yield np.interp(pts[:, 0], grid, vals)
-    else:
-        yield np.ones(pts.shape[0])
-        angle = 2.0 * np.pi * pts[:, 0]
-        c1, s1 = np.cos(angle), np.sin(angle)
-        c, s = c1, s1
-        root2 = np.sqrt(2.0)
-        for j in range(1, M, 2):
-            yield root2 * c
-            if j + 1 < M:
-                yield root2 * s
-            c, s = c * c1 - s * s1, s * c1 + c * s1
 
 
 def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
     """Evaluate every dictionary function at every point.
 
-    Entry (i, j) is f_j(x_i), stored column-major. Points must lie in the
-    dictionary domain. A tabulated function is its clamped interpolant on
-    the whole domain; points outside the domain are clamped too, with a
-    warning.
+    Entry (i, j) is f_j(x_i), stored column-major in an array that shares
+    no memory with ``points``; a coordinate design is the checked copy of
+    the points. Fourier columns are written in place from the angle-addition
+    recurrence (c, s) <- (c c1 - s s1, s c1 + c s1), c1 + i s1 = exp(2 pi i x);
+    its rounding error grows about linearly in the frequency, to a few
+    1e-12 at M ~ 4000. Points must lie in the dictionary domain. A
+    tabulated function is its clamped interpolant on the whole domain;
+    points outside the domain are clamped too, with a warning.
     """
     pts = _check_points(dictionary, points)
-    out = np.empty((pts.shape[0], dictionary.M), order="F")
-    for j, column in enumerate(_columns(dictionary, pts)):
-        out[:, j] = column
-    return DesignMatrix(n=pts.shape[0], M=dictionary.M, entries=out)
+    M = dictionary.M
+    out = pts if dictionary.kind == "coordinate" else np.empty((pts.shape[0], M), order="F")
+    if dictionary.kind == "tabulated":
+        for j, column in enumerate(_columns(dictionary, pts)):
+            out[:, j] = column
+    elif dictionary.kind == "fourier":
+        out[:, 0] = 1.0
+        angle = 2.0 * np.pi * pts[:, 0]
+        c, s = c1, s1 = np.cos(angle), np.sin(angle)
+        root2 = np.sqrt(2.0)
+        for j in range(1, M, 2):
+            np.multiply(root2, c, out=out[:, j])
+            if j + 1 < M:
+                np.multiply(root2, s, out=out[:, j + 1])
+            c, s = c * c1 - s * s1, s * c1 + c * s1
+    return DesignMatrix(n=pts.shape[0], M=M, entries=out)
 
 
 def _spectrum(coef: np.ndarray):

@@ -122,14 +122,23 @@ def generate(
     """Draw X_i iid from the design measure and Y_i = f(X_i) + W_i.
 
     Deterministic given the seed: the design is drawn first, then the
-    noise, from one ``default_rng(seed)`` stream.
+    noise, from one ``default_rng(seed)`` stream. A uniform design is
+    ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
+    ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
+    domain whose width overflows raises ConfigError.
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
     rng = np.random.default_rng(seed)
     box = dictionary.domain
     if measure.kind == "uniform":
-        x = rng.uniform(box[:, 0], box[:, 1], size=(n, dictionary.d))
+        with np.errstate(over="ignore"):
+            width = box[:, 1] - box[:, 0]
+        if not np.all(np.isfinite(width)):
+            raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
+        x = rng.random((n, dictionary.d))
+        x *= width
+        x += box[:, 0]
     else:
         grid, density = measure.density_table
         cdf = np.concatenate(

@@ -11,6 +11,7 @@ from l1agg import (
     ConfigError,
     DictionaryError,
     DomainError,
+    NumericError,
     ShapeError,
     UnsupportedOperationError,
     build_coordinate,
@@ -184,6 +185,99 @@ class TestEvaluate:
     )
     def test_entries_column_major(self, dictionary, points):
         assert evaluate(dictionary, points).entries.flags.f_contiguous
+
+
+class TestCheckPoints:
+    """The one-pass bounds test keeps every refusal of the full scans."""
+
+    TABLE = (np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "where", [(0, 0), (-1, 2), (50, 1)], ids=["first-row", "last-row", "middle-column"]
+    )
+    def test_non_finite_refused(self, bad, where):
+        pts = np.full((101, 3), 0.5)
+        pts[where] = bad
+        d = build_coordinate(3)
+        with pytest.raises(NumericError):
+            evaluate(d, pts)
+        with pytest.raises(NumericError):
+            predict(d, np.ones(3), pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_non_finite_refused_on_one_axis(self, bad, index):
+        # A tabulated dictionary warns on points outside its domain, but a
+        # non-finite point is still an error.
+        pts = np.full(33, 0.5)
+        pts[index] = bad
+        for d in (build_fourier(5), build_tabulated([self.TABLE] * 2)):
+            with pytest.raises(NumericError):
+                evaluate(d, pts)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+    def test_domain_slack_is_kept(self, side):
+        box = np.array([[-1.0, 3.0], [0.25, 0.5], [-7.25, -2.0]])
+        d = build_coordinate(3, domain=box)
+        step = 2e-12 if side else -2e-12
+        pts = np.tile(box.mean(axis=1), (9, 1))
+        pts[4, 1] = box[1, side] + step / 4
+        evaluate(d, pts)
+        pts[4, 1] = box[1, side] + step
+        with pytest.raises(DomainError):
+            evaluate(d, pts)
+        with pytest.raises(DomainError):
+            predict(d, np.ones(3), pts)
+
+    def test_tabulated_warns_once_and_clamps(self):
+        d = build_tabulated([self.TABLE] * 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = evaluate(d, [-0.5, 0.5, 1.5, 2.0]).entries
+        assert [w.category for w in caught] == [RuntimeWarning]
+        np.testing.assert_array_equal(out[:, 0], [0.0, 1.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "dictionary, points",
+        [(build_coordinate(2), np.empty((0, 2))), (build_fourier(3), np.empty(0))],
+        ids=["coordinate", "fourier"],
+    )
+    def test_zero_points(self, dictionary, points):
+        assert predict(dictionary, np.ones(dictionary.M), points).shape == (0,)
+        with pytest.raises(ShapeError):
+            evaluate(dictionary, points)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "dictionary, shape",
+        [(build_coordinate(3), (9, 3)), (build_coordinate(2), (9, 2)), (build_fourier(4), (9, 1))],
+        ids=["coordinate-3", "coordinate-2", "fourier"],
+    )
+    def test_entries_never_alias_the_points(self, order, dictionary, shape):
+        pts = np.array(np.random.default_rng(2).uniform(0.0, 1.0, shape), order=order)
+        entries = evaluate(dictionary, pts).entries
+        before = entries.copy()
+        pts[...] = 0.5
+        assert np.array_equal(entries, before)
+
+    @pytest.mark.parametrize("M", [2, 3, 304])
+    def test_fourier_design_is_the_column_recurrence(self, M):
+        # Column by column: frequency k fills column 2k - 1 with sqrt(2) cos
+        # and column 2k with sqrt(2) sin, the pair advanced by angle addition.
+        x = np.random.default_rng(M).uniform(0.0, 1.0, 1000)
+        c1, s1 = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
+        expected = np.empty((x.size, M))
+        expected[:, 0] = 1.0
+        cos_k, sin_k = c1, s1
+        for k in range(1, M // 2 + 1):
+            expected[:, 2 * k - 1] = math.sqrt(2.0) * cos_k
+            if 2 * k < M:
+                expected[:, 2 * k] = math.sqrt(2.0) * sin_k
+            cos_k, sin_k = cos_k * c1 - sin_k * s1, sin_k * c1 + cos_k * s1
+        got = evaluate(build_fourier(M), x).entries
+        assert np.array_equal(got, expected)
+        assert got.flags.f_contiguous
 
 
 class TestEmpiricalNorms:

@@ -14,11 +14,13 @@ from l1agg import (
     ExperimentConfig,
     ShapeError,
     bound_check,
+    build_coordinate,
     build_fourier,
     evaluate,
     fit,
     generate,
     l0k_truth,
+    linear_truth,
     load_config,
     noise_bounded_uniform,
     noiseless,
@@ -32,7 +34,7 @@ from l1agg import (
     uniform_measure,
     write_rows_csv,
 )
-from l1agg import solver
+from l1agg import experiments, solver
 from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
@@ -102,6 +104,26 @@ class TestGenerate:
         d = build_fourier(3)
         sample = generate(d, l0k_truth(1), uniform_measure(), noiseless(), 1000, 0)
         assert sample.x.min() >= 0.0 and sample.x.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 8192])
+    def test_uniform_draw_is_generator_uniform(self, n):
+        # An asymmetric per-axis box with a zero-width axis: the design is
+        # bit for bit Generator.uniform's, and the noise is the next draw
+        # from the same stream.
+        box = np.array([[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]])
+        d = build_coordinate(3, domain=box)
+        noise = noise_bounded_uniform(1.0)
+        sample = generate(d, linear_truth(np.ones(3)), uniform_measure(), noise, n, 5)
+        rng = np.random.default_rng(5)
+        assert np.array_equal(sample.x, rng.uniform(box[:, 0], box[:, 1], (n, 3)))
+        assert np.array_equal(sample.w, rng.uniform(-1.0, 1.0, n))
+
+    def test_overflowing_domain_width_refused(self):
+        # high - low overflows to inf: one ConfigError naming the domain,
+        # with no overflow warning and no non-finite points.
+        d = build_coordinate(2, domain=[-1e308, 1e308])
+        with pytest.raises(ConfigError, match=re.escape("domain [[-1e+308, 1e+308]")):
+            generate(d, linear_truth(np.ones(2)), uniform_measure(), noiseless(), 4, 0)
 
 
 class TestPresetTruths:
@@ -311,6 +333,26 @@ class TestRun:
             np.testing.assert_allclose(result.lambda_hat, ols, atol=1e-5)
             np.testing.assert_allclose(ols, ctx.lambda_star, atol=1e-10)
             assert result.m_hat <= ctx.M
+
+
+class TestMeasuredStages:
+    STAGES = ("generate", "evaluate", "fit", "event_flags", "population_dist2")
+
+    def test_replicate_calls_each_stage_once(self, monkeypatch):
+        # A replicate reaches each measured stage through its public,
+        # module-level name exactly once, so a boundary tracer times every
+        # stage; a stage behind a private helper would drop out of it.
+        calls = dict.fromkeys(self.STAGES, 0)
+        for name in self.STAGES:
+            original = getattr(experiments, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        run_single(tiny_config(), 1, 3)
+        assert calls == dict.fromkeys(self.STAGES, 1)
 
 
 class TestMonotoneSparsityInA:

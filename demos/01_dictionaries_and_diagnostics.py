@@ -18,9 +18,8 @@ from l1agg import (
     empirical_gram,
     empirical_norms,
     evaluate,
-    population_gram,
+    population_constants,
     uniform_measure,
-    validate_a2,
 )
 
 rng = np.random.default_rng(0)
@@ -32,13 +31,13 @@ design = evaluate(fourier, rng.uniform(0, 1, 2000))
 print("fourier M =", fourier.M)
 print("empirical norms ~ 1:", np.round(empirical_norms(design), 4))
 
-validation = validate_a2(fourier, measure)
-print(f"L = {validation.L:.4f} (sup norm), c0 = {validation.c0:.4f} "
-      f"(min population norm), L0 = {validation.L0:.4f}")
-print("boundedness conditions satisfied:", validation.satisfied)
+population = population_constants(fourier, measure)
+print(f"L = {population.L:.4f} (sup norm), c0 = {population.c0:.4f} "
+      f"(min population norm), L0 = {population.L0:.4f}")
+print("boundedness conditions satisfied:", population.c0 > 0)
 
 # --- population and empirical Gram diagnostics ----------------------------
-report = diagnostics(population_gram(fourier, measure), [1, 3], empirical_gram(design))
+report = diagnostics(population.psi, [1, 3], empirical_gram(design))
 print("kappa_M =", round(report.kappa_M, 6), "(orthonormal => 1)")
 print("rho(lambda) for support {2, 4} =", round(report.rho_lambda, 6))
 print("eta_nM (population vs empirical Gram) =", round(report.eta_nM, 4))

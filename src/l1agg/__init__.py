@@ -3,7 +3,7 @@
 The package is organized around six pieces:
 
 * :mod:`l1agg.dictionary`  -- dictionary construction, evaluation, norms,
-  and the boundedness validation;
+  and the population Gram and boundedness constants;
 * :mod:`l1agg.gram`        -- population/empirical Gram matrices, kappa_M,
   mutual coherence, entrywise Gram deviation;
 * :mod:`l1agg.solver`      -- the weighted-lasso coordinate descent with a
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .dictionary import (
     DesignMatrix,
     Dictionary,
-    DictionaryValidation,
     MeasureSpec,
     build_coordinate,
     build_fourier,
@@ -30,10 +29,10 @@ from .dictionary import (
     grid_density_measure,
     load_points_csv,
     load_tabulated_csv,
+    population_constants,
     population_gram,
     predict,
     uniform_measure,
-    validate_a2,
 )
 from .errors import (
     ConfigError,
@@ -45,7 +44,6 @@ from .errors import (
     NumericError,
     ShapeError,
     UnsupportedOperationError,
-    ValidationError,
 )
 from .gram import (
     CoherenceReport,

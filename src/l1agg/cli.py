@@ -33,9 +33,8 @@ from .dictionary import (
     grid_density_measure,
     load_points_csv,
     load_tabulated_csv,
-    population_gram,
+    population_constants,
     uniform_measure,
-    validate_a2,
 )
 from .errors import (
     ConfigError,
@@ -43,7 +42,6 @@ from .errors import (
     DegenerateDictionaryError,
     L1AggError,
     NumericError,
-    ValidationError,
 )
 from .experiments import (
     l0k_truth,
@@ -191,23 +189,21 @@ def _cmd_diagnose(args) -> int:
     support = [parse_value(tok, int, "--support") - 1 for tok in tokens]
     if any(not 0 <= j < dictionary.M for j in support):
         raise ConfigError(f"--support indices must lie in [1, {dictionary.M}]")
-    psi = population_gram(dictionary, measure)
+    # Raises on a non-finite L or L0, so a2_bounded and a2_moments hold below.
+    constants = population_constants(dictionary, measure)
     psi_n = None
     if args.data:
         points, _ = load_points_csv(args.data)
         psi_n = empirical_gram(evaluate(dictionary, points))
-    report = diagnostics(psi, support, psi_n)
-
-    # validate_a2 raises on a non-finite L or L0, so L and L0 are bounded here.
-    validation = validate_a2(dictionary, measure)
+    report = diagnostics(constants.psi, support, psi_n)
     lines = [
         f"kappa_M={report.kappa_M!r}",
         f"rho_lambda={report.rho_lambda!r}",
-        f"L={validation.L!r}",
-        f"c0={validation.c0!r}",
-        f"L0={validation.L0!r}",
+        f"L={constants.L!r}",
+        f"c0={constants.c0!r}",
+        f"L0={constants.L0!r}",
         "a2_bounded=1",
-        f"a2_norms={1 if validation.norms_ok else 0}",
+        f"a2_norms={1 if constants.c0 > 0.0 else 0}",
         "a2_moments=1",
     ]
     if args.data:
@@ -217,7 +213,7 @@ def _cmd_diagnose(args) -> int:
     for line in lines:
         print(line)
     if args.gram_out:
-        write_gram_csv(args.gram_out, psi)
+        write_gram_csv(args.gram_out, constants.psi)
     if args.empirical_gram_out:
         write_gram_csv(args.empirical_gram_out, psi_n)
     return 0
@@ -373,7 +369,6 @@ _EXIT_CODES = {
     ConvergenceError: 2,
     OSError: 3,
     NumericError: 4,
-    ValidationError: 4,
     DegenerateDictionaryError: 4,
     np.linalg.LinAlgError: 4,
     MemoryError: 1,

@@ -32,7 +32,6 @@ from .errors import (
     NumericError,
     ShapeError,
     UnsupportedOperationError,
-    ValidationError,
 )
 
 # Quadrature / scan resolutions; every grid spans one axis.
@@ -454,25 +453,6 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     return psi, float(mixed.max())
 
 
-def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
-    """Population Gram matrix of inner products <f_i, f_j> under the measure.
-
-    Under the uniform measure it is exact: the identity for fourier
-    dictionaries, product box moments for coordinate ones. Tabulated
-    dictionaries and grid-density measures go through quadrature.
-    """
-    exact = _uniform_closed_form(dictionary, measure)
-    if exact is not None:
-        return exact[0]
-    pts, w = quadrature_grid(dictionary, measure)
-    phi = evaluate(dictionary, pts).entries
-    psi = phi.T @ (phi * w[:, None])
-    psi = 0.5 * (psi + psi.T)
-    if not np.all(np.isfinite(psi)):
-        raise NumericError("population Gram quadrature produced non-finite entries")
-    return psi
-
-
 def _sup_norm(dictionary: Dictionary) -> float:
     """Exact L = max_j sup_x |f_j(x)| over the dictionary domain.
 
@@ -502,50 +482,52 @@ def sup_norm_grid(dictionary: Dictionary) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DictionaryValidation:
-    """Boundedness / non-degeneracy report for a dictionary.
+class PopulationConstants:
+    """Population Gram and boundedness constants of a dictionary under a
+    design measure.
 
-    ``L`` is the exact max sup-norm, ``c0`` the smallest population norm,
-    ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]. c0 and L0
-    are exact for fourier and coordinate dictionaries under the uniform
-    measure and quadrature estimates otherwise. L and L0 are always finite
-    (:func:`validate_a2` raises otherwise), so the boundedness conditions
-    hold exactly when ``norms_ok``: c0 > 0.
+    ``psi`` is the Gram matrix of inner products <f_i, f_j>, ``L`` the
+    exact max sup-norm, ``c0`` the smallest population norm and ``L0`` the
+    largest mixed fourth moment max E[f_i^2 f_j^2]. All are finite, so the
+    boundedness conditions L < inf and L0 < inf hold; c0 > 0 is the third.
     """
 
+    psi: np.ndarray
     L: float
     c0: float
     L0: float
-    norms_ok: bool
-
-    @property
-    def satisfied(self) -> bool:
-        return self.norms_ok
 
 
-def validate_a2(dictionary: Dictionary, measure: MeasureSpec) -> DictionaryValidation:
-    """Compute L, c0, L0 and check the boundedness conditions.
+def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> PopulationConstants:
+    """Psi, L, c0 and L0 of the dictionary under the measure, from one pass.
 
-    L is exact for every kind; c0 and L0 use the same closed forms as
-    :func:`population_gram` and quadrature where those do not apply.
-    A non-finite L, c0 or L0 raises ValidationError, so L < inf and
-    L0 < inf whenever a report is returned; c0 > 0 is ``norms_ok``.
+    Under the uniform measure, fourier and coordinate dictionaries take
+    the closed forms of :func:`_uniform_closed_form`; otherwise Psi, c0
+    and L0 come from one quadrature design (:func:`quadrature_grid`). L
+    is exact for every kind (:func:`_sup_norm`). A non-finite result, such
+    as a product that overflows, raises NumericError and no warning.
     """
-    L = _sup_norm(dictionary)
-    exact = _uniform_closed_form(dictionary, measure)
-    if exact is not None:
-        psi, L0 = exact
-        norms_sq = np.diag(psi)
-    else:
-        qpts, w = quadrature_grid(dictionary, measure)
-        phi = evaluate(dictionary, qpts).entries
-        sq = phi * phi
-        weighted = sq * w[:, None]
-        norms_sq = weighted.sum(axis=0)
-        L0 = float((sq.T @ weighted).max())
-    c0 = float(np.sqrt(max(norms_sq.min(), 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = _uniform_closed_form(dictionary, measure)
+        if exact is not None:
+            psi, L0 = exact
+            norms_sq = np.diag(psi)
+        else:
+            pts, w = quadrature_grid(dictionary, measure)
+            phi = evaluate(dictionary, pts).entries
+            psi = phi.T @ (phi * w[:, None])
+            psi = 0.5 * (psi + psi.T)
+            sq = phi * phi
+            weighted = sq * w[:, None]
+            norms_sq = weighted.sum(axis=0)
+            L0 = float((sq.T @ weighted).max())
+        c0 = float(np.sqrt(max(norms_sq.min(), 0.0)))
+        L = _sup_norm(dictionary)
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite([L, c0, L0]))):
+        raise NumericError("population Gram, L, c0 or L0 is not finite")
+    return PopulationConstants(psi=psi, L=L, c0=c0, L0=L0)
 
-    if not (np.isfinite(L) and np.isfinite(c0) and np.isfinite(L0)):
-        raise ValidationError("validation produced non-finite L, c0 or L0")
 
-    return DictionaryValidation(L=L, c0=c0, L0=L0, norms_ok=c0 > 0.0)
+def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
+    """Population Gram matrix Psi_M, read from :func:`population_constants`."""
+    return population_constants(dictionary, measure).psi

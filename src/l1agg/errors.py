@@ -29,10 +29,6 @@ class DegenerateDictionaryError(L1AggError):
     """A Gram diagonal entry is nonpositive (zero-norm dictionary function)."""
 
 
-class ValidationError(L1AggError):
-    """Dictionary validation produced non-finite L, c0 or L0."""
-
-
 class UnsupportedOperationError(L1AggError):
     """Operation outside what the library computes: a quadrature or sup-norm
     grid for a dictionary with d > 1 (grids span one axis)."""

@@ -34,9 +34,8 @@ from .dictionary import (
     build_coordinate,
     build_fourier,
     evaluate,
-    population_gram,
+    population_constants,
     uniform_measure,
-    validate_a2,
 )
 from .errors import ConfigError, ConvergenceError
 from .gram import kappa
@@ -383,13 +382,12 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
     l_lambda = 0.0 if dist2_star == 0.0 else sup_norm_error(dictionary, truth, lambda_star)
 
-    validation = validate_a2(dictionary, measure)
-    psi = population_gram(dictionary, measure)
-    kappa_m = kappa(psi)
+    population = population_constants(dictionary, measure)
+    kappa_m = kappa(population.psi)
     constants = BoundConstants()
     rhs_risk = theorem_rhs("t21_risk", constants, r_nM, k_star, kappa_m)
     rhs_l1 = theorem_rhs("t21_l1", constants, r_nM, k_star, kappa_m)
-    pop_norms_sq = np.diag(psi).copy()
+    pop_norms_sq = np.diag(population.psi).copy()
     regime_ok = oracle_found and (
         k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0
     )
@@ -410,9 +408,9 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         L_lambda_star=l_lambda,
         kappa_M=kappa_m,
         pop_norms_sq=pop_norms_sq,
-        c0=validation.c0,
-        L=validation.L,
-        L0=validation.L0,
+        c0=population.c0,
+        L=population.L,
+        L0=population.L0,
         rhs_t21_risk=rhs_risk,
         rhs_t21_l1=rhs_l1,
         regime_ok=regime_ok,

@@ -17,6 +17,7 @@ exact floating-point comparison against ``COHERENCE_THRESHOLD``.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -168,16 +169,18 @@ def _restricted_residual(psi, g, f2, support):
     return lam_s, float(max(residual2, 0.0))
 
 
-def oracle_general(
-    dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, k: int
-):
-    """Best k-sparse population approximation of the truth.
+def _oracle_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
+    """``(Psi, g, ||f||^2)``: the Gram, and quadrature approximations of
+    g_j = <f_j, f> and ||f||^2, from one quadrature design."""
+    pts, w = quadrature_grid(dictionary, measure)
+    phi = evaluate(dictionary, pts).entries
+    f = evaluate_truth(truth, pts)
+    return population_gram(dictionary, measure), phi.T @ (w * f), float(w @ (f * f))
 
-    Exhaustive search over supports when C(M, k) <= 1e5 (exact), greedy
-    forward selection on the same objective otherwise. Returns
-    ``(lambda, exact_flag)``.
-    """
-    M = dictionary.M
+
+def _oracle_search(M: int, k: int, problem):
+    """``(lambda, exact_flag)`` of :func:`oracle_general`; ``problem()``
+    gives ``(Psi, g, ||f||^2)`` and is called only when k >= 1."""
     if k > M:
         raise ConfigError(f"oracle size k = {k} exceeds dictionary size M = {M}")
     if k < 0:
@@ -185,13 +188,7 @@ def oracle_general(
     lam = np.zeros(M)
     if k == 0:
         return lam, True
-    # Psi, and quadrature approximations of g_j = <f_j, f> and ||f||^2.
-    pts, w = quadrature_grid(dictionary, measure)
-    phi = evaluate(dictionary, pts).entries
-    f = evaluate_truth(truth, pts)
-    g = phi.T @ (w * f)
-    f2 = float(w @ (f * f))
-    psi = population_gram(dictionary, measure)
+    psi, g, f2 = problem()
 
     if math.comb(M, k) <= EXHAUSTIVE_SUPPORT_CAP:
         best = None
@@ -218,6 +215,18 @@ def oracle_general(
     lam_s, _ = _restricted_residual(psi, g, f2, chosen)
     lam[chosen] = lam_s
     return lam, False
+
+
+def oracle_general(
+    dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, k: int
+):
+    """Best k-sparse population approximation of the truth.
+
+    Exhaustive search over supports when C(M, k) <= 1e5 (exact), greedy
+    forward selection on the same objective otherwise. Returns
+    ``(lambda, exact_flag)``.
+    """
+    return _oracle_search(dictionary.M, k, lambda: _oracle_problem(dictionary, measure, truth))
 
 
 def _orthonormal_case(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec) -> bool:
@@ -569,16 +578,19 @@ class OracleReport:
 
 def oracle_path(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, ks):
     """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks``, lazily: the
-    best k-sparse approximation (closed form in the orthonormal case,
-    :func:`oracle_general` otherwise), its squared population distance and
-    whether the search was exhaustive.
+    best k-sparse approximation (closed form in the orthonormal case, the
+    search of :func:`oracle_general` otherwise), its squared population
+    distance and whether the search was exhaustive. The search's Gram,
+    quadrature design and truth values are computed once, at the first
+    k >= 1.
     """
     orthonormal = _orthonormal_case(dictionary, measure, truth)
+    problem = functools.cache(lambda: _oracle_problem(dictionary, measure, truth))
     for k in ks:
         if orthonormal:
             lam, exact = oracle_fourier(truth, dictionary.M, k), True
         else:
-            lam, exact = oracle_general(dictionary, measure, truth, k)
+            lam, exact = _oracle_search(dictionary.M, k, problem)
         yield k, lam, population_dist2(dictionary, measure, truth, lam), exact
 
 

@@ -51,6 +51,34 @@ def write_csv(path, header, columns):
     return path
 
 
+def write_tabulated(path, M):
+    """A tabulated dictionary of M correlated curves on 21 nodes of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, 21)
+    tables = [np.sin((j + 1) * 2.3 * grid) + 0.1 * j for j in range(M)]
+    return write_csv(path, ["x"] + [f"f{j}" for j in range(1, M + 1)], [grid] + tables)
+
+
+@pytest.fixture
+def design_shapes(monkeypatch):
+    """The point shapes of every ``evaluate`` call made through any l1agg
+    module, in call order."""
+    import l1agg.cli
+    import l1agg.dictionary
+    import l1agg.experiments
+    import l1agg.oracles
+
+    shapes = []
+    evaluate_points = l1agg.dictionary.evaluate
+
+    def spy(dictionary, points):
+        shapes.append(np.shape(points))
+        return evaluate_points(dictionary, points)
+
+    for module in (l1agg.cli, l1agg.dictionary, l1agg.experiments, l1agg.oracles):
+        monkeypatch.setattr(module, "evaluate", spy)
+    return shapes
+
+
 class TestDispatch:
     def test_fit_help(self, capsys):
         code, out, _ = run_cli(["fit", "--help"], capsys)
@@ -390,6 +418,42 @@ class TestOracle:
         assert not out.exists()
 
 
+class TestOnePopulationPass:
+    def test_diagnose_evaluates_one_quadrature_design(self, tmp_path, capsys, design_shapes):
+        tab = write_tabulated(tmp_path / "tab.csv", 6)
+        grid = np.linspace(0.0, 1.0, 21)
+        density = write_csv(tmp_path / "density.csv", ["x", "density"], [grid, 1.0 + grid * grid])
+        code, out, err = run_cli(
+            ["diagnose", "--dict", f"tabulated:{tab}", "--measure", f"density:{density}"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert "a2_norms=1" in out.splitlines()
+        assert design_shapes == [(4096, 1)]
+
+    def test_oracle_evaluates_the_quadrature_design_once(self, tmp_path, capsys, design_shapes):
+        # Once per k used to be 24 designs for k = 0..12.
+        tab = write_tabulated(tmp_path / "tab.csv", 12)
+        x = np.linspace(0.0, 1.0, 21)
+        truth = write_csv(tmp_path / "truth.csv", ["x", "f"], [x, np.exp(x)])
+        args = ["oracle", "--dict", f"tabulated:{tab}", "--truth", f"tabulated:{truth}",
+                "--out", str(tmp_path / "oracle.csv")]
+        assert run_cli(args + ["--kmax", "12"], capsys)[0] == 0
+        assert 1 <= len(design_shapes) <= 2
+        design_shapes.clear()
+        assert run_cli(args + ["--kmax", "0"], capsys)[0] == 0
+        assert design_shapes == []
+
+    @pytest.mark.parametrize("value", [1e100, 1e160])
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, value):
+        # At 1e100 the fourth moments overflow, at 1e160 the Gram itself;
+        # either used to print numpy's overflow warning before the error.
+        tab = write_csv(tmp_path / "tab.csv", ["x", "f1", "f2"],
+                        [[0.0, 1.0], [value, value], [1.0, 2.0]])
+        code, out, err = run_cli(["diagnose", "--dict", f"tabulated:{tab}"], capsys)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == ["error: population Gram, L, c0 or L0 is not finite"]
+
+
 class TestResourceLimits:
     def test_memory_error_is_one_error_line(self, monkeypatch, capsys):
         # A huge request such as `diagnose --dict fourier:200000` used to end
@@ -397,7 +461,7 @@ class TestResourceLimits:
         def too_large(*_):
             raise MemoryError("Unable to allocate 298. GiB for an array")
 
-        monkeypatch.setattr("l1agg.cli.population_gram", too_large)
+        monkeypatch.setattr("l1agg.cli.population_constants", too_large)
         code, out, err = run_cli(["diagnose", "--dict", "fourier:8"], capsys)
         assert code == 1
         assert out == ""
@@ -437,10 +501,10 @@ class TestWarnings:
         def warn_twice(*args):
             for _ in range(2):
                 warnings.warn("quadrature is coarse", RuntimeWarning)
-            return gram(*args)
+            return constants(*args)
 
-        gram = cli.population_gram
-        monkeypatch.setattr(cli, "population_gram", warn_twice)
+        constants = cli.population_constants
+        monkeypatch.setattr(cli, "population_constants", warn_twice)
         for _ in range(2):  # each call starts afresh
             code, _, err = run_cli(["diagnose", "--dict", "fourier:3"], capsys)
             assert code == 0

@@ -1,4 +1,4 @@
-"""Dictionary construction, evaluation, norms, and validation."""
+"""Dictionary construction, evaluation, norms, and population constants."""
 
 import math
 import re
@@ -26,11 +26,11 @@ from l1agg import (
     load_points_csv,
     load_tabulated_csv,
     noiseless,
+    population_constants,
     population_gram,
     predict,
     sup_norm_error,
     uniform_measure,
-    validate_a2,
 )
 from l1agg import dictionary as dictionary_module
 from l1agg.dictionary import (
@@ -109,8 +109,7 @@ class TestEvaluate:
         d = build_tabulated([(np.array([0.2, 0.4]), np.array([-5.0, 1.0]))] * 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            validate_a2(d, uniform_measure())
-            population_gram(d, uniform_measure())
+            population_constants(d, uniform_measure())
             assert evaluate(d, [0.0, 1.0]).entries[:, 0].tolist() == [-5.0, 1.0]
 
     def test_dimension_mismatch(self):
@@ -317,35 +316,37 @@ class TestEmpiricalNorms:
 
 
 class TestValidateA2:
+    """The boundedness constants L, c0 and L0 of assumption (A2), and Psi,
+    from population_constants."""
+
     def test_fourier_uniform(self):
-        v = validate_a2(build_fourier(3), uniform_measure())
+        v = population_constants(build_fourier(3), uniform_measure())
         assert v.L == pytest.approx(math.sqrt(2), abs=QUADRATURE_TOL)
         assert v.c0 == pytest.approx(1.0, abs=QUADRATURE_TOL)
-        assert v.satisfied
+        assert v.c0 > 0
 
     def test_zero_column_fails_norm_flag(self):
         # Second coordinate is pinned at 0, so f_2 is the zero function.
         d = build_coordinate(2, domain=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        v = validate_a2(d, uniform_measure())
+        v = population_constants(d, uniform_measure())
         assert v.c0 == 0.0
-        assert not v.norms_ok
 
     def test_tabulated_constants(self):
         grid = np.array([0.0, 1.0])
         d = build_tabulated([(grid, np.array([2.0, 2.0]))] * 2, domain=[0.0, 1.0])
-        v = validate_a2(d, uniform_measure())
+        v = population_constants(d, uniform_measure())
         assert v.L == pytest.approx(2.0)
         assert v.c0 == pytest.approx(2.0, abs=1e-9)
         assert v.L0 == pytest.approx(16.0, rel=1e-9)
 
     def test_remark1_bound(self):
         for d in (build_fourier(7), build_coordinate(3, domain=[-2.0, 2.0])):
-            v = validate_a2(d, uniform_measure())
+            v = population_constants(d, uniform_measure())
             assert v.L0 <= v.L**4 + 1e-9
 
     def test_coordinate_sup_norm_uses_first_m_axes(self):
         box = [[-2.0, 1.0], [0.5, 3.0]]
-        v = validate_a2(build_coordinate(2, domain=box), uniform_measure())
+        v = population_constants(build_coordinate(2, domain=box), uniform_measure())
         assert v.L == 3.0
 
     def test_tabulated_sup_norm_matches_dense_scan(self):
@@ -361,11 +362,45 @@ class TestValidateA2:
         )
         phi = evaluate(d, np.linspace(0.0, 1.0, 400_001)).entries
         scan = np.abs(phi).max(axis=0)
-        exact = [validate_a2(build_tabulated([t, t]), uniform_measure()).L for t in d.tables]
+        exact = [
+            population_constants(build_tabulated([t, t]), uniform_measure()).L for t in d.tables
+        ]
         np.testing.assert_allclose(exact, scan, rtol=1e-4)
         assert np.all(np.asarray(exact) >= scan)
         assert exact[2] == 6.0
-        assert validate_a2(d, uniform_measure()).L == max(exact)
+        assert population_constants(d, uniform_measure()).L == max(exact)
+
+    def test_quadrature_constants_are_the_one_design_formulas(self):
+        # A tabulated dictionary under a density measure has no closed form:
+        # Psi, c0 and L0 come bit for bit from one quadrature design.
+        grid = np.linspace(0.0, 1.0, 9)
+        d = build_tabulated([(grid, np.cos(j * grid) + j) for j in range(4)])
+        ramp = grid_density_measure(grid, 1.0 + grid)
+        pts, w = quadrature_grid(d, ramp)
+        phi = evaluate(d, pts).entries
+        psi = phi.T @ (phi * w[:, None])
+        psi = 0.5 * (psi + psi.T)
+        sq = phi * phi
+        weighted = sq * w[:, None]
+        v = population_constants(d, ramp)
+        assert np.array_equal(v.psi, psi)
+        assert np.array_equal(population_gram(d, ramp), psi)
+        assert v.c0 == float(np.sqrt(max(weighted.sum(axis=0).min(), 0.0)))
+        assert v.L0 == float((sq.T @ weighted).max())
+
+    @pytest.mark.parametrize("value", [1e100, 1e160, None])
+    def test_overflow_is_a_numeric_error_without_warning(self, value):
+        # At 1e100 the quadrature fourth moments overflow, at 1e160 the
+        # quadrature Gram, and on a 1e200 box the closed-form moments;
+        # each used to warn from numpy before the error.
+        grid = np.array([0.0, 1.0])
+        d = (
+            build_coordinate(2, domain=[-1e200, 1e200])
+            if value is None
+            else build_tabulated([(grid, np.array([value, value])), (grid, grid)])
+        )
+        with pytest.raises(NumericError, match="not finite"):
+            population_constants(d, uniform_measure())
 
 
 class TestFourierOrthonormality:
@@ -428,9 +463,9 @@ class TestGridDensityMeasure:
     def test_flat_density_matches_exact_fourier_constants(self):
         d = build_fourier(9)
         flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
-        np.testing.assert_allclose(population_gram(d, flat), np.eye(9), rtol=0.0, atol=1e-9)
-        exact = validate_a2(d, uniform_measure())
-        quad = validate_a2(d, flat)
+        exact = population_constants(d, uniform_measure())
+        quad = population_constants(d, flat)
+        np.testing.assert_allclose(quad.psi, np.eye(9), rtol=0.0, atol=1e-9)
         assert (exact.L, exact.c0, exact.L0) == (math.sqrt(2.0), 1.0, 1.5)
         assert quad.c0 == pytest.approx(exact.c0, abs=1e-9)
         assert quad.L0 == pytest.approx(exact.L0, abs=1e-9)
@@ -468,7 +503,7 @@ class TestGridBudget:
             population_gram(build_coordinate(2), flat)
 
     def test_closed_forms_need_no_grid(self):
-        v = validate_a2(build_coordinate(20, domain=[-1.0, 1.0]), uniform_measure())
+        v = population_constants(build_coordinate(20, domain=[-1.0, 1.0]), uniform_measure())
         assert (v.L, v.c0, v.L0) == (1.0, math.sqrt(1.0 / 3.0), 0.2)
 
 

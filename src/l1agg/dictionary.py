@@ -246,16 +246,40 @@ def load_points_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def _check_points(dictionary: Dictionary, points) -> np.ndarray:
+def _check_out(out, shape, order: str, points=None) -> np.ndarray:
+    """``out`` checked as a destination array of ``shape``.
+
+    It must be a writeable float64 ndarray, contiguous in ``order`` ("C"
+    or "F"), that shares no memory with ``points`` when they are given
+    (``np.may_share_memory``); anything else raises ShapeError.
+    """
+    if not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags[f"{order}_CONTIGUOUS"]
+        and out.flags.writeable
+    ):
+        raise ShapeError(f"out must be a writeable {order}-order float64 array of shape {shape}")
+    if points is not None and np.may_share_memory(out, points):
+        raise ShapeError("out may share memory with the points")
+    return out
+
+
+def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
     """A private column-major (n, d) copy of the points, within the domain.
 
-    One per-axis min/max over the copy tests the bounds; NaN propagates
-    through both, so only a failed test scans for non-finite values
-    (NumericError) and points outside the domain (DomainError). A tabulated
-    dictionary's functions are clamped interpolants on the whole line, so
-    for it such points only warn.
+    The copy is written into ``out`` when one is given (:func:`_check_out`,
+    order "F"). One per-axis min/max over the copy tests the bounds; NaN
+    propagates through both, so only a failed test scans for non-finite
+    values (NumericError) and points outside the domain (DomainError). A
+    tabulated dictionary's functions are clamped interpolants on the whole
+    line, so for it such points only warn.
     """
-    pts = np.array(points, dtype=float, order="F")
+    if out is None:
+        pts = np.array(points, dtype=float, order="F")
+    else:
+        pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         if dictionary.d != 1:
             raise ShapeError(f"points are 1-d but the dictionary has d = {dictionary.d}")
@@ -264,6 +288,9 @@ def _check_points(dictionary: Dictionary, points) -> np.ndarray:
         raise ShapeError(
             f"points shape {pts.shape} does not match dictionary dimension d = {dictionary.d}"
         )
+    if out is not None:
+        np.copyto(_check_out(out, pts.shape, "F", points), pts)
+        pts = out
     lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
     hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
     smallest, largest = pts.min(axis=0, initial=np.inf), pts.max(axis=0, initial=-np.inf)
@@ -291,7 +318,7 @@ def _columns(dictionary: Dictionary, pts: np.ndarray):
             yield np.interp(pts[:, 0], grid, vals)
 
 
-def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
+def evaluate(dictionary: Dictionary, points, *, out=None) -> DesignMatrix:
     """Evaluate every dictionary function at every point.
 
     Entry (i, j) is f_j(x_i), stored column-major in an array that shares
@@ -302,10 +329,19 @@ def evaluate(dictionary: Dictionary, points) -> DesignMatrix:
     1e-12 at M ~ 4000. Points must lie in the dictionary domain. A
     tabulated function is its clamped interpolant on the whole domain;
     points outside the domain are clamped too, with a warning.
+
+    ``out``, when given, is the array the entries are written into and the
+    design holds: a writeable column-major (n, M) float64 array that shares
+    no memory with ``points``, or ShapeError. The entries are the same
+    bits as without it.
     """
-    pts = _check_points(dictionary, points)
     M = dictionary.M
-    out = pts if dictionary.kind == "coordinate" else np.empty((pts.shape[0], M), order="F")
+    if dictionary.kind == "coordinate":
+        pts = out = _check_points(dictionary, points, out)
+    else:
+        pts = _check_points(dictionary, points)
+        shape = (pts.shape[0], M)
+        out = np.empty(shape, order="F") if out is None else _check_out(out, shape, "F", points)
     if dictionary.kind == "tabulated":
         for j, column in enumerate(_columns(dictionary, pts)):
             out[:, j] = column

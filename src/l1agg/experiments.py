@@ -36,6 +36,7 @@ from .dictionary import (
     evaluate,
     population_constants,
     uniform_measure,
+    _check_out,
 )
 from .errors import ConfigError, ConvergenceError
 from .gram import kappa
@@ -117,6 +118,8 @@ def generate(
     noise: NoiseModel,
     n: int,
     seed: int,
+    *,
+    out=None,
 ) -> Sample:
     """Draw X_i iid from the design measure and Y_i = f(X_i) + W_i.
 
@@ -124,10 +127,18 @@ def generate(
     noise, from one ``default_rng(seed)`` stream. A uniform design is
     ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
     ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError.
+    domain whose width overflows raises ConfigError. A density design
+    has shape (n, 1).
+
+    ``out``, when given, is the array the design is drawn into and the
+    sample's ``x``: a writeable C-order float64 array of the design's
+    shape, or ShapeError. The sample is the same bits as without it.
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
+    if out is not None:
+        shape = (n, dictionary.d) if measure.kind == "uniform" else (n, 1)
+        _check_out(out, shape, "C")
     rng = np.random.default_rng(seed)
     box = dictionary.domain
     if measure.kind == "uniform":
@@ -135,7 +146,7 @@ def generate(
             width = box[:, 1] - box[:, 0]
         if not np.all(np.isfinite(width)):
             raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
-        x = rng.random((n, dictionary.d))
+        x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
         x *= width
         x += box[:, 0]
     else:
@@ -145,6 +156,9 @@ def generate(
         )
         cdf /= cdf[-1]
         x = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)[:, None]
+        if out is not None:
+            out[...] = x
+            x = out
     f_values = evaluate_truth(truth, x)
     w = sample_noise(noise, n, rng)
     return Sample(x=x, y=f_values + w, f_values=f_values, w=w)
@@ -352,6 +366,10 @@ class CellContext:
 
 @functools.lru_cache(maxsize=128)
 def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
+    """The context of grid cell ``cell_index``, 0-based, or ConfigError for
+    an index outside the n-grid."""
+    if not 0 <= cell_index < len(config.n_values):
+        raise ConfigError("cell_index out of range")
     m_of = _parse_m_rule(config.m_rule)
     n = config.n_values[cell_index]
     M = m_of(n)
@@ -462,12 +480,29 @@ _ROW_FIELDS = [f for f in dataclasses.fields(ExperimentRow) if f.name != "conver
 CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
 
 
-def _draw(ctx: CellContext, seed: int):
+def _cell_buffers(ctx: CellContext) -> tuple[np.ndarray, np.ndarray]:
+    """A draw array and a design array for the replicates of one cell: the
+    C-order (n, d) ``out`` of :func:`generate` and the column-major (n, M)
+    ``out`` of :func:`evaluate`.
+
+    Each replicate overwrites both, so nothing may keep a replicate's
+    sample or design past the next draw. Reusing them spares every
+    replicate but the first the page faults of fresh arrays.
+    """
+    return np.empty((ctx.n, ctx.dictionary.d)), np.empty((ctx.n, ctx.M), order="F")
+
+
+def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
     """One replicate's sample, its evaluated design, the penalty with weights
     at the cell's rate ctx.r_nM, and the good-event indicators of the sample
-    against the cell's oracle."""
-    sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
-    design = evaluate(ctx.dictionary, sample.x)
+    against the cell's oracle.
+
+    ``buffers`` are the ``out`` arrays of :func:`generate` and
+    :func:`evaluate` (:func:`_cell_buffers`), or None for fresh arrays.
+    """
+    x_out, design_out = buffers
+    sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed, out=x_out)
+    design = evaluate(ctx.dictionary, sample.x, out=design_out)
     # An explicit rate ignores the tuning constant A.
     penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
     flags = event_flags(
@@ -483,10 +518,12 @@ def _draw(ctx: CellContext, seed: int):
     return sample, design, penalty, flags
 
 
-def _run_replicate(config: ExperimentConfig, ctx: CellContext, rep: int) -> ExperimentRow:
+def _run_replicate(
+    config: ExperimentConfig, ctx: CellContext, rep: int, buffers=(None, None)
+) -> ExperimentRow:
     seed = replicate_seed(config, ctx.cell_index, rep)
     start = time.perf_counter()
-    sample, design, penalty, flags = _draw(ctx, seed)
+    sample, design, penalty, flags = _draw(ctx, seed, buffers)
     try:
         result = fit(design, sample.y, penalty)
         converged = result.converged
@@ -522,13 +559,15 @@ def run(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the full replicate grid in deterministic (cell, rep) order.
 
     Writes the CSV artifact when ``config.out`` is set. Non-convergent
-    replicates are recorded in-row, never fatal.
+    replicates are recorded in-row, never fatal. The replicates of a cell
+    share one pair of draw and design arrays (:func:`_cell_buffers`).
     """
     rows = []
     for cell_index in range(len(config.n_values)):
         ctx = cell_context(config, cell_index)
+        buffers = _cell_buffers(ctx)
         for rep in range(config.R):
-            rows.append(_run_replicate(config, ctx, rep))
+            rows.append(_run_replicate(config, ctx, rep, buffers))
     if config.out:
         write_rows_csv(config.out, rows)
     return rows
@@ -536,11 +575,10 @@ def run(config: ExperimentConfig) -> list[ExperimentRow]:
 
 def run_single(config: ExperimentConfig, cell_index: int, rep: int) -> ExperimentRow:
     """Recompute one replicate in isolation (same seed-splitting rule)."""
-    if not 0 <= cell_index < len(config.n_values):
-        raise ConfigError("cell_index out of range")
+    ctx = cell_context(config, cell_index)
     if not 0 <= rep < config.R:
         raise ConfigError("replicate index out of range")
-    return _run_replicate(config, cell_context(config, cell_index), rep)
+    return _run_replicate(config, ctx, rep)
 
 
 def rows_csv_text(rows) -> str:
@@ -802,5 +840,6 @@ def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):
     when only event frequencies are needed (no fits).
     """
     ctx = cell_context(config, cell_index)
-    flags = [_draw(ctx, s)[3] for s in seeds]
+    buffers = _cell_buffers(ctx)
+    flags = [_draw(ctx, s, buffers)[3] for s in seeds]
     return event_frequencies(flags), flags

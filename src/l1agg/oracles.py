@@ -39,6 +39,7 @@ from .dictionary import (
     sup_norm_grid,
     _check_table,
     _fourier_grid,
+    _uniform_closed_form,
 )
 from .errors import ConfigError, NumericError, ShapeError
 from .gram import coherence
@@ -267,7 +268,10 @@ def population_dist2(
     ):
         diff = lam.copy()
         diff[: truth.theta.size] -= truth.theta
-        psi = population_gram(dictionary, measure)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, _ = _uniform_closed_form(dictionary, measure)
+        if not np.all(np.isfinite(psi)):
+            raise NumericError("population Gram is not finite")
         return float(max(diff @ psi @ diff, 0.0))
     pts, w = quadrature_grid(dictionary, measure)
     diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)

@@ -200,6 +200,7 @@ def fit(
 
     g = phi.T @ y / n
     grad = g.copy()
+    item = grad.item  # grad changes in place only, so this stays bound to it
     yy = float(y @ y) / n
     gram = {}  # j -> Psi_j, for the coordinates that have moved
     lam = [0.0] * M
@@ -211,7 +212,7 @@ def fit(
         max_change = 0.0
         for j, w_j, q_j in coords:
             old = lam[j]
-            c_j = grad[j] + old * q_j
+            c_j = item(j) + old * q_j
             if c_j > w_j:
                 new = (c_j - w_j) / q_j
             elif c_j < -w_j:

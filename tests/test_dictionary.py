@@ -279,6 +279,102 @@ class TestCheckPoints:
         assert got.flags.f_contiguous
 
 
+class TestEvaluateOut:
+    """``evaluate(..., out=)`` writes the same design into the caller's array."""
+
+    TABLES = [
+        (np.array([0.0, 0.3, 1.0]), np.array([1.0, -2.0, 0.5])),
+        (np.array([0.0, 1.0]), np.array([0.0, 2.0])),
+        (np.array([0.1, 0.6]), np.array([3.0, -1.0])),
+    ]
+    CASES = [
+        (build_fourier(7), (33, 1)),
+        (build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]]), (33, 3)),
+        (build_tabulated(TABLES), (33, 1)),
+    ]
+    IDS = ["fourier", "coordinate", "tabulated"]
+
+    @staticmethod
+    def points(dictionary, shape):
+        box = dictionary.domain
+        u = np.random.default_rng(4).random(shape)
+        return box[:, 0] + (box[:, 1] - box[:, 0]) * u
+
+    @pytest.mark.parametrize("dictionary, shape", CASES, ids=IDS)
+    def test_same_bits_into_the_given_array(self, dictionary, shape):
+        pts = self.points(dictionary, shape)
+        out = np.full((shape[0], dictionary.M), np.nan, order="F")
+        design = evaluate(dictionary, pts, out=out)
+        assert design.entries is out
+        assert np.array_equal(out, evaluate(dictionary, pts).entries)
+        # A second fill of the same array gives the second design's bits.
+        again = self.points(dictionary, shape)[::-1].copy()
+        assert np.array_equal(
+            evaluate(dictionary, again, out=out).entries, evaluate(dictionary, again).entries
+        )
+
+    @pytest.mark.parametrize("dictionary, shape", CASES, ids=IDS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n, M: np.empty((n + 1, M), order="F"),
+            lambda n, M: np.empty((n, M + 1), order="F"),
+            lambda n, M: np.empty((n, M), dtype=np.float32, order="F"),
+            lambda n, M: np.empty((n, M), order="C"),
+            lambda n, M: np.empty((n, 2 * M), order="F")[:, ::2],
+            lambda n, M: np.empty((n, M), order="F").tolist(),
+        ],
+        ids=["rows", "columns", "float32", "C-order", "strided", "list"],
+    )
+    def test_wrong_out_refused(self, dictionary, shape, make):
+        with pytest.raises(ShapeError, match="out must be"):
+            evaluate(dictionary, self.points(dictionary, shape), out=make(shape[0], dictionary.M))
+
+    def test_read_only_out_refused(self):
+        out = np.empty((9, 3), order="F")
+        out.flags.writeable = False
+        with pytest.raises(ShapeError, match="out must be"):
+            evaluate(build_coordinate(3), np.full((9, 3), 0.5), out=out)
+
+    def test_out_sharing_the_points_refused(self):
+        # A design never aliases the caller's points, so an out that may
+        # share memory with them is refused before anything is written.
+        d = build_coordinate(3)
+        buf = np.full((9, 3), 0.5, order="F")
+        for pts in (buf, buf[:, :], buf[:, ::-1]):
+            with pytest.raises(ShapeError, match="share memory"):
+                evaluate(d, pts, out=buf)
+        assert np.all(buf == 0.5)
+        out = np.zeros((9, 4), order="F")
+        with pytest.raises(ShapeError, match="share memory"):
+            evaluate(build_fourier(4), out[:, 1], out=out)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_points_refused_through_out(self, bad):
+        pts = np.full((17, 3), 0.5)
+        pts[8, 1] = bad
+        with pytest.raises(NumericError):
+            evaluate(build_coordinate(3), pts, out=np.empty((17, 3), order="F"))
+        x = np.full(17, 0.5)
+        x[3] = bad
+        with pytest.raises(NumericError):
+            evaluate(build_fourier(5), x, out=np.empty((17, 5), order="F"))
+
+    def test_outside_domain_refused_through_out(self):
+        pts = np.full((17, 3), 0.5)
+        pts[-1, 2] = 1.5
+        with pytest.raises(DomainError):
+            evaluate(build_coordinate(3), pts, out=np.empty((17, 3), order="F"))
+        with pytest.raises(DomainError):
+            evaluate(build_fourier(5), np.full(17, -0.5), out=np.empty((17, 5), order="F"))
+
+    def test_tabulated_clamps_through_out(self):
+        d = build_tabulated(self.TABLES)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            design = evaluate(d, [-0.5, 2.0], out=np.empty((2, 3), order="F"))
+        np.testing.assert_array_equal(design.entries[:, 1], [0.0, 2.0])
+
+
 class TestEmpiricalNorms:
     def test_constant_column(self):
         d = build_fourier(2)

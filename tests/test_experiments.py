@@ -19,6 +19,7 @@ from l1agg import (
     evaluate,
     fit,
     generate,
+    grid_density_measure,
     l0k_truth,
     linear_truth,
     load_config,
@@ -34,10 +35,12 @@ from l1agg import (
     uniform_measure,
     write_rows_csv,
 )
+from l1agg import dictionary as dictionary_module
 from l1agg import experiments, solver
 from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
+    _draw,
     _linear_pattern,
     _ols_line,
     cell_context,
@@ -125,6 +128,54 @@ class TestGenerate:
         with pytest.raises(ConfigError, match=re.escape("domain [[-1e+308, 1e+308]")):
             generate(d, linear_truth(np.ones(2)), uniform_measure(), noiseless(), 4, 0)
 
+    UNIFORM = (
+        build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]]),
+        linear_truth(np.array([1.0, -2.0, 0.5])),
+        uniform_measure(),
+    )
+    DENSITY = (
+        build_fourier(5),
+        l0k_truth(2),
+        grid_density_measure([0.0, 0.4, 1.0], [1.0, 3.0, 0.5]),
+    )
+
+    @pytest.mark.parametrize("case", [UNIFORM, DENSITY], ids=["uniform", "density"])
+    @pytest.mark.parametrize("n", [1, 517])
+    def test_out_gives_the_same_sample(self, case, n):
+        dictionary, truth, measure = case
+        noise = noise_bounded_uniform(1.0)
+        out = np.full((n, dictionary.d), np.nan)
+        sample = generate(dictionary, truth, measure, noise, n, 9, out=out)
+        fresh = generate(dictionary, truth, measure, noise, n, 9)
+        assert sample.x is out
+        for field in ("x", "y", "f_values", "w"):
+            assert np.array_equal(getattr(sample, field), getattr(fresh, field))
+        # Refilled for another seed, the same array holds that seed's draw.
+        again = generate(dictionary, truth, measure, noise, n, 10, out=out)
+        assert np.array_equal(again.x, generate(dictionary, truth, measure, noise, n, 10).x)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n, d: np.empty((n + 1, d)),
+            lambda n, d: np.empty((n, d + 1)),
+            lambda n, d: np.empty((n, d), dtype=np.float32),
+            lambda n, d: np.empty((n, d), order="F"),
+            lambda n, d: np.empty((n, d)).tolist(),
+        ],
+        ids=["rows", "columns", "float32", "F-order", "list"],
+    )
+    def test_wrong_out_refused(self, make):
+        dictionary, truth, measure = self.UNIFORM
+        with pytest.raises(ShapeError, match="out must be"):
+            generate(dictionary, truth, measure, noiseless(), 8, 0, out=make(8, 3))
+
+    def test_density_out_is_one_column(self):
+        # A density design has one axis whatever the dictionary's d.
+        dictionary, truth, measure = self.DENSITY
+        with pytest.raises(ShapeError, match=re.escape("shape (8, 1)")):
+            generate(dictionary, truth, measure, noiseless(), 8, 0, out=np.empty((8, 2)))
+
 
 class TestPresetTruths:
     def test_l0k_pattern(self):
@@ -196,6 +247,40 @@ class TestRun:
         # M = floor(n^s), at least 2: 2^0.75 < 2, 256^0.75 = 64, 2048^0.75 = 304.4.
         cfg = tiny_config(n_values=(2, 256, 2048), m_rule="power:0.75")
         assert [cell_context(cfg, i).M for i in range(3)] == [2, 64, 304]
+
+    @pytest.mark.parametrize("cell", [-1, 2], ids=["negative", "past-end"])
+    def test_cell_index_out_of_range_refused(self, cell):
+        # Every entry to a cell refuses an index outside the n-grid; -1
+        # must not run the last cell.
+        cfg = tiny_config()
+        assert len(cfg.n_values) == 2
+        calls = (
+            lambda: cell_context(cfg, cell),
+            lambda: event_diagnostics(cfg, cell, [replicate_seed(cfg, 1, 0)]),
+            lambda: run_single(cfg, cell, 0),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="cell_index out of range"):
+                call()
+
+    def test_linear_risk_runs_no_population_pass(self, monkeypatch):
+        # The coordinate/linear risk reads the closed-form Gram; Psi, L, c0
+        # and L0 are computed once per cell, by cell_context.
+        cfg = ExperimentConfig(preset="linear", n_values=(32, 64), m_rule="fixed:4",
+                               k_or_beta=2, A=1.0, rate_kind="log_M", R=3, seed=0)
+        for cell in range(len(cfg.n_values)):
+            cell_context(cfg, cell)
+        calls = []
+        original = dictionary_module.population_constants
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dictionary_module, "population_constants", spy)
+        monkeypatch.setattr(experiments, "population_constants", spy)
+        assert len(run(cfg)) == 6
+        assert calls == []
 
     def test_nonconvergence_recorded_and_reported(self, monkeypatch, tmp_path, capsys):
         # fit binds DEFAULT_MAX_SWEEPS when it is defined, so a one-sweep
@@ -338,21 +423,62 @@ class TestRun:
 class TestMeasuredStages:
     STAGES = ("generate", "evaluate", "fit", "event_flags", "population_dist2")
 
-    def test_replicate_calls_each_stage_once(self, monkeypatch):
-        # A replicate reaches each measured stage through its public,
-        # module-level name exactly once, so a boundary tracer times every
-        # stage; a stage behind a private helper would drop out of it.
-        calls = dict.fromkeys(self.STAGES, 0)
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each stage's calls, as (args, kwargs), through its module-level name."""
+        calls = {name: [] for name in self.STAGES}
         for name in self.STAGES:
             original = getattr(experiments, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append((args, kwargs))
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(experiments, name, counted)
+            monkeypatch.setattr(experiments, name, recorded)
+        return calls
+
+    def test_replicate_calls_each_stage_once(self, calls):
+        # A replicate reaches each measured stage through its public,
+        # module-level name exactly once, so a boundary tracer times every
+        # stage; a stage behind a private helper would drop out of it.
         run_single(tiny_config(), 1, 3)
-        assert calls == dict.fromkeys(self.STAGES, 1)
+        assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(self.STAGES, 1)
+
+    def test_cell_replicates_share_their_out_arrays(self, calls):
+        # run hands generate and evaluate one pair of arrays per cell, the
+        # same for all R replicates of the cell and new for the next cell;
+        # run_single passes none.
+        cfg = tiny_config()
+        run(cfg)
+        for name in ("generate", "evaluate"):
+            outs = [kwargs["out"] for _, kwargs in calls[name]]
+            first, second = outs[: cfg.R], outs[cfg.R :]
+            assert len(second) == cfg.R
+            for cell in (first, second):
+                assert isinstance(cell[0], np.ndarray)
+                assert all(out is cell[0] for out in cell)
+            assert second[0] is not first[0]
+            calls[name].clear()
+        run_single(cfg, 1, 3)
+        assert [kwargs["out"] for _, kwargs in calls["generate"]] == [None]
+        assert [kwargs["out"] for _, kwargs in calls["evaluate"]] == [None]
+
+    def test_draw_passes_the_seed_sixth(self, calls):
+        # perfbench's tracer labels a replicate's spans by generate's sixth
+        # positional argument, the seed; out goes by keyword.
+        cfg = tiny_config()
+        ctx = cell_context(cfg, 1)
+        seed = replicate_seed(cfg, 1, 4)
+        buffers = experiments._cell_buffers(ctx)
+        _draw(ctx, seed)
+        _draw(ctx, seed, buffers)
+        run_single(cfg, 1, 4)
+        assert len(calls["generate"]) == 3
+        for args, kwargs in calls["generate"]:
+            assert len(args) == 6 and args[5] == seed
+            assert set(kwargs) == {"out"}
+        assert calls["generate"][1][1]["out"] is buffers[0]
+        assert calls["evaluate"][1][1]["out"] is buffers[1]
 
 
 class TestMonotoneSparsityInA:

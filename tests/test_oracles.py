@@ -18,6 +18,7 @@ from l1agg import (
     NumericError,
     ShapeError,
     bernstein_bound,
+    build_coordinate,
     build_fourier,
     build_tabulated,
     evaluate,
@@ -25,6 +26,7 @@ from l1agg import (
     event_flags,
     fourier_truth,
     lemma_bounds,
+    linear_truth,
     membership,
     oracle_fourier,
     oracle_general,
@@ -175,6 +177,33 @@ class TestOracleGeneral:
         ]
         assert exact and np.all(np.isfinite(lam))
         assert math.isfinite(population_dist2(d, uniform_measure(), truth, lam))
+
+
+class TestLinearDistance:
+    """population_dist2 of a coordinate dictionary to a linear truth uses
+    the closed-form moment Gram of the uniform box."""
+
+    def test_moment_gram_form(self):
+        d = build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]])
+        diff = np.array([0.5, -1.0, 2.0])
+        a, b = d.domain[:, 0], d.domain[:, 1]
+        psi = np.outer((a + b) / 2, (a + b) / 2)
+        np.fill_diagonal(psi, (a * a + a * b + b * b) / 3)
+        got = population_dist2(d, uniform_measure(), linear_truth(np.zeros(3)), diff)
+        assert got == pytest.approx(diff @ psi @ diff, rel=1e-14)
+
+    def test_overflowing_gram_is_a_numeric_error(self):
+        # On a 1e200 box the second moments overflow: one NumericError,
+        # no numpy warning. On a 1e100 box only the fourth moments, which
+        # the distance does not read, overflow.
+        truth = linear_truth(np.ones(2))
+        with pytest.raises(NumericError, match="not finite"):
+            population_dist2(build_coordinate(2, domain=[-1e200, 1e200]), uniform_measure(),
+                             truth, np.zeros(2))
+        wide = build_coordinate(2, domain=[-1e100, 1e100])
+        assert population_dist2(wide, uniform_measure(), truth, np.zeros(2)) == pytest.approx(
+            2e200 / 3, rel=1e-14
+        )
 
 
 class TestMembership:

@@ -61,7 +61,6 @@ from .oracles import (
     bernstein_bound,
     evaluate_truth,
     event_flags,
-    event_frequencies,
     fourier_truth,
     lemma_bounds,
     linear_truth,
@@ -101,7 +100,6 @@ from .solver import (
     LassoFit,
     PenaltyConfig,
     fit,
-    kkt_residual,
     penalty_config,
     rate,
     soft_threshold,

@@ -116,15 +116,17 @@ def _parse_truth(spec: str):
     if kind == "sobolev":
         return sobolev_truth(parse_value(rest, float, spec))
     if kind == "theta":
-        entries = []
+        entries = {}
         for chunk in rest.split(","):
             value, _, index = chunk.partition("@")
             j = parse_value(index, int, spec)
             if j < 1:
                 raise ConfigError("theta indices are 1-based")
-            entries.append((j, parse_value(value, float, spec)))
-        theta = np.zeros(max(j for j, _ in entries))
-        for j, value in entries:
+            if j in entries:
+                raise ConfigError(f"theta index {j} is given twice")
+            entries[j] = parse_value(value, float, spec)
+        theta = np.zeros(max(entries))
+        for j, value in entries.items():
             theta[j - 1] = value
         return fourier_truth(theta)
     if kind == "tabulated":

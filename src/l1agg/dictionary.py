@@ -445,8 +445,10 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
 
     Composite trapezoid on G = QUADRATURE_POINTS equispaced nodes of the
     one-axis domain (:func:`_axis_grid`); a grid-density measure reweights
-    the nodes by the density. A fourier dictionary needs M < G - 1: beyond
-    that, products of basis functions alias on the G nodes.
+    the nodes by the density, and its table must span the domain: ends
+    more than _DOMAIN_SLACK away from the domain's raise ConfigError. A
+    fourier dictionary needs M < G - 1: beyond that, products of basis
+    functions alias on the G nodes.
     """
     G = QUADRATURE_POINTS
     if dictionary.kind == "fourier" and dictionary.M >= G - 1:
@@ -459,6 +461,9 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     w[[0, -1]] *= 0.5
     if measure.kind == "grid-density":
         grid, density = measure.density_table
+        ends, domain = grid[[0, -1]].tolist(), dictionary.domain[0].tolist()
+        if max(abs(end - bound) for end, bound in zip(ends, domain)) > _DOMAIN_SLACK:
+            raise ConfigError(f"density table spans {ends}, not the domain {domain}")
         w = w * np.interp(pts[:, 0], grid, density)
         w = w / w.sum()
     return pts, w

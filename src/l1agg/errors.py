@@ -30,8 +30,8 @@ class DegenerateDictionaryError(L1AggError):
 
 
 class UnsupportedOperationError(L1AggError):
-    """Operation outside what the library computes: a quadrature or sup-norm
-    grid for a dictionary with d > 1 (grids span one axis)."""
+    """Operation outside what the library computes: a grid for a dictionary
+    with d > 1 (grids span one axis), or a draw from a non-uniform measure."""
 
 
 class ConvergenceError(L1AggError):

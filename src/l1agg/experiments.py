@@ -38,14 +38,13 @@ from .dictionary import (
     uniform_measure,
     _check_out,
 )
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, UnsupportedOperationError
 from .gram import kappa
 from .oracles import (
     BoundConstants,
     TruthSpec,
     evaluate_truth,
     event_flags,
-    event_frequencies,
     fourier_truth,
     lemma_bounds,
     linear_truth,
@@ -121,44 +120,35 @@ def generate(
     *,
     out=None,
 ) -> Sample:
-    """Draw X_i iid from the design measure and Y_i = f(X_i) + W_i.
+    """Draw X_i iid uniform on the dictionary domain and Y_i = f(X_i) + W_i.
 
     Deterministic given the seed: the design is drawn first, then the
-    noise, from one ``default_rng(seed)`` stream. A uniform design is
+    noise, from one ``default_rng(seed)`` stream. The design is
     ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
     ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError. A density design
-    has shape (n, 1).
+    domain whose width overflows raises ConfigError. Only the uniform
+    measure is drawn from: a grid-density measure raises
+    UnsupportedOperationError.
 
     ``out``, when given, is the array the design is drawn into and the
-    sample's ``x``: a writeable C-order float64 array of the design's
-    shape, or ShapeError. The sample is the same bits as without it.
+    sample's ``x``: a writeable C-order (n, d) float64 array, or
+    ShapeError. The sample is the same bits as without it.
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
+    if measure.kind != "uniform":
+        raise UnsupportedOperationError(f"designs are drawn uniformly, not from {measure.kind}")
     if out is not None:
-        shape = (n, dictionary.d) if measure.kind == "uniform" else (n, 1)
-        _check_out(out, shape, "C")
+        _check_out(out, (n, dictionary.d), "C")
     rng = np.random.default_rng(seed)
     box = dictionary.domain
-    if measure.kind == "uniform":
-        with np.errstate(over="ignore"):
-            width = box[:, 1] - box[:, 0]
-        if not np.all(np.isfinite(width)):
-            raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
-        x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
-        x *= width
-        x += box[:, 0]
-    else:
-        grid, density = measure.density_table
-        cdf = np.concatenate(
-            ([0.0], np.cumsum(np.diff(grid) * 0.5 * (density[1:] + density[:-1])))
-        )
-        cdf /= cdf[-1]
-        x = np.interp(rng.uniform(0.0, 1.0, n), cdf, grid)[:, None]
-        if out is not None:
-            out[...] = x
-            x = out
+    with np.errstate(over="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not np.all(np.isfinite(width)):
+        raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
+    x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
+    x *= width
+    x += box[:, 0]
     f_values = evaluate_truth(truth, x)
     w = sample_noise(noise, n, rng)
     return Sample(x=x, y=f_values + w, f_values=f_values, w=w)
@@ -308,8 +298,8 @@ def sobolev_truth(beta: float) -> TruthSpec:
     The decay exponent keeps sum j^(2 beta) theta_j^2 finite for every
     beta > 0, so the truth sits in the smoothness-beta ellipsoid.
     """
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ConfigError(f"beta must be finite and positive, got {beta}")
     j = np.arange(1, SOBOLEV_TRUTH_TERMS + 1, dtype=float)
     theta = np.where(np.arange(SOBOLEV_TRUTH_TERMS) % 2 == 0, 1.0, -1.0) * j ** -(beta + 0.6)
     return fourier_truth(theta)
@@ -842,4 +832,6 @@ def event_diagnostics(config: ExperimentConfig, cell_index: int, seeds):
     ctx = cell_context(config, cell_index)
     buffers = _cell_buffers(ctx)
     flags = [_draw(ctx, s, buffers)[3] for s in seeds]
-    return event_frequencies(flags), flags
+    if not flags:
+        raise ConfigError("event diagnostics need at least one seed")
+    return tuple(np.mean([dataclasses.astuple(f) for f in flags], axis=0).tolist()), flags

@@ -59,7 +59,8 @@ class TruthSpec:
 
     ``fourier`` truths are coefficient sequences against the trigonometric
     basis; ``linear`` truths are coordinate coefficients (exact
-    representation); ``tabulated`` truths cover arbitrary 1-d targets.
+    representation). Both need a nonempty, finite 1-d float ``theta``
+    (ConfigError). ``tabulated`` truths cover arbitrary 1-d targets.
     """
 
     kind: str
@@ -69,24 +70,21 @@ class TruthSpec:
     def __post_init__(self):
         if self.kind not in ("fourier", "linear", "tabulated"):
             raise ConfigError(f"unknown truth kind {self.kind!r}")
-        if self.kind in ("fourier", "linear") and self.theta is None:
-            raise ConfigError(f"{self.kind} truths need a coefficient vector")
+        theta = self.theta
+        if self.kind != "tabulated" and (
+            theta is None or theta.ndim != 1 or theta.size < 1 or not np.all(np.isfinite(theta))
+        ):
+            raise ConfigError(f"{self.kind} truths need a nonempty, finite 1-d coefficient vector")
 
 
 def fourier_truth(theta) -> TruthSpec:
     """Truth f = sum_j theta_j f_j against the trigonometric basis."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
-        raise ConfigError("theta must be a nonempty 1-d coefficient vector")
-    return TruthSpec(kind="fourier", theta=theta)
+    return TruthSpec(kind="fourier", theta=np.asarray(theta, dtype=float))
 
 
 def linear_truth(coeffs) -> TruthSpec:
     """Exact-representation truth f(x) = sum_j coeffs_j x_j."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size < 1:
-        raise ConfigError("coeffs must be a nonempty 1-d vector")
-    return TruthSpec(kind="linear", theta=coeffs)
+    return TruthSpec(kind="linear", theta=np.asarray(coeffs, dtype=float))
 
 
 def tabulated_truth(grid, values) -> TruthSpec:
@@ -350,24 +348,23 @@ def membership(
 class BoundConstants:
     """User-supplied or empirically fitted constants of the risk bounds.
 
-    B1 and B2 scale the kappa-dependent risk and l1 bounds, C the
-    kappa-free ones and C_prime the weak-approximation bound. None of
-    these have sharp known values; defaults of 1 give bound *shapes*
-    whose scaling can be checked even though levels cannot.
+    B1 and B2 scale the kappa-dependent risk and l1 bounds (t21) and
+    C_prime the weak-approximation bound (t23). None of these have sharp
+    known values; defaults of 1 give bound *shapes* whose scaling can be
+    checked even though levels cannot.
     """
 
     B1: float = 1.0
     B2: float = 1.0
-    C: float = 1.0
     C_prime: float = 1.0
 
     def __post_init__(self):
-        for name in ("B1", "B2", "C", "C_prime"):
+        for name in ("B1", "B2", "C_prime"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"bound constant {name} must be positive")
 
 
-THEOREM_KINDS = ("t21_risk", "t21_l1", "t22_risk", "t22_l1", "t23")
+THEOREM_KINDS = ("t21_risk", "t21_l1", "t23")
 
 
 def theorem_rhs(
@@ -381,8 +378,8 @@ def theorem_rhs(
     """Evaluate a risk-bound right-hand side literally.
 
     t21_*: B kappa_M^-1 r^2 M(lambda) (risk) / B kappa_M^-1 r M(lambda) (l1);
-    t22_*: the same shapes with kappa_M = 1 and constant C;
     t23:   C' (dist2 + r^2 M(lambda)).
+    Any other kind raises ConfigError naming :data:`THEOREM_KINDS`.
     """
     if kind not in THEOREM_KINDS:
         raise ConfigError(f"unknown theorem kind {kind!r}; expected one of {THEOREM_KINDS}")
@@ -394,9 +391,6 @@ def theorem_rhs(
         scale = constants.B1 if kind == "t21_risk" else constants.B2
         power = 2 if kind == "t21_risk" else 1
         return scale / kappa_M * r_nM**power * m_lambda
-    if kind in ("t22_risk", "t22_l1"):
-        power = 2 if kind == "t22_risk" else 1
-        return constants.C * r_nM**power * m_lambda
     if dist2 is None or dist2 < 0:
         raise ConfigError("t23 needs a nonnegative dist2")
     return constants.C_prime * (dist2 + r_nM**2 * m_lambda)
@@ -543,18 +537,6 @@ def event_flags(
     emp_err = float(np.mean(np.asarray(approx_error_at_design, dtype=float) ** 2))
     e3 = bool(emp_err <= 2.0 * dist2 + r_nM * r_nM * m_lambda)
     return EventFlags(e1=e1, e2=e2, e3=e3)
-
-
-def event_frequencies(flags) -> tuple[float, float, float]:
-    """Monte Carlo frequencies of E1, E2, E3 over a collection of flags."""
-    flags = list(flags)
-    if not flags:
-        raise ConfigError("cannot aggregate an empty collection of event flags")
-    return (
-        float(np.mean([f.e1 for f in flags])),
-        float(np.mean([f.e2 for f in flags])),
-        float(np.mean([f.e3 for f in flags])),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def soft_threshold(z, t):
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Tuning constant, derived rate, and per-coordinate weights."""
+    """Tuning constant A (finite and > 0 for every rate kind), rate and weights."""
 
     A: float
     rate_kind: str
@@ -58,6 +58,8 @@ class PenaltyConfig:
     weights: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.A) and self.A > 0):
+            raise ConfigError(f"tuning constant A must be finite and positive, got {self.A}")
         if self.rate_kind not in ("log_M", "log_n", "explicit"):
             raise ConfigError(f"unknown rate kind {self.rate_kind!r}")
         if not (math.isfinite(self.r_nM) and self.r_nM > 0):
@@ -121,24 +123,14 @@ class LassoFit:
 
 
 def _kkt(grad: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> float:
+    """Max KKT violation at lam given grad = n^-1 Phi^T (Y - Phi lam): |grad_j|
+    <= omega_j where lambda_j = 0, grad_j = omega_j sign(lambda_j) elsewhere."""
     viol = np.where(
         lam == 0.0,
         np.maximum(np.abs(grad) - weights, 0.0),
         np.abs(grad - weights * np.sign(lam)),
     )
     return float(viol.max())
-
-
-def kkt_residual(
-    design: DesignMatrix, y: np.ndarray, lam: np.ndarray, weights: np.ndarray
-) -> float:
-    """Max KKT violation at lam, recomputed from scratch.
-
-    Zero coordinates require |n^-1 <f_j, resid>| <= omega_j; active ones
-    require equality with omega_j sign(lambda_j).
-    """
-    phi = design.entries
-    return _kkt(phi.T @ (y - phi @ lam) / design.n, lam, weights)
 
 
 def _duality_gap(

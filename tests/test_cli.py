@@ -737,6 +737,31 @@ def malformed_case(case, tmp_path):
         return oracle(f"tabulated:{truth}"), f"{truth}:3"
     if case == "theta-index":
         return oracle("theta:1@x"), None
+    if case.startswith("truth-"):
+        # A non-finite coefficient or beta used to exit 0 (sobolev:inf kept
+        # theta_1 only), exit 4 (nan) or print a numpy warning first
+        # (theta:inf@2,1@1); an index given twice silently kept the last value.
+        spec, location = {
+            "truth-sobolev-inf": ("sobolev:inf", "beta must be finite"),
+            "truth-sobolev-nan": ("sobolev:nan", "beta must be finite"),
+            "truth-theta-nan": ("theta:nan@1", "finite 1-d coefficient vector"),
+            "truth-theta-inf": ("theta:inf@2,1@1", "finite 1-d coefficient vector"),
+            "truth-theta-twice": ("theta:1@1,2@1", "theta index 1 is given twice"),
+        }[case]
+        return ["oracle", "--dict", "fourier:5", "--truth", spec, "--kmax", "2",
+                "--out", out], location
+    if case in ("density-narrow", "density-wide"):
+        # The clamped interpolant used to extend or cut the table: kappa_M
+        # read 0.5521 (narrow) and 0.8935 (wide) with exit 0.
+        x = "0.2,0.8" if case == "density-narrow" else "-1,2"
+        dens = write("dens.csv", "x,density\n" + "".join(
+            f"{v},{d}\n" for v, d in zip(x.split(","), (1, 3))))
+        return (["diagnose", "--dict", "fourier:5", "--measure", f"density:{dens}"],
+                "not the domain [0.0, 1.0]")
+    if case in ("fit-A-nan-explicit", "fit-A-negative-explicit"):
+        # An explicit rate does not read A, and a bad A used to fit with exit 0.
+        A = "nan" if case == "fit-A-nan-explicit" else "-1"
+        return fit(good_data, rate="explicit:1", dictionary="fourier:5", A=A), "A must be finite"
     if case == "bounds-value":
         params = write("params.txt", "n = 100\nM = ten\nc0 = 1\nL = 1\n")
         return ["bounds", "--params", params, "--which", "L4"], f"{params}:2"
@@ -788,6 +813,9 @@ class TestMalformedInput:
             "config-nonfinite-A-inf", "config-nonfinite-A-nan", "config-nonfinite-C_f-nan",
             "config-nonfinite-k_or_beta-nan", "config-m-rule-power-nan", "config-m-rule-power-inf",
             "support-0", "support-9", "oracle-kmin-above-M",
+            "truth-sobolev-inf", "truth-sobolev-nan", "truth-theta-nan", "truth-theta-inf",
+            "truth-theta-twice", "density-narrow", "density-wide", "fit-A-nan-explicit",
+            "fit-A-negative-explicit",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

@@ -19,13 +19,10 @@ from l1agg import (
     build_tabulated,
     empirical_norms,
     evaluate,
-    fourier_truth,
-    generate,
     grid_density_measure,
     linear_truth,
     load_points_csv,
     load_tabulated_csv,
-    noiseless,
     population_constants,
     population_gram,
     predict,
@@ -548,13 +545,25 @@ class TestGridDensityMeasure:
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0.0)
 
-    def test_inverse_cdf_sampling_mean(self):
-        n = 200_000
-        sample = generate(
-            build_fourier(3), fourier_truth([0.0]), self.ramp(), noiseless(), n, seed=0
-        )
-        # Density 2(1 + x)/3 on [0, 1]: mean 5/9, variance 13/162.
-        assert sample.x.mean() == pytest.approx(5.0 / 9.0, abs=5.0 * math.sqrt(13.0 / 162.0 / n))
+    @pytest.mark.parametrize("ends", [(0.2, 0.8), (-1.0, 2.0), (0.0, 0.9), (1e-9, 1.0)])
+    def test_table_must_span_the_domain(self, ends):
+        # Interpolation clamps, so a narrower table used to be extended and
+        # a wider one cut, without a word.
+        table = grid_density_measure(ends, [1.0, 3.0])
+        for call in (population_constants, quadrature_grid):
+            with pytest.raises(ConfigError, match=re.escape(f"spans {list(ends)}, not the domain")):
+                call(build_fourier(5), table)
+
+    def test_table_ends_within_slack_accepted(self):
+        table = grid_density_measure([5e-13, 1.0 - 5e-13], [1.0, 3.0])
+        _, w = quadrature_grid(build_fourier(5), table)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_span_checked_after_the_one_axis_check(self):
+        table = grid_density_measure([0.0, 1.0], [1.0, 1.0])
+        d = build_coordinate(2, domain=[-1.0, 1.0])
+        with pytest.raises(UnsupportedOperationError, match="grids span one axis"):
+            quadrature_grid(d, table)
 
     def test_flat_density_matches_exact_fourier_constants(self):
         d = build_fourier(9)

@@ -1,5 +1,6 @@
 """Oracle vectors, memberships, theorem RHS shapes, and tail bounds."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -77,6 +78,20 @@ class TestSparsity:
     def test_default_counts_tiny_values(self):
         _, count = sparsity(np.array([1e-17, 1.0]))
         assert count == 2
+
+
+class TestCoefficientTruths:
+    @pytest.mark.parametrize("make", [fourier_truth, linear_truth])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_refused(self, make, bad):
+        with pytest.raises(ConfigError, match="finite 1-d coefficient vector"):
+            make([1.0, bad])
+
+    @pytest.mark.parametrize("make", [fourier_truth, linear_truth])
+    @pytest.mark.parametrize("coef", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    def test_shape_refused(self, make, coef):
+        with pytest.raises(ConfigError, match="nonempty"):
+            make(coef)
 
 
 class TestOracleFourier:
@@ -268,7 +283,14 @@ class TestTheoremRhs:
     def test_empty_oracle(self):
         c = BoundConstants()
         assert theorem_rhs("t21_risk", c, 0.1, 0, kappa_M=1.0) == 0.0
-        assert theorem_rhs("t22_l1", c, 0.1, 0) == 0.0
+
+    @pytest.mark.parametrize("kind", ["t22_risk", "t22_l1", "t24"])
+    def test_unknown_kind_names_the_kinds(self, kind):
+        with pytest.raises(ConfigError, match=r"\('t21_risk', 't21_l1', 't23'\)"):
+            theorem_rhs(kind, BoundConstants(), 0.1, 1, kappa_M=1.0, dist2=0.0)
+
+    def test_constants_are_b1_b2_and_c_prime(self):
+        assert [f.name for f in dataclasses.fields(BoundConstants)] == ["B1", "B2", "C_prime"]
 
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):

@@ -17,7 +17,6 @@ from l1agg import (
     empirical_norms,
     event_flags,
     fit,
-    kkt_residual,
     penalty_config,
     predict,
     rate,
@@ -185,6 +184,15 @@ class TestRate:
         with pytest.raises(ConfigError):
             PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=r, weights=np.array(weights))
 
+    @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
+    def test_explicit_rate_still_needs_a_valid_a(self, A):
+        # An explicit rate does not read A, but a bad A used to be kept.
+        design = make_design(np.random.default_rng(2).normal(size=(10, 3)))
+        with pytest.raises(ConfigError, match="A must be finite and positive"):
+            penalty_config(design, A, "explicit", 0.5)
+        with pytest.raises(ConfigError, match="A must be finite and positive"):
+            PenaltyConfig(A=A, rate_kind="explicit", r_nM=0.5, weights=np.ones(3))
+
     def test_nonfinite_explicit_rate_rejected(self):
         design = make_design(np.random.default_rng(2).normal(size=(10, 3)))
         with pytest.raises(ConfigError):
@@ -260,8 +268,14 @@ class TestFit:
         y = rng.normal(size=40)
         penalty = penalty_config(design, A=1.0)
         result = fit(design, y, penalty)
-        again = kkt_residual(design, y, result.lambda_hat, penalty.weights)
-        assert abs(again - result.kkt_residual) <= 1e-12
+        # The largest KKT violation, recomputed from a fresh residual: zero
+        # coordinates need |grad_j| <= omega_j, active ones equality with
+        # omega_j sign(lambda_j).
+        lam, w = result.lambda_hat, penalty.weights
+        grad = design.entries.T @ (y - design.entries @ lam) / design.n
+        again = np.where(lam == 0.0, np.maximum(np.abs(grad) - w, 0.0), np.abs(grad - w * np.sign(lam)))
+        assert np.count_nonzero(lam) >= 1 and np.count_nonzero(lam == 0.0) >= 1
+        assert abs(again.max() - result.kkt_residual) <= 1e-12
 
     def test_penalty_dominance_returns_zero_in_one_sweep(self):
         rng = np.random.default_rng(21)

@@ -66,7 +66,6 @@ from .oracles import (
     linear_truth,
     membership,
     oracle_fourier,
-    oracle_general,
     oracle_path,
     oracle_report,
     oracle_scan,

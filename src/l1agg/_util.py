@@ -3,6 +3,7 @@ tables, ``key = value`` files and values in; CSV text out, atomically."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -14,20 +15,25 @@ from .errors import ConfigError, ShapeError
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-file + rename so readers never see a torn file."""
+    """Write a file via temp-file + rename so readers never see a torn file;
+    an OSError that names a file names ``path``, never the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def fmt(value) -> str:

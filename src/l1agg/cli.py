@@ -159,12 +159,10 @@ def _cmd_fit(args) -> int:
     rate_kind, explicit_r = _parse_rate(args.rate)
     penalty = penalty_config(design, args.A, rate_kind, explicit_r)
 
-    exit_code = 0
     try:
         result = solver_fit(design, y, penalty, tol=args.tol, max_sweeps=args.max_sweeps)
     except ConvergenceError as exc:
         result = exc.partial_fit
-        exit_code = 2
         print(f"warning: {exc}", file=sys.stderr)
 
     table = zip(range(1, design.M + 1), result.lambda_hat, penalty.weights)
@@ -176,10 +174,10 @@ def _cmd_fit(args) -> int:
         f"duality_gap={result.duality_gap!r}",
         f"sweeps={result.sweeps}",
         f"support_size={result.m_hat}",
-        f"converged={1 if exit_code == 0 else 0}",
+        f"converged={int(result.converged)}",
     ):
         print(line)
-    return exit_code
+    return 0 if result.converged else 2
 
 
 def _cmd_diagnose(args) -> int:
@@ -368,7 +366,6 @@ def build_parser() -> _Parser:
 _EXIT_CODES = {
     _UsageError: 1,
     L1AggError: 1,
-    ConvergenceError: 2,
     OSError: 3,
     NumericError: 4,
     DegenerateDictionaryError: 4,

@@ -460,8 +460,9 @@ class ExperimentRow:
 
     @property
     def nonconverged(self) -> bool:
-        """The KKT residual exceeds the bound ``solver.fit`` enforces at the
-        default tolerance; read from ``kkt`` alone, so CSV rows agree."""
+        """The KKT residual exceeds 1e3 times the default tolerance, the
+        bound ``solver.fit`` applies when its sweep budget runs out; read
+        from ``kkt`` alone, so CSV rows agree."""
         return self.kkt > 1e3 * DEFAULT_TOL
 
 
@@ -516,10 +517,8 @@ def _run_replicate(
     sample, design, penalty, flags = _draw(ctx, seed, buffers)
     try:
         result = fit(design, sample.y, penalty)
-        converged = result.converged
     except ConvergenceError as exc:
         result = exc.partial_fit
-        converged = False
     risk = population_dist2(ctx.dictionary, ctx.measure, ctx.truth, result.lambda_hat)
     l1_err = float(np.abs(result.lambda_hat - ctx.lambda_star).sum())
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -541,7 +540,7 @@ def _run_replicate(
         rhs_t21_risk=ctx.rhs_t21_risk,
         rhs_t21_l1=ctx.rhs_t21_l1,
         runtime_ms=runtime_ms,
-        converged=converged,
+        converged=result.converged,
     )
 
 
@@ -795,10 +794,12 @@ def bound_check(
             if train.size == 0 or test.size == 0:
                 raise ConfigError("fit mode needs at least 2 replicates per cell")
             scale = float(np.max(train) / base) if base > 0 else math.inf
-            fraction = float(np.mean(test <= scale * base))
+            values = test
         else:
             scale = constants.B1 if kind == "t21_risk" else constants.B2
-            fraction = float(np.mean(values <= scale * base))
+        # A unit RHS of 0 (k* = 0) gives an RHS of 0 at any scale, inf included.
+        rhs = scale * base if base > 0 else 0.0
+        fraction = float(np.mean(values <= rhs))
         floor = cell_tail_floor(ctx, config.C_f)
         out.append(
             BoundCheckCell(
@@ -806,7 +807,7 @@ def bound_check(
                 M=ctx.M,
                 kind=kind,
                 scale=scale,
-                rhs=scale * base,
+                rhs=rhs,
                 fraction=fraction,
                 prob_floor=floor,
                 satisfied=bool(fraction >= floor),

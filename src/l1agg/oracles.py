@@ -17,7 +17,6 @@ exact floating-point comparison against ``COHERENCE_THRESHOLD``.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
@@ -132,6 +131,11 @@ def sparsity(lam):
     return support, int(support.size)
 
 
+def _check_oracle_size(M: int, k: int) -> None:
+    if not 0 <= k <= M:
+        raise ConfigError(f"oracle size k = {k} lies outside [0, M] = [0, {M}]")
+
+
 def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
     """Oracle for orthonormal dictionaries: keep the k largest |theta_j|.
 
@@ -140,10 +144,7 @@ def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
     """
     if truth.theta is None:
         raise ConfigError("oracle_fourier needs a coefficient-sequence truth")
-    if k > M:
-        raise ConfigError(f"oracle size k = {k} exceeds dictionary size M = {M}")
-    if k < 0:
-        raise ConfigError("oracle size k must be nonnegative")
+    _check_oracle_size(M, k)
     theta = truth.theta[:M]
     lam = np.zeros(M)
     keep = np.argsort(-np.abs(theta), kind="stable")[:k]
@@ -177,18 +178,12 @@ def _oracle_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSp
     return population_gram(dictionary, measure), phi.T @ (w * f), float(w @ (f * f))
 
 
-def _oracle_search(M: int, k: int, problem):
-    """``(lambda, exact_flag)`` of :func:`oracle_general`; ``problem()``
-    gives ``(Psi, g, ||f||^2)`` and is called only when k >= 1."""
-    if k > M:
-        raise ConfigError(f"oracle size k = {k} exceeds dictionary size M = {M}")
-    if k < 0:
-        raise ConfigError("oracle size k must be nonnegative")
+def _oracle_search(psi, g, f2, k: int):
+    """``(lambda, exact_flag)`` of the best k-sparse approximation for the
+    :func:`_oracle_problem` ``(Psi, g, ||f||^2)``, 1 <= k <= M: exhaustive
+    over supports when C(M, k) <= 1e5 (exact), greedy forward otherwise."""
+    M = g.size
     lam = np.zeros(M)
-    if k == 0:
-        return lam, True
-    psi, g, f2 = problem()
-
     if math.comb(M, k) <= EXHAUSTIVE_SUPPORT_CAP:
         best = None
         for support in itertools.combinations(range(M), k):
@@ -214,18 +209,6 @@ def _oracle_search(M: int, k: int, problem):
     lam_s, _ = _restricted_residual(psi, g, f2, chosen)
     lam[chosen] = lam_s
     return lam, False
-
-
-def oracle_general(
-    dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, k: int
-):
-    """Best k-sparse population approximation of the truth.
-
-    Exhaustive search over supports when C(M, k) <= 1e5 (exact), greedy
-    forward selection on the same objective otherwise. Returns
-    ``(lambda, exact_flag)``.
-    """
-    return _oracle_search(dictionary.M, k, lambda: _oracle_problem(dictionary, measure, truth))
 
 
 def _orthonormal_case(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec) -> bool:
@@ -563,20 +546,26 @@ class OracleReport:
 
 
 def oracle_path(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, ks):
-    """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks``, lazily: the
-    best k-sparse approximation (closed form in the orthonormal case, the
-    search of :func:`oracle_general` otherwise), its squared population
-    distance and whether the search was exhaustive. The search's Gram,
-    quadrature design and truth values are computed once, at the first
-    k >= 1.
+    """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks`` (each in
+    [0, M], else ConfigError), lazily: the best k-sparse approximation
+    (zero at k = 0, the closed form of :func:`oracle_fourier` in the
+    orthonormal case, :func:`_oracle_search` otherwise), its squared
+    population distance and whether the search was exhaustive. The
+    search's problem is built once, at the first k >= 1.
     """
+    M = dictionary.M
     orthonormal = _orthonormal_case(dictionary, measure, truth)
-    problem = functools.cache(lambda: _oracle_problem(dictionary, measure, truth))
+    problem = None
     for k in ks:
-        if orthonormal:
-            lam, exact = oracle_fourier(truth, dictionary.M, k), True
+        _check_oracle_size(M, k)
+        if k == 0:
+            lam, exact = np.zeros(M), True
+        elif orthonormal:
+            lam, exact = oracle_fourier(truth, M, k), True
         else:
-            lam, exact = _oracle_search(dictionary.M, k, problem)
+            if problem is None:
+                problem = _oracle_problem(dictionary, measure, truth)
+            lam, exact = _oracle_search(*problem, k)
         yield k, lam, population_dist2(dictionary, measure, truth, lam), exact
 
 

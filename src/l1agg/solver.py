@@ -101,13 +101,15 @@ def penalty_config(
 class LassoFit:
     """A KKT-certified coordinate descent solution.
 
-    ``support``/``m_hat`` count exact nonzeros; ``frozen`` lists columns
-    with zero empirical norm that were pinned at 0. ``objective_path``
-    holds the penalized objective after each sweep (diagnostic).
-    ``duality_gap`` is P(lambda_hat) - D(theta) >= 0 for the dual point
-    theta = s * (Y - f_lambda_hat(X)), scaled by the largest s <= 1 with
-    |n^-1 <f_j, theta>| <= omega_j for every j; it bounds the objective's
-    distance to the optimum.
+    ``converged`` is True exactly when :func:`fit` returns rather than
+    raises: its stopping rule fired, or the sweep budget ran out with
+    ``kkt_residual`` <= 1e3 * tol. ``support``/``m_hat`` count exact
+    nonzeros; ``frozen`` lists columns with zero empirical norm that were
+    pinned at 0. ``objective_path`` holds the penalized objective after
+    each sweep (diagnostic). ``duality_gap`` is P(lambda_hat) - D(theta)
+    >= 0 for the dual point theta = s * (Y - f_lambda_hat(X)), scaled by
+    the largest s <= 1 with |n^-1 <f_j, theta>| <= omega_j for every j; it
+    bounds the objective's distance to the optimum.
     """
 
     lambda_hat: np.ndarray
@@ -163,9 +165,9 @@ def fit(
     Stops when the largest coordinate change relative to 1 + |lambda_j|
     falls below ``tol``.
 
-    Raises ConvergenceError (carrying the partial fit) if the sweep budget
-    is exhausted while the recomputed KKT violation still exceeds
-    1e3 * tol. Columns with zero empirical norm are frozen at 0.
+    Returns a converged fit if that rule fired or the recomputed KKT
+    violation is at most 1e3 * tol, and raises ConvergenceError carrying
+    the partial fit otherwise. Zero-norm columns are frozen at 0.
     """
     phi = design.entries
     n, M = design.n, design.M
@@ -198,7 +200,7 @@ def fit(
     lam = [0.0] * M
     path = []
     sweeps = 0
-    converged = False
+    stopped = False
     while sweeps < max_sweeps:
         sweeps += 1
         max_change = 0.0
@@ -223,7 +225,7 @@ def fit(
         lam_v = np.array(lam, dtype=float)
         path.append(float(yy - lam_v @ g - lam_v @ grad + 2.0 * (weights @ np.abs(lam_v))))
         if max_change < tol:
-            converged = True
+            stopped = True
             break
 
     # Final certificates from a fresh residual (incremental updates drift).
@@ -232,6 +234,7 @@ def fit(
     grad = phi.T @ residual / n
     resid_sq = float(residual @ residual / n)
     kkt = _kkt(grad, lam, weights)
+    converged = stopped or kkt <= 1e3 * tol
     support = np.flatnonzero(lam != 0.0)
     result = LassoFit(
         lambda_hat=lam,
@@ -245,7 +248,7 @@ def fit(
         frozen=frozen,
         objective_path=tuple(path),
     )
-    if not converged and kkt > 1e3 * tol:
+    if not converged:
         raise ConvergenceError(
             f"coordinate descent stopped after {sweeps} sweeps with "
             f"KKT violation {kkt:.3e} > {1e3 * tol:.3e}",

@@ -13,7 +13,6 @@ from l1agg import (
     empirical_gram,
     evaluate,
     load_tabulated_csv,
-    oracle_general,
     oracle_path,
     oracle_scan,
     population_dist2,
@@ -190,6 +189,30 @@ class TestFit:
         assert code == 1
 
 
+class TestWriteErrors:
+    """A failed atomic write exits 3 naming the path given, not its temp file."""
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["fit", "oracle"])
+    def test_error_names_the_given_path(self, command, target, tmp_path, capsys):
+        if target == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "c.csv"
+        if command == "fit":
+            data = write_csv(tmp_path / "data.csv", ["x1", "y"], [np.linspace(0, 1, 30)] * 2)
+            args = ["fit", "--dict", "fourier:5", "--data", str(data), "--A", "1.0"]
+        else:
+            args = ["oracle", "--dict", "fourier:5", "--truth", "l0k:2", "--kmax", "2"]
+        code, _, err = run_cli([*args, "--out", str(out)], capsys)
+        assert code == 3
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and repr(str(out)) in errors[0]
+        assert ".tmp-" not in err
+        assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+
 class TestDiagnose:
     def test_fourier_kappa(self, capsys):
         code, out, _ = run_cli(
@@ -327,7 +350,7 @@ class TestOracle:
 
     def test_general_path(self, tmp_path, capsys):
         # A correlated tabulated dictionary (M = 6) and a tabulated truth
-        # take the quadrature path through oracle_general.
+        # take the quadrature path through oracle_path's search.
         rng = np.random.default_rng(5)
         grid = np.linspace(0.0, 1.0, 33)
         base = np.cumsum(rng.normal(size=grid.size))
@@ -350,8 +373,8 @@ class TestOracle:
 
         dictionary, measure = load_tabulated_csv(dict_csv), uniform_measure()
         truth = tabulated_truth(x, np.sin(2 * np.pi * x) + x * x)
-        for k, (_, residual2, support, exact) in enumerate(rows):
-            lam, _ = oracle_general(dictionary, measure, truth, k)
+        path = list(oracle_path(dictionary, measure, truth, range(7)))
+        for (_, residual2, support, exact), (_, lam, _, _) in zip(rows, path):
             assert residual2 == repr(population_dist2(dictionary, measure, truth, lam))
             assert support == "|".join(str(j + 1) for j in sparsity(lam)[0])
             assert exact == "1"
@@ -360,7 +383,6 @@ class TestOracle:
 
         # The scan stops at the first k on the path with dist2 <= C_f r^2 M(lambda).
         r_nM = (residuals[2] / 2.0) ** 0.5
-        path = oracle_path(dictionary, measure, truth, range(7))
         first = next(k for k, lam, dist2, _ in path if dist2 <= r_nM * r_nM * sparsity(lam)[1])
         lam_star, _, _, found = oracle_scan(dictionary, measure, truth, r_nM)
         assert found and 1 <= first <= 2

@@ -640,6 +640,19 @@ class TestBoundCheck:
                 assert cell.fitted
                 assert cell.fraction >= 0.9
 
+    def test_zero_unit_rhs_fit_matches_constants(self):
+        # k* = 0 makes the unit RHS and every risk exactly 0; the fitted
+        # scale is inf, and inf * 0 must not turn the RHS into NaN.
+        cfg = ExperimentConfig(
+            preset="fourier-L0k", n_values=(256, 512), m_rule="fixed:9", k_or_beta=0,
+            A=4.0, rate_kind="log_n", R=30, seed=3,
+        )
+        rows = run(cfg)
+        fitted = bound_check(cfg, rows, fit_scale=True)
+        fixed = bound_check(cfg, rows, constants=BoundConstants())
+        for f, c in zip(fitted, fixed):
+            assert (f.rhs, f.fraction, f.satisfied) == (c.rhs, c.fraction, c.satisfied) == (0.0, 1.0, True)
+
     def test_requires_constants_or_fit(self):
         cfg = tiny_config()
         with pytest.raises(ConfigError):

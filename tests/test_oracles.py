@@ -30,7 +30,7 @@ from l1agg import (
     linear_truth,
     membership,
     oracle_fourier,
-    oracle_general,
+    oracle_path,
     oracle_report,
     oracle_scan,
     population_dist2,
@@ -41,8 +41,15 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
+from l1agg import oracles
 from l1agg.dictionary import sup_norm_grid
-from l1agg.oracles import COHERENCE_THRESHOLD, LEMMA_KINDS, LEMMA_PARAMS
+from l1agg.oracles import (
+    COHERENCE_THRESHOLD,
+    LEMMA_KINDS,
+    LEMMA_PARAMS,
+    _oracle_problem,
+    _oracle_search,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -135,12 +142,20 @@ class TestOracleFourier:
                 assert achieved <= rival + 1e-12
 
 
+def oracle_at(dictionary, measure, truth, k):
+    """``(lambda, exact)`` of :func:`oracle_path` at the one size k."""
+    ((_, lam, _, exact),) = oracle_path(dictionary, measure, truth, [k])
+    return lam, exact
+
+
 class TestOracleGeneral:
+    """The k-sparse search that oracle_path runs outside the orthonormal case."""
+
     def test_orthonormal_matches_closed_form(self):
         theta = np.array([0.0, 1.5, 0.0, -0.7, 0.2])
         truth = fourier_truth(theta)
         d = build_fourier(5)
-        lam, exact = oracle_general(d, uniform_measure(), truth, 2)
+        lam, exact = _oracle_search(*_oracle_problem(d, uniform_measure(), truth), 2)
         assert exact
         np.testing.assert_allclose(lam, oracle_fourier(truth, 5, 2), atol=1e-9)
 
@@ -148,21 +163,18 @@ class TestOracleGeneral:
         d = correlated_tabulated_dictionary(M=4)
         truth = fine_tabulated_truth(lambda x: np.sin(2 * np.pi * x))
         measure = uniform_measure()
-        lam_full, exact = oracle_general(d, measure, truth, 4)
+        *smaller, (_, _, full, exact) = oracle_path(d, measure, truth, [1, 2, 3, 4])
         assert exact
-        full = population_dist2(d, measure, truth, lam_full)
-        for k in (1, 2, 3):
-            lam_k, _ = oracle_general(d, measure, truth, k)
-            assert full <= population_dist2(d, measure, truth, lam_k) + 1e-12
+        assert all(full <= dist2 + 1e-12 for _, _, dist2, _ in smaller)
 
     def test_exhaustive_beats_greedy(self, monkeypatch):
         d = correlated_tabulated_dictionary(M=6)
         truth = fine_tabulated_truth(lambda x: np.cos(3 * x) + x)
         measure = uniform_measure()
-        lam_ex, exact = oracle_general(d, measure, truth, 2)
+        lam_ex, exact = oracle_at(d, measure, truth, 2)
         assert exact
         monkeypatch.setattr("l1agg.oracles.EXHAUSTIVE_SUPPORT_CAP", 0)
-        lam_greedy, exact_greedy = oracle_general(d, measure, truth, 2)
+        lam_greedy, exact_greedy = oracle_at(d, measure, truth, 2)
         assert not exact_greedy
         res_ex = population_dist2(d, measure, truth, lam_ex)
         res_greedy = population_dist2(d, measure, truth, lam_greedy)
@@ -172,10 +184,7 @@ class TestOracleGeneral:
         d = correlated_tabulated_dictionary(M=7, seed=3)
         truth = fine_tabulated_truth(np.exp)
         measure = uniform_measure()
-        residuals = [
-            population_dist2(d, measure, truth, oracle_general(d, measure, truth, k)[0])
-            for k in range(0, 5)
-        ]
+        residuals = [dist2 for _, _, dist2, _ in oracle_path(d, measure, truth, range(0, 5))]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_singular_restricted_gram_warns_once(self):
@@ -186,12 +195,47 @@ class TestOracleGeneral:
         truth = tabulated_truth(grid, np.sin(3.0 * grid))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lam, exact = oracle_general(d, uniform_measure(), truth, 2)
+            lam, exact = oracle_at(d, uniform_measure(), truth, 2)
         assert [str(w.message) for w in caught] == [
             "restricted Gram is singular; using a pseudo-inverse solution"
         ]
         assert exact and np.all(np.isfinite(lam))
         assert math.isfinite(population_dist2(d, uniform_measure(), truth, lam))
+
+
+ORACLE_PAIRS = {
+    "fourier-uniform": lambda: (build_fourier(5), fourier_truth(np.array([1.0, 0.0, -2.0]))),
+    "tabulated": lambda: (
+        correlated_tabulated_dictionary(M=5),
+        fine_tabulated_truth(lambda x: np.sin(2 * np.pi * x)),
+    ),
+}
+
+
+class TestOraclePath:
+    @pytest.mark.parametrize("pair", sorted(ORACLE_PAIRS))
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_k_outside_zero_to_m_refused(self, pair, k):
+        d, truth = ORACLE_PAIRS[pair]()
+        path = oracle_path(d, uniform_measure(), truth, [0, k])
+        assert next(path)[0] == 0
+        with pytest.raises(ConfigError, match=r"outside \[0, M\] = \[0, 5\]"):
+            next(path)
+
+    @pytest.mark.parametrize("pair, builds", [("fourier-uniform", 0), ("tabulated", 1)])
+    def test_search_problem_built_once(self, pair, builds, monkeypatch):
+        d, truth = ORACLE_PAIRS[pair]()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _oracle_problem(*args)
+
+        monkeypatch.setattr(oracles, "_oracle_problem", spy)
+        path = list(oracle_path(d, uniform_measure(), truth, range(d.M + 1)))
+        assert [k for k, *_ in path] == list(range(d.M + 1))
+        assert np.all(path[0][1] == 0.0) and path[0][3]
+        assert len(calls) == builds
 
 
 class TestLinearDistance:

@@ -343,6 +343,16 @@ class TestFit:
         assert partial.sweeps == 2
         assert not partial.converged
 
+    def test_spent_budget_with_small_kkt_is_converged(self):
+        # Orthonormal columns reach the optimum in one sweep; the stopping
+        # rule needs a second, so one sweep spends the budget with KKT ~ 0.
+        rng = np.random.default_rng(12)
+        design = orthonormalized_design(rng, 60, 5)
+        y = design.entries @ np.array([2.0, 0.0, -1.0, 0.0, 0.5]) + 0.1 * rng.normal(size=60)
+        result = fit(design, y, penalty_config(design, A=1.0), max_sweeps=1)
+        assert result.sweeps == 1 and result.kkt_residual <= 1e3 * 1e-9
+        assert result.converged
+
     @pytest.mark.parametrize(
         "stop",
         [{"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"max_sweeps": 0}, {"max_sweeps": -5}],

@@ -19,6 +19,7 @@ from l1agg import (
     fourier_truth,
     lemma_bounds,
     oracle_report,
+    population_problem,
     rate,
     theorem_rhs,
     uniform_measure,
@@ -34,7 +35,8 @@ truth = fourier_truth(theta)
 r = rate(A, n, M, "log_n")
 print(f"r_nM = {r:.4f}")
 
-report = oracle_report(dictionary, measure, truth, r, C_f=1.0, C_f_prime=1.0)
+problem = population_problem(dictionary, measure, truth)
+report = oracle_report(problem, r, C_f=1.0, C_f_prime=1.0)
 print("effective dimension k* =", report.k_star)
 print("oracle support:", np.flatnonzero(report.lambda_star).tolist())
 print("||f_lambda* - f||^2 =", f"{report.dist2:.5f}")

@@ -57,6 +57,7 @@ from .oracles import (
     EventFlags,
     MembershipFlags,
     OracleReport,
+    PopulationProblem,
     TruthSpec,
     bernstein_bound,
     evaluate_truth,
@@ -70,6 +71,7 @@ from .oracles import (
     oracle_report,
     oracle_scan,
     population_dist2,
+    population_problem,
     sparsity,
     sup_norm_error,
     tabulated_truth,

@@ -60,6 +60,7 @@ from .oracles import (
     fourier_truth,
     lemma_bounds,
     oracle_path,
+    population_problem,
     sparsity,
     tabulated_truth,
 )
@@ -229,9 +230,10 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"--kmin {args.kmin} exceeds M = {dictionary.M}")
 
     ks = range(args.kmin, min(args.kmax, dictionary.M) + 1)
+    problem = population_problem(dictionary, measure, truth)
     table = [
         [k, dist2, "|".join(str(j + 1) for j in sparsity(lam)[0]), exact]
-        for k, lam, dist2, exact in oracle_path(dictionary, measure, truth, ks)
+        for k, lam, dist2, exact in oracle_path(problem, ks)
     ]
     atomic_write_text(args.out, csv_text(["k", "residual2", "support", "exact"], table))
     print(f"wrote {args.out}", file=sys.stderr)

@@ -494,6 +494,13 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     return psi, float(mixed.max())
 
 
+def _quadrature_gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Psi = sum_i w_i f(x_i) f(x_i)^T of a design on quadrature nodes with
+    weights w, symmetrised."""
+    psi = phi.T @ (phi * w[:, None])
+    return 0.5 * (psi + psi.T)
+
+
 def _sup_norm(dictionary: Dictionary) -> float:
     """Exact L = max_j sup_x |f_j(x)| over the dictionary domain.
 
@@ -556,8 +563,7 @@ def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> Popula
         else:
             pts, w = quadrature_grid(dictionary, measure)
             phi = evaluate(dictionary, pts).entries
-            psi = phi.T @ (phi * w[:, None])
-            psi = 0.5 * (psi + psi.T)
+            psi = _quadrature_gram(phi, w)
             sq = phi * phi
             weighted = sq * w[:, None]
             norms_sq = weighted.sum(axis=0)

@@ -42,6 +42,7 @@ from .errors import ConfigError, ConvergenceError, UnsupportedOperationError
 from .gram import kappa
 from .oracles import (
     BoundConstants,
+    PopulationProblem,
     TruthSpec,
     evaluate_truth,
     event_flags,
@@ -50,6 +51,7 @@ from .oracles import (
     linear_truth,
     oracle_scan,
     population_dist2,
+    population_problem,
     sparsity,
     sup_norm_error,
     theorem_rhs,
@@ -199,6 +201,8 @@ class ExperimentConfig:
             raise ConfigError("rate_kind must be log_M or log_n")
         if self.R < 1:
             raise ConfigError("replicate count R must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.preset != "linear" and self.R < 30:
             raise ConfigError("rate presets need R >= 30 replicates")
         if self.C_f < 0:
@@ -328,8 +332,9 @@ class CellContext:
     """Everything replicate-independent about one (n, M) grid cell.
 
     :func:`cell_context` caches contexts, so its arrays (``lambda_star``,
-    ``pop_norms_sq``, ``truth.theta``, ``dictionary.domain``) are
-    read-only: a write raises ValueError instead of changing later runs.
+    ``pop_norms_sq``, ``truth.theta``, ``dictionary.domain`` and those of
+    ``population``, the cell's :class:`PopulationProblem`) are read-only:
+    a write raises ValueError instead of changing later runs.
     """
 
     cell_index: int
@@ -338,6 +343,7 @@ class CellContext:
     dictionary: Dictionary
     measure: MeasureSpec
     truth: TruthSpec
+    population: PopulationProblem
     noise: NoiseModel
     r_nM: float
     lambda_star: np.ndarray
@@ -366,13 +372,10 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     measure = uniform_measure()
     r_nM = rate(config.A, n, M, config.rate_kind)
 
-    oracle_found = True
     if config.preset == "linear":
         dictionary = build_coordinate(M, domain=[-1.0, 1.0])
         truth = linear_truth(_linear_pattern(M, int(config.k_or_beta)))
         noise = noiseless()
-        lambda_star = truth.theta.copy()
-        dist2_star = 0.0
     else:
         dictionary = build_fourier(M)
         if config.preset == "fourier-L0k":
@@ -380,12 +383,14 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         else:
             truth = sobolev_truth(float(config.k_or_beta))
         noise = noise_bounded_uniform(1.0)
+    problem = population_problem(dictionary, measure, truth)
+    if config.preset == "linear":
+        lambda_star, dist2_star, oracle_found = truth.theta.copy(), 0.0, True
+    else:
         # With the oracle set empty at this resolution the scan's last
         # vector (the whole truncated truth) keeps rows computable; the
         # cell stays out of the slope-eligible regime.
-        lambda_star, dist2_star, _, oracle_found = oracle_scan(
-            dictionary, measure, truth, r_nM, config.C_f
-        )
+        lambda_star, dist2_star, _, oracle_found = oracle_scan(problem, r_nM, config.C_f)
     _, k_star = sparsity(lambda_star)
     # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
     l_lambda = 0.0 if dist2_star == 0.0 else sup_norm_error(dictionary, truth, lambda_star)
@@ -408,6 +413,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         dictionary=dictionary,
         measure=measure,
         truth=truth,
+        population=problem,
         noise=noise,
         r_nM=r_nM,
         lambda_star=lambda_star,
@@ -519,7 +525,7 @@ def _run_replicate(
         result = fit(design, sample.y, penalty)
     except ConvergenceError as exc:
         result = exc.partial_fit
-    risk = population_dist2(ctx.dictionary, ctx.measure, ctx.truth, result.lambda_hat)
+    risk = population_dist2(ctx.population, result.lambda_hat)
     l1_err = float(np.abs(result.lambda_hat - ctx.lambda_star).sum())
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ExperimentRow(

@@ -22,6 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,12 @@ from .dictionary import (
     MeasureSpec,
     build_fourier,
     evaluate,
-    population_gram,
     predict,
     quadrature_grid,
     sup_norm_grid,
     _check_table,
     _fourier_grid,
+    _quadrature_gram,
     _uniform_closed_form,
 )
 from .errors import ConfigError, NumericError, ShapeError
@@ -152,6 +153,12 @@ def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
     return lam
 
 
+def _residual2(psi_s, g_s, f2: float, lam_s) -> float:
+    """||f||^2 - 2 g'lambda + lambda' Psi lambda over lambda's support
+    (the Gram block, g entries and coefficients there), clamped at 0."""
+    return float(max(f2 - 2.0 * (g_s @ lam_s) + lam_s @ psi_s @ lam_s, 0.0))
+
+
 def _restricted_residual(psi, g, f2, support):
     idx = np.asarray(support, dtype=int)
     psi_s = psi[np.ix_(idx, idx)]
@@ -165,23 +172,90 @@ def _restricted_residual(psi, g, f2, support):
             stacklevel=3,
         )
         lam_s = np.linalg.pinv(psi_s) @ g_s
-    residual2 = f2 - 2.0 * (g_s @ lam_s) + lam_s @ psi_s @ lam_s
-    return lam_s, float(max(residual2, 0.0))
+    return lam_s, _residual2(psi_s, g_s, f2, lam_s)
 
 
-def _oracle_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
-    """``(Psi, g, ||f||^2)``: the Gram, and quadrature approximations of
-    g_j = <f_j, f> and ||f||^2, from one quadrature design."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class PopulationProblem:
+    """The Gram ``psi``, ``g`` (g_j = <f_j, f>) and ``f2`` (||f||^2) of a
+    truth f over a dictionary under a measure, each formed on first read;
+    every array is read-only, and a Psi that is not finite raises
+    NumericError. A coefficient problem holds ``theta`` = theta_M and
+    ``tail``; a quadrature problem (``theta`` None) holds ``nodes``, the
+    :func:`quadrature_grid` nodes and weights and the truth there.
+    """
+
+    dictionary: Dictionary
+    measure: MeasureSpec
+    truth: TruthSpec
+    theta: np.ndarray | None
+    tail: float
+    nodes: tuple
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.theta is None:
+                psi = _quadrature_gram(self._design, self.nodes[1])
+            else:
+                psi, _ = _uniform_closed_form(self.dictionary, self.measure)
+        if not np.all(np.isfinite(psi)):
+            raise NumericError("population Gram is not finite")
+        return _read_only(psi)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        if self.theta is None:
+            return _read_only(self._design.T @ (self.nodes[1] * self.nodes[2]))
+        return _read_only(self.psi @ self.theta)
+
+    @cached_property
+    def f2(self) -> float:
+        if self.theta is None:
+            return float(self.nodes[1] @ (self.nodes[2] * self.nodes[2]))
+        return float(self.theta @ self.g) + self.tail
+
+    @cached_property
+    def _design(self) -> np.ndarray:
+        return evaluate(self.dictionary, self.nodes[0]).entries
+
+
+def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
+    """The :class:`PopulationProblem` of the truth over the dictionary under
+    the measure.
+
+    Under the uniform measure, a fourier dictionary and truth, or a
+    coordinate dictionary and a linear truth of at most M coefficients,
+    give a coefficient problem: theta_M is the truth's first M coefficients
+    zero-padded, tail = ||theta beyond M||^2, Psi the closed form of
+    :func:`_uniform_closed_form`, g = Psi theta_M. Any other triple is a
+    quadrature problem on the one-axis :func:`quadrature_grid` (d > 1 is
+    refused here), whose Psi and g come from one design on its nodes.
+    """
+    M = dictionary.M
+    pair = (dictionary.kind, truth.kind)
+    if measure.kind == "uniform" and (
+        pair == ("fourier", "fourier")
+        or (pair == ("coordinate", "linear") and truth.theta.size <= M)
+    ):
+        theta, theta_M = truth.theta, np.zeros(M)
+        theta_M[: theta.size] = theta[:M]
+        tail = float(theta[M:] @ theta[M:])
+        return PopulationProblem(dictionary, measure, truth, _read_only(theta_M), tail, ())
     pts, w = quadrature_grid(dictionary, measure)
-    phi = evaluate(dictionary, pts).entries
-    f = evaluate_truth(truth, pts)
-    return population_gram(dictionary, measure), phi.T @ (w * f), float(w @ (f * f))
+    nodes = tuple(_read_only(a) for a in (pts, w, evaluate_truth(truth, pts)))
+    return PopulationProblem(dictionary, measure, truth, None, 0.0, nodes)
 
 
 def _oracle_search(psi, g, f2, k: int):
     """``(lambda, exact_flag)`` of the best k-sparse approximation for the
-    :func:`_oracle_problem` ``(Psi, g, ||f||^2)``, 1 <= k <= M: exhaustive
-    over supports when C(M, k) <= 1e5 (exact), greedy forward otherwise."""
+    problem ``(Psi, g, ||f||^2)``, 1 <= k <= M: exhaustive over supports
+    when C(M, k) <= 1e5 (exact), greedy forward otherwise."""
     M = g.size
     lam = np.zeros(M)
     if math.comb(M, k) <= EXHAUSTIVE_SUPPORT_CAP:
@@ -211,52 +285,26 @@ def _oracle_search(psi, g, f2, k: int):
     return lam, False
 
 
-def _orthonormal_case(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec) -> bool:
-    """Fourier dictionary, fourier truth, uniform measure: exact closed forms."""
-    return (
-        dictionary.kind == "fourier"
-        and truth.kind == "fourier"
-        and measure.kind == "uniform"
-    )
+def population_dist2(problem: PopulationProblem, lam) -> float:
+    """Squared L2(mu) distance ||f_lambda - f||^2 of the problem's truth.
 
-
-def population_dist2(
-    dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, lam
-) -> float:
-    """Squared L2(mu) distance ||f_lambda - f||^2.
-
-    Orthonormality (fourier dictionary, uniform measure, coefficient truth)
-    gives the exact closed form sum (lambda_j - theta_j)^2 plus the tail
-    of theta beyond M; coordinate dictionaries with linear truths use the
-    exact moment Gram. Everything else is quadrature on the one-axis
-    :func:`quadrature_grid`, which refuses a dictionary with d > 1.
+    A coefficient problem gives d' Psi d (clamped at 0) + tail with
+    d = lambda - theta_M; a quadrature problem the residual the oracle
+    search ranks supports by, :func:`_residual2`, which at lambda = 0 is
+    ||f||^2 and needs no design.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (dictionary.M,):
-        raise ShapeError(f"lambda must have shape ({dictionary.M},)")
-    if _orthonormal_case(dictionary, measure, truth):
-        theta = truth.theta
-        m = min(theta.size, dictionary.M)
-        diff = lam.copy()
-        diff[:m] -= theta[:m]
-        tail = float(theta[m:] @ theta[m:]) if theta.size > m else 0.0
-        return float(diff @ diff) + tail
-    if (
-        dictionary.kind == "coordinate"
-        and truth.kind == "linear"
-        and measure.kind == "uniform"
-        and truth.theta.size <= dictionary.M
-    ):
-        diff = lam.copy()
-        diff[: truth.theta.size] -= truth.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi, _ = _uniform_closed_form(dictionary, measure)
-        if not np.all(np.isfinite(psi)):
-            raise NumericError("population Gram is not finite")
-        return float(max(diff @ psi @ diff, 0.0))
-    pts, w = quadrature_grid(dictionary, measure)
-    diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)
-    return float(w @ (diff * diff))
+    M = problem.dictionary.M
+    if lam.shape != (M,):
+        raise ShapeError(f"lambda must have shape ({M},)")
+    if problem.theta is not None:
+        diff = lam - problem.theta
+        return float(max(diff @ problem.psi @ diff, 0.0)) + problem.tail
+    support = np.flatnonzero(lam)
+    if support.size == 0:
+        return problem.f2
+    psi_s = problem.psi[np.ix_(support, support)]
+    return _residual2(psi_s, problem.g[support], problem.f2, lam[support])
 
 
 def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
@@ -362,21 +410,26 @@ def theorem_rhs(
 
     t21_*: B kappa_M^-1 r^2 M(lambda) (risk) / B kappa_M^-1 r M(lambda) (l1);
     t23:   C' (dist2 + r^2 M(lambda)).
-    Any other kind raises ConfigError naming :data:`THEOREM_KINDS`.
+    Any other kind raises ConfigError naming :data:`THEOREM_KINDS`; values
+    at which the formula overflows raise NumericError naming the kind.
     """
     if kind not in THEOREM_KINDS:
         raise ConfigError(f"unknown theorem kind {kind!r}; expected one of {THEOREM_KINDS}")
     if r_nM <= 0 or m_lambda < 0:
         raise ConfigError("theorem_rhs needs r_nM > 0 and M(lambda) >= 0")
-    if kind in ("t21_risk", "t21_l1"):
-        if kappa_M is None or not (0 < kappa_M <= 1):
-            raise ConfigError("t21 bounds need kappa_M in (0, 1]")
+    if kind == "t23":
+        if dist2 is None or dist2 < 0:
+            raise ConfigError("t23 needs a nonnegative dist2")
+    elif kappa_M is None or not (0 < kappa_M <= 1):
+        raise ConfigError("t21 bounds need kappa_M in (0, 1]")
+    try:
+        if kind == "t23":
+            return constants.C_prime * (dist2 + r_nM**2 * m_lambda)
         scale = constants.B1 if kind == "t21_risk" else constants.B2
         power = 2 if kind == "t21_risk" else 1
         return scale / kappa_M * r_nM**power * m_lambda
-    if dist2 is None or dist2 < 0:
-        raise ConfigError("t23 needs a nonnegative dist2")
-    return constants.C_prime * (dist2 + r_nM**2 * m_lambda)
+    except ArithmeticError as exc:  # r_nM**2 overflowing
+        raise NumericError(f"theorem {kind} cannot be evaluated ({type(exc).__name__})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -545,37 +598,28 @@ class OracleReport:
     exact: bool
 
 
-def oracle_path(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec, ks):
+def oracle_path(problem: PopulationProblem, ks):
     """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks`` (each in
     [0, M], else ConfigError), lazily: the best k-sparse approximation
-    (zero at k = 0, the closed form of :func:`oracle_fourier` in the
-    orthonormal case, :func:`_oracle_search` otherwise), its squared
-    population distance and whether the search was exhaustive. The
-    search's problem is built once, at the first k >= 1.
+    (zero at k = 0, the closed form of :func:`oracle_fourier` for a
+    fourier coefficient problem, :func:`_oracle_search` on the problem's
+    Psi, g and ||f||^2 otherwise), its squared population distance and
+    whether the search was exhaustive.
     """
-    M = dictionary.M
-    orthonormal = _orthonormal_case(dictionary, measure, truth)
-    problem = None
+    M = problem.dictionary.M
+    orthonormal = problem.theta is not None and problem.truth.kind == "fourier"
     for k in ks:
         _check_oracle_size(M, k)
         if k == 0:
             lam, exact = np.zeros(M), True
         elif orthonormal:
-            lam, exact = oracle_fourier(truth, M, k), True
+            lam, exact = oracle_fourier(problem.truth, M, k), True
         else:
-            if problem is None:
-                problem = _oracle_problem(dictionary, measure, truth)
-            lam, exact = _oracle_search(*problem, k)
-        yield k, lam, population_dist2(dictionary, measure, truth, lam), exact
+            lam, exact = _oracle_search(problem.psi, problem.g, problem.f2, k)
+        yield k, lam, population_dist2(problem, lam), exact
 
 
-def oracle_scan(
-    dictionary: Dictionary,
-    measure: MeasureSpec,
-    truth: TruthSpec,
-    r_nM: float,
-    C_f: float = 1.0,
-):
+def oracle_scan(problem: PopulationProblem, r_nM: float, C_f: float = 1.0):
     """Scan k = 0, 1, ..., M for the effective dimension.
 
     Returns ``(lambda, dist2, exact, found)`` for the smallest k whose best
@@ -585,8 +629,8 @@ def oracle_scan(
     """
     if r_nM <= 0:
         raise ConfigError("oracle scan needs r_nM > 0")
-    ks = range(dictionary.M + 1)
-    for _, lam, dist2, exact in oracle_path(dictionary, measure, truth, ks):
+    ks = range(problem.dictionary.M + 1)
+    for _, lam, dist2, exact in oracle_path(problem, ks):
         _, m_lambda = sparsity(lam)
         if dist2 <= C_f * r_nM * r_nM * m_lambda:
             return lam, dist2, exact, True
@@ -594,9 +638,7 @@ def oracle_scan(
 
 
 def oracle_report(
-    dictionary: Dictionary,
-    measure: MeasureSpec,
-    truth: TruthSpec,
+    problem: PopulationProblem,
     r_nM: float,
     C_f: float = 1.0,
     C_f_prime: float = 1.0,
@@ -605,9 +647,10 @@ def oracle_report(
 
     k_star is the smallest M(lambda) whose best approximation satisfies
     ||f_lambda - f||^2 <= C_f r^2 M(lambda); ``C_f_prime`` enters only the
-    weak-approximation membership flags.
+    weak-approximation membership flags, and rho(lambda) is read from the
+    problem's Psi.
     """
-    lam, dist2, exact, found = oracle_scan(dictionary, measure, truth, r_nM, C_f)
+    lam, dist2, exact, found = oracle_scan(problem, r_nM, C_f)
     if not found:
         return OracleReport(
             lambda_star=None,
@@ -618,12 +661,12 @@ def oracle_report(
             exact=True,
         )
     support, m_lambda = sparsity(lam)
-    _, rho_lambda = coherence(population_gram(dictionary, measure), support)
+    _, rho_lambda = coherence(problem.psi, support)
     return OracleReport(
         lambda_star=lam,
         k_star=m_lambda,
         dist2=dist2,
-        L_lambda=sup_norm_error(dictionary, truth, lam),
+        L_lambda=sup_norm_error(problem.dictionary, problem.truth, lam),
         memberships=membership(dist2, m_lambda, rho_lambda, r_nM, C_f, C_f_prime),
         exact=exact,
     )

@@ -292,7 +292,7 @@ def test_c6_exact_representation(c6_fits):
         grad0 = np.abs(design.entries.T @ sample.y) / design.n
         active = np.flatnonzero(ctx.lambda_star)
         assert np.max(penalty.weights[active]) < np.min(grad0[active])
-        risk = population_dist2(ctx.dictionary, ctx.measure, ctx.truth, result.lambda_hat)
+        risk = population_dist2(ctx.population, result.lambda_hat)
         worst_risk = max(worst_risk, risk)
         recovered = recovered and set(active) <= set(result.support.tolist())
     ok = worst_risk <= 1e-10 and recovered

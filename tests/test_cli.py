@@ -16,6 +16,7 @@ from l1agg import (
     oracle_path,
     oracle_scan,
     population_dist2,
+    population_problem,
     sparsity,
     tabulated_truth,
     uniform_measure,
@@ -373,9 +374,10 @@ class TestOracle:
 
         dictionary, measure = load_tabulated_csv(dict_csv), uniform_measure()
         truth = tabulated_truth(x, np.sin(2 * np.pi * x) + x * x)
-        path = list(oracle_path(dictionary, measure, truth, range(7)))
+        problem = population_problem(dictionary, measure, truth)
+        path = list(oracle_path(problem, range(7)))
         for (_, residual2, support, exact), (_, lam, _, _) in zip(rows, path):
-            assert residual2 == repr(population_dist2(dictionary, measure, truth, lam))
+            assert residual2 == repr(population_dist2(problem, lam))
             assert support == "|".join(str(j + 1) for j in sparsity(lam)[0])
             assert exact == "1"
         residuals = [float(r[1]) for r in rows]
@@ -384,7 +386,7 @@ class TestOracle:
         # The scan stops at the first k on the path with dist2 <= C_f r^2 M(lambda).
         r_nM = (residuals[2] / 2.0) ** 0.5
         first = next(k for k, lam, dist2, _ in path if dist2 <= r_nM * r_nM * sparsity(lam)[1])
-        lam_star, _, _, found = oracle_scan(dictionary, measure, truth, r_nM)
+        lam_star, _, _, found = oracle_scan(problem, r_nM)
         assert found and 1 <= first <= 2
         assert sparsity(lam_star)[1] == first
 
@@ -452,15 +454,31 @@ class TestOnePopulationPass:
         assert "a2_norms=1" in out.splitlines()
         assert design_shapes == [(4096, 1)]
 
-    def test_oracle_evaluates_the_quadrature_design_once(self, tmp_path, capsys, design_shapes):
-        # Once per k used to be 24 designs for k = 0..12.
+    def test_oracle_evaluates_the_quadrature_design_once(
+        self, tmp_path, capsys, design_shapes, monkeypatch
+    ):
+        # Once per k used to be 24 designs for k = 0..12, and then 2 designs
+        # with 13 predict calls on the 4096 quadrature nodes, one per k.
+        import l1agg.dictionary
+        import l1agg.oracles
+
+        predicted = []
+        predict = l1agg.dictionary.predict
+
+        def spy(*args):
+            predicted.append(args)
+            return predict(*args)
+
+        for module in (l1agg.dictionary, l1agg.oracles):
+            monkeypatch.setattr(module, "predict", spy)
         tab = write_tabulated(tmp_path / "tab.csv", 12)
         x = np.linspace(0.0, 1.0, 21)
         truth = write_csv(tmp_path / "truth.csv", ["x", "f"], [x, np.exp(x)])
         args = ["oracle", "--dict", f"tabulated:{tab}", "--truth", f"tabulated:{truth}",
                 "--out", str(tmp_path / "oracle.csv")]
         assert run_cli(args + ["--kmax", "12"], capsys)[0] == 0
-        assert 1 <= len(design_shapes) <= 2
+        assert design_shapes == [(4096, 1)]
+        assert predicted == []
         design_shapes.clear()
         assert run_cli(args + ["--kmax", "0"], capsys)[0] == 0
         assert design_shapes == []
@@ -813,11 +831,23 @@ def malformed_case(case, tmp_path):
         # or OverflowError from the first cell.
         cfg = write("cfg.txt", CONFIG.replace("fixed:10", "power:" + case.rsplit("-", 1)[1]))
         return ["experiment", "--config", cfg, "--out", out], cfg
+    if case == "config-seed-negative":
+        # Used to end in numpy's "expected non-negative integer" traceback.
+        cfg = write("cfg.txt", CONFIG.replace("seed = 11", "seed = -1"))
+        return ["experiment", "--config", cfg, "--out", out], f"{cfg}: seed must be nonnegative"
+    if case == "config-A-overflow":
+        # r_nM**2 used to end in an OverflowError traceback from theorem_rhs.
+        cfg = write("cfg.txt", CONFIG.replace("A = 2.0", "A = 1e308"))
+        return ["experiment", "--config", cfg, "--out", out], "theorem t21_risk"
     if case == "summary-short-row":
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
         return ["summary", "--config", cfg, "--rows", rows, "--out", out], f"{rows}:2"
     raise AssertionError(case)
+
+
+# Malformed inputs whose error is numeric: exit 4, not 1.
+NUMERIC_CASES = ("config-A-overflow",)
 
 
 class TestMalformedInput:
@@ -837,13 +867,13 @@ class TestMalformedInput:
             "support-0", "support-9", "oracle-kmin-above-M",
             "truth-sobolev-inf", "truth-sobolev-nan", "truth-theta-nan", "truth-theta-inf",
             "truth-theta-twice", "density-narrow", "density-wide", "fit-A-nan-explicit",
-            "fit-A-negative-explicit",
+            "fit-A-negative-explicit", "config-seed-negative", "config-A-overflow",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):
         argv, location = malformed_case(case, tmp_path)
         code, _, err = run_cli(argv, capsys)
-        assert code == 1
+        assert code == (4 if case in NUMERIC_CASES else 1)
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err

@@ -396,7 +396,8 @@ class TestRun:
         # the fourier-L0k cell, lambda_star[:] = 0 turned row 0's l1_err
         # from 1.701 into 4.299.
         ctx = cell_context(cfg, 0)
-        for shared in (ctx.lambda_star, ctx.pop_norms_sq, ctx.truth.theta, ctx.dictionary.domain):
+        for shared in (ctx.lambda_star, ctx.pop_norms_sq, ctx.truth.theta, ctx.dictionary.domain,
+                       ctx.population.theta, ctx.population.psi):
             with pytest.raises(ValueError, match="read-only"):
                 shared[...] = 0.0
 
@@ -452,6 +453,22 @@ class TestMeasuredStages:
         # stage; a stage behind a private helper would drop out of it.
         run_single(tiny_config(), 1, 3)
         assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(self.STAGES, 1)
+
+    def test_population_problem_is_built_once_per_cell(self, calls, monkeypatch):
+        # A replicate reads its cell's problem; it used to form the closed
+        # form Gram of every distance again.
+        built = []
+        original = experiments.population_problem
+
+        def recorded(*args):
+            built.append(len(calls["generate"]))
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "population_problem", recorded)
+        experiments.cell_context.cache_clear()
+        cfg = tiny_config()
+        run(cfg)
+        assert built == [0, cfg.R]
 
     def test_cell_replicates_share_their_out_arrays(self, calls):
         # run hands generate and evaluate one pair of arrays per cell, the

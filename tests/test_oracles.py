@@ -26,6 +26,7 @@ from l1agg import (
     evaluate_truth,
     event_flags,
     fourier_truth,
+    grid_density_measure,
     lemma_bounds,
     linear_truth,
     membership,
@@ -34,6 +35,7 @@ from l1agg import (
     oracle_report,
     oracle_scan,
     population_dist2,
+    population_problem,
     sobolev_truth,
     sparsity,
     sup_norm_error,
@@ -41,17 +43,31 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
-from l1agg import oracles
+from l1agg import dictionary, oracles
 from l1agg.dictionary import sup_norm_grid
 from l1agg.oracles import (
     COHERENCE_THRESHOLD,
     LEMMA_KINDS,
     LEMMA_PARAMS,
-    _oracle_problem,
-    _oracle_search,
 )
 
 RNG = np.random.default_rng(2024)
+
+
+@pytest.fixture
+def design_points(monkeypatch):
+    """The points of every ``evaluate`` call made through the oracles or
+    dictionary module, in call order."""
+    calls = []
+    original = dictionary.evaluate
+
+    def spy(d, points):
+        calls.append(points)
+        return original(d, points)
+
+    for module in (oracles, dictionary):
+        monkeypatch.setattr(module, "evaluate", spy)
+    return calls
 
 
 def fine_tabulated_truth(fn, points=4097):
@@ -113,8 +129,8 @@ class TestOracleFourier:
         truth = fourier_truth(theta)
         lam = oracle_fourier(truth, 4, 2)
         np.testing.assert_array_equal(lam, theta)
-        d = build_fourier(4)
-        assert population_dist2(d, uniform_measure(), truth, lam) == 0.0
+        problem = population_problem(build_fourier(4), uniform_measure(), truth)
+        assert population_dist2(problem, lam) == 0.0
 
     def test_tie_breaks_to_smallest_index(self):
         truth = fourier_truth(np.array([1.0, 1.0]))
@@ -134,8 +150,8 @@ class TestOracleFourier:
         for k in (1, 2, 3):
             lam = oracle_fourier(truth, M, k)
             best = total - float(np.sort(theta**2)[::-1][:k].sum())
-            d = build_fourier(M)
-            achieved = population_dist2(d, uniform_measure(), truth, lam)
+            problem = population_problem(build_fourier(M), uniform_measure(), truth)
+            achieved = population_dist2(problem, lam)
             assert achieved == pytest.approx(best, abs=1e-12)
             for support in itertools.combinations(range(M), k):
                 rival = total - float(sum(theta[j] ** 2 for j in support))
@@ -144,7 +160,7 @@ class TestOracleFourier:
 
 def oracle_at(dictionary, measure, truth, k):
     """``(lambda, exact)`` of :func:`oracle_path` at the one size k."""
-    ((_, lam, _, exact),) = oracle_path(dictionary, measure, truth, [k])
+    ((_, lam, _, exact),) = oracle_path(population_problem(dictionary, measure, truth), [k])
     return lam, exact
 
 
@@ -152,10 +168,14 @@ class TestOracleGeneral:
     """The k-sparse search that oracle_path runs outside the orthonormal case."""
 
     def test_orthonormal_matches_closed_form(self):
+        # A flat density is the uniform measure by quadrature, so the
+        # search runs on a quadrature problem.
         theta = np.array([0.0, 1.5, 0.0, -0.7, 0.2])
         truth = fourier_truth(theta)
         d = build_fourier(5)
-        lam, exact = _oracle_search(*_oracle_problem(d, uniform_measure(), truth), 2)
+        flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
+        assert population_problem(d, flat, truth).theta is None
+        lam, exact = oracle_at(d, flat, truth, 2)
         assert exact
         np.testing.assert_allclose(lam, oracle_fourier(truth, 5, 2), atol=1e-9)
 
@@ -163,7 +183,8 @@ class TestOracleGeneral:
         d = correlated_tabulated_dictionary(M=4)
         truth = fine_tabulated_truth(lambda x: np.sin(2 * np.pi * x))
         measure = uniform_measure()
-        *smaller, (_, _, full, exact) = oracle_path(d, measure, truth, [1, 2, 3, 4])
+        problem = population_problem(d, measure, truth)
+        *smaller, (_, _, full, exact) = oracle_path(problem, [1, 2, 3, 4])
         assert exact
         assert all(full <= dist2 + 1e-12 for _, _, dist2, _ in smaller)
 
@@ -176,15 +197,17 @@ class TestOracleGeneral:
         monkeypatch.setattr("l1agg.oracles.EXHAUSTIVE_SUPPORT_CAP", 0)
         lam_greedy, exact_greedy = oracle_at(d, measure, truth, 2)
         assert not exact_greedy
-        res_ex = population_dist2(d, measure, truth, lam_ex)
-        res_greedy = population_dist2(d, measure, truth, lam_greedy)
+        problem = population_problem(d, measure, truth)
+        res_ex = population_dist2(problem, lam_ex)
+        res_greedy = population_dist2(problem, lam_greedy)
         assert res_ex <= res_greedy + 1e-12
 
     def test_nesting_in_k(self):
         d = correlated_tabulated_dictionary(M=7, seed=3)
         truth = fine_tabulated_truth(np.exp)
         measure = uniform_measure()
-        residuals = [dist2 for _, _, dist2, _ in oracle_path(d, measure, truth, range(0, 5))]
+        path = oracle_path(population_problem(d, measure, truth), range(0, 5))
+        residuals = [dist2 for _, _, dist2, _ in path]
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_singular_restricted_gram_warns_once(self):
@@ -200,7 +223,7 @@ class TestOracleGeneral:
             "restricted Gram is singular; using a pseudo-inverse solution"
         ]
         assert exact and np.all(np.isfinite(lam))
-        assert math.isfinite(population_dist2(d, uniform_measure(), truth, lam))
+        assert math.isfinite(population_dist2(population_problem(d, uniform_measure(), truth), lam))
 
 
 ORACLE_PAIRS = {
@@ -217,25 +240,40 @@ class TestOraclePath:
     @pytest.mark.parametrize("k", [-1, 6])
     def test_k_outside_zero_to_m_refused(self, pair, k):
         d, truth = ORACLE_PAIRS[pair]()
-        path = oracle_path(d, uniform_measure(), truth, [0, k])
+        path = oracle_path(population_problem(d, uniform_measure(), truth), [0, k])
         assert next(path)[0] == 0
         with pytest.raises(ConfigError, match=r"outside \[0, M\] = \[0, 5\]"):
             next(path)
 
     @pytest.mark.parametrize("pair, builds", [("fourier-uniform", 0), ("tabulated", 1)])
-    def test_search_problem_built_once(self, pair, builds, monkeypatch):
+    def test_search_problem_built_once(self, pair, builds, design_points):
         d, truth = ORACLE_PAIRS[pair]()
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _oracle_problem(*args)
-
-        monkeypatch.setattr(oracles, "_oracle_problem", spy)
-        path = list(oracle_path(d, uniform_measure(), truth, range(d.M + 1)))
+        problem = population_problem(d, uniform_measure(), truth)
+        path = list(oracle_path(problem, range(d.M + 1)))
         assert [k for k, *_ in path] == list(range(d.M + 1))
         assert np.all(path[0][1] == 0.0) and path[0][3]
-        assert len(calls) == builds
+        assert len(design_points) == builds
+
+    def test_linear_truth_on_a_box_searches_the_moment_gram(self):
+        # Used to raise UnsupportedOperationError: grids span one axis.
+        box = [[-1.0, 3.0], [0.0, 1.0], [-2.0, -0.5]]
+        d = build_coordinate(3, domain=box)
+        theta = np.array([1.0, -2.0, 0.5])
+        problem = population_problem(d, uniform_measure(), linear_truth(theta))
+        a, b = d.domain[:, 0], d.domain[:, 1]
+        psi = np.outer((a + b) / 2, (a + b) / 2)
+        np.fill_diagonal(psi, (a * a + a * b + b * b) / 3)
+        for k, lam, dist2, exact in oracle_path(problem, range(4)):
+            best = math.inf
+            for support in itertools.combinations(range(3), k):
+                idx = list(support)
+                lam_s = np.zeros(3)
+                if idx:
+                    lam_s[idx] = np.linalg.solve(psi[np.ix_(idx, idx)], psi[idx] @ theta)
+                best = min(best, (lam_s - theta) @ psi @ (lam_s - theta))
+            assert exact and sparsity(lam)[1] <= k
+            assert dist2 == pytest.approx(best, rel=1e-12, abs=1e-13)
+        assert dist2 == pytest.approx(0.0, abs=1e-13)
 
 
 class TestLinearDistance:
@@ -248,7 +286,8 @@ class TestLinearDistance:
         a, b = d.domain[:, 0], d.domain[:, 1]
         psi = np.outer((a + b) / 2, (a + b) / 2)
         np.fill_diagonal(psi, (a * a + a * b + b * b) / 3)
-        got = population_dist2(d, uniform_measure(), linear_truth(np.zeros(3)), diff)
+        problem = population_problem(d, uniform_measure(), linear_truth(np.zeros(3)))
+        got = population_dist2(problem, diff)
         assert got == pytest.approx(diff @ psi @ diff, rel=1e-14)
 
     def test_overflowing_gram_is_a_numeric_error(self):
@@ -256,13 +295,12 @@ class TestLinearDistance:
         # no numpy warning. On a 1e100 box only the fourth moments, which
         # the distance does not read, overflow.
         truth = linear_truth(np.ones(2))
+        huge = build_coordinate(2, domain=[-1e200, 1e200])
         with pytest.raises(NumericError, match="not finite"):
-            population_dist2(build_coordinate(2, domain=[-1e200, 1e200]), uniform_measure(),
-                             truth, np.zeros(2))
+            population_dist2(population_problem(huge, uniform_measure(), truth), np.zeros(2))
         wide = build_coordinate(2, domain=[-1e100, 1e100])
-        assert population_dist2(wide, uniform_measure(), truth, np.zeros(2)) == pytest.approx(
-            2e200 / 3, rel=1e-14
-        )
+        problem = population_problem(wide, uniform_measure(), truth)
+        assert population_dist2(problem, np.zeros(2)) == pytest.approx(2e200 / 3, rel=1e-14)
 
 
 class TestMembership:
@@ -339,6 +377,13 @@ class TestTheoremRhs:
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):
             theorem_rhs("t21_risk", BoundConstants(), 0.1, 3, kappa_M=0.0)
+
+    @pytest.mark.parametrize("kind", ["t21_risk", "t23"])
+    def test_overflow_is_a_numeric_error(self, kind):
+        # r**2 used to raise a bare OverflowError.
+        with pytest.raises(NumericError, match=f"theorem {kind} cannot be evaluated"):
+            theorem_rhs(kind, BoundConstants(), 1e200, 1, kappa_M=1.0, dist2=0.0)
+        assert theorem_rhs("t21_l1", BoundConstants(), 1e200, 1, kappa_M=1.0) == 1e200
 
 
 class TestBernstein:
@@ -522,17 +567,27 @@ class TestOracleReport:
         theta[1], theta[3], theta[6] = 3.0, 2.0, 1.0
         truth = fourier_truth(theta)
         d = build_fourier(10)
-        report = oracle_report(d, uniform_measure(), truth, r_nM=0.5, C_f=1.0)
+        report = oracle_report(population_problem(d, uniform_measure(), truth), r_nM=0.5, C_f=1.0)
         assert report.k_star == 3
         assert report.dist2 == 0.0
         assert report.L_lambda < 1e-9
         assert report.memberships.in_coherent_oracle_set
         assert report.exact
 
+    def test_found_report_on_a_tabulated_pair_builds_one_design(self, design_points):
+        # The search's design, the Gram it read and the Gram rho(lambda)
+        # read used to be 3 quadrature designs.
+        d, truth = ORACLE_PAIRS["tabulated"]()
+        *_, (_, _, dist2, _) = oracle_path(population_problem(d, uniform_measure(), truth), [2])
+        design_points.clear()
+        report = oracle_report(population_problem(d, uniform_measure(), truth), dist2**0.5)
+        assert report.k_star in (1, 2)
+        assert len(design_points) == 1
+
     def test_empty_oracle_set(self):
         truth = fine_tabulated_truth(lambda x: np.sign(x - 0.5))
         d = build_fourier(4)
-        report = oracle_report(d, uniform_measure(), truth, r_nM=1e-6, C_f=1.0)
+        report = oracle_report(population_problem(d, uniform_measure(), truth), r_nM=1e-6, C_f=1.0)
         assert report.k_star is None
         assert report.lambda_star is None
         assert report.memberships is None
@@ -541,9 +596,8 @@ class TestOracleReport:
         # The tail beyond M keeps dist2 above C_f r^2 M(lambda) at every k.
         theta = np.arange(40, 0, -1, dtype=float) / 40.0
         d = build_fourier(8)
-        lam, dist2, exact, found = oracle_scan(
-            d, uniform_measure(), fourier_truth(theta), r_nM=1e-3
-        )
+        problem = population_problem(d, uniform_measure(), fourier_truth(theta))
+        lam, dist2, exact, found = oracle_scan(problem, r_nM=1e-3)
         assert not found and exact
         np.testing.assert_array_equal(lam, theta[:8])
         assert dist2 == pytest.approx(float(theta[8:] @ theta[8:]), rel=1e-12)
@@ -551,7 +605,7 @@ class TestOracleReport:
     def test_zero_truth(self):
         truth = fourier_truth(np.zeros(3))
         d = build_fourier(5)
-        report = oracle_report(d, uniform_measure(), truth, r_nM=0.1)
+        report = oracle_report(population_problem(d, uniform_measure(), truth), r_nM=0.1)
         assert report.k_star == 0
         assert report.dist2 == 0.0
 

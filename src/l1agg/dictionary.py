@@ -129,9 +129,10 @@ class DesignMatrix:
     @cached_property
     def norms_sq(self) -> np.ndarray:
         """Squared empirical norms ||f_j||_n^2 = n^-1 sum_i f_j(X_i)^2, per
-        column; computed on first use and shared by the penalty weights, the
-        solver and the E2 event (so treat ``entries`` as read-only)."""
-        return np.mean(self.entries**2, axis=0)
+        column, as ``einsum("ij,ij->j", entries, entries) / n`` (no n x M
+        temporary); computed on first use and shared by the penalty weights,
+        the solver and the E2 event (so treat ``entries`` as read-only)."""
+        return np.einsum("ij,ij->j", self.entries, self.entries) / self.n
 
 
 @dataclass(frozen=True)

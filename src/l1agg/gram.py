@@ -75,11 +75,16 @@ def kappa(psi) -> float:
 
     Equals the smallest eigenvalue of D^{-1/2} psi D^{-1/2} with
     D = diag(psi); clamped below at 0 (eigenvalues within -1e-10 of zero
-    are quadrature noise).
+    are quadrature noise). A diagonal matrix needs no LAPACK call: its
+    smallest diagonal entry is the value ``eigvalsh`` would return.
     """
     normalized = _unit_diagonal(psi)
     normalized = 0.5 * (normalized + normalized.T)
-    smallest = float(np.linalg.eigvalsh(normalized)[0])
+    diagonal = np.diag(normalized)
+    if np.array_equal(normalized, np.diag(diagonal)):
+        smallest = float(diagonal.min())
+    else:
+        smallest = float(np.linalg.eigvalsh(normalized)[0])
     return max(smallest, 0.0)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .dictionary import DesignMatrix, empirical_norms
 from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
+from .gram import empirical_gram
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_SWEEPS = 100_000
@@ -160,8 +161,11 @@ def fit(
     soft_threshold(c_j, omega_j) / ||f_j||_n^2 with
     c_j = grad_j + lambda_j ||f_j||_n^2, where grad = n^-1 Phi^T (Y - Phi lambda)
     starts at n^-1 Phi^T Y and follows each move Delta of lambda_j through
-    grad -= Delta * Psi_j, Psi_j = n^-1 Phi^T f_j (covariance updates). Psi_j
-    is formed the first time coordinate j moves and kept for this fit only.
+    grad -= Delta * Psi_j, Psi_j = n^-1 Phi^T f_j (covariance updates). When
+    more than half of the non-frozen coordinates fail the KKT test at zero
+    (|g_j| > omega_j with g = n^-1 Phi^T Y), every Psi_j is taken from one
+    product :func:`empirical_gram`; otherwise Psi_j is formed the first time
+    coordinate j moves. Either way it is kept for this fit only.
     Stops when the largest coordinate change relative to 1 + |lambda_j|
     falls below ``tol``.
 
@@ -196,7 +200,11 @@ def fit(
     grad = g.copy()
     item = grad.item  # grad changes in place only, so this stays bound to it
     yy = float(y @ y) / n
-    gram = {}  # j -> Psi_j, for the coordinates that have moved
+    # j -> Psi_j; one BLAS-3 product beats M columns when most will move.
+    if 2 * np.count_nonzero(np.abs(g) > weights) > len(coords):
+        gram = dict(enumerate(empirical_gram(design)))
+    else:
+        gram = {}
     lam = [0.0] * M
     path = []
     sweeps = 0

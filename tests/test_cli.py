@@ -33,9 +33,10 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_process(args, cwd):
-    """``python -m l1agg.cli`` in a fresh interpreter, importing from src."""
-    env = dict(os.environ)
+def run_cli_process(args, cwd, extra_env=None):
+    """``python -m l1agg.cli`` in a fresh interpreter, importing from src,
+    with the inherited environment updated by ``extra_env``."""
+    env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "l1agg.cli", *args], cwd=cwd, env=env,
@@ -651,6 +652,30 @@ class TestExperimentAndSummary:
         assert summary_csv.exists()
         # Two cells only: slopes are not computable, noted on stderr.
         assert "no risk slope" in err
+
+    def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
+        # C10 across thread counts. Every fit of this dense grid takes its
+        # Gram from one BLAS-3 product, as the mc_dense benchmark's do.
+        written = []
+        for name, extra_env in (("one-thread", {"OPENBLAS_NUM_THREADS": "1"}), ("inherited", {})):
+            rows_csv = tmp_path / f"rows-{name}.csv"
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_text(
+                "preset = linear\n"
+                "n_values = 2048,8192\n"
+                "m_rule = fixed:20\n"
+                "k_or_beta = 20\n"
+                "A = 4.0\n"
+                "rate_kind = log_n\n"
+                "R = 10\n"
+                "seed = 5\n"
+                "C_f = 1.0\n"
+                f"out = {rows_csv}\n"
+            )
+            proc = run_cli_process(["experiment", "--config", str(cfg)], tmp_path, extra_env)
+            assert proc.returncode == 0, proc.stderr
+            written.append(rows_csv.read_bytes())
+        assert written[0] == written[1]
 
     def test_missing_config_exit_3(self, tmp_path, capsys):
         code, _, _ = run_cli(

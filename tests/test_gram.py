@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from l1agg import (
     DegenerateDictionaryError,
+    ExperimentConfig,
     NumericError,
     ShapeError,
+    build_coordinate,
     build_fourier,
     coherence,
     diagnostics,
@@ -20,6 +22,7 @@ from l1agg import (
     population_gram,
     uniform_measure,
 )
+from l1agg.experiments import cell_context
 from l1agg.gram import write_gram_csv
 
 
@@ -101,6 +104,43 @@ class TestKappa:
             k = kappa(corr)
             smallest = np.linalg.eigvalsh(corr - k * np.eye(8))[0]
             assert -1e-10 <= smallest <= 1e-10
+
+    def test_diagonal_gram_needs_no_lapack(self, monkeypatch):
+        # The three presets have an exactly diagonal population Gram, so
+        # cell_context reads kappa_M without eigvalsh; a box with nonzero
+        # cross-moments still gets the LAPACK value.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for preset, m_rule, k in (
+            ("linear", "fixed:20", 20),
+            ("fourier-L0k", "power:0.75", 3),
+            ("fourier-sobolev", "fixed:25", 1.0),
+        ):
+            config = ExperimentConfig(preset=preset, n_values=(256,), m_rule=m_rule,
+                                      k_or_beta=k, A=4.0, rate_kind="log_n", R=30, seed=0)
+            assert cell_context(config, 0).kappa_M == 1.0
+        assert calls == []
+
+        psi = population_gram(build_coordinate(7, domain=[-3.0, 0.5]), uniform_measure())
+        scale = 1.0 / np.sqrt(np.diag(psi))
+        normalized = psi * np.outer(scale, scale)
+        expected = float(eigvalsh(0.5 * (normalized + normalized.T))[0])
+        assert kappa(psi) == max(expected, 0.0)
+        assert calls == [(7, 7)]
+
+    def test_diagonal_gram_keeps_the_lapack_bits(self):
+        rng = np.random.default_rng(17)
+        for M in (1, 2, 9, 304):
+            psi = np.diag(rng.uniform(1e-3, 1e3, M))
+            scale = 1.0 / np.sqrt(np.diag(psi))
+            normalized = psi * np.outer(scale, scale)
+            assert kappa(psi) == max(float(np.linalg.eigvalsh(normalized)[0]), 0.0)
 
     @given(rho=st.floats(-0.999, 0.999))
     @settings(max_examples=50, deadline=None)

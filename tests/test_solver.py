@@ -1,6 +1,7 @@
 """Coordinate descent solver: closed forms, KKT certificates, properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from l1agg import (
     PenaltyConfig,
     build_coordinate,
     build_fourier,
+    empirical_gram,
     empirical_norms,
+    evaluate,
     event_flags,
     fit,
     penalty_config,
@@ -22,6 +25,7 @@ from l1agg import (
     rate,
     soft_threshold,
 )
+from l1agg import solver
 
 
 def make_design(entries):
@@ -90,6 +94,12 @@ def reference_cases():
     zero[:, 2] = 0.0
     cases["zero-column"] = (zero, 0.5)
     cases["M-gt-n"] = (rng.normal(size=(20, 45)), 0.5)
+    # Every coordinate fails the KKT test at zero (fit takes each Psi_j from
+    # one Gram product), and two of twelve do (fit forms them one by one).
+    extra = np.random.default_rng(102)
+    shared = 0.5 * extra.normal(size=(70, 1))
+    cases["all-fail-at-zero"] = (extra.normal(size=(70, 6)) + shared, 0.02)
+    cases["few-fail-at-zero"] = (extra.normal(size=(60, 12)), 5.0)
     out = {}
     for name, (entries, A) in cases.items():
         design = make_design(entries)
@@ -398,6 +408,47 @@ class TestReferenceLoop:
         assert_matches_reference(excinfo.value.partial_fit, ref)
 
 
+class TestGramPath:
+    """``fit`` takes every Psi_j from one ``empirical_gram`` product exactly
+    when more than half of the non-frozen coordinates fail the KKT test at
+    zero, and otherwise forms them column by column."""
+
+    @staticmethod
+    def spy_gram(monkeypatch):
+        calls = []
+
+        def spy(design):
+            calls.append(design.M)
+            return empirical_gram(design)
+
+        monkeypatch.setattr(solver, "empirical_gram", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "case, failing, products",
+        [("all-fail-at-zero", 6, [6]), ("few-fail-at-zero", 2, [])],
+        ids=["all-fail-at-zero", "few-fail-at-zero"],
+    )
+    def test_path_matches_residual_loop(self, monkeypatch, case, failing, products):
+        design, y, weights = REFERENCE_CASES[case]
+        g = design.entries.T @ y / design.n
+        assert np.count_nonzero(np.abs(g) > weights) == failing
+        calls = self.spy_gram(monkeypatch)
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        assert_matches_reference(fit(design, y, penalty), reference_fit(design, y, weights))
+        assert calls == products
+
+    def test_sparse_fourier_fit_forms_columns(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        design = evaluate(build_fourier(25), rng.uniform(size=(512, 1)))
+        y = design.entries[:, [1, 4, 8]] @ np.array([1.0, -0.8, 0.5])
+        y += 0.3 * rng.normal(size=512)
+        calls = self.spy_gram(monkeypatch)
+        result = fit(design, y, penalty_config(design, A=2.0, rate_kind="log_n"))
+        assert calls == []
+        assert result.m_hat == 3
+
+
 class TestDualityGap:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_gap_at_convergence(self, case):
@@ -435,10 +486,10 @@ class TestDualityGap:
 class TestSharedNorms:
     def test_one_squared_norm_per_design(self):
         # The penalty weights, the solver and E2 all read design.norms_sq,
-        # computed with the expression each of them used before.
+        # computed with the one expression its docstring names.
         rng = np.random.default_rng(12)
         design = make_design(rng.normal(size=(37, 9)) * rng.uniform(0.1, 3.0, 9))
-        direct = np.mean(design.entries**2, axis=0)
+        direct = np.einsum("ij,ij->j", design.entries, design.entries) / design.n
         assert design.norms_sq is design.norms_sq
         np.testing.assert_array_equal(design.norms_sq, direct)
         np.testing.assert_array_equal(empirical_norms(design), np.sqrt(direct))
@@ -449,6 +500,18 @@ class TestSharedNorms:
                 design, np.zeros(37), np.ones(9), pop, np.zeros(37), 0.0, 0.1, 0
             )
             assert flags.e2
+
+    def test_no_n_by_m_temporary(self):
+        # mc_wide's largest design, 2048 x 304 column-major: 5 MB of entries.
+        entries = np.asfortranarray(np.random.default_rng(13).normal(size=(2048, 304)))
+        design = make_design(entries)
+        tracemalloc.start()
+        try:
+            design.norms_sq
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entries.nbytes / 4
 
 
 class TestPredict:

@@ -324,10 +324,10 @@ def evaluate(dictionary: Dictionary, points, *, out=None) -> DesignMatrix:
 
     Entry (i, j) is f_j(x_i), stored column-major in an array that shares
     no memory with ``points``; a coordinate design is the checked copy of
-    the points. Fourier columns are written in place from the angle-addition
-    recurrence (c, s) <- (c c1 - s s1, s c1 + c s1), c1 + i s1 = exp(2 pi i x);
-    its rounding error grows about linearly in the frequency, to a few
-    1e-12 at M ~ 4000. Points must lie in the dictionary domain. A
+    the points. Fourier columns 2k - 1 and 2k are Re and Im of
+    z = sqrt(2) exp(2 pi i k x), written in place by the complex recurrence
+    z <- z exp(2 pi i x), whose rounding error grows about linearly in k, to
+    1.5e-12 at M = 4095. Points must lie in the dictionary domain. A
     tabulated function is its clamped interpolant on the whole domain;
     points outside the domain are clamped too, with a warning.
 
@@ -348,14 +348,13 @@ def evaluate(dictionary: Dictionary, points, *, out=None) -> DesignMatrix:
             out[:, j] = column
     elif dictionary.kind == "fourier":
         out[:, 0] = 1.0
-        angle = 2.0 * np.pi * pts[:, 0]
-        c, s = c1, s1 = np.cos(angle), np.sin(angle)
-        root2 = np.sqrt(2.0)
+        z1 = np.exp(2j * np.pi * pts[:, 0])
+        z = np.sqrt(2.0) * z1
         for j in range(1, M, 2):
-            np.multiply(root2, c, out=out[:, j])
+            out[:, j] = z.real
             if j + 1 < M:
-                np.multiply(root2, s, out=out[:, j + 1])
-            c, s = c * c1 - s * s1, s * c1 + c * s1
+                out[:, j + 1] = z.imag
+            z *= z1
     return DesignMatrix(n=pts.shape[0], M=M, entries=out)
 
 

@@ -141,10 +141,11 @@ def _duality_gap(
 ) -> float:
     """P(lam) - D(s r) for the residual r, grad = n^-1 Phi^T r and
     resid_sq = n^-1 ||r||^2, where D(theta) = n^-1 (||Y||^2 - ||Y - theta||^2)
-    on |n^-1 <f_j, theta>| <= omega_j. A column with omega_j = 0 forces
+    on |n^-1 <f_j, theta>| <= omega_j. Only columns with omega_j < |grad_j|
+    bound s, so no ratio formed exceeds 1; a column with omega_j = 0 forces
     s = 0 unless its gradient is exactly zero, as a zero column's is."""
-    nonzero = grad != 0.0
-    s = float(np.min(weights[nonzero] / np.abs(grad[nonzero]), initial=1.0))
+    binding = weights < np.abs(grad)
+    s = float(np.min(weights[binding] / np.abs(grad[binding]), initial=1.0))
     return float((1.0 - s) ** 2 * resid_sq + 2.0 * (weights @ np.abs(lam) - s * (lam @ grad)))
 
 

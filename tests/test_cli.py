@@ -145,6 +145,25 @@ class TestFit:
         assert keys[keys.index("kkt_residual") + 1] == "duality_gap"
         assert "sweeps=" in stdout and "support_size=" in stdout
 
+    @pytest.mark.parametrize(
+        "penalty", [["--A", "1e308"], ["--A", "1", "--rate", "explicit:1e308"]],
+        ids=["A", "rate"],
+    )
+    def test_huge_penalty_is_zero_fit_without_warning(self, penalty, tmp_path, capsys):
+        # Used to print "warning: overflow encountered in divide" from the
+        # duality gap next to the correct zero fit.
+        data = self.write_data(tmp_path)
+        out = tmp_path / "coef.csv"
+        code, stdout, err = run_cli(
+            ["fit", "--dict", "fourier:5", "--data", str(data), *penalty, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == []
+        assert "duality_gap=0.0" in stdout.splitlines()
+        lams = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert lams == [0.0] * 5
+
     def test_missing_data_file_exit_3_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "coef.csv"
         code, _, err = run_cli(

@@ -126,7 +126,7 @@ class TestEvaluate:
         assert np.array_equal(a, b)
 
     def test_fourier_recurrence_matches_direct_trig(self):
-        # The columns come from the angle-addition recurrence, whose error
+        # The columns come from a recurrence over the frequencies, whose error
         # grows with the frequency; at k = 2047 it stays below 1e-11.
         M = 4095
         x = np.linspace(0.0, 1.0, 10_001)
@@ -259,21 +259,33 @@ class TestCheckPoints:
 
     @pytest.mark.parametrize("M", [2, 3, 304])
     def test_fourier_design_is_the_column_recurrence(self, M):
-        # Column by column: frequency k fills column 2k - 1 with sqrt(2) cos
-        # and column 2k with sqrt(2) sin, the pair advanced by angle addition.
+        # Column by column: frequency k fills column 2k - 1 with Re z and
+        # column 2k with Im z, z = sqrt(2) z1^k advanced by z <- z z1.
         x = np.random.default_rng(M).uniform(0.0, 1.0, 1000)
-        c1, s1 = np.cos(2.0 * np.pi * x), np.sin(2.0 * np.pi * x)
+        z1 = np.exp(2j * np.pi * x)
         expected = np.empty((x.size, M))
         expected[:, 0] = 1.0
-        cos_k, sin_k = c1, s1
+        z = math.sqrt(2.0) * z1
         for k in range(1, M // 2 + 1):
-            expected[:, 2 * k - 1] = math.sqrt(2.0) * cos_k
+            expected[:, 2 * k - 1] = z.real
             if 2 * k < M:
-                expected[:, 2 * k] = math.sqrt(2.0) * sin_k
-            cos_k, sin_k = cos_k * c1 - sin_k * s1, sin_k * c1 + cos_k * s1
+                expected[:, 2 * k] = z.imag
+            z = z * z1
         got = evaluate(build_fourier(M), x).entries
         assert np.array_equal(got, expected)
         assert got.flags.f_contiguous
+
+    @pytest.mark.parametrize("M", [25, 304])
+    def test_fourier_design_layout_matches_predict(self, M):
+        # Phi lambda from the columns against predict's complex Horner sum,
+        # which reads a_k = c_{2k-1} - i c_{2k}: a swapped or misplaced
+        # column would differ by O(|lambda|).
+        rng = np.random.default_rng(M + 1)
+        x = rng.uniform(0.0, 1.0, 2000)
+        lam = rng.normal(size=M)
+        d = build_fourier(M)
+        tol = 1e-12 * math.sqrt(2) * np.abs(lam).sum()
+        np.testing.assert_allclose(evaluate(d, x).entries @ lam, predict(d, lam, x), rtol=0, atol=tol)
 
 
 class TestEvaluateOut:

@@ -472,6 +472,16 @@ class TestDualityGap:
         if (design.entries[:, 0] @ (y - design.entries @ result.lambda_hat)) != 0.0:
             assert result.duality_gap == pytest.approx(result.objective, rel=1e-12)
 
+    def test_huge_weights_give_zero_gap_without_overflow(self):
+        # omega_j / |grad_j| used to overflow (a RuntimeWarning, an error
+        # under this suite's filter) though only ratios below 1 bound s.
+        design, y, _ = REFERENCE_CASES["correlated"]
+        weights = np.full(design.M, 1e308)
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        result = fit(design, y, penalty)
+        assert result.m_hat == 0
+        assert result.duality_gap == 0.0
+
     def test_gap_before_convergence_is_positive(self):
         design, y, weights = REFERENCE_CASES["correlated"]
         penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)

@@ -469,6 +469,7 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     return pts, w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     """Exact ``(Psi, L0)`` under the uniform measure, or None without one.
 
@@ -492,13 +493,6 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     mixed = np.outer(m2, m2)
     np.fill_diagonal(mixed, m4)
     return psi, float(mixed.max())
-
-
-def _quadrature_gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Psi = sum_i w_i f(x_i) f(x_i)^T of a design on quadrature nodes with
-    weights w, symmetrised."""
-    psi = phi.T @ (phi * w[:, None])
-    return 0.5 * (psi + psi.T)
 
 
 def _sup_norm(dictionary: Dictionary) -> float:
@@ -529,52 +523,89 @@ def sup_norm_grid(dictionary: Dictionary) -> np.ndarray:
     return _axis_grid(dictionary, SUP_GRID_POINTS)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _finite(value):
+    """``value``, or NumericError when any of it is not finite."""
+    if not np.all(np.isfinite(value)):
+        raise NumericError("population Gram, L, c0 or L0 is not finite")
+    return value
+
+
 @dataclass(frozen=True)
 class PopulationConstants:
-    """Population Gram and boundedness constants of a dictionary under a
-    design measure.
+    """Psi, L, c0 and L0 of a dictionary under a design measure.
 
-    ``psi`` is the Gram matrix of inner products <f_i, f_j>, ``L`` the
-    exact max sup-norm, ``c0`` the smallest population norm and ``L0`` the
-    largest mixed fourth moment max E[f_i^2 f_j^2]. All are finite, so the
-    boundedness conditions L < inf and L0 < inf hold; c0 > 0 is the third.
+    ``psi`` is the Gram of inner products <f_i, f_j>, ``L`` the exact max
+    sup-norm (:func:`_sup_norm`), ``c0`` the smallest population norm and
+    ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]; finite L and
+    L0 and c0 > 0 are the boundedness conditions. Psi, c0 and L0 are the
+    closed forms of :func:`_uniform_closed_form` when it has them, else they
+    come from ``design``, the dictionary on the :func:`quadrature_grid`
+    ``nodes`` (points, weights). Each is formed on first read and kept
+    read-only; one that is not finite, such as a product that overflows,
+    raises NumericError, and no warning, when it is first read.
     """
 
-    psi: np.ndarray
-    L: float
-    c0: float
-    L0: float
+    dictionary: Dictionary
+    measure: MeasureSpec
+
+    @cached_property
+    def nodes(self) -> tuple:
+        return tuple(_read_only(a) for a in quadrature_grid(self.dictionary, self.measure))
+
+    @cached_property
+    def design(self) -> np.ndarray:
+        return _read_only(evaluate(self.dictionary, self.nodes[0]).entries)
+
+    @cached_property
+    def _exact(self):
+        return _uniform_closed_form(self.dictionary, self.measure)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def psi(self) -> np.ndarray:
+        """The closed form, or sum_i w_i f(x_i) f(x_i)^T on the nodes, symmetrised."""
+        if self._exact is not None:
+            return _read_only(_finite(self._exact[0]))
+        psi = self.design.T @ (self.design * self.nodes[1][:, None])
+        return _read_only(_finite(0.5 * (psi + psi.T)))
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _moments(self):
+        """The squared norms diag Psi and L0."""
+        if self._exact is not None:
+            return np.diag(self._exact[0]), self._exact[1]
+        sq = self.design * self.design
+        weighted = sq * self.nodes[1][:, None]
+        return weighted.sum(axis=0), float((sq.T @ weighted).max())
+
+    @cached_property
+    def L(self) -> float:
+        return _finite(_sup_norm(self.dictionary))
+
+    @cached_property
+    def c0(self) -> float:
+        return _finite(float(np.sqrt(max(self._moments[0].min(), 0.0))))
+
+    @cached_property
+    def L0(self) -> float:
+        return _finite(self._moments[1])
 
 
 def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> PopulationConstants:
-    """Psi, L, c0 and L0 of the dictionary under the measure, from one pass.
-
-    Under the uniform measure, fourier and coordinate dictionaries take
-    the closed forms of :func:`_uniform_closed_form`; otherwise Psi, c0
-    and L0 come from one quadrature design (:func:`quadrature_grid`). L
-    is exact for every kind (:func:`_sup_norm`). A non-finite result, such
-    as a product that overflows, raises NumericError and no warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        exact = _uniform_closed_form(dictionary, measure)
-        if exact is not None:
-            psi, L0 = exact
-            norms_sq = np.diag(psi)
-        else:
-            pts, w = quadrature_grid(dictionary, measure)
-            phi = evaluate(dictionary, pts).entries
-            psi = _quadrature_gram(phi, w)
-            sq = phi * phi
-            weighted = sq * w[:, None]
-            norms_sq = weighted.sum(axis=0)
-            L0 = float((sq.T @ weighted).max())
-        c0 = float(np.sqrt(max(norms_sq.min(), 0.0)))
-        L = _sup_norm(dictionary)
-    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite([L, c0, L0]))):
-        raise NumericError("population Gram, L, c0 or L0 is not finite")
-    return PopulationConstants(psi=psi, L=L, c0=c0, L0=L0)
+    """The :class:`PopulationConstants` of the dictionary under the measure,
+    with Psi, L, c0 and L0 read, so that one that is not finite raises
+    NumericError here."""
+    constants = PopulationConstants(dictionary, measure)
+    constants.psi, constants.L, constants.c0, constants.L0
+    return constants
 
 
 def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
-    """Population Gram matrix Psi_M, read from :func:`population_constants`."""
-    return population_constants(dictionary, measure).psi
+    """Psi_M of :class:`PopulationConstants`, without forming L, c0 or L0."""
+    return PopulationConstants(dictionary, measure).psi

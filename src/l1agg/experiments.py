@@ -34,7 +34,6 @@ from .dictionary import (
     build_coordinate,
     build_fourier,
     evaluate,
-    population_constants,
     uniform_measure,
     _check_out,
 )
@@ -331,18 +330,15 @@ def _linear_pattern(M: int, k: int) -> np.ndarray:
 class CellContext:
     """Everything replicate-independent about one (n, M) grid cell.
 
-    :func:`cell_context` caches contexts, so its arrays (``lambda_star``,
-    ``pop_norms_sq``, ``truth.theta``, ``dictionary.domain`` and those of
-    ``population``, the cell's :class:`PopulationProblem`) are read-only:
-    a write raises ValueError instead of changing later runs.
+    ``population`` is the cell's :class:`PopulationProblem`: its dictionary,
+    measure and truth, Psi, c0, L and L0. :func:`cell_context` caches
+    contexts, so ``lambda_star`` and the arrays of ``population`` are
+    read-only: a write raises ValueError instead of changing later runs.
     """
 
     cell_index: int
     n: int
     M: int
-    dictionary: Dictionary
-    measure: MeasureSpec
-    truth: TruthSpec
     population: PopulationProblem
     noise: NoiseModel
     r_nM: float
@@ -351,10 +347,6 @@ class CellContext:
     dist2_star: float
     L_lambda_star: float
     kappa_M: float
-    pop_norms_sq: np.ndarray
-    c0: float
-    L: float
-    L0: float
     rhs_t21_risk: float
     rhs_t21_l1: float
     regime_ok: bool
@@ -369,7 +361,6 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     m_of = _parse_m_rule(config.m_rule)
     n = config.n_values[cell_index]
     M = m_of(n)
-    measure = uniform_measure()
     r_nM = rate(config.A, n, M, config.rate_kind)
 
     if config.preset == "linear":
@@ -383,7 +374,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         else:
             truth = sobolev_truth(float(config.k_or_beta))
         noise = noise_bounded_uniform(1.0)
-    problem = population_problem(dictionary, measure, truth)
+    problem = population_problem(dictionary, uniform_measure(), truth)
     if config.preset == "linear":
         lambda_star, dist2_star, oracle_found = truth.theta.copy(), 0.0, True
     else:
@@ -395,24 +386,14 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
     l_lambda = 0.0 if dist2_star == 0.0 else sup_norm_error(dictionary, truth, lambda_star)
 
-    population = population_constants(dictionary, measure)
-    kappa_m = kappa(population.psi)
-    constants = BoundConstants()
-    rhs_risk = theorem_rhs("t21_risk", constants, r_nM, k_star, kappa_m)
-    rhs_l1 = theorem_rhs("t21_l1", constants, r_nM, k_star, kappa_m)
-    pop_norms_sq = np.diag(population.psi).copy()
-    regime_ok = oracle_found and (
-        k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0
-    )
-    for shared in (lambda_star, pop_norms_sq, truth.theta, dictionary.domain):
+    kappa_m = kappa(problem.psi)
+    regime_ok = oracle_found and (k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0)
+    for shared in (lambda_star, truth.theta, dictionary.domain):
         shared.flags.writeable = False
     return CellContext(
         cell_index=cell_index,
         n=n,
         M=M,
-        dictionary=dictionary,
-        measure=measure,
-        truth=truth,
         population=problem,
         noise=noise,
         r_nM=r_nM,
@@ -421,12 +402,8 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         dist2_star=dist2_star,
         L_lambda_star=l_lambda,
         kappa_M=kappa_m,
-        pop_norms_sq=pop_norms_sq,
-        c0=population.c0,
-        L=population.L,
-        L0=population.L0,
-        rhs_t21_risk=rhs_risk,
-        rhs_t21_l1=rhs_l1,
+        rhs_t21_risk=theorem_rhs("t21_risk", BoundConstants(), r_nM, k_star, kappa_m),
+        rhs_t21_l1=theorem_rhs("t21_l1", BoundConstants(), r_nM, k_star, kappa_m),
         regime_ok=regime_ok,
     )
 
@@ -486,7 +463,7 @@ def _cell_buffers(ctx: CellContext) -> tuple[np.ndarray, np.ndarray]:
     sample or design past the next draw. Reusing them spares every
     replicate but the first the page faults of fresh arrays.
     """
-    return np.empty((ctx.n, ctx.dictionary.d)), np.empty((ctx.n, ctx.M), order="F")
+    return np.empty((ctx.n, ctx.population.dictionary.d)), np.empty((ctx.n, ctx.M), order="F")
 
 
 def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
@@ -498,15 +475,16 @@ def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
     :func:`evaluate` (:func:`_cell_buffers`), or None for fresh arrays.
     """
     x_out, design_out = buffers
-    sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed, out=x_out)
-    design = evaluate(ctx.dictionary, sample.x, out=design_out)
+    pop = ctx.population
+    sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed, out=x_out)
+    design = evaluate(pop.dictionary, sample.x, out=design_out)
     # An explicit rate ignores the tuning constant A.
     penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
     flags = event_flags(
         design,
         sample.w,
         penalty.weights,
-        ctx.pop_norms_sq,
+        np.diag(pop.psi),
         design.entries @ ctx.lambda_star - sample.f_values,
         ctx.dist2_star,
         ctx.r_nM,
@@ -760,8 +738,9 @@ class BoundCheckCell:
 
 def cell_tail_floor(ctx: CellContext, C_f: float) -> float:
     """1 - (L5 + L6, plus L7 when k* >= 1), clamped to [0, 1]."""
+    pop = ctx.population
     params = dict(
-        M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=ctx.c0, L=ctx.L, L0=ctx.L0,
+        M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=pop.c0, L=pop.L, L0=pop.L0,
         kappa_M=ctx.kappa_M, C_f=C_f, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star,
     )
     lemmas = ("L5", "L6", "L7") if ctx.k_star >= 1 else ("L5", "L6")

@@ -31,15 +31,14 @@ from .dictionary import (
     Dictionary,
     DesignMatrix,
     MeasureSpec,
+    PopulationConstants,
     build_fourier,
-    evaluate,
     predict,
-    quadrature_grid,
     sup_norm_grid,
+    _DOMAIN_SLACK,
     _check_table,
     _fourier_grid,
-    _quadrature_gram,
-    _uniform_closed_form,
+    _read_only,
 )
 from .errors import ConfigError, NumericError, ShapeError
 from .gram import coherence
@@ -175,54 +174,35 @@ def _restricted_residual(psi, g, f2, support):
     return lam_s, _residual2(psi_s, g_s, f2, lam_s)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
-class PopulationProblem:
-    """The Gram ``psi``, ``g`` (g_j = <f_j, f>) and ``f2`` (||f||^2) of a
-    truth f over a dictionary under a measure, each formed on first read;
-    every array is read-only, and a Psi that is not finite raises
-    NumericError. A coefficient problem holds ``theta`` = theta_M and
-    ``tail``; a quadrature problem (``theta`` None) holds ``nodes``, the
-    :func:`quadrature_grid` nodes and weights and the truth there.
+class PopulationProblem(PopulationConstants):
+    """The :class:`PopulationConstants` of a dictionary under a measure,
+    with a truth f: ``g`` (g_j = <f_j, f>) and ``f2`` (||f||^2), each formed
+    on first read, g read-only. A coefficient problem holds ``theta`` =
+    theta_M and ``tail``, and g = Psi theta_M; a quadrature problem
+    (``theta`` None) reads ``f_nodes``, the truth at the quadrature nodes,
+    and takes g and f2 from weighted sums over the nodes.
     """
 
-    dictionary: Dictionary
-    measure: MeasureSpec
     truth: TruthSpec
     theta: np.ndarray | None
     tail: float
-    nodes: tuple
 
     @cached_property
-    def psi(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.theta is None:
-                psi = _quadrature_gram(self._design, self.nodes[1])
-            else:
-                psi, _ = _uniform_closed_form(self.dictionary, self.measure)
-        if not np.all(np.isfinite(psi)):
-            raise NumericError("population Gram is not finite")
-        return _read_only(psi)
+    def f_nodes(self) -> np.ndarray:
+        return _read_only(evaluate_truth(self.truth, self.nodes[0]))
 
     @cached_property
     def g(self) -> np.ndarray:
         if self.theta is None:
-            return _read_only(self._design.T @ (self.nodes[1] * self.nodes[2]))
+            return _read_only(self.design.T @ (self.nodes[1] * self.f_nodes))
         return _read_only(self.psi @ self.theta)
 
     @cached_property
     def f2(self) -> float:
         if self.theta is None:
-            return float(self.nodes[1] @ (self.nodes[2] * self.nodes[2]))
+            return float(self.nodes[1] @ (self.f_nodes * self.f_nodes))
         return float(self.theta @ self.g) + self.tail
-
-    @cached_property
-    def _design(self) -> np.ndarray:
-        return evaluate(self.dictionary, self.nodes[0]).entries
 
 
 def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
@@ -232,10 +212,11 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
     Under the uniform measure, a fourier dictionary and truth, or a
     coordinate dictionary and a linear truth of at most M coefficients,
     give a coefficient problem: theta_M is the truth's first M coefficients
-    zero-padded, tail = ||theta beyond M||^2, Psi the closed form of
-    :func:`_uniform_closed_form`, g = Psi theta_M. Any other triple is a
+    zero-padded, tail = ||theta beyond M||^2. Any other triple is a
     quadrature problem on the one-axis :func:`quadrature_grid` (d > 1 is
-    refused here), whose Psi and g come from one design on its nodes.
+    refused here), whose g comes from the design on its nodes. A fourier
+    truth on a domain outside [0, 1], and a tabulated truth whose table
+    ends more than _DOMAIN_SLACK inside the domain, raise ConfigError.
     """
     M = dictionary.M
     pair = (dictionary.kind, truth.kind)
@@ -246,10 +227,18 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
         theta, theta_M = truth.theta, np.zeros(M)
         theta_M[: theta.size] = theta[:M]
         tail = float(theta[M:] @ theta[M:])
-        return PopulationProblem(dictionary, measure, truth, _read_only(theta_M), tail, ())
-    pts, w = quadrature_grid(dictionary, measure)
-    nodes = tuple(_read_only(a) for a in (pts, w, evaluate_truth(truth, pts)))
-    return PopulationProblem(dictionary, measure, truth, None, 0.0, nodes)
+        return PopulationProblem(dictionary, measure, truth, _read_only(theta_M), tail)
+    problem = PopulationProblem(dictionary, measure, truth, None, 0.0)
+    problem.nodes  # the grid's own refusals come first
+    lo, hi = domain = dictionary.domain[0].tolist()
+    if truth.kind == "fourier" and (lo < -_DOMAIN_SLACK or hi > 1.0 + _DOMAIN_SLACK):
+        raise ConfigError(f"a trigonometric truth is defined on [0, 1], not on the domain {domain}")
+    if truth.kind == "tabulated":
+        ends = truth.table[0][[0, -1]].tolist()
+        if ends[0] > lo + _DOMAIN_SLACK or ends[1] < hi - _DOMAIN_SLACK:
+            raise ConfigError(f"tabulated truth spans {ends}, not the domain {domain}")
+    problem.f_nodes
+    return problem
 
 
 def _oracle_search(psi, g, f2, k: int):

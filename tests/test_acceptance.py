@@ -170,11 +170,12 @@ def c6_fits():
     """20 noiseless exact-representation fits with full solver output."""
     config = ExperimentConfig(**C6_SETTINGS)
     ctx = cell_context(config, 0)
+    pop = ctx.population
     records = []
     for rep in range(config.R):
         seed = replicate_seed(config, 0, rep)
-        sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
-        design = evaluate(ctx.dictionary, sample.x)
+        sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+        design = evaluate(pop.dictionary, sample.x)
         penalty = PenaltyConfig(
             A=config.A,
             rate_kind=config.rate_kind,
@@ -242,10 +243,11 @@ def test_c3_kkt_certificates(c1_fits, c2_fits, c6_fits, c4_experiment):
         checked += 1
     # A fresh batch of harness replicates, refit here and recertified.
     ctx = cell_context(config, 2)
+    pop = ctx.population
     for rep in range(10):
         seed = replicate_seed(config, 2, rep)
-        sample = generate(ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed)
-        design = evaluate(ctx.dictionary, sample.x)
+        sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+        design = evaluate(pop.dictionary, sample.x)
         penalty = penalty_config(design, config.A, config.rate_kind)
         result = fit(design, sample.y, penalty)
         worst = max(
@@ -309,7 +311,7 @@ def test_c7_lemma_bound_domination(c4_experiment):
     config, _, _ = c4_experiment
     cell_index = config.n_values.index(4096)
     ctx = cell_context(config, cell_index)
-    bound_e2 = lemma_bounds("L4", ctx.n, M=ctx.M, c0=ctx.c0, L=ctx.L)
+    bound_e2 = lemma_bounds("L4", ctx.n, M=ctx.M, c0=ctx.population.c0, L=ctx.population.L)
     bound_e3 = lemma_bounds(
         "L6", ctx.n, r_nM=ctx.r_nM, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star
     )

@@ -62,11 +62,10 @@ def write_tabulated(path, M):
 @pytest.fixture
 def design_shapes(monkeypatch):
     """The point shapes of every ``evaluate`` call made through any l1agg
-    module, in call order."""
+    module that calls it, in call order."""
     import l1agg.cli
     import l1agg.dictionary
     import l1agg.experiments
-    import l1agg.oracles
 
     shapes = []
     evaluate_points = l1agg.dictionary.evaluate
@@ -75,7 +74,7 @@ def design_shapes(monkeypatch):
         shapes.append(np.shape(points))
         return evaluate_points(dictionary, points)
 
-    for module in (l1agg.cli, l1agg.dictionary, l1agg.experiments, l1agg.oracles):
+    for module in (l1agg.cli, l1agg.dictionary, l1agg.experiments):
         monkeypatch.setattr(module, "evaluate", spy)
     return shapes
 
@@ -842,6 +841,16 @@ def malformed_case(case, tmp_path):
             f"{v},{d}\n" for v, d in zip(x.split(","), (1, 3))))
         return (["diagnose", "--dict", "fourier:5", "--measure", f"density:{dens}"],
                 "not the domain [0.0, 1.0]")
+    if case == "fourier-truth-off-domain":
+        # Used to blame the dictionary: evaluation points fall outside its domain.
+        tab = write("tab.csv", "x,f1,f2\n0,1,0\n1,0,1\n2,1,1\n")
+        argv = ["oracle", "--dict", f"tabulated:{tab}", "--truth", "theta:1@1", "--kmax", "1",
+                "--out", out]
+        return argv, "trigonometric truth is defined on [0, 1], not on the domain [0.0, 2.0]"
+    if case == "tabulated-truth-narrow":
+        # The clamped interpolant used to hold the truth constant on (0.5, 1], exit 0.
+        truth = write("truth.csv", "x,f\n0,1\n0.5,2\n")
+        return oracle(f"tabulated:{truth}"), "tabulated truth spans [0.0, 0.5], not the domain"
     if case in ("fit-A-nan-explicit", "fit-A-negative-explicit"):
         # An explicit rate does not read A, and a bad A used to fit with exit 0.
         A = "nan" if case == "fit-A-nan-explicit" else "-1"
@@ -911,6 +920,7 @@ class TestMalformedInput:
             "support-0", "support-9", "oracle-kmin-above-M",
             "truth-sobolev-inf", "truth-sobolev-nan", "truth-theta-nan", "truth-theta-inf",
             "truth-theta-twice", "density-narrow", "density-wide", "fit-A-nan-explicit",
+            "fourier-truth-off-domain", "tabulated-truth-narrow",
             "fit-A-negative-explicit", "config-seed-negative", "config-A-overflow",
         ],
     )

@@ -37,7 +37,7 @@ from l1agg import (
     write_rows_csv,
 )
 from l1agg import dictionary as dictionary_module
-from l1agg import experiments, solver
+from l1agg import experiments, oracles, solver
 from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
@@ -45,6 +45,7 @@ from l1agg.experiments import (
     _linear_pattern,
     _ols_line,
     cell_context,
+    cell_tail_floor,
     event_diagnostics,
     replicate_seed,
     rows_csv_text,
@@ -273,23 +274,35 @@ class TestRun:
                 call()
 
     def test_linear_risk_runs_no_population_pass(self, monkeypatch):
-        # The coordinate/linear risk reads the closed-form Gram; Psi, L, c0
-        # and L0 are computed once per cell, by cell_context.
-        cfg = ExperimentConfig(preset="linear", n_values=(32, 64), m_rule="fixed:4",
-                               k_or_beta=2, A=1.0, rate_kind="log_M", R=3, seed=0)
-        for cell in range(len(cfg.n_values)):
-            cell_context(cfg, cell)
+        # One closed form per cell, read by cell_context for kappa_M, the
+        # oracle and the constants; the replicates' risks read the cached
+        # Psi. Each cell used to form it twice, and a linear cell's first
+        # replicate once more.
+        configs = [
+            ExperimentConfig(preset="linear", n_values=(32, 64), m_rule="fixed:4",
+                             k_or_beta=2, A=1.0, rate_kind="log_M", R=3, seed=0),
+            tiny_config(),
+        ]
         calls = []
-        original = dictionary_module.population_constants
+        original = dictionary_module._uniform_closed_form
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(args)
-            return original(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(dictionary_module, "population_constants", spy)
-        monkeypatch.setattr(experiments, "population_constants", spy)
-        assert len(run(cfg)) == 6
-        assert calls == []
+        for module in (dictionary_module, experiments, oracles):
+            if getattr(module, "_uniform_closed_form", None) is original:
+                monkeypatch.setattr(module, "_uniform_closed_form", spy)
+        cell_context.cache_clear()
+        for cfg in configs:
+            for cell in range(len(cfg.n_values)):
+                calls.clear()
+                ctx = cell_context(cfg, cell)
+                cell_tail_floor(ctx, cfg.C_f)
+                assert len(calls) == 1
+            calls.clear()
+            assert len(run(cfg)) == 2 * cfg.R
+            assert calls == []
 
     def test_nonconvergence_recorded_and_reported(self, monkeypatch, tmp_path, capsys):
         # fit binds DEFAULT_MAX_SWEEPS when it is defined, so a one-sweep
@@ -396,8 +409,9 @@ class TestRun:
         # the fourier-L0k cell, lambda_star[:] = 0 turned row 0's l1_err
         # from 1.701 into 4.299.
         ctx = cell_context(cfg, 0)
-        for shared in (ctx.lambda_star, ctx.pop_norms_sq, ctx.truth.theta, ctx.dictionary.domain,
-                       ctx.population.theta, ctx.population.psi):
+        pop = ctx.population
+        for shared in (ctx.lambda_star, pop.truth.theta, pop.dictionary.domain, pop.theta,
+                       pop.psi, pop.g):
             with pytest.raises(ValueError, match="read-only"):
                 shared[...] = 0.0
 
@@ -415,14 +429,13 @@ class TestRun:
             seed=9,
         )
         ctx = cell_context(cfg, 0)
+        pop = ctx.population
         for rep in range(cfg.R):
             seed = replicate_seed(cfg, 0, rep)
             from l1agg import evaluate, fit, generate, penalty_config
 
-            sample = generate(
-                ctx.dictionary, ctx.truth, ctx.measure, ctx.noise, ctx.n, seed
-            )
-            design = evaluate(ctx.dictionary, sample.x)
+            sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+            design = evaluate(pop.dictionary, sample.x)
             result = fit(design, sample.y, penalty_config(design, cfg.A, "log_M"))
             ols, *_ = np.linalg.lstsq(design.entries, sample.y, rcond=None)
             np.testing.assert_allclose(result.lambda_hat, ols, atol=1e-5)
@@ -689,7 +702,8 @@ class TestEventFrequenciesVsBounds:
         cfg = tiny_config(n_values=(2000,), m_rule="fixed:5", A=4.0, R=30)
         ctx = cell_context(cfg, 0)
         bound = lemma_bounds(
-            "L5", ctx.n, M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=ctx.c0, L=ctx.L
+            "L5", ctx.n, M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=ctx.population.c0,
+            L=ctx.population.L,
         )
         assert bound < 1.0
         seeds = list(range(100))

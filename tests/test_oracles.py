@@ -43,7 +43,7 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
-from l1agg import dictionary, oracles
+from l1agg import dictionary
 from l1agg.dictionary import sup_norm_grid
 from l1agg.oracles import (
     COHERENCE_THRESHOLD,
@@ -56,8 +56,8 @@ RNG = np.random.default_rng(2024)
 
 @pytest.fixture
 def design_points(monkeypatch):
-    """The points of every ``evaluate`` call made through the oracles or
-    dictionary module, in call order."""
+    """The points of every ``evaluate`` call made through the dictionary
+    module, the one that forms population designs, in call order."""
     calls = []
     original = dictionary.evaluate
 
@@ -65,8 +65,7 @@ def design_points(monkeypatch):
         calls.append(points)
         return original(d, points)
 
-    for module in (oracles, dictionary):
-        monkeypatch.setattr(module, "evaluate", spy)
+    monkeypatch.setattr(dictionary, "evaluate", spy)
     return calls
 
 
@@ -254,6 +253,25 @@ class TestOraclePath:
         assert np.all(path[0][1] == 0.0) and path[0][3]
         assert len(design_points) == builds
 
+    def test_quadrature_problem_arrays_are_read_only(self):
+        # A fourier dictionary with a tabulated truth takes the exact Psi = I
+        # and g from the design on the quadrature nodes.
+        problem = population_problem(
+            build_fourier(5), uniform_measure(), fine_tabulated_truth(np.cos)
+        )
+        assert np.array_equal(problem.psi, np.eye(5)) and problem.theta is None
+        pts, w = problem.nodes
+        for shared in (pts, w, problem.design, problem.psi, problem.g, problem.f_nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[...] = 0.0
+
+    @pytest.mark.parametrize("ends", [(0.0, 1.0), (-1.0, 2.0), (5e-13, 1.0 - 5e-13)])
+    def test_tabulated_truth_covering_the_domain_accepted(self, ends):
+        grid = np.linspace(*ends, 9)
+        problem = population_problem(build_fourier(3), uniform_measure(),
+                                     tabulated_truth(grid, grid))
+        assert problem.f2 == pytest.approx(1.0 / 3.0, abs=1e-6)
+
     def test_linear_truth_on_a_box_searches_the_moment_gram(self):
         # Used to raise UnsupportedOperationError: grids span one axis.
         box = [[-1.0, 3.0], [0.0, 1.0], [-2.0, -0.5]]
@@ -301,6 +319,17 @@ class TestLinearDistance:
         wide = build_coordinate(2, domain=[-1e100, 1e100])
         problem = population_problem(wide, uniform_measure(), truth)
         assert population_dist2(problem, np.zeros(2)) == pytest.approx(2e200 / 3, rel=1e-14)
+
+    def test_wide_box_distance_reads_no_fourth_moment(self):
+        # The problem is the box's population constants: on a 1e100 box its
+        # L0 overflows, and only a read of L0 raises.
+        wide = build_coordinate(2, domain=[-1e100, 1e100])
+        problem = population_problem(wide, uniform_measure(), linear_truth(np.ones(2)))
+        assert math.isfinite(population_dist2(problem, np.array([1.0, 0.0])))
+        assert problem.L == 1e100
+        assert problem.c0 == pytest.approx(math.sqrt(1e200 / 3), rel=1e-15)
+        with pytest.raises(NumericError, match="population Gram, L, c0 or L0 is not finite"):
+            problem.L0
 
 
 class TestMembership:

@@ -237,7 +237,7 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
         ends = truth.table[0][[0, -1]].tolist()
         if ends[0] > lo + _DOMAIN_SLACK or ends[1] < hi - _DOMAIN_SLACK:
             raise ConfigError(f"tabulated truth spans {ends}, not the domain {domain}")
-    problem.f_nodes
+    problem.f_nodes  # a truth that cannot be evaluated on the nodes fails here
     return problem
 
 

@@ -6,7 +6,9 @@ Minimizes
 
 with per-coordinate weights omega_j = r_{n,M} ||f_j||_n. Cyclic coordinate
 descent with exact one-dimensional minimization gives closed soft-threshold
-updates and an easily certified KKT optimum.
+updates and an easily certified KKT optimum. Once the signs hold for a
+sweep, one linear solve on the support finishes the fit if it passes the
+KKT test.
 
 Runs are deterministic: initialization at zero, sweep order 0..M-1, no
 randomness anywhere.
@@ -103,11 +105,13 @@ class LassoFit:
     """A KKT-certified coordinate descent solution.
 
     ``converged`` is True exactly when :func:`fit` returns rather than
-    raises: its stopping rule fired, or the sweep budget ran out with
-    ``kkt_residual`` <= 1e3 * tol. ``support``/``m_hat`` count exact
-    nonzeros; ``frozen`` lists columns with zero empirical norm that were
-    pinned at 0. ``objective_path`` holds the penalized objective after
-    each sweep (diagnostic). ``duality_gap`` is P(lambda_hat) - D(theta)
+    raises: its relative-change rule fired, its exact finish was
+    accepted, or the sweep budget ran out with ``kkt_residual`` <=
+    1e3 * tol. ``sweeps`` counts coordinate-descent sweeps; the finish is
+    not one. ``support``/``m_hat`` count exact nonzeros; ``frozen`` lists
+    columns with zero empirical norm that were pinned at 0.
+    ``objective_path`` holds the penalized objective after each sweep
+    (diagnostic). ``duality_gap`` is P(lambda_hat) - D(theta)
     >= 0 for the dual point theta = s * (Y - f_lambda_hat(X)), scaled by
     the largest s <= 1 with |n^-1 <f_j, theta>| <= omega_j for every j; it
     bounds the objective's distance to the optimum.
@@ -149,6 +153,33 @@ def _duality_gap(
     return float((1.0 - s) ** 2 * resid_sq + 2.0 * (weights @ np.abs(lam) - s * (lam @ grad)))
 
 
+def _exact_finish(g, gram, signs, weights, free, tol):
+    """The minimizer for support S = {j: signs_j != 0} with signs s, or None.
+
+    Solves Psi_SS x = g_S - omega_S s with g = n^-1 Phi^T Y from the cached
+    Gram columns, and accepts x only if sign(x) = s, |g_j - (Psi_.S x)_j| <=
+    omega_j for every free j outside S, and the KKT violation taken from
+    these sufficient statistics is at most ``tol``. A singular or
+    near-singular Psi_SS fails one of these tests."""
+    S = np.flatnonzero(signs)
+    s = signs[S]
+    rows = np.array([gram[j] for j in S.tolist()])  # Psi_.S transposed
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(rows[:, S].T, g[S] - weights[S] * s)
+        except np.linalg.LinAlgError:
+            return None
+        grad = g - x @ rows
+        if (np.sign(x) != s).any():
+            return None
+        off = free & (signs == 0.0)
+        if not np.all(np.abs(grad[off]) <= weights[off]):
+            return None
+        lam = np.zeros_like(g)
+        lam[S] = x
+        return lam if _kkt(grad, lam, weights) <= tol else None
+
+
 def fit(
     design: DesignMatrix,
     y,
@@ -168,11 +199,14 @@ def fit(
     product :func:`empirical_gram`; otherwise Psi_j is formed the first time
     coordinate j moves. Either way it is kept for this fit only.
     Stops when the largest coordinate change relative to 1 + |lambda_j|
-    falls below ``tol``.
+    falls below ``tol``, or when a sweep leaves every coordinate's sign
+    unchanged and the exact solve on that support and those signs is the
+    minimizer (:func:`_exact_finish`; each sign pattern is tried once).
 
-    Returns a converged fit if that rule fired or the recomputed KKT
-    violation is at most 1e3 * tol, and raises ConvergenceError carrying
-    the partial fit otherwise. Zero-norm columns are frozen at 0.
+    Returns a converged fit if either rule stopped it or the recomputed
+    KKT violation is at most 1e3 * tol, and raises ConvergenceError
+    carrying the partial fit otherwise. Zero-norm columns are frozen at 0.
+    The returned certificates come from a fresh residual Y - Phi lambda.
     """
     phi = design.entries
     n, M = design.n, design.M
@@ -207,6 +241,9 @@ def fit(
     else:
         gram = {}
     lam = [0.0] * M
+    signs = np.zeros(M)
+    free = col_sq != 0.0
+    tried = False  # the exact finish was refused for the current signs
     path = []
     sweeps = 0
     stopped = False
@@ -236,6 +273,17 @@ def fit(
         if max_change < tol:
             stopped = True
             break
+        # The finish depends on the signs alone, so each pattern gets one try.
+        previous, signs = signs, np.sign(lam_v)
+        if (signs != previous).any():
+            tried = False
+        elif not tried:
+            tried = True
+            finish = _exact_finish(g, gram, signs, weights, free, tol)
+            if finish is not None:
+                lam = finish
+                stopped = True
+                break
 
     # Final certificates from a fresh residual (incremental updates drift).
     lam = np.array(lam, dtype=float)

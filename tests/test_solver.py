@@ -12,6 +12,7 @@ from l1agg import (
     ConfigError,
     ConvergenceError,
     DesignMatrix,
+    ExperimentConfig,
     PenaltyConfig,
     build_coordinate,
     build_fourier,
@@ -23,9 +24,10 @@ from l1agg import (
     penalty_config,
     predict,
     rate,
+    run,
     soft_threshold,
 )
-from l1agg import solver
+from l1agg import experiments, solver
 
 
 def make_design(entries):
@@ -39,15 +41,45 @@ def orthonormalized_design(rng, n, M):
     return make_design(q * math.sqrt(n))
 
 
+def reference_finish(phi, residual, lam, weights, col_sq, tol):
+    """The exact finish from the residual loop's own quantities: a Newton
+    step Phi_S^T Phi_S / n delta = grad_S - omega_S s on the support S with
+    signs s, grad = n^-1 Phi^T residual, kept only if the signs hold, every
+    free zero coordinate has |grad_j| <= omega_j at the candidate's fresh
+    residual, and its KKT violation is at most tol."""
+    n = phi.shape[0]
+    signs = np.sign(lam)
+    S = np.flatnonzero(signs)
+    phi_s = phi[:, S]
+    with np.errstate(all="ignore"):
+        grad = phi.T @ residual / n
+        try:
+            delta = np.linalg.solve(phi_s.T @ phi_s / n, grad[S] - weights[S] * signs[S])
+        except np.linalg.LinAlgError:
+            return None
+        cand = lam.copy()
+        cand[S] += delta
+        grad = phi.T @ (residual - phi_s @ delta) / n
+    if not np.array_equal(np.sign(cand[S]), signs[S]):
+        return None
+    off = (col_sq != 0.0) & (signs == 0.0)
+    if not np.all(np.abs(grad[off]) <= weights[off]):
+        return None
+    viol = np.where(signs == 0.0, np.abs(grad) - weights, np.abs(grad - weights * signs))
+    return cand if viol.max() <= tol else None
+
+
 def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
     """The residual-update coordinate descent that ``fit`` replaced: same
-    zero start, sweep order, update and stopping rule, but each visit takes
-    c_j from an O(n) dot product with the running residual."""
+    zero start, sweep order, update, stopping rule and exact finish, but
+    each visit takes c_j from an O(n) dot product with the running residual."""
     phi = design.entries
     n, M = design.n, design.M
     col_sq = np.mean(phi * phi, axis=0)
     lam = np.zeros(M)
     residual = y.copy()
+    signs = np.zeros(M)
+    tried = False
     path = []
     sweeps = 0
     converged = False
@@ -68,6 +100,16 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
         if max_change < tol:
             converged = True
             break
+        previous, signs = signs, np.sign(lam)
+        if not np.array_equal(signs, previous):
+            tried = False
+        elif not tried:
+            tried = True
+            finish = reference_finish(phi, residual, lam, weights, col_sq, tol)
+            if finish is not None:
+                lam = finish
+                converged = True
+                break
     return {
         "lambda_hat": lam,
         "sweeps": sweeps,
@@ -447,6 +489,130 @@ class TestGramPath:
         result = fit(design, y, penalty_config(design, A=2.0, rate_kind="log_n"))
         assert calls == []
         assert result.m_hat == 3
+
+
+class TestExactFinish:
+    """Once a sweep leaves every coordinate's sign unchanged, ``fit`` solves
+    Psi_SS x = g_S - omega_S s on that support and stops there if x is the
+    minimizer; otherwise coordinate descent goes on as if it had not tried."""
+
+    @staticmethod
+    def two_column_problem(second):
+        rng = np.random.default_rng(6)
+        e1 = rng.normal(size=200)
+        e2 = 0.9 * e1 + math.sqrt(1 - 0.81) * rng.normal(size=200)
+        design = make_design(np.column_stack([e1, e2]))
+        y = e1 + second * e2 + 0.01 * rng.normal(size=200)
+        weights = np.full(2, 0.05)
+        g = design.entries.T @ y / design.n
+        gram = dict(enumerate(empirical_gram(design)))
+        return design, y, weights, g, gram
+
+    def test_sign_mismatch_refused(self):
+        design, y, weights, g, gram = self.two_column_problem(0.0)
+        both = np.array([1.0, 1.0])
+        x = np.linalg.solve(empirical_gram(design), g - weights * both)
+        assert x[1] < 0.0  # the system for signs (+, +) has a negative root
+        free = np.ones(2, dtype=bool)
+        assert solver._exact_finish(g, gram, both, weights, free, 1e-9) is None
+        finish = solver._exact_finish(g, gram, np.array([1.0, 0.0]), weights, free, 1e-9)
+        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
+        result = fit(design, y, penalty)
+        assert result.m_hat == 1
+        assert np.max(np.abs(finish - result.lambda_hat)) <= 1e-12
+
+    def test_violated_zero_coordinate_refused(self):
+        _, _, weights, g, gram = self.two_column_problem(1.0)
+        first = np.array([1.0, 0.0])
+        assert abs(g[1] - gram[0][1] * (g[0] - weights[0]) / gram[0][0]) > weights[1]
+        free = np.ones(2, dtype=bool)
+        assert solver._exact_finish(g, gram, first, weights, free, 1e-9) is None
+
+    def test_near_singular_active_set_matches_plain_loop(self, monkeypatch):
+        # Columns 0 and 1 differ by 1e-9 of noise and both turn active.
+        rng = np.random.default_rng(0)
+        entries = rng.normal(size=(60, 4))
+        entries[:, 1] = entries[:, 0] + 1e-9 * rng.normal(size=60)
+        design = make_design(entries)
+        y = entries[:, 0] + 0.5 * entries[:, 2] + 0.1 * rng.normal(size=60)
+        penalty = penalty_config(design, A=0.1)
+        tries = []
+        exact_finish = solver._exact_finish
+
+        def spy(g, gram, signs, *rest):
+            found = exact_finish(g, gram, signs, *rest)
+            tries.append((signs.copy(), found))
+            return found
+
+        monkeypatch.setattr(solver, "_exact_finish", spy)
+        result = fit(design, y, penalty)
+        assert tries and all(found is None for _, found in tries)
+        assert any(signs[0] != 0.0 and signs[1] != 0.0 for signs, _ in tries)
+        monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
+        plain = fit(design, y, penalty)
+        assert np.array_equal(result.lambda_hat, plain.lambda_hat)
+        assert result.sweeps == plain.sweeps
+        assert result.objective == plain.objective
+
+    def test_dense_run_finishes_at_first_settled_sweep(self, monkeypatch):
+        # mc_dense's larger cells: the finish is accepted at its first try,
+        # one sweep after the signs last changed (sweep 1 in almost every
+        # fit), where the relative-change rule needed 8-10 sweeps.
+        exact_finish = solver._exact_finish
+
+        def plain_signs(design, y, penalty, sweeps):
+            monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
+            try:
+                lam = fit(design, y, penalty, max_sweeps=sweeps).lambda_hat
+            except ConvergenceError as err:
+                lam = err.partial_fit.lambda_hat
+            finally:
+                monkeypatch.setattr(solver, "_exact_finish", exact_finish)
+            return np.sign(lam)
+
+        fits = []
+
+        def spy(design, y, penalty):
+            # run reuses its design array, so the signs are read here.
+            result = fit(design, y, penalty)
+            signs = [plain_signs(design, y, penalty, k) for k in range(1, result.sweeps + 1)]
+            settled = [k for k in range(2, result.sweeps + 1)
+                       if np.array_equal(signs[k - 1], signs[k - 2])]
+            fits.append((result, settled))
+            return result
+
+        monkeypatch.setattr(experiments, "fit", spy)
+        cfg = ExperimentConfig(preset="linear", n_values=(1024, 2048), m_rule="fixed:20",
+                               k_or_beta=20, A=4.0, rate_kind="log_n", R=30, seed=5)
+        assert len(run(cfg)) == len(fits) == 60
+        assert all(settled == [result.sweeps] for result, settled in fits)
+        assert sum(result.sweeps for result, _ in fits) <= 2.1 * len(fits)
+        assert max(result.kkt_residual for result, _ in fits) <= 1e-13
+
+
+class TestScaleEquivariance:
+    """Scaling every column by c divides the weighted-lasso minimizer by c.
+    The relative-change rule is not scale-aware, but the exact finish makes
+    the fit land on the same minimizer at every scale."""
+
+    @staticmethod
+    def scaled_fit(c):
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(200, 1))
+        base = np.tanh(0.9 * z + 0.3 * rng.normal(size=(200, 6)))
+        y = base @ np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0]) + 0.1 * rng.normal(size=200)
+        design = evaluate(build_coordinate(6, domain=[-c, c]), c * base)
+        penalty = penalty_config(design, A=0.05, rate_kind="log_M")
+        return fit(design, y, penalty), penalty
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_scaled_columns_give_scaled_fit(self, c):
+        unit, _ = self.scaled_fit(1.0)
+        scaled, penalty = self.scaled_fit(c)
+        np.testing.assert_array_equal(scaled.support, unit.support)
+        assert scaled.converged == unit.converged
+        np.testing.assert_allclose(c * scaled.lambda_hat, unit.lambda_hat, rtol=1e-9, atol=0)
+        assert scaled.kkt_residual <= 1e-12 * penalty.weights.max()
 
 
 class TestDualityGap:

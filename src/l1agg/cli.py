@@ -321,7 +321,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="points CSV x1,...,xd,y")
     p.add_argument("--A", type=float, required=True, help="penalty tuning constant")
     p.add_argument("--rate", default="logM", help="logM | logn | explicit:<v>")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="stop when every KKT violation is <= tol * ||f_j||_n * ||y||_n")
     p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
     p.add_argument("--out", required=True, help="coefficient CSV j,lambda,omega")
     p.set_defaults(func=_cmd_fit)

@@ -35,7 +35,7 @@ class UnsupportedOperationError(L1AggError):
 
 
 class ConvergenceError(L1AggError):
-    """Solver exhausted its sweep budget with a large KKT violation.
+    """Solver spent its sweep budget above the KKT bound tol ||f_j||_n ||y||_n.
 
     Carries the partial fit so callers can inspect or salvage it.
     """

@@ -443,9 +443,9 @@ class ExperimentRow:
 
     @property
     def nonconverged(self) -> bool:
-        """The KKT residual exceeds 1e3 times the default tolerance, the
-        bound ``solver.fit`` applies when its sweep budget runs out; read
-        from ``kkt`` alone, so CSV rows agree."""
+        """The KKT residual exceeds 1e3 times the default tolerance, an
+        absolute bound of the rows' own (``fit``'s is scaled); read from
+        ``kkt`` alone, so CSV rows agree."""
         return self.kkt > 1e3 * DEFAULT_TOL
 
 

@@ -6,9 +6,9 @@ Minimizes
 
 with per-coordinate weights omega_j = r_{n,M} ||f_j||_n. Cyclic coordinate
 descent with exact one-dimensional minimization gives closed soft-threshold
-updates and an easily certified KKT optimum. Once the signs hold for a
-sweep, one linear solve on the support finishes the fit if it passes the
-KKT test.
+updates and an easily certified KKT optimum. One scale-free KKT test ends
+the fit, after a sweep or for one linear solve on the support once the
+signs hold for a sweep.
 
 Runs are deterministic: initialization at zero, sweep order 0..M-1, no
 randomness anywhere.
@@ -105,9 +105,9 @@ class LassoFit:
     """A KKT-certified coordinate descent solution.
 
     ``converged`` is True exactly when :func:`fit` returns rather than
-    raises: its relative-change rule fired, its exact finish was
-    accepted, or the sweep budget ran out with ``kkt_residual`` <=
-    1e3 * tol. ``sweeps`` counts coordinate-descent sweeps; the finish is
+    raises: its stopping test passed after a sweep or for the exact
+    finish. ``kkt_residual`` is the largest violation, unscaled, at a fresh
+    residual. ``sweeps`` counts coordinate-descent sweeps; the finish is
     not one. ``support``/``m_hat`` count exact nonzeros; ``frozen`` lists
     columns with zero empirical norm that were pinned at 0.
     ``objective_path`` holds the penalized objective after each sweep
@@ -129,15 +129,11 @@ class LassoFit:
     objective_path: tuple = ()
 
 
-def _kkt(grad: np.ndarray, lam: np.ndarray, weights: np.ndarray) -> float:
-    """Max KKT violation at lam given grad = n^-1 Phi^T (Y - Phi lam): |grad_j|
-    <= omega_j where lambda_j = 0, grad_j = omega_j sign(lambda_j) elsewhere."""
-    viol = np.where(
-        lam == 0.0,
-        np.maximum(np.abs(grad) - weights, 0.0),
-        np.abs(grad - weights * np.sign(lam)),
-    )
-    return float(viol.max())
+def _violation(grad: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each coordinate's KKT violation at a point with signs ``signs`` given
+    grad = n^-1 Phi^T (Y - Phi lam): max(|grad_j| - omega_j, 0) where
+    lambda_j = 0 and |grad_j - omega_j sign(lambda_j)| elsewhere."""
+    return np.maximum(np.abs(grad - weights * signs) - weights * (signs == 0.0), 0.0)
 
 
 def _duality_gap(
@@ -153,14 +149,14 @@ def _duality_gap(
     return float((1.0 - s) ** 2 * resid_sq + 2.0 * (weights @ np.abs(lam) - s * (lam @ grad)))
 
 
-def _exact_finish(g, gram, signs, weights, free, tol):
+def _exact_finish(g, gram, signs, weights, bound):
     """The minimizer for support S = {j: signs_j != 0} with signs s, or None.
 
     Solves Psi_SS x = g_S - omega_S s with g = n^-1 Phi^T Y from the cached
-    Gram columns, and accepts x only if sign(x) = s, |g_j - (Psi_.S x)_j| <=
-    omega_j for every free j outside S, and the KKT violation taken from
-    these sufficient statistics is at most ``tol``. A singular or
-    near-singular Psi_SS fails one of these tests."""
+    Gram columns, and accepts x only if sign(x) = s and every coordinate's
+    KKT violation, taken from these sufficient statistics with gradient
+    g - Psi_.S x, is within ``bound``. A singular or near-singular Psi_SS
+    fails one of these tests."""
     S = np.flatnonzero(signs)
     s = signs[S]
     rows = np.array([gram[j] for j in S.tolist()])  # Psi_.S transposed
@@ -170,14 +166,12 @@ def _exact_finish(g, gram, signs, weights, free, tol):
         except np.linalg.LinAlgError:
             return None
         grad = g - x @ rows
-        if (np.sign(x) != s).any():
+        # Written so that a NaN violation refuses too.
+        if (np.sign(x) != s).any() or not (_violation(grad, signs, weights) <= bound).all():
             return None
-        off = free & (signs == 0.0)
-        if not np.all(np.abs(grad[off]) <= weights[off]):
-            return None
-        lam = np.zeros_like(g)
-        lam[S] = x
-        return lam if _kkt(grad, lam, weights) <= tol else None
+    lam = np.zeros_like(g)
+    lam[S] = x
+    return lam
 
 
 def fit(
@@ -198,14 +192,15 @@ def fit(
     (|g_j| > omega_j with g = n^-1 Phi^T Y), every Psi_j is taken from one
     product :func:`empirical_gram`; otherwise Psi_j is formed the first time
     coordinate j moves. Either way it is kept for this fit only.
-    Stops when the largest coordinate change relative to 1 + |lambda_j|
-    falls below ``tol``, or when a sweep leaves every coordinate's sign
-    unchanged and the exact solve on that support and those signs is the
-    minimizer (:func:`_exact_finish`; each sign pattern is tried once).
+    Stops when every coordinate's KKT violation on the running gradient is
+    at most tol ||f_j||_n ||Y||_n, which scales with column j as the
+    violation does. A sweep that fails this test but keeps every sign tries
+    the exact solve on that support and those signs, which stops the fit if
+    it passes the same test (:func:`_exact_finish`; once per sign pattern).
 
-    Returns a converged fit if either rule stopped it or the recomputed
-    KKT violation is at most 1e3 * tol, and raises ConvergenceError
-    carrying the partial fit otherwise. Zero-norm columns are frozen at 0.
+    Returns a converged fit if the test passed, and raises ConvergenceError
+    carrying the partial fit if the sweep budget ran out first. Zero-norm
+    columns are frozen at 0: their bound and their gradient are exactly 0.
     The returned certificates come from a fresh residual Y - Phi lambda.
     """
     phi = design.entries
@@ -235,6 +230,8 @@ def fit(
     grad = g.copy()
     item = grad.item  # grad changes in place only, so this stays bound to it
     yy = float(y @ y) / n
+    # sqrt(yy * col_sq) could overflow where each factor does not.
+    bound = tol * math.sqrt(yy) * np.sqrt(col_sq)
     # j -> Psi_j; one BLAS-3 product beats M columns when most will move.
     if 2 * np.count_nonzero(np.abs(g) > weights) > len(coords):
         gram = dict(enumerate(empirical_gram(design)))
@@ -242,14 +239,12 @@ def fit(
         gram = {}
     lam = [0.0] * M
     signs = np.zeros(M)
-    free = col_sq != 0.0
     tried = False  # the exact finish was refused for the current signs
     path = []
     sweeps = 0
-    stopped = False
+    converged = False
     while sweeps < max_sweeps:
         sweeps += 1
-        max_change = 0.0
         for j, w_j, q_j in coords:
             old = lam[j]
             c_j = item(j) + old * q_j
@@ -264,25 +259,22 @@ def fit(
                 if col is None:
                     col = gram[j] = phi.T @ phi[:, j] / n
                 grad -= (new - old) * col
-                change = abs(new - old) / (1.0 + abs(new))
-                if change > max_change:
-                    max_change = change
                 lam[j] = new
         lam_v = np.array(lam, dtype=float)
         path.append(float(yy - lam_v @ g - lam_v @ grad + 2.0 * (weights @ np.abs(lam_v))))
-        if max_change < tol:
-            stopped = True
+        previous, signs = signs, np.sign(lam_v)
+        if (_violation(grad, signs, weights) <= bound).all():
+            converged = True
             break
         # The finish depends on the signs alone, so each pattern gets one try.
-        previous, signs = signs, np.sign(lam_v)
         if (signs != previous).any():
             tried = False
         elif not tried:
             tried = True
-            finish = _exact_finish(g, gram, signs, weights, free, tol)
+            finish = _exact_finish(g, gram, signs, weights, bound)
             if finish is not None:
                 lam = finish
-                stopped = True
+                converged = True
                 break
 
     # Final certificates from a fresh residual (incremental updates drift).
@@ -290,8 +282,7 @@ def fit(
     residual = y - phi @ lam
     grad = phi.T @ residual / n
     resid_sq = float(residual @ residual / n)
-    kkt = _kkt(grad, lam, weights)
-    converged = stopped or kkt <= 1e3 * tol
+    kkt = float(_violation(grad, np.sign(lam), weights).max())
     support = np.flatnonzero(lam != 0.0)
     result = LassoFit(
         lambda_hat=lam,
@@ -307,8 +298,9 @@ def fit(
     )
     if not converged:
         raise ConvergenceError(
-            f"coordinate descent stopped after {sweeps} sweeps with "
-            f"KKT violation {kkt:.3e} > {1e3 * tol:.3e}",
+            f"coordinate descent stopped after {sweeps} sweeps above the KKT "
+            f"bound tol * ||f_j||_n * ||y||_n with tol = {tol:.3e}; largest "
+            f"violation {kkt:.3e}",
             partial_fit=result,
         )
     return result

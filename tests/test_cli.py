@@ -174,19 +174,15 @@ class TestFit:
         assert not out.exists()
         assert err
 
-    def test_nonconvergence_exit_2_with_machine_output(self, tmp_path, capsys):
+    @staticmethod
+    def near_duplicate_data(tmp_path):
         rng = np.random.default_rng(1)
         x1 = rng.uniform(-1, 1, 40)
         x2 = x1 + 1e-5 * rng.normal(size=40)
-        y = rng.normal(size=40)
-        data = tmp_path / "data.csv"
-        data.write_text(
-            "x1,x2,y\n"
-            + "\n".join(
-                f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x1, x2, y)
-            )
-            + "\n"
-        )
+        return write_csv(tmp_path / "data.csv", ["x1", "x2", "y"], [x1, x2, rng.normal(size=40)])
+
+    def test_nonconvergence_exit_2_with_machine_output(self, tmp_path, capsys):
+        data = self.near_duplicate_data(tmp_path)
         out = tmp_path / "coef.csv"
         code, stdout, err = run_cli(
             ["fit", "--dict", "coordinate:2:-2,2", "--data", str(data),
@@ -197,6 +193,20 @@ class TestFit:
         assert code == 2
         assert out.exists()  # machine output still emitted on exit 2
         assert "converged=0" in stdout
+
+    def test_spent_budget_above_scaled_bound_exits_2(self, tmp_path, capsys):
+        # At the default tol, 100 sweeps leave a KKT violation of about
+        # 8.6e-7: under 1e3 * tol, but above tol ||f_j||_n ||y||_n.
+        data = self.near_duplicate_data(tmp_path)
+        code, stdout, err = run_cli(
+            ["fit", "--dict", "coordinate:2:-2,2", "--data", str(data), "--A", "0.01",
+             "--max-sweeps", "100", "--out", str(tmp_path / "coef.csv")],
+            capsys,
+        )
+        printed = dict(line.split("=", 1) for line in stdout.splitlines())
+        assert code == 2 and printed["converged"] == "0" and printed["sweeps"] == "100"
+        assert float(printed["kkt_residual"]) <= 1e3 * 1e-9
+        assert "tol * ||f_j||_n * ||y||_n" in err
 
     def test_missing_y_column_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -41,12 +41,17 @@ def orthonormalized_design(rng, n, M):
     return make_design(q * math.sqrt(n))
 
 
-def reference_finish(phi, residual, lam, weights, col_sq, tol):
+def reference_violation(grad, signs, weights):
+    """Each coordinate's KKT violation, written out on its own."""
+    return np.where(signs == 0.0, np.maximum(np.abs(grad) - weights, 0.0),
+                    np.abs(grad - weights * signs))
+
+
+def reference_finish(phi, residual, lam, weights, bound):
     """The exact finish from the residual loop's own quantities: a Newton
     step Phi_S^T Phi_S / n delta = grad_S - omega_S s on the support S with
-    signs s, grad = n^-1 Phi^T residual, kept only if the signs hold, every
-    free zero coordinate has |grad_j| <= omega_j at the candidate's fresh
-    residual, and its KKT violation is at most tol."""
+    signs s, grad = n^-1 Phi^T residual, kept only if the signs hold and
+    every KKT violation at the candidate's fresh residual is within bound."""
     n = phi.shape[0]
     signs = np.sign(lam)
     S = np.flatnonzero(signs)
@@ -62,20 +67,18 @@ def reference_finish(phi, residual, lam, weights, col_sq, tol):
         grad = phi.T @ (residual - phi_s @ delta) / n
     if not np.array_equal(np.sign(cand[S]), signs[S]):
         return None
-    off = (col_sq != 0.0) & (signs == 0.0)
-    if not np.all(np.abs(grad[off]) <= weights[off]):
-        return None
-    viol = np.where(signs == 0.0, np.abs(grad) - weights, np.abs(grad - weights * signs))
-    return cand if viol.max() <= tol else None
+    return cand if np.all(reference_violation(grad, signs, weights) <= bound) else None
 
 
 def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
     """The residual-update coordinate descent that ``fit`` replaced: same
-    zero start, sweep order, update, stopping rule and exact finish, but
-    each visit takes c_j from an O(n) dot product with the running residual."""
+    zero start, sweep order, update, stopping test and exact finish, but
+    each visit takes c_j from an O(n) dot product with the running residual,
+    and the test reads the gradient n^-1 Phi^T residual."""
     phi = design.entries
     n, M = design.n, design.M
     col_sq = np.mean(phi * phi, axis=0)
+    bound = tol * np.sqrt(y @ y / n) * np.sqrt(col_sq)
     lam = np.zeros(M)
     residual = y.copy()
     signs = np.zeros(M)
@@ -85,7 +88,6 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
     converged = False
     while sweeps < max_sweeps:
         sweeps += 1
-        max_change = 0.0
         for j in range(M):
             if col_sq[j] == 0.0:
                 continue
@@ -94,18 +96,17 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
             new = soft_threshold(c_j, weights[j]) / col_sq[j]
             if new != lam[j]:
                 residual -= (new - lam[j]) * col
-                max_change = max(max_change, abs(new - lam[j]) / (1.0 + abs(new)))
                 lam[j] = new
         path.append(float(residual @ residual / n + 2.0 * (weights @ np.abs(lam))))
-        if max_change < tol:
+        previous, signs = signs, np.sign(lam)
+        if np.all(reference_violation(phi.T @ residual / n, signs, weights) <= bound):
             converged = True
             break
-        previous, signs = signs, np.sign(lam)
         if not np.array_equal(signs, previous):
             tried = False
         elif not tried:
             tried = True
-            finish = reference_finish(phi, residual, lam, weights, col_sq, tol)
+            finish = reference_finish(phi, residual, lam, weights, bound)
             if finish is not None:
                 lam = finish
                 converged = True
@@ -396,14 +397,33 @@ class TestFit:
         assert not partial.converged
 
     def test_spent_budget_with_small_kkt_is_converged(self):
-        # Orthonormal columns reach the optimum in one sweep; the stopping
-        # rule needs a second, so one sweep spends the budget with KKT ~ 0.
+        # Orthonormal columns reach the optimum in one sweep, and the
+        # stopping test passes on the gradient that sweep leaves, so a
+        # budget of one sweep is spent and converged.
         rng = np.random.default_rng(12)
         design = orthonormalized_design(rng, 60, 5)
         y = design.entries @ np.array([2.0, 0.0, -1.0, 0.0, 0.5]) + 0.1 * rng.normal(size=60)
         result = fit(design, y, penalty_config(design, A=1.0), max_sweeps=1)
         assert result.sweeps == 1 and result.kkt_residual <= 1e3 * 1e-9
         assert result.converged
+
+    def test_spent_budget_above_scaled_bound_raises(self):
+        # Near-duplicate columns: coordinate descent creeps along the ridge
+        # and the exact finish is refused. After 100 sweeps the KKT
+        # violation, 8.6e-7, is under 1e3 * tol but above tol ||f_j||_n
+        # ||y||_n (4.8e-10), and a fit that spends its budget there is not
+        # converged, whatever its absolute violation.
+        rng = np.random.default_rng(1)
+        x1 = rng.uniform(-1, 1, 40)
+        entries = np.column_stack([x1, x1 + 1e-5 * rng.normal(size=40)])
+        design = make_design(entries)
+        y = rng.normal(size=40)
+        with pytest.raises(ConvergenceError, match=r"tol \* \|\|f_j\|\|_n") as excinfo:
+            fit(design, y, penalty_config(design, A=0.01), max_sweeps=100)
+        partial = excinfo.value.partial_fit
+        bound = 1e-9 * np.sqrt(y @ y / 40) * np.sqrt(design.norms_sq)
+        assert partial.sweeps == 100 and not partial.converged
+        assert bound.max() < partial.kkt_residual <= 1e3 * 1e-9
 
     @pytest.mark.parametrize(
         "stop",
@@ -506,27 +526,27 @@ class TestExactFinish:
         weights = np.full(2, 0.05)
         g = design.entries.T @ y / design.n
         gram = dict(enumerate(empirical_gram(design)))
-        return design, y, weights, g, gram
+        # fit's bound at the default tol: 1e-9 ||f_j||_n ||y||_n.
+        bound = 1e-9 * np.sqrt(y @ y / design.n) * np.sqrt(design.norms_sq)
+        return design, y, weights, g, gram, bound
 
     def test_sign_mismatch_refused(self):
-        design, y, weights, g, gram = self.two_column_problem(0.0)
+        design, y, weights, g, gram, bound = self.two_column_problem(0.0)
         both = np.array([1.0, 1.0])
         x = np.linalg.solve(empirical_gram(design), g - weights * both)
         assert x[1] < 0.0  # the system for signs (+, +) has a negative root
-        free = np.ones(2, dtype=bool)
-        assert solver._exact_finish(g, gram, both, weights, free, 1e-9) is None
-        finish = solver._exact_finish(g, gram, np.array([1.0, 0.0]), weights, free, 1e-9)
+        assert solver._exact_finish(g, gram, both, weights, bound) is None
+        finish = solver._exact_finish(g, gram, np.array([1.0, 0.0]), weights, bound)
         penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
         result = fit(design, y, penalty)
         assert result.m_hat == 1
         assert np.max(np.abs(finish - result.lambda_hat)) <= 1e-12
 
     def test_violated_zero_coordinate_refused(self):
-        _, _, weights, g, gram = self.two_column_problem(1.0)
+        _, _, weights, g, gram, bound = self.two_column_problem(1.0)
         first = np.array([1.0, 0.0])
-        assert abs(g[1] - gram[0][1] * (g[0] - weights[0]) / gram[0][0]) > weights[1]
-        free = np.ones(2, dtype=bool)
-        assert solver._exact_finish(g, gram, first, weights, free, 1e-9) is None
+        assert abs(g[1] - gram[0][1] * (g[0] - weights[0]) / gram[0][0]) > weights[1] + bound[1]
+        assert solver._exact_finish(g, gram, first, weights, bound) is None
 
     def test_near_singular_active_set_matches_plain_loop(self, monkeypatch):
         # Columns 0 and 1 differ by 1e-9 of noise and both turn active.
@@ -557,7 +577,7 @@ class TestExactFinish:
     def test_dense_run_finishes_at_first_settled_sweep(self, monkeypatch):
         # mc_dense's larger cells: the finish is accepted at its first try,
         # one sweep after the signs last changed (sweep 1 in almost every
-        # fit), where the relative-change rule needed 8-10 sweeps.
+        # fit), where the sweeps alone need 6-9 to pass the stopping test.
         exact_finish = solver._exact_finish
 
         def plain_signs(design, y, penalty, sweeps):
@@ -592,27 +612,54 @@ class TestExactFinish:
 
 class TestScaleEquivariance:
     """Scaling every column by c divides the weighted-lasso minimizer by c.
-    The relative-change rule is not scale-aware, but the exact finish makes
-    the fit land on the same minimizer at every scale."""
+    The stopping test bounds coordinate j's KKT violation by
+    tol ||f_j||_n ||y||_n, which scales with the column as the violation
+    does, so the fit stops at the same point at every scale whether the
+    exact finish or the test after a sweep stops it."""
 
     @staticmethod
-    def scaled_fit(c):
+    def scaled_fit(c, duplicated=False):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(200, 1))
         base = np.tanh(0.9 * z + 0.3 * rng.normal(size=(200, 6)))
+        if duplicated:
+            base[:, 4] = base[:, 1]
         y = base @ np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0]) + 0.1 * rng.normal(size=200)
         design = evaluate(build_coordinate(6, domain=[-c, c]), c * base)
         penalty = penalty_config(design, A=0.05, rate_kind="log_M")
-        return fit(design, y, penalty), penalty
+        return fit(design, y, penalty), penalty, design, y
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_scaled_columns_give_scaled_fit(self, c):
-        unit, _ = self.scaled_fit(1.0)
-        scaled, penalty = self.scaled_fit(c)
+        unit = self.scaled_fit(1.0)[0]
+        scaled, penalty, _, _ = self.scaled_fit(c)
         np.testing.assert_array_equal(scaled.support, unit.support)
         assert scaled.converged == unit.converged
         np.testing.assert_allclose(c * scaled.lambda_hat, unit.lambda_hat, rtol=1e-9, atol=0)
         assert scaled.kkt_residual <= 1e-12 * penalty.weights.max()
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_refused_finish_gives_scaled_fit(self, monkeypatch, c):
+        # Columns 1 and 4 are equal and both turn active, so Psi_SS is
+        # singular, every finish is refused and the test after a sweep
+        # stops the fit, after the same number of sweeps at every c.
+        unit = self.scaled_fit(1.0, duplicated=True)[0]
+        tries = []
+        exact_finish = solver._exact_finish
+
+        def spy(*args):
+            tries.append(exact_finish(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(solver, "_exact_finish", spy)
+        scaled, _, design, y = self.scaled_fit(c, duplicated=True)
+        assert tries and all(found is None for found in tries)
+        assert {1, 4} <= set(scaled.support.tolist())
+        np.testing.assert_array_equal(scaled.support, unit.support)
+        assert scaled.converged and scaled.sweeps == unit.sweeps
+        np.testing.assert_allclose(c * scaled.lambda_hat, unit.lambda_hat, rtol=1e-9, atol=0)
+        scale = math.sqrt(y @ y / design.n) * math.sqrt(design.norms_sq.max())
+        assert scaled.kkt_residual <= 1e-9 * scale
 
 
 class TestDualityGap:

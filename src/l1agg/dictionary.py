@@ -17,6 +17,7 @@ indices in its CSV artifacts.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,10 @@ from .errors import (
 # Quadrature / scan resolutions; every grid spans one axis.
 QUADRATURE_POINTS = 4096
 SUP_GRID_POINTS = 100_001
+# Complex entries (16 bytes each) that the baby-step powers and the block
+# product of one chunk of points may hold together in a fourier sum
+# (:func:`_fourier_sum`): 1 MiB.
+FOURIER_SUM_BUDGET = 1 << 16
 
 _DOMAIN_SLACK = 1e-12
 
@@ -374,40 +379,89 @@ def _spectrum(coef: np.ndarray):
 
 
 def _fourier_grid(coef: np.ndarray, N: int) -> np.ndarray:
-    """Values of sum_j c_j f_j at x_i = i / N, i = 0..N-1, by one inverse FFT.
+    """Values of sum_j c_j f_j at x_i = i / N, i = 0..N-1, by one real inverse FFT.
 
-    sum_k a_k exp(2 pi i k i / N) = N ifft(b)_i, where b_m sums the a_k
-    with k = m (mod N). The folding is exact, so any frequency is allowed.
+    sum_k a_k exp(2 pi i k i / N) = sum_m b_m exp(2 pi i m i / N), where b_m
+    sums the a_k with k = m (mod N); the folding is exact, so any frequency
+    is allowed. The real part of that sum has the Hermitian spectrum
+    h_m = (b_m + conj b_{(N - m) mod N}) / 2, whose half m <= N / 2 one
+    ``irfft`` of length N sums.
     """
     c0, a = _spectrum(coef)
     k = np.arange(1, a.size + 1) % N
     b = np.bincount(k, a.real, N) + 1j * np.bincount(k, a.imag, N)
-    return c0 + np.sqrt(2.0) * N * np.fft.ifft(b).real
+    m = np.arange(N // 2 + 1)
+    h = 0.5 * (b[m] + np.conj(b[-m % N]))
+    return c0 + np.sqrt(2.0) * N * np.fft.irfft(h, N)
+
+
+def _fourier_sum(c0: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c0 + sqrt(2) Re sum_{k=1..K} a_k z^k at the points x, z = exp(2 pi i x).
+
+    ``a[k - 1]`` holds a_k. With B = ceil(sqrt K), m = ceil(K / B) and
+    w = z^B, the sum is sum_{j<m} w^j g_j with g_j = sum_{b=1..B} a_{jB+b} z^b
+    (a zero-padded past K): the powers z^1..z^B come from the recurrence
+    z^b = z^(b-1) z, one complex matrix product forms every g_j, and
+    Horner's rule in w adds them up (Paterson and Stockmeyer's baby and
+    giant steps). The rounding error grows about linearly in K, relative
+    to sum_k |a_k|. The points go in chunks small enough that the B powers
+    and the m group sums of a chunk hold at most FOURIER_SUM_BUDGET complex
+    entries.
+    """
+    out = np.full(x.size, c0)
+    K = a.size
+    if K == 0:
+        return out
+    B = math.isqrt(K - 1) + 1
+    m = -(-K // B)
+    blocks = np.zeros((m, B), dtype=complex)
+    blocks.flat[:K] = a
+    chunk = max(1, min(x.size, FOURIER_SUM_BUDGET // (B + m)))
+    powers = np.empty((B, chunk), dtype=complex)
+    groups = np.empty((m, chunk), dtype=complex)
+    for start in range(0, x.size, chunk):
+        z = np.exp(2j * np.pi * x[start : start + chunk])
+        p, g = powers[:, : z.size], groups[:, : z.size]
+        p[0] = z
+        for b in range(1, B):
+            np.multiply(p[b - 1], z, out=p[b])
+        np.matmul(blocks, p, out=g)
+        acc, w = g[-1], p[-1]
+        for j in range(m - 2, -1, -1):
+            acc *= w
+            acc += g[j]
+        out[start : start + chunk] += np.sqrt(2.0) * acc.real
+    return out
+
+
+def _check_lambda(lam, M: int) -> np.ndarray:
+    """``lam`` as a float array of shape (M,) (else ShapeError) with finite
+    entries (else NumericError)."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (M,):
+        raise ShapeError(f"coefficient vector must have shape ({M},), got {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise NumericError("coefficient vector contains non-finite entries")
+    return lam
 
 
 def predict(dictionary: Dictionary, lam, points) -> np.ndarray:
     """Evaluate the aggregate f_lambda = sum_j lambda_j f_j at the points.
 
-    A fourier sum is c0 + sqrt(2) Re sum_k a_k z^k (see :func:`_spectrum`),
-    evaluated by complex Horner's rule in z = exp(2 pi i x) from the last
-    nonzero coefficient down. Other kinds accumulate one column at a time,
-    up to the last nonzero coefficient. Neither holds the n x M design.
-    Points are checked as in :func:`evaluate`.
+    ``lam`` must be finite (:func:`_check_lambda`). A fourier sum is
+    c0 + sqrt(2) Re sum_k a_k z^k (see :func:`_spectrum`), up to the last
+    nonzero coefficient, in two levels (:func:`_fourier_sum`): about sqrt K
+    powers of z = exp(2 pi i x), one complex matrix product, and Horner's
+    rule in z^sqrt(K). Its rounding error grows about linearly in K,
+    relative to sum_j |lambda_j|, and its work arrays stay within
+    FOURIER_SUM_BUDGET complex entries. Other kinds accumulate one column
+    at a time, up to the last nonzero coefficient. Neither holds the n x M
+    design. Points are checked as in :func:`evaluate`.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (dictionary.M,):
-        raise ShapeError(
-            f"coefficient vector must have shape ({dictionary.M},), got {lam.shape}"
-        )
+    lam = _check_lambda(lam, dictionary.M)
     pts = _check_points(dictionary, points)
     if dictionary.kind == "fourier":
-        c0, a = _spectrum(lam)
-        z = np.exp(2j * np.pi * pts[:, 0])
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for a_k in a[::-1]:
-            acc += a_k
-            acc *= z
-        return c0 + np.sqrt(2.0) * acc.real
+        return _fourier_sum(*_spectrum(lam), pts[:, 0])
     out = np.zeros(pts.shape[0])
     last = np.flatnonzero(lam).max(initial=-1) + 1
     for coef, column in zip(lam[:last], _columns(dictionary, pts)):

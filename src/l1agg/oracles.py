@@ -36,6 +36,7 @@ from .dictionary import (
     predict,
     sup_norm_grid,
     _DOMAIN_SLACK,
+    _check_lambda,
     _check_table,
     _fourier_grid,
     _read_only,
@@ -280,12 +281,10 @@ def population_dist2(problem: PopulationProblem, lam) -> float:
     A coefficient problem gives d' Psi d (clamped at 0) + tail with
     d = lambda - theta_M; a quadrature problem the residual the oracle
     search ranks supports by, :func:`_residual2`, which at lambda = 0 is
-    ||f||^2 and needs no design.
+    ||f||^2 and needs no design. ``lam`` is checked as in
+    :func:`predict`.
     """
-    lam = np.asarray(lam, dtype=float)
-    M = problem.dictionary.M
-    if lam.shape != (M,):
-        raise ShapeError(f"lambda must have shape ({M},)")
+    lam = _check_lambda(lam, problem.dictionary.M)
     if problem.theta is not None:
         diff = lam - problem.theta
         return float(max(diff @ problem.psi @ diff, 0.0)) + problem.tail
@@ -301,14 +300,13 @@ def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
 
     The grid is :func:`sup_norm_grid`. For a fourier dictionary and a
     fourier truth, f - f_lambda has coefficients theta - lambda, and its
-    values at x_i = i / (SUP_GRID_POINTS - 1) come from one inverse FFT
-    (x = 1 repeats x = 0). Other pairs stream :func:`predict` and
-    :func:`evaluate_truth` over the grid.
+    values at x_i = i / (SUP_GRID_POINTS - 1) come from one real inverse
+    FFT (:func:`_fourier_grid`; x = 1 repeats x = 0). Other pairs stream
+    :func:`predict` and :func:`evaluate_truth` over the grid. ``lam`` is
+    checked as in :func:`predict`.
     """
+    lam = _check_lambda(lam, dictionary.M)
     if dictionary.kind == "fourier" and truth.kind == "fourier":
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (dictionary.M,):
-            raise ShapeError(f"lambda must have shape ({dictionary.M},)")
         theta = truth.theta
         coef = np.zeros(max(lam.size, theta.size))
         coef[: theta.size] = theta

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from l1agg import (
 )
 from l1agg import dictionary as dictionary_module
 from l1agg.dictionary import (
+    FOURIER_SUM_BUDGET,
     SUP_GRID_POINTS,
     _fourier_grid,
     quadrature_grid,
@@ -137,18 +139,50 @@ class TestEvaluate:
         np.testing.assert_allclose(got[:, 2::2], math.sqrt(2) * np.sin(freq), rtol=0, atol=1e-11)
 
     def test_fourier_predict_matches_direct_trig(self):
-        # Complex Horner in z = exp(2 pi i x): its rounding error grows with
-        # the degree, relative to the coefficients' l1 norm.
-        M = 4095
-        theta = np.random.default_rng(5).normal(size=M)
-        x = np.linspace(0.0, 1.0, 10_001)
-        freq = 2.0 * np.pi * x[:, None] * np.arange(1, M // 2 + 1)
-        direct = theta[0] + math.sqrt(2) * (
-            np.cos(freq) @ theta[1::2] + np.sin(freq) @ theta[2::2]
-        )
-        got = predict(build_fourier(M), theta, x)
-        tol = 1e-12 * math.sqrt(2) * np.abs(theta).sum()
-        np.testing.assert_allclose(got, direct, rtol=0, atol=tol)
+        # The two-level sum (B = ceil sqrt K powers of z = exp(2 pi i x), one
+        # block product, Horner in z^B): its rounding error grows with the
+        # degree, relative to the coefficients' l1 norm. K = 16 and 17 are a
+        # square and one past it; the point counts are one point, both sides
+        # of a chunk edge, and several chunks.
+        rng = np.random.default_rng(5)
+        for K in [0, 1, 2, 16, 17, 200, 2047]:
+            B = math.isqrt(max(K, 1) - 1) + 1
+            chunk = FOURIER_SUM_BUDGET // (B + -(-max(K, 1) // B))
+            M = max(2 * K + 1, 2)
+            theta = rng.normal(size=M)
+            theta[2 * K + 1 :] = 0.0
+            for n in [1, chunk, chunk + 1, 10_001]:
+                x = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.3])
+                freq = 2.0 * np.pi * x[:, None] * np.arange(1, K + 1)
+                direct = theta[0] + math.sqrt(2) * (
+                    np.cos(freq) @ theta[1 : 2 * K : 2] + np.sin(freq) @ theta[2 : 2 * K + 1 : 2]
+                )
+                got = predict(build_fourier(M), theta, x)
+                tol = 1e-12 * math.sqrt(2) * np.abs(theta).sum()
+                np.testing.assert_allclose(got, direct, rtol=0, atol=tol, err_msg=f"K={K}, n={n}")
+
+    def test_fourier_predict_memory_stays_within_budget(self):
+        # A 100,001-point scan at M = 4095 in one block would hold about
+        # 146 MB of powers and block sums; chunked, it holds the budget of
+        # complex entries plus the output and the checked copy of the points.
+        n, M = SUP_GRID_POINTS, 4095
+        x = np.linspace(0.0, 1.0, n)
+        theta = np.random.default_rng(6).normal(size=M)
+        tracemalloc.start()
+        try:
+            predict(build_fourier(M), theta, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * FOURIER_SUM_BUDGET + 3 * 8 * n
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_predict_refuses_non_finite_lambda(self, bad):
+        for j in range(3):
+            lam = np.zeros(3)
+            lam[j] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                predict(build_fourier(3), lam, np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("m", [8, 9], ids=["ends-cos", "ends-sin"])
     def test_fourier_predict_ignores_trailing_zeros(self, m):
@@ -160,15 +194,20 @@ class TestEvaluate:
         )
 
     def test_fourier_grid_folds_frequencies_above_n(self):
-        # Frequencies up to 3N land on the N-point inverse FFT by k mod N;
-        # unfolded, they would be off by O(1).
-        N = 64
-        coef = np.random.default_rng(7).normal(size=6 * N + 1)
-        x = np.arange(N) / N
-        freq = 2.0 * np.pi * x[:, None] * np.arange(1, 3 * N + 1)
-        direct = coef[0] + math.sqrt(2) * (np.cos(freq) @ coef[1::2] + np.sin(freq) @ coef[2::2])
-        tol = 1e-12 * math.sqrt(2) * np.abs(coef).sum()
-        np.testing.assert_allclose(_fourier_grid(coef, N), direct, rtol=0, atol=tol)
+        # Frequencies up to 3N land on the N-point real inverse FFT by
+        # k mod N and then onto its Hermitian half by m -> N - m; unfolded,
+        # they would be off by O(1). Odd and even N end the half differently.
+        for N in [1, 2, 7, 8, 64]:
+            coef = np.random.default_rng(7).normal(size=6 * N + 1)
+            x = np.arange(N) / N
+            freq = 2.0 * np.pi * x[:, None] * np.arange(1, 3 * N + 1)
+            direct = coef[0] + math.sqrt(2) * (
+                np.cos(freq) @ coef[1::2] + np.sin(freq) @ coef[2::2]
+            )
+            tol = 1e-12 * math.sqrt(2) * np.abs(coef).sum()
+            np.testing.assert_allclose(
+                _fourier_grid(coef, N), direct, rtol=0, atol=tol, err_msg=f"N={N}"
+            )
 
     @pytest.mark.parametrize(
         "dictionary, points",
@@ -277,7 +316,7 @@ class TestCheckPoints:
 
     @pytest.mark.parametrize("M", [25, 304])
     def test_fourier_design_layout_matches_predict(self, M):
-        # Phi lambda from the columns against predict's complex Horner sum,
+        # Phi lambda from the columns against predict's two-level sum,
         # which reads a_k = c_{2k-1} - i c_{2k}: a swapped or misplaced
         # column would differ by O(|lambda|).
         rng = np.random.default_rng(M + 1)

@@ -704,6 +704,27 @@ class TestOracleReport:
         with pytest.raises(ShapeError):
             sup_norm_error(build_fourier(5), sobolev_truth(1.0), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_sup_norm_error_refuses_non_finite_lambda(self, bad):
+        # Both the FFT pair and the streamed pair; unchecked, each returned nan.
+        lam = np.zeros(5)
+        lam[2] = bad
+        for truth in (sobolev_truth(1.0), tabulated_truth([0.0, 1.0], [0.0, 1.0])):
+            with pytest.raises(NumericError, match="non-finite"):
+                sup_norm_error(build_fourier(5), truth, lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_population_dist2_refuses_non_finite_lambda(self, bad):
+        # A coefficient problem and a quadrature problem; unchecked, each
+        # returned nan.
+        lam = np.zeros(3)
+        lam[1] = bad
+        table = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        for d in (build_fourier(3), build_tabulated([table] * 3)):
+            problem = population_problem(d, uniform_measure(), sobolev_truth(1.0))
+            with pytest.raises(NumericError, match="non-finite"):
+                population_dist2(problem, lam)
+
     def test_fourier_truth_outside_unit_interval_rejected(self):
         truth = fourier_truth(np.array([0.5, 1.0, -1.0]))
         with pytest.raises(DomainError):

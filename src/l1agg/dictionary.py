@@ -115,7 +115,13 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Evaluations f_j(X_i): n rows (points), M columns (functions)."""
+    """Evaluations f_j(X_i): n rows (points), M columns (functions).
+
+    Construction computes ``norms_sq`` and checks finiteness on that pass:
+    an entry that is NaN or infinite makes its column's norm non-finite,
+    so only a non-finite norm (which an overflow of finite entries also
+    gives) scans the entries, and a non-finite entry raises NumericError.
+    """
 
     n: int
     M: int
@@ -128,15 +134,16 @@ class DesignMatrix:
             )
         if self.n < 1:
             raise ShapeError("design matrices need n >= 1 rows")
-        if not np.all(np.isfinite(self.entries)):
+        if not np.all(np.isfinite(self.norms_sq)) and not np.all(np.isfinite(self.entries)):
             raise NumericError("design matrix contains non-finite entries")
 
     @cached_property
     def norms_sq(self) -> np.ndarray:
         """Squared empirical norms ||f_j||_n^2 = n^-1 sum_i f_j(X_i)^2, per
         column, as ``einsum("ij,ij->j", entries, entries) / n`` (no n x M
-        temporary); computed on first use and shared by the penalty weights,
-        the solver and the E2 event (so treat ``entries`` as read-only)."""
+        temporary); computed at construction and shared by the penalty
+        weights, the solver and the E2 event (so treat ``entries`` as
+        read-only)."""
         return np.einsum("ij,ij->j", self.entries, self.entries) / self.n
 
 
@@ -385,14 +392,29 @@ def _fourier_grid(coef: np.ndarray, N: int) -> np.ndarray:
     sums the a_k with k = m (mod N); the folding is exact, so any frequency
     is allowed. The real part of that sum has the Hermitian spectrum
     h_m = (b_m + conj b_{(N - m) mod N}) / 2, whose half m <= N / 2 one
-    ``irfft`` of length N sums.
+    ``irfft`` of length N sums. The half is folded directly: a_k goes to
+    bin k mod N and conj a_k to bin -k mod N, wherever that bin is at most
+    N / 2, by two ``bincount``s of length N / 2 + 1 for each of the real
+    and imaginary parts. These are the sums of a full-length fold, added
+    in the same order, so the values keep their bits, while only the half
+    spectrum and the N output values are held; the output is scaled and
+    shifted in place.
     """
     c0, a = _spectrum(coef)
+    half = N // 2 + 1
     k = np.arange(1, a.size + 1) % N
-    b = np.bincount(k, a.real, N) + 1j * np.bincount(k, a.imag, N)
-    m = np.arange(N // 2 + 1)
-    h = 0.5 * (b[m] + np.conj(b[-m % N]))
-    return c0 + np.sqrt(2.0) * N * np.fft.irfft(h, N)
+    mirror = -k % N
+    direct, folded = k < half, mirror < half
+    h = np.empty(half, dtype=complex)
+    h.real = np.bincount(k[direct], a.real[direct], half)
+    h.real += np.bincount(mirror[folded], a.real[folded], half)
+    h.imag = np.bincount(k[direct], a.imag[direct], half)
+    h.imag -= np.bincount(mirror[folded], a.imag[folded], half)
+    h *= 0.5
+    out = np.fft.irfft(h, N)
+    out *= np.sqrt(2.0) * N
+    out += c0
+    return out
 
 
 def _fourier_sum(c0: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -417,8 +439,13 @@ def _fourier_sum(c0: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     blocks = np.zeros((m, B), dtype=complex)
     blocks.flat[:K] = a
     chunk = max(1, min(x.size, FOURIER_SUM_BUDGET // (B + m)))
-    powers = np.empty((B, chunk), dtype=complex)
-    groups = np.empty((m, chunk), dtype=complex)
+    # Powers and block sums share one work array. glibc's malloc raises its
+    # mmap threshold to the largest block freed, so after the first call
+    # the array comes from the heap and stays there; two smaller arrays can
+    # fall under that threshold yet trim the heap on every return (about
+    # 0.9 MB refaulted a call at n = 2048, K = 200).
+    work = np.empty((B + m, chunk), dtype=complex)
+    powers, groups = work[:B], work[B:]
     for start in range(0, x.size, chunk):
         z = np.exp(2j * np.pi * x[start : start + chunk])
         p, g = powers[:, : z.size], groups[:, : z.size]

@@ -301,9 +301,10 @@ def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
     The grid is :func:`sup_norm_grid`. For a fourier dictionary and a
     fourier truth, f - f_lambda has coefficients theta - lambda, and its
     values at x_i = i / (SUP_GRID_POINTS - 1) come from one real inverse
-    FFT (:func:`_fourier_grid`; x = 1 repeats x = 0). Other pairs stream
-    :func:`predict` and :func:`evaluate_truth` over the grid. ``lam`` is
-    checked as in :func:`predict`.
+    FFT (:func:`_fourier_grid`; x = 1 repeats x = 0), which holds the half
+    spectrum and one N-point output that it scales and shifts in place.
+    Other pairs stream :func:`predict` and :func:`evaluate_truth` over the
+    grid. ``lam`` is checked as in :func:`predict`.
     """
     lam = _check_lambda(lam, dictionary.M)
     if dictionary.kind == "fourier" and truth.kind == "fourier":

@@ -11,6 +11,7 @@ import pytest
 from l1agg import (
     ConfigError,
     DictionaryError,
+    DesignMatrix,
     DomainError,
     NumericError,
     ShapeError,
@@ -208,6 +209,29 @@ class TestEvaluate:
             np.testing.assert_allclose(
                 _fourier_grid(coef, N), direct, rtol=0, atol=tol, err_msg=f"N={N}"
             )
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 64, 100_000, 100_001])
+    def test_fourier_grid_half_fold_matches_full_fold(self, N):
+        # The full fold, written out: b_m sums the a_k with k = m (mod N)
+        # over all N bins, then h_m = (b_m + conj b_{-m mod N}) / 2 for
+        # m <= N / 2. Frequencies k = 0 and k = N / 2 (mod N) are where a
+        # frequency and its mirror land in the same bin of the half.
+        rng = np.random.default_rng(N)
+        if N < 100:
+            freqs = np.arange(1, 3 * N + 1)
+        else:
+            freqs = np.r_[1:60, N // 2, N - 1, N, N + 1, N + N // 2, 2 * N, 3 * N]
+        coef = np.zeros(6 * N + 1)
+        coef[0] = rng.normal()
+        coef[2 * freqs - 1] = rng.normal(size=freqs.size)
+        coef[2 * freqs] = rng.normal(size=freqs.size)
+        a = coef[1::2] - 1j * coef[2::2]
+        k = np.arange(1, a.size + 1) % N
+        b = np.bincount(k, a.real, N) + 1j * np.bincount(k, a.imag, N)
+        m = np.arange(N // 2 + 1)
+        h = 0.5 * (b[m] + np.conj(b[-m % N]))
+        full = coef[0] + np.sqrt(2.0) * N * np.fft.irfft(h, N)
+        np.testing.assert_array_equal(_fourier_grid(coef, N), full)
 
     @pytest.mark.parametrize(
         "dictionary, points",
@@ -457,6 +481,37 @@ class TestEmpiricalNorms:
             (design.entries**2).sum(axis=0),
             rtol=1e-12,
         )
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", [(0, 0), (17, 5), (-1, -1)], ids=["first", "middle", "last"])
+    def test_non_finite_entries_refused(self, bad, where):
+        entries = np.ones((40, 9), order="F")
+        entries[where] = bad
+        with pytest.raises(NumericError, match="non-finite entries"):
+            DesignMatrix(n=40, M=9, entries=entries)
+
+    def test_overflowing_norms_accepted(self):
+        # Finite entries whose squares overflow: the norms are inf, which
+        # sends construction to the entry scan, and the scan finds nothing.
+        entries = np.full((8, 3), 1e200, order="F")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = DesignMatrix(n=8, M=3, entries=entries)
+        assert np.all(design.norms_sq == np.inf)
+
+    def test_construction_holds_no_entry_sized_temporary(self):
+        # The norms pass is the finiteness check; a separate isfinite scan
+        # alone would hold an n x M bool array, entries.nbytes / 8.
+        entries = np.asfortranarray(np.random.default_rng(0).normal(size=(2048, 304)))
+        tracemalloc.start()
+        try:
+            DesignMatrix(n=2048, M=304, entries=entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entries.nbytes / 16
 
 
 class TestValidateA2:

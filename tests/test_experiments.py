@@ -113,15 +113,16 @@ class TestGenerate:
     @pytest.mark.parametrize("n", [1, 8192])
     def test_uniform_draw_is_generator_uniform(self, n):
         # An asymmetric per-axis box with a zero-width axis: the design is
-        # bit for bit Generator.uniform's, and the noise is the next draw
-        # from the same stream.
+        # bit for bit Generator.uniform's, drawn fresh or into ``out``, and
+        # the noise is the next draw from the same stream.
         box = np.array([[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]])
         d = build_coordinate(3, domain=box)
         noise = noise_bounded_uniform(1.0)
-        sample = generate(d, linear_truth(np.ones(3)), uniform_measure(), noise, n, 5)
-        rng = np.random.default_rng(5)
-        assert np.array_equal(sample.x, rng.uniform(box[:, 0], box[:, 1], (n, 3)))
-        assert np.array_equal(sample.w, rng.uniform(-1.0, 1.0, n))
+        for out in (None, np.empty((n, 3))):
+            sample = generate(d, linear_truth(np.ones(3)), uniform_measure(), noise, n, 5, out=out)
+            rng = np.random.default_rng(5)
+            assert np.array_equal(sample.x, rng.uniform(box[:, 0], box[:, 1], (n, 3)))
+            assert np.array_equal(sample.w, rng.uniform(-1.0, 1.0, n))
 
     def test_overflowing_domain_width_refused(self):
         # high - low overflows to inf: one ConfigError naming the domain,

@@ -44,7 +44,7 @@ from l1agg import (
     uniform_measure,
 )
 from l1agg import dictionary
-from l1agg.dictionary import sup_norm_grid
+from l1agg.dictionary import SUP_GRID_POINTS, sup_norm_grid
 from l1agg.oracles import (
     COHERENCE_THRESHOLD,
     LEMMA_KINDS,
@@ -638,10 +638,11 @@ class TestOracleReport:
         assert report.k_star == 0
         assert report.dist2 == 0.0
 
-    @pytest.mark.parametrize("M", [25, 861])
+    @pytest.mark.parametrize("M", [25, 861, 4095])
     def test_sup_norm_error_streams_fourier_sums(self, M):
-        # One inverse FFT of length 10^5 needs a few MB; an (n, M) or
-        # (n, 400) block on the 100,001-point grid alone would take 20-690 MB.
+        # The scan holds the half spectrum (N / 2 + 1 complex bins) and one
+        # N-point output, about 16 B per node. An (n, M) or (n, 400) block
+        # on the 100,001-point grid alone would take 20-3300 MB.
         truth = sobolev_truth(1.0)
         lam = oracle_fourier(truth, M, 10)
         tracemalloc.start()
@@ -650,7 +651,7 @@ class TestOracleReport:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 24 * (SUP_GRID_POINTS - 1)
 
     @pytest.mark.parametrize("M", [25, 861])
     def test_sup_norm_error_fft_matches_dense_scan(self, M):

@@ -66,7 +66,6 @@ from .oracles import (
     lemma_bounds,
     linear_truth,
     membership,
-    oracle_fourier,
     oracle_path,
     oracle_report,
     oracle_scan,

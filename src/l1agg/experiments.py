@@ -54,6 +54,7 @@ from .oracles import (
     sparsity,
     sup_norm_error,
     theorem_rhs,
+    _integral,
 )
 from .solver import DEFAULT_TOL, fit, penalty_config, rate
 
@@ -78,8 +79,8 @@ class NoiseModel:
 
 def noise_bounded_uniform(a: float = 1.0) -> NoiseModel:
     """W uniform on [-a, a]; E exp|W| = (e^a - 1) / a, or 1 when a = 0."""
-    if a < 0:
-        raise ConfigError("uniform noise amplitude must be nonnegative")
+    if not (0 <= a < math.inf):
+        raise ConfigError(f"uniform noise amplitude must be finite and nonnegative, got {a}")
     b = 1.0 if a == 0.0 else float(np.expm1(a) / a)
     return NoiseModel(a=float(a), b=b)
 
@@ -184,8 +185,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+        for name, values in (("n_values", self.n_values), ("R", [self.R]), ("seed", [self.seed])):
+            if not all(map(_integral, values)):
+                raise ConfigError(f"{name} must be integral, got {getattr(self, name)}")
         n_values = tuple(int(n) for n in self.n_values)
         object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "R", int(self.R))
+        object.__setattr__(self, "seed", int(self.seed))
         if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
             raise ConfigError("n_values must be a nonempty strictly increasing grid")
         if min(n_values) < 2:

@@ -1,10 +1,11 @@
 """Oracle coefficient vectors, sparsity-class memberships, and tail bounds.
 
 Everything here is population-level: oracle vectors minimize the L2(mu)
-approximation error at a fixed sparsity level, membership flags compare
-that error against the tuning rate, and the tail-bound evaluators compute
-the explicit exponential bounds that control the probability of the
-good events
+approximation error at a fixed sparsity level (in closed form when the
+population Gram Psi_M is diagonal, by a search over supports otherwise),
+membership flags compare that error against the tuning rate, and the
+tail-bound evaluators compute the explicit exponential bounds that
+control the probability of the good events
 
     E1          -- noise/dictionary correlations 2|V_j| <= omega_j,
     E2          -- empirical norms within a factor 2 of population norms,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,27 +132,6 @@ def sparsity(lam):
         raise NumericError("coefficient vector contains non-finite entries")
     support = np.flatnonzero(lam != 0.0)
     return support, int(support.size)
-
-
-def _check_oracle_size(M: int, k: int) -> None:
-    if not 0 <= k <= M:
-        raise ConfigError(f"oracle size k = {k} lies outside [0, M] = [0, {M}]")
-
-
-def oracle_fourier(truth: TruthSpec, M: int, k: int) -> np.ndarray:
-    """Oracle for orthonormal dictionaries: keep the k largest |theta_j|.
-
-    Ties are broken toward the smallest index. Coefficients beyond the
-    truth's sequence are zero.
-    """
-    if truth.theta is None:
-        raise ConfigError("oracle_fourier needs a coefficient-sequence truth")
-    _check_oracle_size(M, k)
-    theta = truth.theta[:M]
-    lam = np.zeros(M)
-    keep = np.argsort(-np.abs(theta), kind="stable")[:k]
-    lam[keep] = theta[keep]
-    return lam
 
 
 def _residual2(psi_s, g_s, f2: float, lam_s) -> float:
@@ -352,6 +333,8 @@ def membership(
         raise NumericError("membership inputs must be finite")
     if r_nM <= 0:
         raise ConfigError("membership needs r_nM > 0")
+    if not (C_f >= 0 and C_f_prime >= 0):
+        raise ConfigError(f"membership needs C_f >= 0 and C_f_prime >= 0, got {C_f}, {C_f_prime}")
     in_oracle = dist2 <= C_f * r_nM * r_nM * m_lambda
     in_weak = dist2 <= C_f_prime * r_nM
     coherent = rho_lambda * m_lambda <= COHERENCE_THRESHOLD
@@ -379,7 +362,7 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("B1", "B2", "C_prime"):
-            if getattr(self, name) <= 0:
+            if not (getattr(self, name) > 0):
                 raise ConfigError(f"bound constant {name} must be positive")
 
 
@@ -403,10 +386,10 @@ def theorem_rhs(
     """
     if kind not in THEOREM_KINDS:
         raise ConfigError(f"unknown theorem kind {kind!r}; expected one of {THEOREM_KINDS}")
-    if r_nM <= 0 or m_lambda < 0:
+    if not (r_nM > 0 and m_lambda >= 0):
         raise ConfigError("theorem_rhs needs r_nM > 0 and M(lambda) >= 0")
     if kind == "t23":
-        if dist2 is None or dist2 < 0:
+        if dist2 is None or not (dist2 >= 0):
             raise ConfigError("t23 needs a nonnegative dist2")
     elif kappa_M is None or not (0 < kappa_M <= 1):
         raise ConfigError("t21 bounds need kappa_M in (0, 1]")
@@ -481,6 +464,12 @@ LEMMA_KINDS = tuple(LEMMA_PARAMS)
 _MAY_BE_ZERO = ("M", "m_lambda", "C_f", "L_lambda")
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float (1e3); nan and
+    inf are not."""
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
 def lemma_bounds(which: str, n: int, **params) -> float:
     """Explicit tail-probability bound for one of the good events.
 
@@ -490,18 +479,20 @@ def lemma_bounds(which: str, n: int, **params) -> float:
     parameters :data:`LEMMA_PARAMS` lists for it, and ignores those of the
     other lemmas; a keyword that no lemma reads raises ConfigError. Every
     parameter it reads must be finite and positive, except that M,
-    m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1). Values
-    at which a formula divides by an underflowed 0 or overflows raise
-    NumericError naming the lemma. All outputs are clamped to [0, 1]. L6 returns 0 in the
-    exact-representation case L(lambda) = 0, where the event holds surely.
+    m_lambda, C_f and L_lambda may be 0 (L7 needs m_lambda >= 1); n, M
+    and m_lambda must be integers or integral floats (1e3). Values at
+    which a formula divides by an underflowed 0 or overflows raise
+    NumericError naming the lemma. All outputs are clamped to [0, 1]. L6
+    returns 0 in the exact-representation case L(lambda) = 0, where the
+    event holds surely.
     """
     if which not in _LEMMAS:
         raise ConfigError(f"unknown lemma {which!r}; expected one of {LEMMA_KINDS}")
     unknown = params.keys() - set().union(*LEMMA_PARAMS.values())
     if unknown:
         raise ConfigError(f"no lemma reads parameter {', '.join(sorted(unknown))}")
-    if n < 1:
-        raise ConfigError("lemma bounds need n >= 1")
+    if not (n >= 1 and _integral(n)):
+        raise ConfigError(f"lemma bounds need an integer n >= 1, got {n}")
     for name in LEMMA_PARAMS[which]:
         value = params.get(name)
         if value is None:
@@ -513,6 +504,8 @@ def lemma_bounds(which: str, n: int, **params) -> float:
             ok, need = value > 0, "> 0"
         if not (ok and math.isfinite(value)):
             raise ConfigError(f"lemma {which} needs finite {name} {need}, got {value}")
+        if name in ("M", "m_lambda") and not _integral(value):
+            raise ConfigError(f"lemma {which} needs an integer {name}, got {value}")
     try:
         value = _LEMMAS[which](n, *(params[name] for name in LEMMA_PARAMS[which]))
     except ArithmeticError as exc:  # a square underflowing to 0, or overflowing
@@ -574,8 +567,8 @@ class OracleReport:
 
     ``k_star`` is None when no sparsity level up to M satisfies the
     weak-sparsity inequality (the oracle set is empty); the remaining
-    fields are then NaN/None. ``exact`` records whether the oracle search
-    was exhaustive.
+    fields are then NaN/None. ``exact`` records whether the oracle is
+    exact (a closed form or an exhaustive search).
     """
 
     lambda_star: np.ndarray | None
@@ -588,22 +581,34 @@ class OracleReport:
 
 def oracle_path(problem: PopulationProblem, ks):
     """Yield ``(k, lambda, dist2, exact)`` for each k in ``ks`` (each in
-    [0, M], else ConfigError), lazily: the best k-sparse approximation
-    (zero at k = 0, the closed form of :func:`oracle_fourier` for a
-    fourier coefficient problem, :func:`_oracle_search` on the problem's
-    Psi, g and ||f||^2 otherwise), its squared population distance and
-    whether the search was exhaustive.
+    [0, M], else ConfigError), lazily: the best k-sparse approximation,
+    its squared population distance and whether it is exact.
+
+    k = 0 gives zero and reads no Psi. At the first k > 0 the path reads
+    the problem's Psi and g once. When Psi is exactly diagonal with a
+    positive diagonal (the Fourier basis, a centred coordinate box,
+    functions with disjoint supports), the best k-sparse lambda keeps the
+    k coordinates of largest |g_j| / sqrt(Psi_jj), ties to the smaller
+    index, at lambda_j = g_j / Psi_jj, and is exact. Otherwise
+    :func:`_oracle_search` runs on Psi, g and ||f||^2.
     """
     M = problem.dictionary.M
-    orthonormal = problem.theta is not None and problem.truth.kind == "fourier"
+    diagonal = None  # decided at the first k > 0
     for k in ks:
-        _check_oracle_size(M, k)
-        if k == 0:
-            lam, exact = np.zeros(M), True
-        elif orthonormal:
-            lam, exact = oracle_fourier(problem.truth, M, k), True
-        else:
-            lam, exact = _oracle_search(problem.psi, problem.g, problem.f2, k)
+        if not 0 <= k <= M:
+            raise ConfigError(f"oracle size k = {k} lies outside [0, M] = [0, {M}]")
+        lam, exact = np.zeros(M), True
+        if k > 0 and diagonal is None:
+            psi, g = problem.psi, problem.g
+            diag = psi.diagonal()
+            diagonal = bool(np.all(diag > 0)) and np.count_nonzero(psi) == M
+            if diagonal:
+                order = np.argsort(-np.abs(g) / np.sqrt(diag), kind="stable")
+        if k > 0 and diagonal:
+            keep = order[:k]
+            lam[keep] = g[keep] / diag[keep]
+        elif k > 0:
+            lam, exact = _oracle_search(psi, g, problem.f2, k)
         yield k, lam, population_dist2(problem, lam), exact
 
 
@@ -615,8 +620,8 @@ def oracle_scan(problem: PopulationProblem, r_nM: float, C_f: float = 1.0):
     When no k up to M does, ``found`` is False and the other entries
     belong to k = M.
     """
-    if r_nM <= 0:
-        raise ConfigError("oracle scan needs r_nM > 0")
+    if not (r_nM > 0 and C_f >= 0):
+        raise ConfigError(f"oracle scan needs r_nM > 0 and C_f >= 0, got {r_nM}, {C_f}")
     ks = range(problem.dictionary.M + 1)
     for _, lam, dist2, exact in oracle_path(problem, ks):
         _, m_lambda = sparsity(lam)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestNoiseModels:
         rng = np.random.default_rng(3)
         np.testing.assert_array_equal(sample_noise(noiseless(), 5, rng), np.zeros(5))
         assert rng.uniform() == np.random.default_rng(3).uniform()
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_amplitude_refused(self, a):
+        # Each used to give b = nan after a numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite and nonnegative"):
+                noise_bounded_uniform(a)
 
 
 class TestGenerate:
@@ -766,3 +775,17 @@ class TestConfigFile:
     def test_n_values_strictly_increasing(self):
         with pytest.raises(ConfigError):
             tiny_config(n_values=(64, 64))
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_values", (64, 256.7)), ("R", 30.5), ("seed", 1.5)]
+    )
+    def test_non_integral_count_refused(self, field, value):
+        # n_values = (256.7,) used to become 256; R = 2.5 passed and then
+        # ended run in a TypeError.
+        with pytest.raises(ConfigError, match=f"{field} must be integral"):
+            tiny_config(**{field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = tiny_config(n_values=(64.0, 128.0), R=30.0, seed=11.0)
+        assert cfg == tiny_config()
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.R, cfg.seed))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -28,9 +29,9 @@ from l1agg import (
     fourier_truth,
     grid_density_measure,
     lemma_bounds,
+    l0k_truth,
     linear_truth,
     membership,
-    oracle_fourier,
     oracle_path,
     oracle_report,
     oracle_scan,
@@ -49,6 +50,7 @@ from l1agg.oracles import (
     COHERENCE_THRESHOLD,
     LEMMA_KINDS,
     LEMMA_PARAMS,
+    _oracle_search,
 )
 
 RNG = np.random.default_rng(2024)
@@ -116,45 +118,110 @@ class TestCoefficientTruths:
             make(coef)
 
 
+def top_abs(theta, M, k):
+    """theta_M's k entries of largest |theta_j|, ties to the smaller index;
+    zero elsewhere."""
+    theta_M = np.zeros(M)
+    theta_M[: min(M, theta.size)] = theta[:M]
+    lam = np.zeros(M)
+    keep = np.argsort(-np.abs(theta_M), kind="stable")[:k]
+    lam[keep] = theta_M[keep]
+    return lam
+
+
 class TestOracleFourier:
+    """oracle_path's closed form on a Fourier coefficient problem (Psi = I)."""
+
     def test_top_two(self):
         truth = fourier_truth(np.array([3.0, 1.0, 0.0, 0.5]))
-        np.testing.assert_array_equal(
-            oracle_fourier(truth, 4, 2), [3.0, 1.0, 0.0, 0.0]
-        )
+        lam, exact = oracle_at(build_fourier(4), uniform_measure(), truth, 2)
+        np.testing.assert_array_equal(lam, [3.0, 1.0, 0.0, 0.0])
+        assert exact
 
     def test_exact_representation(self):
         theta = np.array([0.0, 2.0, 0.0, -1.0])
-        truth = fourier_truth(theta)
-        lam = oracle_fourier(truth, 4, 2)
+        problem = population_problem(build_fourier(4), uniform_measure(), fourier_truth(theta))
+        ((_, lam, dist2, exact),) = oracle_path(problem, [2])
         np.testing.assert_array_equal(lam, theta)
-        problem = population_problem(build_fourier(4), uniform_measure(), truth)
-        assert population_dist2(problem, lam) == 0.0
+        assert dist2 == 0.0 and exact
 
     def test_tie_breaks_to_smallest_index(self):
         truth = fourier_truth(np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(oracle_fourier(truth, 2, 1), [1.0, 0.0])
+        lam, _ = oracle_at(build_fourier(2), uniform_measure(), truth, 1)
+        np.testing.assert_array_equal(lam, [1.0, 0.0])
 
     def test_k_too_large(self):
-        with pytest.raises(ConfigError):
-            oracle_fourier(fourier_truth(np.array([1.0, 2.0])), 2, 3)
+        truth = fourier_truth(np.array([1.0, 2.0]))
+        path = oracle_path(population_problem(build_fourier(2), uniform_measure(), truth), [3])
+        with pytest.raises(ConfigError, match=r"outside \[0, M\] = \[0, 2\]"):
+            next(path)
 
     def test_optimal_over_all_supports(self):
         # Exhaustive check: no other support of size k attains a smaller
         # residual (orthonormal closed form per support).
         M = 12
         theta = RNG.normal(size=M)
-        truth = fourier_truth(theta)
+        problem = population_problem(build_fourier(M), uniform_measure(), fourier_truth(theta))
         total = float(theta @ theta)
-        for k in (1, 2, 3):
-            lam = oracle_fourier(truth, M, k)
+        for k, _, achieved, exact in oracle_path(problem, [1, 2, 3]):
             best = total - float(np.sort(theta**2)[::-1][:k].sum())
-            problem = population_problem(build_fourier(M), uniform_measure(), truth)
-            achieved = population_dist2(problem, lam)
-            assert achieved == pytest.approx(best, abs=1e-12)
+            assert exact and achieved == pytest.approx(best, abs=1e-12)
             for support in itertools.combinations(range(M), k):
                 rival = total - float(sum(theta[j] ** 2 for j in support))
                 assert achieved <= rival + 1e-12
+
+    @pytest.mark.parametrize("M", [25, 304])
+    @pytest.mark.parametrize(
+        "truth", [sobolev_truth(1.0), sobolev_truth(2.0), l0k_truth(3), l0k_truth(10)],
+        ids=["sobolev-1", "sobolev-2", "l0k-3", "l0k-10"],
+    )
+    def test_keeps_the_largest_coefficients(self, M, truth):
+        problem = population_problem(build_fourier(M), uniform_measure(), truth)
+        for k, lam, dist2, exact in oracle_path(problem, range(min(M, 30) + 1)):
+            reference = top_abs(truth.theta, M, k)
+            assert np.array_equal(lam, reference) and exact
+            assert dist2 == population_dist2(problem, reference)
+
+
+class TestDiagonalGram:
+    """The closed form is read off Psi, whatever the dictionary's kind."""
+
+    def test_disjoint_supports_match_the_search(self):
+        # Hats of different heights on disjoint intervals of [0, 1], zero
+        # elsewhere: every quadrature node meets at most one of them, so
+        # the quadrature Psi is exactly diagonal.
+        M, grid = 8, np.linspace(0.0, 1.0, 8 * 16 + 1)
+        tables = []
+        for j in range(M):
+            hat = np.maximum(0.0, 1.0 - np.abs(grid * M - (j + 0.5)) * 2.0)
+            tables.append((grid, (1.0 + 0.3 * j) * hat))
+        truth = fine_tabulated_truth(lambda x: np.sin(5.0 * x) + x * x)
+        problem = population_problem(build_tabulated(tables), uniform_measure(), truth)
+        assert np.count_nonzero(problem.psi) == M
+        for k, lam, dist2, exact in oracle_path(problem, range(M + 1)):
+            assert exact
+            if k == 0:
+                continue
+            searched, _ = _oracle_search(problem.psi, problem.g, problem.f2, k)
+            np.testing.assert_array_equal(np.flatnonzero(lam), np.flatnonzero(searched))
+            assert dist2 == pytest.approx(population_dist2(problem, searched), rel=0, abs=1e-12)
+
+    def test_centred_box_is_exact_at_every_k(self, monkeypatch):
+        # The box's moment Gram is diagonal; the search fell back to greedy
+        # (exact = 0) at k = 8 ... 12, where C(20, k) > 1e5.
+        M = 20
+        d = build_coordinate(M, domain=[-1.0, 1.0])
+        theta = np.random.default_rng(5).normal(size=M)
+        problem = population_problem(d, uniform_measure(), linear_truth(theta))
+        start = time.perf_counter()
+        path = list(oracle_path(problem, range(M + 1)))
+        assert time.perf_counter() - start < 0.5
+        assert [exact for *_, exact in path] == [True] * (M + 1)
+        _, lam, dist2, _ = path[10]
+        monkeypatch.setattr("l1agg.oracles.EXHAUSTIVE_SUPPORT_CAP", 0)
+        greedy, exact = _oracle_search(problem.psi, problem.g, problem.f2, 10)
+        assert not exact and sparsity(lam)[1] == 10
+        assert dist2 <= population_dist2(problem, greedy) + 1e-12
 
 
 def oracle_at(dictionary, measure, truth, k):
@@ -164,7 +231,7 @@ def oracle_at(dictionary, measure, truth, k):
 
 
 class TestOracleGeneral:
-    """The k-sparse search that oracle_path runs outside the orthonormal case."""
+    """The k-sparse search that oracle_path runs when Psi is not diagonal."""
 
     def test_orthonormal_matches_closed_form(self):
         # A flat density is the uniform measure by quadrature, so the
@@ -176,7 +243,7 @@ class TestOracleGeneral:
         assert population_problem(d, flat, truth).theta is None
         lam, exact = oracle_at(d, flat, truth, 2)
         assert exact
-        np.testing.assert_allclose(lam, oracle_fourier(truth, 5, 2), atol=1e-9)
+        np.testing.assert_allclose(lam, top_abs(theta, 5, 2), atol=1e-9)
 
     def test_full_support_is_projection(self):
         d = correlated_tabulated_dictionary(M=4)
@@ -381,6 +448,12 @@ class TestMembership:
         high = membership(dist2, 3, 0.001, 0.5, cf_low + bump, 1.0)
         assert not low.in_oracle_set or high.in_oracle_set
 
+    @pytest.mark.parametrize("constants", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_constant_refused(self, constants):
+        # Used to make the flag it enters False without a word.
+        with pytest.raises(ConfigError, match="needs C_f >= 0 and C_f_prime >= 0"):
+            membership(0.0, 1, 0.0, 0.1, *constants)
+
 
 class TestTheoremRhs:
     def test_risk_shape(self):
@@ -406,6 +479,20 @@ class TestTheoremRhs:
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):
             theorem_rhs("t21_risk", BoundConstants(), 0.1, 3, kappa_M=0.0)
+
+    @pytest.mark.parametrize(
+        "kind, r_nM, dist2",
+        [("t21_risk", math.nan, None), ("t23", math.nan, 0.0), ("t23", 0.1, math.nan)],
+    )
+    def test_nan_input_refused(self, kind, r_nM, dist2):
+        # Each used to return nan.
+        with pytest.raises(ConfigError):
+            theorem_rhs(kind, BoundConstants(), r_nM, 1, kappa_M=1.0, dist2=dist2)
+
+    @pytest.mark.parametrize("name", ["B1", "B2", "C_prime"])
+    def test_nan_constant_refused(self, name):
+        with pytest.raises(ConfigError, match=f"bound constant {name} must be positive"):
+            BoundConstants(**{name: math.nan})
 
     @pytest.mark.parametrize("kind", ["t21_risk", "t23"])
     def test_overflow_is_a_numeric_error(self, kind):
@@ -494,6 +581,26 @@ class TestLemmaBounds:
     def test_missing_parameter_rejected(self):
         with pytest.raises(ConfigError):
             lemma_bounds("L5", 100, M=5, r_nM=0.1, c0=1.0, L=1.0)  # no b
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        # nan and inf used to give 0.0, a bound saying E2 fails never.
+        with pytest.raises(ConfigError, match=f"need an integer n >= 1, got {n}$"):
+            lemma_bounds("L4", n, M=10, c0=1.0, L=math.sqrt(2))
+
+    @pytest.mark.parametrize(
+        "which, name", [("L4", "M"), ("L6", "m_lambda"), ("L7", "M"), ("L7", "m_lambda")]
+    )
+    def test_counts_must_be_integral(self, which, name):
+        values = dict(M=5, r_nM=0.3, c0=0.9, L=1.5, L0=1.4, kappa_M=0.9, C_f=1.0,
+                      m_lambda=2, L_lambda=0.5)
+        params = {k: values[k] for k in LEMMA_PARAMS[which]}
+        with pytest.raises(ConfigError, match=f"needs an integer {name}, got 2.5$"):
+            lemma_bounds(which, 100, **(params | {name: 2.5}))
+
+    def test_integral_floats_accepted(self):
+        got = lemma_bounds("L4", 1e3, M=10.0, c0=1.0, L=math.sqrt(2))
+        assert got == lemma_bounds("L4", 1000, M=10, c0=1.0, L=math.sqrt(2))
 
     @pytest.mark.parametrize("which", LEMMA_KINDS)
     def test_zero_value_rule(self, which):
@@ -631,6 +738,13 @@ class TestOracleReport:
         np.testing.assert_array_equal(lam, theta[:8])
         assert dist2 == pytest.approx(float(theta[8:] @ theta[8:]), rel=1e-12)
 
+    @pytest.mark.parametrize("r_nM, C_f", [(math.nan, 1.0), (0.1, math.nan)])
+    def test_scan_refuses_nan_rate_or_constant(self, r_nM, C_f):
+        # Each used to scan every k and report found = False.
+        problem = population_problem(build_fourier(4), uniform_measure(), sobolev_truth(1.0))
+        with pytest.raises(ConfigError, match="needs r_nM > 0 and C_f >= 0"):
+            oracle_scan(problem, r_nM, C_f)
+
     def test_zero_truth(self):
         truth = fourier_truth(np.zeros(3))
         d = build_fourier(5)
@@ -644,7 +758,7 @@ class TestOracleReport:
         # N-point output, about 16 B per node. An (n, M) or (n, 400) block
         # on the 100,001-point grid alone would take 20-3300 MB.
         truth = sobolev_truth(1.0)
-        lam = oracle_fourier(truth, M, 10)
+        lam = top_abs(truth.theta, M, 10)
         tracemalloc.start()
         try:
             sup_norm_error(build_fourier(M), truth, lam)

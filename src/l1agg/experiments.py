@@ -81,7 +81,10 @@ def noise_bounded_uniform(a: float = 1.0) -> NoiseModel:
     """W uniform on [-a, a]; E exp|W| = (e^a - 1) / a, or 1 when a = 0."""
     if not (0 <= a < math.inf):
         raise ConfigError(f"uniform noise amplitude must be finite and nonnegative, got {a}")
-    b = 1.0 if a == 0.0 else float(np.expm1(a) / a)
+    with np.errstate(over="ignore"):
+        b = 1.0 if a == 0.0 else float(np.expm1(a) / a)
+    if b == math.inf:
+        raise ConfigError(f"uniform noise amplitude {a} overflows E exp|W| = (e^a - 1) / a")
     return NoiseModel(a=float(a), b=b)
 
 
@@ -358,6 +361,29 @@ class CellContext:
     regime_ok: bool
 
 
+def _preset_pair(preset: str, k_or_beta: float, M: int) -> tuple[Dictionary, TruthSpec]:
+    """A preset's M-term dictionary and its truth."""
+    if preset == "linear":
+        truth = linear_truth(_linear_pattern(M, int(k_or_beta)))
+        return build_coordinate(M, domain=[-1.0, 1.0]), truth
+    if preset == "fourier-L0k":
+        return build_fourier(M), l0k_truth(int(k_or_beta))
+    return build_fourier(M), sobolev_truth(float(k_or_beta))
+
+
+@functools.lru_cache(maxsize=128)
+def _oracle_sup_norm(preset: str, k_or_beta: float, M: int, lambda_bytes: bytes) -> float:
+    """L(lambda*) = ||f - f_lambda*||_inf for a preset's truth, its M-term
+    dictionary and the oracle ``np.frombuffer(lambda_bytes)``.
+
+    The value does not depend on n, so the cells of a grid that share M
+    and the oracle share one :func:`sup_norm_error` scan, called through
+    its module-level name.
+    """
+    dictionary, truth = _preset_pair(preset, k_or_beta, M)
+    return sup_norm_error(dictionary, truth, np.frombuffer(lambda_bytes))
+
+
 @functools.lru_cache(maxsize=128)
 def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     """The context of grid cell ``cell_index``, 0-based, or ConfigError for
@@ -369,17 +395,8 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     M = m_of(n)
     r_nM = rate(config.A, n, M, config.rate_kind)
 
-    if config.preset == "linear":
-        dictionary = build_coordinate(M, domain=[-1.0, 1.0])
-        truth = linear_truth(_linear_pattern(M, int(config.k_or_beta)))
-        noise = noiseless()
-    else:
-        dictionary = build_fourier(M)
-        if config.preset == "fourier-L0k":
-            truth = l0k_truth(int(config.k_or_beta))
-        else:
-            truth = sobolev_truth(float(config.k_or_beta))
-        noise = noise_bounded_uniform(1.0)
+    dictionary, truth = _preset_pair(config.preset, config.k_or_beta, M)
+    noise = noiseless() if config.preset == "linear" else noise_bounded_uniform(1.0)
     problem = population_problem(dictionary, uniform_measure(), truth)
     if config.preset == "linear":
         lambda_star, dist2_star, oracle_found = truth.theta.copy(), 0.0, True
@@ -390,7 +407,9 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         lambda_star, dist2_star, _, oracle_found = oracle_scan(problem, r_nM, config.C_f)
     _, k_star = sparsity(lambda_star)
     # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
-    l_lambda = 0.0 if dist2_star == 0.0 else sup_norm_error(dictionary, truth, lambda_star)
+    l_lambda = 0.0 if dist2_star == 0.0 else _oracle_sup_norm(
+        config.preset, config.k_or_beta, M, lambda_star.tobytes()
+    )
 
     kappa_m = kappa(problem.psi)
     regime_ok = oracle_found and (k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0)
@@ -643,6 +662,18 @@ def _rows_by_cell(config: ExperimentConfig, rows) -> list[list[ExperimentRow]]:
     return cells
 
 
+def _median(values) -> float:
+    """The median as ``np.median`` takes it, bit for bit: the middle value,
+    or the mean (a + b) / 2 of the two middle ones, and NaN when any value
+    is NaN. ``np.median`` would import ``numpy.ma`` into every process
+    that summarizes."""
+    v = sorted(values)
+    if any(math.isnan(x) for x in v):
+        return math.nan
+    m = len(v) // 2
+    return float(v[m] if len(v) % 2 else (v[m - 1] + v[m]) / 2)
+
+
 def summarize(config: ExperimentConfig, rows) -> list[CellSummary]:
     """Per-cell medians, event frequencies, and validity/regime flags.
 
@@ -663,8 +694,8 @@ def summarize(config: ExperimentConfig, rows) -> list[CellSummary]:
                 k_or_beta=float(config.k_or_beta),
                 A=float(config.A),
                 reps=len(cell_rows),
-                median_risk=float(np.median([r.risk for r in cell_rows])),
-                median_l1_err=float(np.median([r.l1_err for r in cell_rows])),
+                median_risk=_median(r.risk for r in cell_rows),
+                median_l1_err=_median(r.l1_err for r in cell_rows),
                 freq_e1=float(np.mean([r.e1 for r in cell_rows])),
                 freq_e2=float(np.mean([r.e2 for r in cell_rows])),
                 freq_e3=float(np.mean([r.e3 for r in cell_rows])),

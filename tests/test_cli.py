@@ -110,6 +110,20 @@ class TestDispatch:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_lazy_numpy_modules_unloaded(self):
+        # numpy.fft and numpy.random load on first use, numpy.ma on none:
+        # an eager import would add its cost to every process.
+        code = (
+            "import sys, l1agg\n"
+            "loaded = [m for m in ('numpy.ma', 'numpy.fft', 'numpy.random') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestFit:
     def write_data(self, tmp_path, n=80, seed=0):

@@ -3,7 +3,10 @@
 import dataclasses
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -70,6 +73,13 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# perfbench's mc_sobolev grid: M = 25 in every cell and k* = 1, 1, 2, 2, so
+# cells 1 and 3 reuse the L(lambda*) scans of cells 0 and 2.
+SOBOLEV_GRID = ExperimentConfig(preset="fourier-sobolev", n_values=(256, 512, 1024, 2048),
+                                m_rule="fixed:25", k_or_beta=1.0, A=4.0, rate_kind="log_n",
+                                R=30, seed=0)
+
+
 class TestNoiseModels:
     def test_uniform_moment_bound(self):
         # Monte Carlo oracle for E exp|W|, W ~ U[-1, 1]: the analytic
@@ -96,6 +106,17 @@ class TestNoiseModels:
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="finite and nonnegative"):
                 noise_bounded_uniform(a)
+
+
+    def test_overflowing_amplitude_refused(self):
+        # e^800 overflows: b used to be inf after numpy's expm1 warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="amplitude 800.0 overflows"):
+                noise_bounded_uniform(800.0)
+            assert math.isfinite(noise_bounded_uniform(709.0).b)
+        # np.expm1 stays: math.expm1(1.0) is one ulp lower.
+        assert noise_bounded_uniform(1.0).b == 1.7182818284590453
 
 
 class TestGenerate:
@@ -411,19 +432,21 @@ class TestRun:
                              k_or_beta=3, A=4.0, rate_kind="log_n", R=30, seed=1),
             ExperimentConfig(preset="linear", n_values=(32,), m_rule="fixed:4",
                              k_or_beta=2, A=1.0, rate_kind="log_M", R=1, seed=0),
+            SOBOLEV_GRID,
         ],
-        ids=["fourier-L0k", "linear"],
+        ids=["fourier-L0k", "linear", "fourier-sobolev"],
     )
     def test_cached_context_arrays_are_read_only(self, cfg):
         # Contexts are cached, so a write used to reach every later run: in
         # the fourier-L0k cell, lambda_star[:] = 0 turned row 0's l1_err
         # from 1.701 into 4.299.
-        ctx = cell_context(cfg, 0)
-        pop = ctx.population
-        for shared in (ctx.lambda_star, pop.truth.theta, pop.dictionary.domain, pop.theta,
-                       pop.psi, pop.g):
-            with pytest.raises(ValueError, match="read-only"):
-                shared[...] = 0.0
+        for cell in range(len(cfg.n_values)):
+            ctx = cell_context(cfg, cell)
+            pop = ctx.population
+            for shared in (ctx.lambda_star, pop.truth.theta, pop.dictionary.domain, pop.theta,
+                           pop.psi, pop.g):
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[...] = 0.0
 
     def test_linear_full_support_matches_least_squares(self):
         # Noiseless M = k exact representation: the fit approaches the
@@ -530,6 +553,60 @@ class TestMeasuredStages:
         assert calls["evaluate"][1][1]["out"] is buffers[1]
 
 
+class TestOracleSupNormCache:
+    @staticmethod
+    def clear():
+        cell_context.cache_clear()
+        experiments._oracle_sup_norm.cache_clear()
+
+    def test_one_scan_per_distinct_oracle(self, monkeypatch):
+        # L(lambda*) does not depend on n; each cell used to scan it again,
+        # 4 scans for the 2 distinct oracles here.
+        calls = []
+        original = experiments.sup_norm_error
+
+        def spy(dictionary, truth, lam):
+            calls.append((dictionary.M, int(np.count_nonzero(lam))))
+            return original(dictionary, truth, lam)
+
+        monkeypatch.setattr(experiments, "sup_norm_error", spy)
+        self.clear()
+        contexts = [cell_context(SOBOLEV_GRID, cell) for cell in range(4)]
+        assert [ctx.k_star for ctx in contexts] == [1, 1, 2, 2]
+        assert calls == [(25, 1), (25, 2)]
+        assert [ctx.L_lambda_star for ctx in contexts] == [
+            1.0833404965263804, 1.0833404965263804, 0.6168593763241857, 0.6168593763241857
+        ]
+
+    @staticmethod
+    def assert_same(a, b):
+        if isinstance(a, np.ndarray):
+            assert isinstance(b, np.ndarray) and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        elif dataclasses.is_dataclass(a):
+            assert type(a) is type(b)
+            for field in dataclasses.fields(a):
+                TestOracleSupNormCache.assert_same(getattr(a, field.name), getattr(b, field.name))
+        elif isinstance(a, tuple):
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                TestOracleSupNormCache.assert_same(x, y)
+        else:
+            assert a == b and type(a) is type(b)
+
+    def test_cached_scan_gives_the_fresh_context(self):
+        self.clear()
+        cached = [cell_context(SOBOLEV_GRID, cell) for cell in range(4)]
+        for cell, ctx in enumerate(cached):
+            self.clear()
+            fresh = cell_context(SOBOLEV_GRID, cell)
+            assert fresh is not ctx
+            self.assert_same(ctx, fresh)
+            for name in ("psi", "g", "f2", "c0", "L", "L0"):
+                self.assert_same(getattr(ctx.population, name), getattr(fresh.population, name))
+            assert cell_tail_floor(ctx, 1.0) == cell_tail_floor(fresh, 1.0)
+
+
 class TestMonotoneSparsityInA:
     def test_support_shrinks_along_penalty_ladder(self):
         d = build_fourier(10)
@@ -559,6 +636,31 @@ class TestSummaries:
         for cell in cells:
             assert cell.freq_e2 == 1.0
             assert cell.freq_e3 == 1.0
+
+    def test_median_matches_numpy(self):
+        rng = np.random.default_rng(2)
+        for n in range(1, 40):
+            values = rng.lognormal(0.0, 3.0, n)
+            values[: n // 3] = values[-1]  # ties
+            assert experiments._median(values.tolist()) == np.median(values)
+        assert math.isnan(experiments._median([1.0, math.nan, 2.0]))
+
+    def test_grid_and_summary_leave_numpy_ma_unimported(self):
+        # np.median imported numpy.ma into every summarizing process.
+        code = (
+            "import sys\n"
+            "from l1agg import ExperimentConfig, run, summarize\n"
+            "cfg = ExperimentConfig(preset='fourier-sobolev', n_values=(64, 128),"
+            " m_rule='fixed:9', k_or_beta=1.0, A=4.0, rate_kind='log_n', R=30, seed=0)\n"
+            "summarize(cfg, run(cfg))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_summary_requires_rows(self):
         cfg = tiny_config()

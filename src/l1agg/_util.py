@@ -62,23 +62,28 @@ def read_csv(path, parse_row, header=None):
     stripped of white space (checked against ``header`` when given) and
     ``parse_row(cells)`` for each non-blank row. Raises ShapeError naming
     ``path:line`` for a row whose width differs from the header's or that
-    ``parse_row`` rejects with ValueError, and for a file without rows."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        names = [name.strip() for name in next(reader, [])]
-        if header is not None and names != list(header):
-            raise ShapeError(f"{path}:1: expected the header {','.join(header)}")
-        records = []
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(names):
-                n_cells, width = len(cells), len(names)
-                raise ShapeError(f"{path}:{reader.line_num}: {n_cells} cells, header has {width}")
-            try:
-                records.append(parse_row(cells))
-            except ValueError as exc:
-                raise ShapeError(f"{path}:{reader.line_num}: {exc}") from None
+    ``parse_row`` rejects with ValueError, and for a file without rows,
+    and ShapeError naming ``path`` for a file that is not UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            names = [name.strip() for name in next(reader, [])]
+            if header is not None and names != list(header):
+                raise ShapeError(f"{path}:1: expected the header {','.join(header)}")
+            records = []
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(names):
+                    raise ShapeError(
+                        f"{path}:{reader.line_num}: {len(cells)} cells, header has {len(names)}"
+                    )
+                try:
+                    records.append(parse_row(cells))
+                except ValueError as exc:
+                    raise ShapeError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ShapeError(f"{path}: not UTF-8 text") from None
     if not records:
         raise ShapeError(f"{path}: no data rows")
     return names, records
@@ -95,17 +100,20 @@ def read_key_values(path) -> dict[str, tuple[int, str]]:
     """Read a ``key = value`` file into ``{key: (line number, value)}``,
     skipping blank lines and ``#`` comments; a later line overrides an
     earlier one. Raises ConfigError naming ``path:line`` for a line
-    without ``=``."""
+    without ``=``, and naming ``path`` for a file that is not UTF-8 text."""
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{line_number}: expected key = value")
-            entries[key.strip()] = (line_number, value.strip())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ConfigError(f"{path}:{line_number}: expected key = value")
+                entries[key.strip()] = (line_number, value.strip())
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     return entries
 
 

@@ -609,10 +609,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _finite(value):
-    """``value``, or NumericError when any of it is not finite."""
+def _finite(value, what="population Gram, L, c0 or L0"):
+    """``value``, or NumericError naming ``what`` when any of it is not finite."""
     if not np.all(np.isfinite(value)):
-        raise NumericError("population Gram, L, c0 or L0 is not finite")
+        raise NumericError(f"{what} is not finite")
     return value
 
 

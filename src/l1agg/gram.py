@@ -22,6 +22,7 @@ from .dictionary import DesignMatrix
 from .errors import DegenerateDictionaryError, NumericError, ShapeError
 
 _SYM_TOL = 1e-12
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,56 +71,69 @@ def _unit_diagonal(psi) -> np.ndarray:
     return psi * np.outer(scale, scale)
 
 
+def _exactly_diagonal(psi: np.ndarray) -> bool:
+    """Whether the float matrix ``psi`` is nonempty, square and exactly
+    diagonal, its only nonzero entries a positive, finite diagonal: the
+    case in which kappa_M and the best k-sparse oracle are closed forms.
+    Such a matrix meets the rule of :func:`_unit_diagonal`."""
+    d = psi.diagonal() if psi.ndim == 2 and psi.shape[0] == psi.shape[1] else np.zeros(0)
+    return d.size > 0 and bool(np.all((d > 0) & (d < np.inf))) and np.count_nonzero(psi) == d.size
+
+
 def kappa(psi) -> float:
     """Largest kappa such that psi - kappa * diag(psi) is PSD.
 
     Equals the smallest eigenvalue of D^{-1/2} psi D^{-1/2} with
-    D = diag(psi); clamped below at 0 (eigenvalues within -1e-10 of zero
-    are quadrature noise). A diagonal matrix needs no LAPACK call: its
-    smallest diagonal entry is the value ``eigvalsh`` would return.
+    D = diag(psi), from ``eigvalsh``. Eigenvalues within -1e-10 of zero
+    are quadrature noise and clamp to 0; a smaller one raises NumericError
+    (psi is not PSD). An exactly diagonal psi (:func:`_exactly_diagonal`)
+    is neither scaled nor passed to LAPACK: its value is the smallest
+    psi_jj * (s_j * s_j) with s_j = 1 / sqrt(psi_jj), the entry the scaled
+    matrix would hold.
     """
+    psi = np.asarray(psi, dtype=float)
+    if _exactly_diagonal(psi):
+        s = 1.0 / np.sqrt(psi.diagonal())
+        return float((psi.diagonal() * (s * s)).min())
     normalized = _unit_diagonal(psi)
-    normalized = 0.5 * (normalized + normalized.T)
-    diagonal = np.diag(normalized)
-    if np.array_equal(normalized, np.diag(diagonal)):
-        smallest = float(diagonal.min())
-    else:
-        smallest = float(np.linalg.eigvalsh(normalized)[0])
+    smallest = float(np.linalg.eigvalsh(0.5 * (normalized + normalized.T))[0])
+    if smallest < -_PSD_TOL:
+        raise NumericError(
+            f"Gram matrix is not positive semi-definite: scaled eigenvalue {smallest:.6g}"
+        )
     return max(smallest, 0.0)
 
 
-def coherence(psi, support) -> tuple[np.ndarray, float]:
-    """Correlation matrix and rho(lambda) = max_{i in J} max_{j != i} |rho(i, j)|.
+def coherence(psi, support) -> float:
+    """rho(lambda) = max_{i in J} max_{j != i} |rho(i, j)|, at most 1.
 
     rho(i, j) = psi(i, j) / sqrt(psi(i, i) psi(j, j)). ``support`` holds
     0-based indices; an empty support gives rho(lambda) = 0. Correlations
-    between two off-support functions do not enter rho(lambda).
+    between two off-support functions do not enter rho(lambda). A
+    correlation beyond 1 + 1e-12 in magnitude raises NumericError.
     """
     rho = _unit_diagonal(psi)
-    if np.max(np.abs(rho)) > 1.0 + 1e-12:
+    if max(rho.max(), -rho.min()) > 1.0 + 1e-12:
         raise NumericError("correlation magnitude exceeds 1 beyond numeric tolerance")
-    rho = np.clip(rho, -1.0, 1.0)
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-    if support.size == 0:
-        return rho, 0.0
     M = rho.shape[0]
-    if support.min() < 0 or support.max() >= M:
+    if support.size and (support.min() < 0 or support.max() >= M):
         raise ShapeError(f"support indices must lie in [0, {M})")
-    off = np.abs(rho[support, :]).copy()
+    off = np.abs(rho[support])
     off[np.arange(support.size), support] = 0.0
-    return rho, float(off.max())
+    return min(float(off.max(initial=0.0)), 1.0)
 
 
 def diagnostics(psi_M, support=(), psi_nM=None) -> CoherenceReport:
     """The :class:`CoherenceReport` of the population Gram ``psi_M`` and,
     when given, the empirical Gram ``psi_nM`` (same shape, else ShapeError)."""
-    _, rho_lambda = coherence(psi_M, support)
+    rho_lambda = coherence(psi_M, support)
     eta_nM = rho_lambda_emp = None
     if psi_nM is not None:
         if np.shape(psi_nM) != np.shape(psi_M):
             raise ShapeError("psi_M and psi_nM must have matching shapes")
         try:
-            _, rho_lambda_emp = coherence(psi_nM, support)
+            rho_lambda_emp = coherence(psi_nM, support)
         except DegenerateDictionaryError:
             pass
         eta_nM = float(np.max(np.abs(np.subtract(psi_M, psi_nM))))

@@ -40,11 +40,12 @@ from .dictionary import (
     _DOMAIN_SLACK,
     _check_lambda,
     _check_table,
+    _finite,
     _fourier_grid,
     _read_only,
 )
 from .errors import ConfigError, NumericError, ShapeError
-from .gram import coherence
+from .gram import _exactly_diagonal, coherence
 
 COHERENCE_THRESHOLD = 1.0 / 45.0
 EXHAUSTIVE_SUPPORT_CAP = 100_000
@@ -156,6 +157,9 @@ def _restricted_residual(psi, g, f2, support):
     return lam_s, _residual2(psi_s, g_s, f2, lam_s)
 
 
+_TRUTH_PRODUCTS = "truth inner products g or ||f||^2"
+
+
 @dataclass(frozen=True)
 class PopulationProblem(PopulationConstants):
     """The :class:`PopulationConstants` of a dictionary under a measure,
@@ -163,7 +167,8 @@ class PopulationProblem(PopulationConstants):
     on first read, g read-only. A coefficient problem holds ``theta`` =
     theta_M and ``tail``, and g = Psi theta_M; a quadrature problem
     (``theta`` None) reads ``f_nodes``, the truth at the quadrature nodes,
-    and takes g and f2 from weighted sums over the nodes.
+    and takes g and f2 from weighted sums over the nodes. A g or f2 that
+    is not finite raises NumericError, and no warning, when first read.
     """
 
     truth: TruthSpec
@@ -175,16 +180,22 @@ class PopulationProblem(PopulationConstants):
         return _read_only(evaluate_truth(self.truth, self.nodes[0]))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def g(self) -> np.ndarray:
         if self.theta is None:
-            return _read_only(self.design.T @ (self.nodes[1] * self.f_nodes))
-        return _read_only(self.psi @ self.theta)
+            g = self.design.T @ (self.nodes[1] * self.f_nodes)
+        else:
+            g = self.psi @ self.theta
+        return _read_only(_finite(g, _TRUTH_PRODUCTS))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def f2(self) -> float:
         if self.theta is None:
-            return float(self.nodes[1] @ (self.f_nodes * self.f_nodes))
-        return float(self.theta @ self.g) + self.tail
+            f2 = float(self.nodes[1] @ (self.f_nodes * self.f_nodes))
+        else:
+            f2 = float(self.theta @ self.g) + self.tail
+        return _finite(f2, _TRUTH_PRODUCTS)
 
 
 def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
@@ -208,7 +219,8 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
     ):
         theta, theta_M = truth.theta, np.zeros(M)
         theta_M[: theta.size] = theta[:M]
-        tail = float(theta[M:] @ theta[M:])
+        with np.errstate(over="ignore"):  # an infinite tail fails in f2 or the distance
+            tail = float(theta[M:] @ theta[M:])
         return PopulationProblem(dictionary, measure, truth, _read_only(theta_M), tail)
     problem = PopulationProblem(dictionary, measure, truth, None, 0.0)
     problem.nodes  # the grid's own refusals come first
@@ -263,17 +275,23 @@ def population_dist2(problem: PopulationProblem, lam) -> float:
     d = lambda - theta_M; a quadrature problem the residual the oracle
     search ranks supports by, :func:`_residual2`, which at lambda = 0 is
     ||f||^2 and needs no design. ``lam`` is checked as in
-    :func:`predict`.
+    :func:`predict`. A distance that is not finite raises NumericError,
+    and no warning.
     """
     lam = _check_lambda(lam, problem.dictionary.M)
-    if problem.theta is not None:
-        diff = lam - problem.theta
-        return float(max(diff @ problem.psi @ diff, 0.0)) + problem.tail
-    support = np.flatnonzero(lam)
-    if support.size == 0:
+    if problem.theta is None and not lam.any():
         return problem.f2
-    psi_s = problem.psi[np.ix_(support, support)]
-    return _residual2(psi_s, problem.g[support], problem.f2, lam[support])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.theta is not None:
+            diff = lam - problem.theta
+            dist2 = float(max(diff @ problem.psi @ diff, 0.0)) + problem.tail
+        else:
+            support = np.flatnonzero(lam)
+            psi_s = problem.psi[np.ix_(support, support)]
+            dist2 = _residual2(psi_s, problem.g[support], problem.f2, lam[support])
+    if not math.isfinite(dist2):
+        raise NumericError("population distance ||f_lambda - f||^2 is not finite")
+    return dist2
 
 
 def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
@@ -585,11 +603,12 @@ def oracle_path(problem: PopulationProblem, ks):
     its squared population distance and whether it is exact.
 
     k = 0 gives zero and reads no Psi. At the first k > 0 the path reads
-    the problem's Psi and g once. When Psi is exactly diagonal with a
-    positive diagonal (the Fourier basis, a centred coordinate box,
-    functions with disjoint supports), the best k-sparse lambda keeps the
-    k coordinates of largest |g_j| / sqrt(Psi_jj), ties to the smaller
-    index, at lambda_j = g_j / Psi_jj, and is exact. Otherwise
+    the problem's Psi and g once. When Psi is exactly diagonal by
+    :func:`gram._exactly_diagonal`, the test that also spares
+    :func:`gram.kappa` its LAPACK call (the Fourier basis, a centred
+    coordinate box, functions with disjoint supports), the best k-sparse
+    lambda keeps the k coordinates of largest |g_j| / sqrt(Psi_jj), ties
+    to the smaller index, at lambda_j = g_j / Psi_jj, and is exact. Otherwise
     :func:`_oracle_search` runs on Psi, g and ||f||^2.
     """
     M = problem.dictionary.M
@@ -600,8 +619,7 @@ def oracle_path(problem: PopulationProblem, ks):
         lam, exact = np.zeros(M), True
         if k > 0 and diagonal is None:
             psi, g = problem.psi, problem.g
-            diag = psi.diagonal()
-            diagonal = bool(np.all(diag > 0)) and np.count_nonzero(psi) == M
+            diag, diagonal = psi.diagonal(), _exactly_diagonal(psi)
             if diagonal:
                 order = np.argsort(-np.abs(g) / np.sqrt(diag), kind="stable")
         if k > 0 and diagonal:
@@ -654,7 +672,7 @@ def oracle_report(
             exact=True,
         )
     support, m_lambda = sparsity(lam)
-    _, rho_lambda = coherence(problem.psi, support)
+    rho_lambda = coherence(problem.psi, support)
     return OracleReport(
         lambda_star=lam,
         k_star=m_lambda,

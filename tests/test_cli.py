@@ -33,15 +33,18 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def run_cli_process(args, cwd, extra_env=None):
-    """``python -m l1agg.cli`` in a fresh interpreter, importing from src,
+def run_python(args, cwd=None, extra_env=None):
+    """``python *args`` in a fresh interpreter, importing l1agg from src,
     with the inherited environment updated by ``extra_env``."""
     env = dict(os.environ, **(extra_env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "l1agg.cli", *args], cwd=cwd, env=env,
-        capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def run_cli_process(args, cwd, extra_env=None):
+    """``python -m l1agg.cli`` by :func:`run_python`."""
+    return run_python(["-m", "l1agg.cli", *args], cwd, extra_env)
 
 
 def write_csv(path, header, columns):
@@ -95,19 +98,11 @@ class TestDispatch:
         assert "l1agg" in out
 
     def test_console_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "l1agg.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "l1agg.cli", "--version"])
         assert proc.returncode == 0
 
     def test_import_does_not_load_scipy(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import l1agg.cli, sys; assert 'scipy' not in sys.modules"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-c", "import l1agg.cli, sys; assert 'scipy' not in sys.modules"])
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_lazy_numpy_modules_unloaded(self):
@@ -118,10 +113,7 @@ class TestDispatch:
             "loaded = [m for m in ('numpy.ma', 'numpy.fft', 'numpy.random') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True)
+        proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
 
 
@@ -916,6 +908,18 @@ def malformed_case(case, tmp_path):
         # r_nM**2 used to end in an OverflowError traceback from theorem_rhs.
         cfg = write("cfg.txt", CONFIG.replace("A = 2.0", "A = 1e308"))
         return ["experiment", "--config", cfg, "--out", out], "theorem t21_risk"
+    if case in ("fit-data-not-utf8", "config-not-utf8"):
+        # A byte that does not decode used to end in a UnicodeDecodeError traceback.
+        path = tmp_path / "latin1.txt"
+        if case == "fit-data-not-utf8":
+            path.write_bytes(b"x1,y\n0.1,1.0\n0.2,\xff\n")
+            return fit(str(path)), f"{path}: not UTF-8 text"
+        path.write_bytes(CONFIG.replace("R = 30", "R = 3\xb10").encode("latin-1"))
+        return ["experiment", "--config", str(path), "--out", out], f"{path}: not UTF-8 text"
+    if case == "oracle-truth-overflow":
+        # d'Psi d overflowed: a numpy warning, residual2 = inf and exit 0.
+        return (["oracle", "--dict", "fourier:4", "--truth", "theta:1e308@1,1e308@2",
+                 "--kmax", "2", "--out", out], "is not finite")
     if case == "summary-short-row":
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
@@ -924,7 +928,7 @@ def malformed_case(case, tmp_path):
 
 
 # Malformed inputs whose error is numeric: exit 4, not 1.
-NUMERIC_CASES = ("config-A-overflow",)
+NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow")
 
 
 class TestMalformedInput:
@@ -946,6 +950,7 @@ class TestMalformedInput:
             "truth-theta-twice", "density-narrow", "density-wide", "fit-A-nan-explicit",
             "fourier-truth-off-domain", "tabulated-truth-narrow",
             "fit-A-negative-explicit", "config-seed-negative", "config-A-overflow",
+            "fit-data-not-utf8", "config-not-utf8", "oracle-truth-overflow",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Gram matrices, kappa, mutual coherence, and the entrywise deviation."""
 
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from l1agg import (
     ShapeError,
     build_coordinate,
     build_fourier,
+    build_tabulated,
     coherence,
     diagnostics,
     empirical_gram,
     evaluate,
     kappa,
+    oracle_path,
     population_gram,
     uniform_measure,
 )
+from l1agg import oracles
 from l1agg.experiments import cell_context
 from l1agg.gram import write_gram_csv
 
@@ -62,9 +67,7 @@ class TestGramPair:
         psi = empirical_gram(
             type("D", (), {"entries": entries, "n": 5, "M": 2})()
         )
-        rho, rho_lambda = coherence(psi, [0])
-        assert rho[0, 1] == pytest.approx(1.0)
-        assert rho_lambda == pytest.approx(1.0)
+        assert coherence(psi, [0]) == pytest.approx(1.0)
 
     def test_scaled_identity_design(self):
         M = 4
@@ -148,17 +151,107 @@ class TestKappa:
         psi = np.array([[1.0, rho], [rho, 1.0]])
         assert kappa(psi) == pytest.approx(1.0 - abs(rho), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "psi", [[[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]], [[1, 2], [2, 1]]]
+    )
+    def test_indefinite_refused(self, psi):
+        # Both read kappa = 0; their smallest scaled eigenvalues are -0.8 and -1.
+        with pytest.raises(NumericError, match="not positive semi-definite"):
+            kappa(psi)
+
+    def test_singular_clamps_to_zero(self):
+        assert kappa(np.ones((3, 3))) == 0.0
+
+    def test_identity_needs_no_matrix_temporaries(self):
+        # Scaling np.eye(2048) and comparing it with its diagonal peaked at 71 MB.
+        psi = np.eye(2048)
+        tracemalloc.start()
+        try:
+            assert kappa(psi) == 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+def disjoint_hats_gram(M=8):
+    """Quadrature Psi of hats on disjoint intervals of [0, 1]: every node
+    meets at most one of them, so Psi is exactly diagonal."""
+    grid = np.linspace(0.0, 1.0, M * 16 + 1)
+    tables = [(grid, (1.0 + 0.3 * j) * np.maximum(0.0, 1.0 - np.abs(grid * M - (j + 0.5)) * 2.0))
+              for j in range(M)]
+    return population_gram(build_tabulated(tables), uniform_measure())
+
+
+def tiny_off_diagonal():
+    psi = np.eye(3)
+    psi[0, 1] = psi[1, 0] = 1e-300
+    return psi
+
+
+class TestOneDiagonalTest:
+    """kappa and oracle_path decide "Psi is exactly diagonal" by one test."""
+
+    CASES = {
+        "identity": (lambda: np.eye(6), None),
+        "centred box": (
+            lambda: population_gram(build_coordinate(5, domain=[-1.0, 1.0]), uniform_measure()),
+            None,
+        ),
+        "disjoint hats": (disjoint_hats_gram, None),
+        "1e-300 pair": (tiny_off_diagonal, None),
+        "zero diagonal": (
+            lambda: np.diag([1.0, 0.0, 2.0]), (DegenerateDictionaryError, "zero norm$")
+        ),
+        "negative diagonal": (
+            lambda: np.diag([1.0, -1.0, 2.0]), (DegenerateDictionaryError, "zero norm$")
+        ),
+        "nan off-diagonal": (
+            lambda: np.where(np.eye(3) == 1, 1.0, np.nan), (NumericError, "non-finite")
+        ),
+        "non-square": (lambda: np.eye(2, 3), (ShapeError, "nonempty and square")),
+    }
+
+    def test_kappa_skips_lapack_where_the_oracle_is_closed_form(self, monkeypatch):
+        eigvalsh, lapack, searched = np.linalg.eigvalsh, [], []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: lapack.append(1) or eigvalsh(a))
+
+        def search(psi, g, f2, k):
+            searched.append(k)
+            return np.zeros(g.size), True
+
+        monkeypatch.setattr(oracles, "_oracle_search", search)
+        closed = set()
+        for name, (build, error) in self.CASES.items():
+            psi = build()
+            lapack.clear()
+            searched.clear()
+            if error is None:
+                scale = 1.0 / np.sqrt(np.diag(psi))
+                normalized = psi * np.outer(scale, scale)
+                expected = max(float(eigvalsh(0.5 * (normalized + normalized.T))[0]), 0.0)
+                assert kappa(psi) == expected, name
+            else:
+                with pytest.raises(error[0], match=error[1]):
+                    kappa(psi)
+            M = psi.shape[0]
+            problem = SimpleNamespace(dictionary=SimpleNamespace(M=M), psi=psi, g=np.ones(M),
+                                      f2=float(M), theta=None, tail=0.0)
+            (_, _, _, exact), = oracle_path(problem, [1])
+            assert exact and (error is None and not lapack) == (not searched), name
+            if not searched:
+                closed.add(name)
+        assert closed == {"identity", "centred box", "disjoint hats"}
+
 
 class TestCoherence:
     def test_identity_any_support(self):
-        _, rho_lambda = coherence(np.eye(6), [0, 3, 5])
-        assert rho_lambda == 0.0
+        assert coherence(np.eye(6), [0, 3, 5]) == 0.0
 
     def test_single_off_diagonal(self):
         psi = np.eye(3)
         psi[0, 1] = psi[1, 0] = 0.5
-        _, rho_lambda = coherence(psi, [0])
-        assert rho_lambda == pytest.approx(0.5)
+        assert coherence(psi, [0]) == pytest.approx(0.5)
 
     def test_off_support_correlations_ignored(self):
         # Near-collinear pair entirely outside the support leaves
@@ -166,24 +259,20 @@ class TestCoherence:
         psi = np.eye(4)
         psi[2, 3] = psi[3, 2] = 0.999
         psi[0, 1] = psi[1, 0] = 0.1
-        _, rho_lambda = coherence(psi, [0])
-        assert rho_lambda == pytest.approx(0.1)
+        assert coherence(psi, [0]) == pytest.approx(0.1)
 
     def test_empty_support(self):
-        _, rho_lambda = coherence(np.eye(3), [])
-        assert rho_lambda == 0.0
+        assert coherence(np.eye(3), []) == 0.0
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(11)
         psi = random_psd(rng, 5)
-        rho_before, rl_before = coherence(psi, [1, 2])
+        rl_before = coherence(psi, [1, 2])
         t = 3.7
         scaled = psi.copy()
         scaled[2, :] *= t
         scaled[:, 2] *= t
-        rho_after, rl_after = coherence(scaled, [1, 2])
-        np.testing.assert_allclose(rho_after, rho_before, atol=1e-12)
-        assert rl_after == pytest.approx(rl_before, abs=1e-12)
+        assert coherence(scaled, [1, 2]) == pytest.approx(rl_before, abs=1e-12)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ShapeError):

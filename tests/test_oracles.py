@@ -399,6 +399,38 @@ class TestLinearDistance:
             problem.L0
 
 
+class TestOverflowingTruth:
+    """A truth whose g, ||f||^2 or distance overflows gives one NumericError
+    and no numpy warning (the suite turns warnings into errors)."""
+
+    def test_distance_overflow(self):
+        # Psi = I and g = theta are finite, and the closed-form path never
+        # reads ||f||^2, but d'Psi d at lambda = 0 is 2e616: it read inf.
+        truth = fourier_truth([1e308, 1e308])
+        problem = population_problem(build_fourier(4), uniform_measure(), truth)
+        assert np.all(np.isfinite(problem.g))
+        with pytest.raises(NumericError, match="distance .* is not finite"):
+            population_dist2(problem, np.zeros(4))
+        with pytest.raises(NumericError, match="distance .* is not finite"):
+            list(oracle_path(problem, range(3)))
+        with pytest.raises(NumericError, match=r"g or \|\|f\|\|\^2 is not finite"):
+            problem.f2
+        # The same overflow beyond M, in ||theta beyond M||^2.
+        truth = fourier_truth([1.0, 0.0, 0.0, 0.0, 1e308, 1e308])
+        problem = population_problem(build_fourier(4), uniform_measure(), truth)
+        with pytest.raises(NumericError, match="distance .* is not finite"):
+            population_dist2(problem, np.zeros(4))
+
+    def test_quadrature_products_overflow(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        d = build_tabulated([(grid, np.full(5, 1e200)), (grid, 1e200 * grid)])
+        truth = tabulated_truth(grid, np.full(5, 1e200))
+        for read in ("g", "f2"):
+            problem = population_problem(d, uniform_measure(), truth)
+            with pytest.raises(NumericError, match=r"g or \|\|f\|\|\^2 is not finite"):
+                getattr(problem, read)
+
+
 class TestMembership:
     def test_exact_representation(self):
         flags = membership(0.0, 2, 0.0, 0.1, C_f=1.0, C_f_prime=1.0)

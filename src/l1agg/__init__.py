@@ -13,94 +13,118 @@ The package is organized around six pieces:
 * :mod:`l1agg.experiments` -- seeded Monte Carlo harness for rate and
   bound verification;
 * :mod:`l1agg.cli`         -- the ``l1agg`` command-line entry point.
+
+``import l1agg`` loads none of them: each name below is imported from its
+module on first use, so a caller pays only for the modules it touches.
 """
 
 __version__ = "0.1.0"
 
-from .dictionary import (
-    DesignMatrix,
-    Dictionary,
-    MeasureSpec,
-    build_coordinate,
-    build_fourier,
-    build_tabulated,
-    empirical_norms,
-    evaluate,
-    grid_density_measure,
-    load_points_csv,
-    load_tabulated_csv,
-    population_constants,
-    population_gram,
-    predict,
-    uniform_measure,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateDictionaryError,
-    DictionaryError,
-    DomainError,
-    L1AggError,
-    NumericError,
-    ShapeError,
-    UnsupportedOperationError,
-)
-from .gram import (
-    CoherenceReport,
-    coherence,
-    diagnostics,
-    empirical_gram,
-    kappa,
-)
-from .oracles import (
-    BoundConstants,
-    EventFlags,
-    MembershipFlags,
-    OracleReport,
-    PopulationProblem,
-    TruthSpec,
-    bernstein_bound,
-    evaluate_truth,
-    event_flags,
-    fourier_truth,
-    lemma_bounds,
-    linear_truth,
-    membership,
-    oracle_path,
-    oracle_report,
-    oracle_scan,
-    population_dist2,
-    population_problem,
-    sparsity,
-    sup_norm_error,
-    tabulated_truth,
-    theorem_rhs,
-)
-from .experiments import (
-    CellSummary,
-    ExperimentConfig,
-    ExperimentRow,
-    NoiseModel,
-    Sample,
-    bound_check,
-    generate,
-    l0k_truth,
-    load_config,
-    noise_bounded_uniform,
-    noiseless,
-    rate_slope,
-    read_rows_csv,
-    run,
-    run_single,
-    sobolev_truth,
-    summarize,
-    write_rows_csv,
-)
-from .solver import (
-    LassoFit,
-    PenaltyConfig,
-    fit,
-    penalty_config,
-    rate,
-    soft_threshold,
-)
+import importlib
+
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "dictionary": (
+        "DesignMatrix",
+        "Dictionary",
+        "MeasureSpec",
+        "build_coordinate",
+        "build_fourier",
+        "build_tabulated",
+        "empirical_norms",
+        "evaluate",
+        "grid_density_measure",
+        "load_points_csv",
+        "load_tabulated_csv",
+        "population_constants",
+        "population_gram",
+        "predict",
+        "uniform_measure",
+    ),
+    "errors": (
+        "ConfigError",
+        "ConvergenceError",
+        "DegenerateDictionaryError",
+        "DictionaryError",
+        "DomainError",
+        "L1AggError",
+        "NumericError",
+        "ShapeError",
+        "UnsupportedOperationError",
+    ),
+    "gram": (
+        "CoherenceReport",
+        "coherence",
+        "diagnostics",
+        "empirical_gram",
+        "kappa",
+    ),
+    "oracles": (
+        "BoundConstants",
+        "EventFlags",
+        "MembershipFlags",
+        "OracleReport",
+        "PopulationProblem",
+        "TruthSpec",
+        "bernstein_bound",
+        "evaluate_truth",
+        "event_flags",
+        "fourier_truth",
+        "l0k_truth",
+        "lemma_bounds",
+        "linear_truth",
+        "membership",
+        "oracle_path",
+        "oracle_report",
+        "oracle_scan",
+        "population_dist2",
+        "population_problem",
+        "sobolev_truth",
+        "sparsity",
+        "sup_norm_error",
+        "tabulated_truth",
+        "theorem_rhs",
+    ),
+    "experiments": (
+        "CellSummary",
+        "ExperimentConfig",
+        "ExperimentRow",
+        "NoiseModel",
+        "Sample",
+        "bound_check",
+        "generate",
+        "load_config",
+        "noise_bounded_uniform",
+        "noiseless",
+        "rate_slope",
+        "read_rows_csv",
+        "run",
+        "run_single",
+        "summarize",
+        "write_rows_csv",
+    ),
+    "solver": (
+        "LassoFit",
+        "PenaltyConfig",
+        "fit",
+        "penalty_config",
+        "rate",
+        "soft_threshold",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import an exported name's module on first access (PEP 562)."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -63,9 +63,10 @@ def read_csv(path, parse_row, header=None):
     ``parse_row(cells)`` for each non-blank row. Raises ShapeError naming
     ``path:line`` for a row whose width differs from the header's or that
     ``parse_row`` rejects with ValueError, and for a file without rows,
-    and ShapeError naming ``path`` for a file that is not UTF-8 text."""
+    and ShapeError naming ``path`` for a file that is not UTF-8 text. A
+    leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             names = [name.strip() for name in next(reader, [])]
             if header is not None and names != list(header):
@@ -100,10 +101,11 @@ def read_key_values(path) -> dict[str, tuple[int, str]]:
     """Read a ``key = value`` file into ``{key: (line number, value)}``,
     skipping blank lines and ``#`` comments; a later line overrides an
     earlier one. Raises ConfigError naming ``path:line`` for a line
-    without ``=``, and naming ``path`` for a file that is not UTF-8 text."""
+    without ``=``, and naming ``path`` for a file that is not UTF-8 text.
+    A leading UTF-8 byte-order mark is skipped."""
     entries = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line_number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

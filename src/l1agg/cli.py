@@ -18,7 +18,6 @@ in CSV artifacts are 1-based (function f_1 is column j=1).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 
@@ -26,16 +25,6 @@ import numpy as np
 
 from . import __version__
 from ._util import atomic_write_text, csv_text, parse_value, read_key_values, read_numeric_csv
-from .dictionary import (
-    build_coordinate,
-    build_fourier,
-    evaluate,
-    grid_density_measure,
-    load_points_csv,
-    load_tabulated_csv,
-    population_constants,
-    uniform_measure,
-)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -43,28 +32,9 @@ from .errors import (
     L1AggError,
     NumericError,
 )
-from .experiments import (
-    l0k_truth,
-    load_config,
-    rate_slope,
-    read_rows_csv,
-    run,
-    sobolev_truth,
-    summarize,
-    summary_csv_text,
-)
-from .gram import diagnostics, empirical_gram, write_gram_csv
-from .oracles import (
-    LEMMA_KINDS,
-    LEMMA_PARAMS,
-    fourier_truth,
-    lemma_bounds,
-    oracle_path,
-    population_problem,
-    sparsity,
-    tabulated_truth,
-)
-from .solver import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, fit as solver_fit, penalty_config
+
+# Each command imports the layer modules it runs when it runs, so a call
+# pays for no module it does not use.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +51,8 @@ class _UsageError(Exception):
 
 
 def _parse_dictionary(spec: str):
+    from .dictionary import build_coordinate, build_fourier, load_tabulated_csv
+
     kind, _, rest = spec.partition(":")
     if kind == "fourier":
         return build_fourier(parse_value(rest, int, spec))
@@ -102,6 +74,8 @@ def _read_table(path, header: list[str]):
 
 
 def _parse_measure(spec: str):
+    from .dictionary import grid_density_measure, uniform_measure
+
     if spec == "uniform":
         return uniform_measure()
     kind, _, path = spec.partition(":")
@@ -111,6 +85,8 @@ def _parse_measure(spec: str):
 
 
 def _parse_truth(spec: str):
+    from .oracles import fourier_truth, l0k_truth, sobolev_truth, tabulated_truth
+
     kind, _, rest = spec.partition(":")
     if kind == "l0k":
         return l0k_truth(parse_value(rest, int, spec))
@@ -152,6 +128,9 @@ def _parse_rate(spec: str):
 
 
 def _cmd_fit(args) -> int:
+    from .dictionary import evaluate, load_points_csv
+    from .solver import fit, penalty_config
+
     dictionary = _parse_dictionary(args.dict)
     points, y = load_points_csv(args.data)
     if y is None:
@@ -160,8 +139,10 @@ def _cmd_fit(args) -> int:
     rate_kind, explicit_r = _parse_rate(args.rate)
     penalty = penalty_config(design, args.A, rate_kind, explicit_r)
 
+    # --tol and --max-sweeps, when not given, take fit's own defaults.
+    options = {key: value for key, value in vars(args).items() if key in ("tol", "max_sweeps")}
     try:
-        result = solver_fit(design, y, penalty, tol=args.tol, max_sweeps=args.max_sweeps)
+        result = fit(design, y, penalty, **options)
     except ConvergenceError as exc:
         result = exc.partial_fit
         print(f"warning: {exc}", file=sys.stderr)
@@ -182,6 +163,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .dictionary import evaluate, load_points_csv, population_constants
+    from .gram import diagnostics, empirical_gram, write_gram_csv
+
     if args.empirical_gram_out and not args.data:
         raise ConfigError("--empirical-gram-out needs --data")
     dictionary = _parse_dictionary(args.dict)
@@ -221,6 +205,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import oracle_path, population_problem, sparsity
+
     dictionary = _parse_dictionary(args.dict)
     measure = _parse_measure(args.measure)
     truth = _parse_truth(args.truth)
@@ -249,6 +235,8 @@ def _count(text: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .oracles import LEMMA_KINDS, LEMMA_PARAMS, lemma_bounds
+
     known = {"n"}.union(*LEMMA_PARAMS.values())
     params = {}
     for key, (line, value) in read_key_values(args.params).items():
@@ -267,6 +255,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    import dataclasses
+
+    from .experiments import load_config, run
+
     config = load_config(args.config)
     if args.out:
         config = dataclasses.replace(config, out=args.out)
@@ -281,6 +273,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_summary(args) -> int:
+    from .experiments import load_config, rate_slope, read_rows_csv, summarize, summary_csv_text
+
     config = load_config(args.config)
     rows = read_rows_csv(args.rows)
     summaries = summarize(config, rows)
@@ -321,9 +315,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="points CSV x1,...,xd,y")
     p.add_argument("--A", type=float, required=True, help="penalty tuning constant")
     p.add_argument("--rate", default="logM", help="logM | logn | explicit:<v>")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="stop when every KKT violation is <= tol * ||f_j||_n * ||y||_n")
-    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+    p.add_argument("--max-sweeps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True, help="coefficient CSV j,lambda,omega")
     p.set_defaults(func=_cmd_fit)
 

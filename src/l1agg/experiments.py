@@ -45,12 +45,13 @@ from .oracles import (
     TruthSpec,
     evaluate_truth,
     event_flags,
-    fourier_truth,
+    l0k_truth,
     lemma_bounds,
     linear_truth,
     oracle_scan,
     population_dist2,
     population_problem,
+    sobolev_truth,
     sparsity,
     sup_norm_error,
     theorem_rhs,
@@ -60,7 +61,6 @@ from .solver import DEFAULT_TOL, fit, penalty_config, rate
 
 PRESETS = ("linear", "fourier-L0k", "fourier-sobolev")
 SEED_CELL_STRIDE = 1_000_000
-SOBOLEV_TRUTH_TERMS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -283,38 +283,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Preset truths
 # ---------------------------------------------------------------------------
-
-
-def l0k_truth(k: int) -> TruthSpec:
-    """Exactly k nonzero trigonometric coefficients.
-
-    Values k, k-1, ..., 1 at 1-based indices 2, 4, 7, 11, ... (index
-    i sits at 1 + i(i+1)/2), so k = 3 gives |theta| = (3, 2, 1) at
-    indices {2, 4, 7}.
-    """
-    if k < 0:
-        raise ConfigError("k must be nonnegative")
-    if k == 0:
-        return fourier_truth(np.zeros(2))
-    idx = [i * (i + 1) // 2 for i in range(1, k + 1)]  # 0-based: 1, 3, 6, 10, ...
-    theta = np.zeros(idx[-1] + 1)
-    for rank, j in enumerate(idx):
-        theta[j] = float(k - rank)
-    return fourier_truth(theta)
-
-
-def sobolev_truth(beta: float) -> TruthSpec:
-    """Polynomially decaying coefficients theta_j = (-1)^(j+1) j^-(beta+0.6),
-    j = 1..SOBOLEV_TRUTH_TERMS.
-
-    The decay exponent keeps sum j^(2 beta) theta_j^2 finite for every
-    beta > 0, so the truth sits in the smoothness-beta ellipsoid.
-    """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ConfigError(f"beta must be finite and positive, got {beta}")
-    j = np.arange(1, SOBOLEV_TRUTH_TERMS + 1, dtype=float)
-    theta = np.where(np.arange(SOBOLEV_TRUTH_TERMS) % 2 == 0, 1.0, -1.0) * j ** -(beta + 0.6)
-    return fourier_truth(theta)
 
 
 def _linear_pattern(M: int, k: int) -> np.ndarray:

@@ -199,8 +199,11 @@ def fit(
     it passes the same test (:func:`_exact_finish`; once per sign pattern).
 
     Returns a converged fit if the test passed, and raises ConvergenceError
-    carrying the partial fit if the sweep budget ran out first. Zero-norm
-    columns are frozen at 0: their bound and their gradient are exactly 0.
+    carrying the partial fit if the sweep budget ran out first. Raises
+    NumericError before the first sweep when n^-1 ||Y||^2 or n^-1 Phi^T Y
+    overflows, since every bound would then be infinite and the test would
+    pass for any lambda. Zero-norm columns are frozen at 0: their bound and
+    their gradient are exactly 0.
     The returned certificates come from a fresh residual Y - Phi lambda.
     """
     phi = design.entries
@@ -226,10 +229,13 @@ def fit(
         if q_j != 0.0
     ]
 
-    g = phi.T @ y / n
+    with np.errstate(all="ignore"):
+        g = phi.T @ y / n
+        yy = float(y @ y) / n
+    if not (math.isfinite(yy) and np.isfinite(g).all()):
+        raise NumericError("n^-1 ||y||^2 or n^-1 Phi^T y is not finite")
     grad = g.copy()
     item = grad.item  # grad changes in place only, so this stays bound to it
-    yy = float(y @ y) / n
     # sqrt(yy * col_sq) could overflow where each factor does not.
     bound = tol * math.sqrt(yy) * np.sqrt(col_sq)
     # j -> Psi_j; one BLAS-3 product beats M columns when most will move.

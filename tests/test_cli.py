@@ -12,6 +12,7 @@ from l1agg import (
     diagnostics,
     empirical_gram,
     evaluate,
+    load_config,
     load_tabulated_csv,
     oracle_path,
     oracle_scan,
@@ -65,8 +66,8 @@ def write_tabulated(path, M):
 @pytest.fixture
 def design_shapes(monkeypatch):
     """The point shapes of every ``evaluate`` call made through any l1agg
-    module that calls it, in call order."""
-    import l1agg.cli
+    module that calls it, in call order. The CLI imports ``evaluate`` from
+    ``l1agg.dictionary`` when a command runs, so it calls the spy too."""
     import l1agg.dictionary
     import l1agg.experiments
 
@@ -77,7 +78,7 @@ def design_shapes(monkeypatch):
         shapes.append(np.shape(points))
         return evaluate_points(dictionary, points)
 
-    for module in (l1agg.cli, l1agg.dictionary, l1agg.experiments):
+    for module in (l1agg.dictionary, l1agg.experiments):
         monkeypatch.setattr(module, "evaluate", spy)
     return shapes
 
@@ -102,19 +103,61 @@ class TestDispatch:
         assert proc.returncode == 0
 
     def test_import_does_not_load_scipy(self):
-        proc = run_python(["-c", "import l1agg.cli, sys; assert 'scipy' not in sys.modules"])
+        code = "import l1agg.cli, sys\nfrom l1agg import *\nassert 'scipy' not in sys.modules"
+        proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_lazy_numpy_modules_unloaded(self):
         # numpy.fft and numpy.random load on first use, numpy.ma on none:
         # an eager import would add its cost to every process.
         code = (
-            "import sys, l1agg\n"
+            "import sys\n"
+            "from l1agg import *\n"
             "loaded = [m for m in ('numpy.ma', 'numpy.fft', 'numpy.random') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
+
+
+LAYER_MODULES = ("dictionary", "gram", "solver", "oracles", "experiments")
+
+
+class TestLazyImports:
+    """Which layer modules a fresh interpreter loads for each entry point."""
+
+    def loaded_layers(self, code):
+        """The layer modules loaded once ``code`` has run in a fresh
+        interpreter; they are printed after anything ``code`` prints."""
+        probe = (
+            f"{code}\nimport sys\nprint(*[m for m in {LAYER_MODULES!r} "
+            "if f'l1agg.{m}' in sys.modules])"
+        )
+        proc = run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("code", ["import l1agg", "import l1agg.cli"])
+    def test_import_loads_no_layer_module(self, code):
+        assert self.loaded_layers(code) == set()
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose", "oracle", "bounds"])
+    def test_command_loads_no_harness(self, command, tmp_path):
+        data = write_csv(tmp_path / "data.csv", ["x1", "y"], [[0.1, 0.5, 0.9], [1.0, 2.0, 0.5]])
+        params = tmp_path / "params.txt"
+        params.write_text("n = 100\nM = 10\nc0 = 1\nL = 1\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fit": ["fit", "--dict", "fourier:3", "--data", str(data), "--A", "1", "--out", out],
+            "diagnose": ["diagnose", "--dict", "fourier:8", "--support", "2"],
+            "oracle": ["oracle", "--dict", "fourier:5", "--truth", "sobolev:1", "--kmax", "2",
+                       "--out", out],
+            "bounds": ["bounds", "--params", str(params), "--which", "L4"],
+        }[command]
+        loaded = self.loaded_layers(f"import l1agg.cli\nassert l1agg.cli.main({argv!r}) == 0")
+        assert "experiments" not in loaded
+        if command == "fit":
+            assert loaded == {"dictionary", "gram", "solver"}
 
 
 class TestFit:
@@ -322,7 +365,7 @@ class TestDiagnose:
         assert not gram_out.exists()
 
     def test_no_data_computes_no_empirical_report(self, monkeypatch, capsys):
-        from l1agg import cli
+        from l1agg import gram
 
         reports = []
 
@@ -330,7 +373,7 @@ class TestDiagnose:
             reports.append(diagnostics(*args))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "diagnostics", spy)
+        monkeypatch.setattr(gram, "diagnostics", spy)
         code, out, _ = run_cli(["diagnose", "--dict", "fourier:5", "--support", "2"], capsys)
         assert code == 0 and "eta_nM" not in out
         assert reports[0].eta_nM is None and reports[0].rho_lambda_empirical is None
@@ -536,7 +579,7 @@ class TestResourceLimits:
         def too_large(*_):
             raise MemoryError("Unable to allocate 298. GiB for an array")
 
-        monkeypatch.setattr("l1agg.cli.population_constants", too_large)
+        monkeypatch.setattr("l1agg.dictionary.population_constants", too_large)
         code, out, err = run_cli(["diagnose", "--dict", "fourier:8"], capsys)
         assert code == 1
         assert out == ""
@@ -571,15 +614,15 @@ class TestWarnings:
     def test_repeated_warning_printed_once(self, monkeypatch, capsys):
         import warnings
 
-        from l1agg import cli
+        from l1agg import dictionary
 
         def warn_twice(*args):
             for _ in range(2):
                 warnings.warn("quadrature is coarse", RuntimeWarning)
             return constants(*args)
 
-        constants = cli.population_constants
-        monkeypatch.setattr(cli, "population_constants", warn_twice)
+        constants = dictionary.population_constants
+        monkeypatch.setattr(dictionary, "population_constants", warn_twice)
         for _ in range(2):  # each call starts afresh
             code, _, err = run_cli(["diagnose", "--dict", "fourier:3"], capsys)
             assert code == 0
@@ -920,6 +963,12 @@ def malformed_case(case, tmp_path):
         # d'Psi d overflowed: a numpy warning, residual2 = inf and exit 0.
         return (["oracle", "--dict", "fourier:4", "--truth", "theta:1e308@1,1e308@2",
                  "--kmax", "2", "--out", out], "is not finite")
+    if case in ("fit-y-1e300", "fit-y-1e308"):
+        # n^-1 ||y||^2 overflowed: numpy warnings, objective=inf and exit 0
+        # (1e300), or an IndexError traceback from the exact finish (1e308).
+        v = case.rsplit("-", 1)[1]
+        data = write("data.csv", f"x1,y\n0.1,{v}\n0.2,{v}\n0.3,-{v}\n")
+        return fit(data, rate="logM", dictionary="fourier:5", A="1"), "is not finite"
     if case == "summary-short-row":
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
@@ -928,7 +977,7 @@ def malformed_case(case, tmp_path):
 
 
 # Malformed inputs whose error is numeric: exit 4, not 1.
-NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow")
+NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow", "fit-y-1e300", "fit-y-1e308")
 
 
 class TestMalformedInput:
@@ -951,6 +1000,7 @@ class TestMalformedInput:
             "fourier-truth-off-domain", "tabulated-truth-narrow",
             "fit-A-negative-explicit", "config-seed-negative", "config-A-overflow",
             "fit-data-not-utf8", "config-not-utf8", "oracle-truth-overflow",
+            "fit-y-1e300", "fit-y-1e308",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):
@@ -963,3 +1013,38 @@ class TestMalformedInput:
         if location is not None:
             assert location in lines[0]
         assert not os.path.exists(tmp_path / "out.csv")
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the file
+    without it."""
+
+    def twins(self, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return str(plain), str(marked)
+
+    def test_points_csv(self, tmp_path, capsys):
+        # Used to exit 1: "points CSV header must be x1,...,xd[,y]".
+        out = tmp_path / "coef.csv"
+        results = []
+        for data in self.twins(tmp_path, "data.csv", "x1,y\n0.1,1.0\n0.2,2.0\n0.3,0.5\n"):
+            argv = ["fit", "--dict", "fourier:3", "--data", data, "--A", "1", "--out", str(out)]
+            results.append((*run_cli(argv, capsys), out.read_bytes()))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    def test_bounds_params(self, tmp_path, capsys):
+        # Used to exit 1: "<path>:1: \ufeffn: unknown parameter".
+        results = [
+            run_cli(["bounds", "--params", params, "--which", "L4"], capsys)
+            for params in self.twins(tmp_path, "params.txt", "n = 100\nM = 10\nc0 = 1\nL = 1\n")
+        ]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    def test_experiment_config(self, tmp_path):
+        # Used to raise "unknown config key '\ufeffpreset'".
+        plain, marked = self.twins(tmp_path, "cfg.txt", CONFIG)
+        assert load_config(marked) == load_config(plain)

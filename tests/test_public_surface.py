@@ -1,12 +1,14 @@
 """Every function that l1agg exports is named outside the module that
 defines it: in another library module, a demo, a perfbench script or
 README.md. Exported classes are exempt; they are the functions' result
-and argument types."""
+and argument types. Every exported name loads from its module on first
+use."""
 
 import functools
 import inspect
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -14,8 +16,9 @@ import l1agg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "l1agg"
+# From __all__: the package's own namespace fills only as names are used.
 EXPORTED_FUNCTIONS = sorted(
-    name for name, obj in vars(l1agg).items() if inspect.isfunction(obj)
+    name for name in l1agg.__all__ if inspect.isfunction(getattr(l1agg, name))
 )
 
 
@@ -39,3 +42,15 @@ def test_exported_function_is_named_outside_its_module(name):
     assert any(word.search(text) for text in texts_outside(module_name)), (
         f"l1agg exports {name}, but only {module_name} names it"
     )
+
+
+def test_names_load_on_first_use():
+    for name in l1agg.__all__:
+        obj = getattr(l1agg, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+        assert name in dir(l1agg)
+    namespace = {}
+    exec("from l1agg import *", namespace)
+    assert set(l1agg.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        l1agg.no_such_name

@@ -13,6 +13,7 @@ from l1agg import (
     ConvergenceError,
     DesignMatrix,
     ExperimentConfig,
+    NumericError,
     PenaltyConfig,
     build_coordinate,
     build_fourier,
@@ -294,6 +295,16 @@ class TestFit:
         result = fit(design, np.zeros(10), penalty)
         np.testing.assert_array_equal(result.lambda_hat, 0.0)
         assert result.objective == 0.0
+
+    @pytest.mark.parametrize("scale", [1e300, 1e308])
+    def test_overflowing_response_is_refused(self, scale):
+        # n^-1 ||y||^2 = inf made every stopping bound infinite: at 1e300 the
+        # fit "converged" with objective inf after numpy's overflow warnings,
+        # at 1e308 the exact finish got an empty support and an IndexError.
+        design = evaluate(build_fourier(5), np.array([0.1, 0.2, 0.3]))
+        y = scale * np.array([1.0, 1.0, -1.0])
+        with pytest.raises(NumericError, match="is not finite"):
+            fit(design, y, penalty_config(design, A=1.0))
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(5)

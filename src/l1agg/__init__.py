@@ -1,6 +1,6 @@
 """Weighted l1-penalized least squares aggregation over function dictionaries.
 
-The package is organized around six pieces:
+The package is organized around seven pieces:
 
 * :mod:`l1agg.dictionary`  -- dictionary construction, evaluation, norms,
   and the population Gram and boundedness constants;
@@ -9,7 +9,8 @@ The package is organized around six pieces:
 * :mod:`l1agg.solver`      -- the weighted-lasso coordinate descent with a
   KKT certificate;
 * :mod:`l1agg.oracles`     -- oracle vectors, sparsity-class memberships,
-  theorem right-hand sides, and explicit tail bounds;
+  theorem right-hand sides, and good-event indicators;
+* :mod:`l1agg.tails`       -- explicit tail bounds, without numpy;
 * :mod:`l1agg.experiments` -- seeded Monte Carlo harness for rate and
   bound verification;
 * :mod:`l1agg.cli`         -- the ``l1agg`` command-line entry point.
@@ -66,12 +67,10 @@ _EXPORTS = {
         "OracleReport",
         "PopulationProblem",
         "TruthSpec",
-        "bernstein_bound",
         "evaluate_truth",
         "event_flags",
         "fourier_truth",
         "l0k_truth",
-        "lemma_bounds",
         "linear_truth",
         "membership",
         "oracle_path",
@@ -84,6 +83,10 @@ _EXPORTS = {
         "sup_norm_error",
         "tabulated_truth",
         "theorem_rhs",
+    ),
+    "tails": (
+        "bernstein_bound",
+        "lemma_bounds",
     ),
     "experiments": (
         "CellSummary",

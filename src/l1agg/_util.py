@@ -6,10 +6,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import numbers
 import os
 import tempfile
-
-import numpy as np
 
 from .errors import ConfigError, ShapeError
 
@@ -90,13 +89,6 @@ def read_csv(path, parse_row, header=None):
     return names, records
 
 
-def read_numeric_csv(path):
-    """Read a headered CSV of numbers into ``(names, values)``, ``values``
-    a float array with one row per data row; errors as in :func:`read_csv`."""
-    names, records = read_csv(path, lambda cells: list(map(float, cells)))
-    return names, np.array(records)
-
-
 def read_key_values(path) -> dict[str, tuple[int, str]]:
     """Read a ``key = value`` file into ``{key: (line number, value)}``,
     skipping blank lines and ``#`` comments; a later line overrides an
@@ -117,6 +109,12 @@ def read_key_values(path) -> dict[str, tuple[int, str]]:
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     return entries
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float (1e3); nan and
+    inf are not."""
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def parse_value(text: str, convert, where: str):

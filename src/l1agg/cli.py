@@ -21,10 +21,8 @@ import argparse
 import sys
 import warnings
 
-import numpy as np
-
 from . import __version__
-from ._util import atomic_write_text, csv_text, parse_value, read_key_values, read_numeric_csv
+from ._util import atomic_write_text, csv_text, parse_value, read_key_values
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -67,6 +65,8 @@ def _parse_dictionary(spec: str):
 
 def _read_table(path, header: list[str]):
     """The columns of a numeric CSV whose header must be ``header``."""
+    from .dictionary import read_numeric_csv
+
     names, data = read_numeric_csv(path)
     if names != header:
         raise ConfigError(f"{path}: CSV must have header {','.join(header)}")
@@ -102,7 +102,7 @@ def _parse_truth(spec: str):
             if j in entries:
                 raise ConfigError(f"theta index {j} is given twice")
             entries[j] = parse_value(value, float, spec)
-        theta = np.zeros(max(entries))
+        theta = [0.0] * max(entries)
         for j, value in entries.items():
             theta[j - 1] = value
         return fourier_truth(theta)
@@ -235,7 +235,7 @@ def _count(text: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .oracles import LEMMA_KINDS, LEMMA_PARAMS, lemma_bounds
+    from .tails import LEMMA_KINDS, LEMMA_PARAMS, lemma_bounds
 
     known = {"n"}.union(*LEMMA_PARAMS.values())
     params = {}
@@ -366,7 +366,6 @@ _EXIT_CODES = {
     OSError: 3,
     NumericError: 4,
     DegenerateDictionaryError: 4,
-    np.linalg.LinAlgError: 4,
     MemoryError: 1,
 }
 

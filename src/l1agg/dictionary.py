@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import read_numeric_csv
+from ._util import read_csv
 from .errors import (
     ConfigError,
     DictionaryError,
@@ -221,6 +221,14 @@ def build_tabulated(tables: Sequence, domain=None) -> Dictionary:
     )
     box = _as_domain(domain if domain is not None else [0.0, 1.0], 1)
     return Dictionary(kind="tabulated", M=len(clean), d=1, domain=box, tables=clean)
+
+
+def read_numeric_csv(path):
+    """Read a headered CSV of numbers into ``(names, values)``, ``values``
+    a float array with one row per data row; errors as in
+    :func:`_util.read_csv`."""
+    names, records = read_csv(path, lambda cells: list(map(float, cells)))
+    return names, np.array(records)
 
 
 def load_tabulated_csv(path) -> Dictionary:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, csv_text, parse_value, read_csv, read_key_values
+from ._util import _integral, atomic_write_text, csv_text, parse_value, read_csv, read_key_values
 from .dictionary import (
     Dictionary,
     MeasureSpec,
@@ -46,7 +46,6 @@ from .oracles import (
     evaluate_truth,
     event_flags,
     l0k_truth,
-    lemma_bounds,
     linear_truth,
     oracle_scan,
     population_dist2,
@@ -55,9 +54,9 @@ from .oracles import (
     sparsity,
     sup_norm_error,
     theorem_rhs,
-    _integral,
 )
 from .solver import DEFAULT_TOL, fit, penalty_config, rate
+from .tails import lemma_bounds
 
 PRESETS = ("linear", "fourier-L0k", "fourier-sobolev")
 SEED_CELL_STRIDE = 1_000_000

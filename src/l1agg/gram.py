@@ -86,17 +86,20 @@ def kappa(psi) -> float:
     Equals the smallest eigenvalue of D^{-1/2} psi D^{-1/2} with
     D = diag(psi), from ``eigvalsh``. Eigenvalues within -1e-10 of zero
     are quadrature noise and clamp to 0; a smaller one raises NumericError
-    (psi is not PSD). An exactly diagonal psi (:func:`_exactly_diagonal`)
-    is neither scaled nor passed to LAPACK: its value is the smallest
-    psi_jj * (s_j * s_j) with s_j = 1 / sqrt(psi_jj), the entry the scaled
-    matrix would hold.
+    (psi is not PSD), and so does an eigensolver that does not converge.
+    An exactly diagonal psi (:func:`_exactly_diagonal`) is neither scaled
+    nor passed to LAPACK: its value is the smallest psi_jj * (s_j * s_j)
+    with s_j = 1 / sqrt(psi_jj), the entry the scaled matrix would hold.
     """
     psi = np.asarray(psi, dtype=float)
     if _exactly_diagonal(psi):
         s = 1.0 / np.sqrt(psi.diagonal())
         return float((psi.diagonal() * (s * s)).min())
     normalized = _unit_diagonal(psi)
-    smallest = float(np.linalg.eigvalsh(0.5 * (normalized + normalized.T))[0])
+    try:
+        smallest = float(np.linalg.eigvalsh(0.5 * (normalized + normalized.T))[0])
+    except np.linalg.LinAlgError as exc:  # the eigensolver did not converge
+        raise NumericError(f"kappa_M cannot be computed ({exc})") from None
     if smallest < -_PSD_TOL:
         raise NumericError(
             f"Gram matrix is not positive semi-definite: scaled eigenvalue {smallest:.6g}"

@@ -120,18 +120,21 @@ class TestDispatch:
         assert proc.returncode == 0, proc.stderr
 
 
-LAYER_MODULES = ("dictionary", "gram", "solver", "oracles", "experiments")
+LAYER_MODULES = ("dictionary", "gram", "solver", "oracles", "tails", "experiments")
 
 
 class TestLazyImports:
-    """Which layer modules a fresh interpreter loads for each entry point."""
+    """Which layer modules, and whether numpy, a fresh interpreter loads
+    for each entry point."""
 
     def loaded_layers(self, code):
         """The layer modules loaded once ``code`` has run in a fresh
-        interpreter; they are printed after anything ``code`` prints."""
+        interpreter, and ``"numpy"`` if numpy was loaded; they are printed
+        after anything ``code`` prints."""
+        modules = [f"l1agg.{m}" for m in LAYER_MODULES] + ["numpy"]
         probe = (
-            f"{code}\nimport sys\nprint(*[m for m in {LAYER_MODULES!r} "
-            "if f'l1agg.{m}' in sys.modules])"
+            f"{code}\nimport sys\n"
+            f"print(*[m.split('.')[-1] for m in {modules!r} if m in sys.modules])"
         )
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
@@ -140,6 +143,16 @@ class TestLazyImports:
     @pytest.mark.parametrize("code", ["import l1agg", "import l1agg.cli"])
     def test_import_loads_no_layer_module(self, code):
         assert self.loaded_layers(code) == set()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["--version"], 0), (["fit", "--A", "1"], 1)],
+        ids=["help", "version", "usage-error"],
+    )
+    def test_start_up_loads_nothing(self, argv, code):
+        # Help, the version and a usage error load no layer module and no numpy.
+        run = f"import l1agg.cli\nassert l1agg.cli.main({argv!r}) == {code}"
+        assert self.loaded_layers(run) == set()
 
     @pytest.mark.parametrize("command", ["fit", "diagnose", "oracle", "bounds"])
     def test_command_loads_no_harness(self, command, tmp_path):
@@ -157,7 +170,9 @@ class TestLazyImports:
         loaded = self.loaded_layers(f"import l1agg.cli\nassert l1agg.cli.main({argv!r}) == 0")
         assert "experiments" not in loaded
         if command == "fit":
-            assert loaded == {"dictionary", "gram", "solver"}
+            assert loaded == {"dictionary", "gram", "solver", "numpy"}
+        if command == "bounds":
+            assert loaded == {"tails"}
 
 
 class TestFit:
@@ -387,6 +402,18 @@ class TestDiagnose:
         )
         assert (code, out) == (1, "")
         assert err.splitlines() == ["error: density table abscissae must be strictly increasing"]
+
+    def test_eigensolver_failure_exit_4(self, tmp_path, monkeypatch, capsys):
+        def no_convergence(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        tab = write_tabulated(tmp_path / "tab.csv", 4)
+        code, out, err = run_cli(["diagnose", "--dict", f"tabulated:{tab}"], capsys)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "error: kappa_M cannot be computed (Eigenvalues did not converge)"
+        ]
 
     def test_degenerate_dictionary_exit_4(self, capsys):
         # On the box [0, 0] both coordinates are identically zero, so the

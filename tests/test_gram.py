@@ -162,6 +162,15 @@ class TestKappa:
     def test_singular_clamps_to_zero(self):
         assert kappa(np.ones((3, 3))) == 0.0
 
+    def test_eigensolver_failure_is_a_numeric_error(self, monkeypatch):
+        # eigvalsh's LinAlgError used to escape the library's errors.
+        def no_convergence(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(NumericError, match="kappa_M cannot be computed"):
+            kappa(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
     def test_identity_needs_no_matrix_temporaries(self):
         # Scaling np.eye(2048) and comparing it with its diagonal peaked at 71 MB.
         psi = np.eye(2048)

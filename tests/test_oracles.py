@@ -46,12 +46,8 @@ from l1agg import (
 )
 from l1agg import dictionary
 from l1agg.dictionary import SUP_GRID_POINTS, sup_norm_grid
-from l1agg.oracles import (
-    COHERENCE_THRESHOLD,
-    LEMMA_KINDS,
-    LEMMA_PARAMS,
-    _oracle_search,
-)
+from l1agg.oracles import COHERENCE_THRESHOLD, _oracle_search
+from l1agg.tails import LEMMA_KINDS, LEMMA_PARAMS
 
 RNG = np.random.default_rng(2024)
 
@@ -290,6 +286,20 @@ class TestOracleGeneral:
         ]
         assert exact and np.all(np.isfinite(lam))
         assert math.isfinite(population_dist2(population_problem(d, uniform_measure(), truth), lam))
+
+    def test_failed_pseudo_inverse_is_a_numeric_error(self, monkeypatch):
+        # The pseudo-inverse's LinAlgError used to escape the library's errors.
+        def no_convergence(_):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_convergence)
+        grid = np.linspace(0.0, 1.0, 5)
+        d = build_tabulated([(grid, 1.0 + grid), (grid, 1.0 + grid), (grid, grid**2)])
+        truth = tabulated_truth(grid, np.sin(3.0 * grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericError, match="restricted Gram has no pseudo-inverse"):
+                oracle_at(d, uniform_measure(), truth, 2)
 
 
 ORACLE_PAIRS = {
@@ -551,6 +561,26 @@ class TestBernstein:
             assert direct == pytest.approx(
                 math.exp(-n * c0**2 / (12 * L**2)), rel=1e-12
             )
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((10, math.nan, 1.0, 1.0), "epsilon"),
+            ((math.nan, 0.5, 1.0, 1.0), "n"),
+            ((10, 0.5, 1.0, math.nan), "d"),
+            ((10, 0.5, math.inf, 1.0), "w2"),
+            ((math.inf, 0.5, 1.0, 1.0), "n"),
+            ((10, -0.5, 1.0, 1.0), "epsilon"),
+            ((10.5, 0.5, 1.0, 1.0), "n"),
+        ],
+    )
+    def test_refuses_non_finite_and_non_integral_input(self, args, name):
+        # The first four used to return 1.0, the fifth 0.0, and n = 10.5 was read.
+        with pytest.raises(ConfigError, match=rf"needs (finite|an integer) {name}\b"):
+            bernstein_bound(*args)
+
+    def test_integral_float_n_accepted(self):
+        assert bernstein_bound(1e2, 1.0, 1.0, 0.0) == bernstein_bound(100, 1.0, 1.0, 0.0)
 
 
 class TestLemmaBounds:

@@ -98,7 +98,6 @@ _EXPORTS = {
         "generate",
         "load_config",
         "noise_bounded_uniform",
-        "noiseless",
         "rate_slope",
         "read_rows_csv",
         "run",

@@ -629,12 +629,14 @@ class PopulationConstants:
     """Psi, L, c0 and L0 of a dictionary under a design measure.
 
     ``psi`` is the Gram of inner products <f_i, f_j>, ``L`` the exact max
-    sup-norm (:func:`_sup_norm`), ``c0`` the smallest population norm and
-    ``L0`` the largest mixed fourth moment max E[f_i^2 f_j^2]; finite L and
-    L0 and c0 > 0 are the boundedness conditions. Psi, c0 and L0 are the
-    closed forms of :func:`_uniform_closed_form` when it has them, else they
-    come from ``design``, the dictionary on the :func:`quadrature_grid`
-    ``nodes`` (points, weights). Each is formed on first read and kept
+    sup-norm (:func:`_sup_norm`), ``c0`` the smallest population norm
+    sqrt(min_j Psi_jj), read off Psi's diagonal like every other use of the
+    squared norms, and ``L0`` the largest mixed fourth moment
+    max E[f_i^2 f_j^2]; finite L and L0 and c0 > 0 are the boundedness
+    conditions. Psi and L0 are the closed forms of
+    :func:`_uniform_closed_form` when it has them, else they come from
+    ``design``, the dictionary on the :func:`quadrature_grid` ``nodes``
+    (points, weights). Each is formed on first read and kept
     read-only; one that is not finite, such as a product that overflows,
     raises NumericError, and no warning, when it is first read.
     """
@@ -664,26 +666,22 @@ class PopulationConstants:
         return _read_only(_finite(0.5 * (psi + psi.T)))
 
     @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def _moments(self):
-        """The squared norms diag Psi and L0."""
-        if self._exact is not None:
-            return np.diag(self._exact[0]), self._exact[1]
-        sq = self.design * self.design
-        weighted = sq * self.nodes[1][:, None]
-        return weighted.sum(axis=0), float((sq.T @ weighted).max())
-
-    @cached_property
     def L(self) -> float:
         return _finite(_sup_norm(self.dictionary))
 
     @cached_property
     def c0(self) -> float:
-        return _finite(float(np.sqrt(max(self._moments[0].min(), 0.0))))
+        """sqrt(max(min_j Psi_jj, 0)): the squared norms are Psi's diagonal."""
+        return float(np.sqrt(max(self.psi.diagonal().min(), 0.0)))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def L0(self) -> float:
-        return _finite(self._moments[1])
+        """The closed form, or the largest weighted fourth moment on the nodes."""
+        if self._exact is not None:
+            return _finite(self._exact[1])
+        sq = self.design * self.design
+        return _finite(float((sq.T @ (sq * self.nodes[1][:, None])).max()))
 
 
 def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> PopulationConstants:

@@ -87,10 +87,6 @@ def noise_bounded_uniform(a: float = 1.0) -> NoiseModel:
     return NoiseModel(a=float(a), b=b)
 
 
-def noiseless() -> NoiseModel:
-    return noise_bounded_uniform(0.0)
-
-
 def sample_noise(noise: NoiseModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n noise draws; zero amplitude returns zeros without drawing."""
     if noise.a == 0.0:
@@ -198,7 +194,8 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty strictly increasing grid")
         if min(n_values) < 2:
             raise ConfigError("n_values entries must be >= 2")
-        _parse_m_rule(self.m_rule)
+        # Evaluated at every n, so that a rule that overflows fails here.
+        list(map(_parse_m_rule(self.m_rule), n_values))
         for name in ("A", "C_f", "k_or_beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -234,7 +231,14 @@ def _parse_m_rule(rule: str):
         s = parse_value(value, float, f"m_rule {rule!r}")
         if not (math.isfinite(s) and s > 0):
             raise ConfigError(f"power m_rule needs a finite positive exponent, got {s}")
-        return lambda n: max(2, int(math.floor(n**s)))
+
+        def m_of(n):
+            try:
+                return max(2, int(math.floor(n**s)))
+            except OverflowError:
+                raise ConfigError(f"m_rule {rule!r} overflows at n = {n}") from None
+
+        return m_of
     raise ConfigError(f"unknown m_rule kind {kind!r}")
 
 
@@ -363,7 +367,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
     r_nM = rate(config.A, n, M, config.rate_kind)
 
     dictionary, truth = _preset_pair(config.preset, config.k_or_beta, M)
-    noise = noiseless() if config.preset == "linear" else noise_bounded_uniform(1.0)
+    noise = noise_bounded_uniform(0.0 if config.preset == "linear" else 1.0)
     problem = population_problem(dictionary, uniform_measure(), truth)
     if config.preset == "linear":
         lambda_star, dist2_star, oracle_found = truth.theta.copy(), 0.0, True
@@ -476,7 +480,7 @@ def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
         design,
         sample.w,
         penalty.weights,
-        np.diag(pop.psi),
+        pop.psi.diagonal(),
         design.entries @ ctx.lambda_star - sample.f_values,
         ctx.dist2_star,
         ctx.r_nM,

@@ -84,20 +84,23 @@ def kappa(psi) -> float:
     """Largest kappa such that psi - kappa * diag(psi) is PSD.
 
     Equals the smallest eigenvalue of D^{-1/2} psi D^{-1/2} with
-    D = diag(psi), from ``eigvalsh``. Eigenvalues within -1e-10 of zero
-    are quadrature noise and clamp to 0; a smaller one raises NumericError
-    (psi is not PSD), and so does an eigensolver that does not converge.
-    An exactly diagonal psi (:func:`_exactly_diagonal`) is neither scaled
-    nor passed to LAPACK: its value is the smallest psi_jj * (s_j * s_j)
-    with s_j = 1 / sqrt(psi_jj), the entry the scaled matrix would hold.
+    D = diag(psi), from ``eigvalsh``, which reads the lower triangle of the
+    scaled matrix: both Gram producers (:class:`PopulationConstants` and
+    :func:`empirical_gram`) symmetrise exactly, and an exactly symmetric
+    psi scales to an exactly symmetric matrix. Eigenvalues within -1e-10
+    of zero are quadrature noise and clamp to 0; a smaller one raises
+    NumericError (psi is not PSD), and so does an eigensolver that does
+    not converge. An exactly diagonal psi (:func:`_exactly_diagonal`) is
+    neither scaled nor passed to LAPACK: its value is the smallest
+    psi_jj * (s_j * s_j) with s_j = 1 / sqrt(psi_jj), the entry the scaled
+    matrix would hold.
     """
     psi = np.asarray(psi, dtype=float)
     if _exactly_diagonal(psi):
         s = 1.0 / np.sqrt(psi.diagonal())
         return float((psi.diagonal() * (s * s)).min())
-    normalized = _unit_diagonal(psi)
     try:
-        smallest = float(np.linalg.eigvalsh(0.5 * (normalized + normalized.T))[0])
+        smallest = float(np.linalg.eigvalsh(_unit_diagonal(psi))[0])
     except np.linalg.LinAlgError as exc:  # the eigensolver did not converge
         raise NumericError(f"kappa_M cannot be computed ({exc})") from None
     if smallest < -_PSD_TOL:
@@ -113,15 +116,21 @@ def coherence(psi, support) -> float:
     rho(i, j) = psi(i, j) / sqrt(psi(i, i) psi(j, j)). ``support`` holds
     0-based indices; an empty support gives rho(lambda) = 0. Correlations
     between two off-support functions do not enter rho(lambda). A
-    correlation beyond 1 + 1e-12 in magnitude raises NumericError.
+    correlation beyond 1 + 1e-12 in magnitude raises NumericError. An
+    exactly diagonal psi (:func:`_exactly_diagonal`, the test :func:`kappa`
+    and ``oracle_path`` share) is not scaled: every correlation is 0, so
+    only the support is checked.
     """
-    rho = _unit_diagonal(psi)
-    if max(rho.max(), -rho.min()) > 1.0 + 1e-12:
+    psi = np.asarray(psi, dtype=float)
+    rho = None if _exactly_diagonal(psi) else _unit_diagonal(psi)
+    if rho is not None and max(rho.max(), -rho.min()) > 1.0 + 1e-12:
         raise NumericError("correlation magnitude exceeds 1 beyond numeric tolerance")
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
-    M = rho.shape[0]
+    M = psi.shape[0]
     if support.size and (support.min() < 0 or support.max() >= M):
         raise ShapeError(f"support indices must lie in [0, {M})")
+    if rho is None:
+        return 0.0
     off = np.abs(rho[support])
     off[np.arange(support.size), support] = 0.0
     return min(float(off.max(initial=0.0)), 1.0)

@@ -970,6 +970,12 @@ def malformed_case(case, tmp_path):
         # or OverflowError from the first cell.
         cfg = write("cfg.txt", CONFIG.replace("fixed:10", "power:" + case.rsplit("-", 1)[1]))
         return ["experiment", "--config", cfg, "--out", out], cfg
+    if case == "config-m-rule-power-400":
+        # floor(64^400) used to end in an OverflowError traceback from the
+        # first cell.
+        cfg = write("cfg.txt", CONFIG.replace("fixed:10", "power:400"))
+        return (["experiment", "--config", cfg, "--out", out],
+                f"{cfg}: m_rule 'power:400' overflows at n = 64")
     if case == "config-seed-negative":
         # Used to end in numpy's "expected non-negative integer" traceback.
         cfg = write("cfg.txt", CONFIG.replace("seed = 11", "seed = -1"))
@@ -1021,6 +1027,7 @@ class TestMalformedInput:
             "fit-max-sweeps-0", "fit-A-inf", "rate-explicit-inf",
             "config-nonfinite-A-inf", "config-nonfinite-A-nan", "config-nonfinite-C_f-nan",
             "config-nonfinite-k_or_beta-nan", "config-m-rule-power-nan", "config-m-rule-power-inf",
+            "config-m-rule-power-400",
             "support-0", "support-9", "oracle-kmin-above-M",
             "truth-sobolev-inf", "truth-sobolev-nan", "truth-theta-nan", "truth-theta-inf",
             "truth-theta-twice", "density-narrow", "density-wide", "fit-A-nan-explicit",

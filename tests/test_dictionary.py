@@ -571,7 +571,8 @@ class TestValidateA2:
 
     def test_quadrature_constants_are_the_one_design_formulas(self):
         # A tabulated dictionary under a density measure has no closed form:
-        # Psi, c0 and L0 come bit for bit from one quadrature design.
+        # Psi and L0 come bit for bit from one quadrature design, and c0
+        # from Psi's diagonal.
         grid = np.linspace(0.0, 1.0, 9)
         d = build_tabulated([(grid, np.cos(j * grid) + j) for j in range(4)])
         ramp = grid_density_measure(grid, 1.0 + grid)
@@ -580,12 +581,24 @@ class TestValidateA2:
         psi = phi.T @ (phi * w[:, None])
         psi = 0.5 * (psi + psi.T)
         sq = phi * phi
-        weighted = sq * w[:, None]
         v = population_constants(d, ramp)
         assert np.array_equal(v.psi, psi)
         assert np.array_equal(population_gram(d, ramp), psi)
-        assert v.c0 == float(np.sqrt(max(weighted.sum(axis=0).min(), 0.0)))
-        assert v.L0 == float((sq.T @ weighted).max())
+        assert v.c0 == float(np.sqrt(max(np.diag(psi).min(), 0.0)))
+        assert v.L0 == float((sq.T @ (sq * w[:, None])).max())
+
+    @pytest.mark.parametrize("density", [False, True], ids=["uniform", "grid-density"])
+    def test_c0_is_read_off_the_gram_diagonal(self, density):
+        # c0^2 is the smallest squared norm, the smallest diagonal entry of
+        # Psi. A second sum over the quadrature design used to give c0 =
+        # 0.4085564096487003 here under the uniform measure, against
+        # sqrt(min Psi_jj) = 0.4085564096487004.
+        grid = np.linspace(0.0, 1.0, 9)
+        rng = np.random.default_rng(2)
+        d = build_tabulated([(grid, rng.normal(size=grid.size)) for _ in range(12)])
+        measure = grid_density_measure(grid, 1.0 + grid) if density else uniform_measure()
+        psi = population_gram(d, measure)
+        assert population_constants(d, measure).c0 == float(np.sqrt(max(np.diag(psi).min(), 0.0)))
 
     @pytest.mark.parametrize("value", [1e100, 1e160, None])
     def test_overflow_is_a_numeric_error_without_warning(self, value):

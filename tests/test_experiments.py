@@ -29,7 +29,6 @@ from l1agg import (
     linear_truth,
     load_config,
     noise_bounded_uniform,
-    noiseless,
     penalty_config,
     rate_slope,
     read_rows_csv,
@@ -92,11 +91,9 @@ class TestNoiseModels:
         assert np.exp(np.abs(w)).mean() == pytest.approx(noise.b, rel=0.01)
 
     def test_zero_amplitude_draws_nothing(self):
-        # Noiseless is zero amplitude, and its sample leaves the stream as
-        # it was.
-        assert noiseless() == noise_bounded_uniform(0.0)
+        # A zero-amplitude sample leaves the stream as it was.
         rng = np.random.default_rng(3)
-        np.testing.assert_array_equal(sample_noise(noiseless(), 5, rng), np.zeros(5))
+        np.testing.assert_array_equal(sample_noise(noise_bounded_uniform(0.0), 5, rng), np.zeros(5))
         assert rng.uniform() == np.random.default_rng(3).uniform()
 
     @pytest.mark.parametrize("a", [math.inf, math.nan])
@@ -123,7 +120,7 @@ class TestGenerate:
     def test_noiseless(self):
         d = build_fourier(5)
         truth = l0k_truth(2)
-        sample = generate(d, truth, uniform_measure(), noiseless(), 50, seed=4)
+        sample = generate(d, truth, uniform_measure(), noise_bounded_uniform(0.0), 50, seed=4)
         np.testing.assert_array_equal(sample.y, sample.f_values)
         np.testing.assert_array_equal(sample.w, 0.0)
 
@@ -137,7 +134,7 @@ class TestGenerate:
 
     def test_points_in_domain(self):
         d = build_fourier(3)
-        sample = generate(d, l0k_truth(1), uniform_measure(), noiseless(), 1000, 0)
+        sample = generate(d, l0k_truth(1), uniform_measure(), noise_bounded_uniform(0.0), 1000, 0)
         assert sample.x.min() >= 0.0 and sample.x.max() <= 1.0
 
     @pytest.mark.parametrize("n", [1, 8192])
@@ -159,7 +156,9 @@ class TestGenerate:
         # with no overflow warning and no non-finite points.
         d = build_coordinate(2, domain=[-1e308, 1e308])
         with pytest.raises(ConfigError, match=re.escape("domain [[-1e+308, 1e+308]")):
-            generate(d, linear_truth(np.ones(2)), uniform_measure(), noiseless(), 4, 0)
+            generate(
+                d, linear_truth(np.ones(2)), uniform_measure(), noise_bounded_uniform(0.0), 4, 0
+            )
 
     UNIFORM = (
         build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]]),
@@ -196,7 +195,7 @@ class TestGenerate:
     def test_wrong_out_refused(self, make):
         dictionary, truth, measure = self.UNIFORM
         with pytest.raises(ShapeError, match="out must be"):
-            generate(dictionary, truth, measure, noiseless(), 8, 0, out=make(8, 3))
+            generate(dictionary, truth, measure, noise_bounded_uniform(0.0), 8, 0, out=make(8, 3))
 
     @pytest.mark.parametrize("out", [None, np.empty((8, 1))], ids=["fresh", "out"])
     def test_density_measure_is_not_drawn_from(self, out):
@@ -205,7 +204,9 @@ class TestGenerate:
         # piecewise-linear density: E[X] was 0.484 against 0.4577 here.
         measure = grid_density_measure([0.0, 0.4, 1.0], [1.0, 3.0, 0.5])
         with pytest.raises(UnsupportedOperationError, match="drawn uniformly"):
-            generate(build_fourier(5), l0k_truth(2), measure, noiseless(), 8, 0, out=out)
+            generate(
+                build_fourier(5), l0k_truth(2), measure, noise_bounded_uniform(0.0), 8, 0, out=out
+            )
 
 
 class TestPresetTruths:
@@ -288,6 +289,12 @@ class TestRun:
         # M = floor(n^s), at least 2: 2^0.75 < 2, 256^0.75 = 64, 2048^0.75 = 304.4.
         cfg = tiny_config(n_values=(2, 256, 2048), m_rule="power:0.75")
         assert [cell_context(cfg, i).M for i in range(3)] == [2, 64, 304]
+
+    def test_power_m_rule_that_overflows_is_refused_with_the_config(self):
+        # floor(n^s) used to raise a bare OverflowError from the first cell
+        # it overflowed in; the rule is evaluated at every n of the grid.
+        with pytest.raises(ConfigError, match=r"m_rule 'power:130' overflows at n = 256$"):
+            tiny_config(n_values=(2, 256), m_rule="power:130")
 
     @pytest.mark.parametrize("cell", [-1, 2], ids=["negative", "past-end"])
     def test_cell_index_out_of_range_refused(self, cell):

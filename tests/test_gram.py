@@ -26,7 +26,7 @@ from l1agg import (
     population_gram,
     uniform_measure,
 )
-from l1agg import oracles
+from l1agg import gram, oracles
 from l1agg.experiments import cell_context
 from l1agg.gram import write_gram_csv
 
@@ -199,7 +199,8 @@ def tiny_off_diagonal():
 
 
 class TestOneDiagonalTest:
-    """kappa and oracle_path decide "Psi is exactly diagonal" by one test."""
+    """kappa, coherence and oracle_path decide "Psi is exactly diagonal" by
+    one test."""
 
     CASES = {
         "identity": (lambda: np.eye(6), None),
@@ -252,6 +253,27 @@ class TestOneDiagonalTest:
                 closed.add(name)
         assert closed == {"identity", "centred box", "disjoint hats"}
 
+    def test_coherence_skips_scaling_where_kappa_skips_lapack(self, monkeypatch):
+        # coherence used to scale every Psi to unit diagonal, diagonal or not.
+        unit_diagonal, scaled = gram._unit_diagonal, []
+        monkeypatch.setattr(
+            gram, "_unit_diagonal", lambda psi: scaled.append(1) or unit_diagonal(psi)
+        )
+        closed = set()
+        for name, (build, error) in self.CASES.items():
+            psi = build()
+            scaled.clear()
+            if error is None:
+                off = np.abs(unit_diagonal(psi)[0])
+                off[0] = 0.0
+                assert coherence(psi, [0]) == min(float(off.max()), 1.0), name
+            else:
+                with pytest.raises(error[0], match=error[1]):
+                    coherence(psi, [0])
+            if not scaled:
+                closed.add(name)
+        assert closed == {"identity", "centred box", "disjoint hats"}
+
 
 class TestCoherence:
     def test_identity_any_support(self):
@@ -286,6 +308,22 @@ class TestCoherence:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ShapeError):
             coherence(np.empty((0, 0)), [])
+
+    def test_identity_needs_no_matrix_temporaries(self):
+        # Scaling np.eye(2048) to unit diagonal peaked at 64 MB.
+        psi = np.eye(2048)
+        tracemalloc.start()
+        try:
+            assert coherence(psi, [1, 5]) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("support", [[1, 4], [-1, 2]])
+    def test_diagonal_gram_still_checks_the_support(self, support):
+        with pytest.raises(ShapeError, match=r"support indices must lie in \[0, 4\)"):
+            coherence(np.diag([1.0, 2.0, 3.0, 4.0]), support)
 
 
 class TestEta:

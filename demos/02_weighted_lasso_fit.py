@@ -3,8 +3,9 @@ Weighted l1-penalized least squares
 ===================================
 
 Fit the aggregate f_hat = sum_j lambda_j f_j by cyclic coordinate descent.
-The penalty uses per-coordinate weights omega_j = r_{n,M} ||f_j||_n, so
-every fit comes back with an exact KKT certificate. Larger tuning
+The penalty uses per-coordinate weights omega_j = r_{n,M} ||f_j||_n, with
+the rate r_{n,M} = A sqrt(log n / n), and every fit comes back with an
+exact KKT certificate. Larger tuning
 constants A give sparser fits.
 """
 
@@ -17,8 +18,9 @@ from l1agg import (
     generate,
     l0k_truth,
     noise_bounded_uniform,
-    penalty_config,
+    penalty_weights,
     predict,
+    rate,
     uniform_measure,
 )
 
@@ -29,10 +31,10 @@ sample = generate(
 )
 design = evaluate(dictionary, sample.x)
 
-penalty = penalty_config(design, A=4.0, rate_kind="log_n")
-result = fit(design, sample.y, penalty)
+r_nM = rate(4.0, design.n, design.M, "log_n")
+result = fit(design, sample.y, penalty_weights(design, r_nM))
 
-print("rate r_nM =", round(penalty.r_nM, 4))
+print("rate r_nM =", round(r_nM, 4))
 print("support (0-based):", result.support.tolist())
 print("nonzero coefficients:", np.round(result.lambda_hat[result.support], 3))
 print("sweeps:", result.sweeps, "| KKT residual:", f"{result.kkt_residual:.2e}")
@@ -45,5 +47,6 @@ print("f_hat on a grid:", np.round(predict(dictionary, result.lambda_hat, grid),
 # The regularization ladder: support size shrinks as A grows.
 print("\n A    m_hat  objective")
 for a_value in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-    ladder_fit = fit(design, sample.y, penalty_config(design, a_value, "log_n"))
+    weights = penalty_weights(design, rate(a_value, design.n, design.M, "log_n"))
+    ladder_fit = fit(design, sample.y, weights)
     print(f"{a_value:4.1f}   {ladder_fit.m_hat:3d}   {ladder_fit.objective:.4f}")

@@ -103,15 +103,12 @@ _EXPORTS = {
         "run",
         "run_single",
         "summarize",
-        "write_rows_csv",
     ),
     "solver": (
         "LassoFit",
-        "PenaltyConfig",
         "fit",
-        "penalty_config",
+        "penalty_weights",
         "rate",
-        "soft_threshold",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

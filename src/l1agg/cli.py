@@ -18,6 +18,7 @@ in CSV artifacts are 1-based (function f_1 is column j=1).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
@@ -111,15 +112,22 @@ def _parse_truth(spec: str):
     raise ConfigError(f"unknown truth shorthand {spec!r}")
 
 
-def _parse_rate(spec: str):
-    if spec == "logM":
-        return "log_M", None
-    if spec == "logn":
-        return "log_n", None
+def _rate_value(spec: str, A: float, n: int, M: int) -> float:
+    """The rate r_{n,M} that ``--rate`` names: :func:`rate` for ``logM``
+    and ``logn``, the value itself for ``explicit:<v>``. A bad ``--A`` is
+    refused under every rate, although an explicit rate does not read it."""
+    from .solver import rate
+
+    kinds = {"logM": "log_M", "logn": "log_n"}
+    if spec in kinds:
+        return rate(A, n, M, kinds[spec])
     kind, _, value = spec.partition(":")
-    if kind == "explicit" and value:
-        return "explicit", parse_value(value, float, spec)
-    raise ConfigError(f"unknown rate {spec!r}; expected logM, logn or explicit:<v>")
+    if kind != "explicit" or not value:
+        raise ConfigError(f"unknown rate {spec!r}; expected logM, logn or explicit:<v>")
+    r_nM = parse_value(value, float, spec)
+    if not (math.isfinite(A) and A > 0):
+        raise ConfigError(f"tuning constant A must be finite and positive, got {A}")
+    return r_nM
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +137,24 @@ def _parse_rate(spec: str):
 
 def _cmd_fit(args) -> int:
     from .dictionary import evaluate, load_points_csv
-    from .solver import fit, penalty_config
+    from .solver import fit, penalty_weights
 
     dictionary = _parse_dictionary(args.dict)
     points, y = load_points_csv(args.data)
     if y is None:
         raise ConfigError("fit needs a response column y in the data CSV")
     design = evaluate(dictionary, points)
-    rate_kind, explicit_r = _parse_rate(args.rate)
-    penalty = penalty_config(design, args.A, rate_kind, explicit_r)
+    weights = penalty_weights(design, _rate_value(args.rate, args.A, design.n, design.M))
 
     # --tol and --max-sweeps, when not given, take fit's own defaults.
     options = {key: value for key, value in vars(args).items() if key in ("tol", "max_sweeps")}
     try:
-        result = fit(design, y, penalty, **options)
+        result = fit(design, y, weights, **options)
     except ConvergenceError as exc:
         result = exc.partial_fit
         print(f"warning: {exc}", file=sys.stderr)
 
-    table = zip(range(1, design.M + 1), result.lambda_hat, penalty.weights)
+    table = zip(range(1, design.M + 1), result.lambda_hat, weights)
     atomic_write_text(args.out, csv_text(["j", "lambda", "omega"], table))
 
     for line in (

@@ -55,7 +55,7 @@ from .oracles import (
     sup_norm_error,
     theorem_rhs,
 )
-from .solver import DEFAULT_TOL, fit, penalty_config, rate
+from .solver import DEFAULT_TOL, fit, penalty_weights, rate
 from .tails import lemma_bounds
 
 PRESETS = ("linear", "fourier-L0k", "fourier-sobolev")
@@ -463,8 +463,8 @@ def _cell_buffers(ctx: CellContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
-    """One replicate's sample, its evaluated design, the penalty with weights
-    at the cell's rate ctx.r_nM, and the good-event indicators of the sample
+    """One replicate's sample, its evaluated design, the penalty weights at
+    the cell's rate ctx.r_nM, and the good-event indicators of the sample
     against the cell's oracle.
 
     ``buffers`` are the ``out`` arrays of :func:`generate` and
@@ -474,19 +474,18 @@ def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
     pop = ctx.population
     sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed, out=x_out)
     design = evaluate(pop.dictionary, sample.x, out=design_out)
-    # An explicit rate ignores the tuning constant A.
-    penalty = penalty_config(design, 1.0, "explicit", ctx.r_nM)
+    weights = penalty_weights(design, ctx.r_nM)
     flags = event_flags(
         design,
         sample.w,
-        penalty.weights,
+        weights,
         pop.psi.diagonal(),
         design.entries @ ctx.lambda_star - sample.f_values,
         ctx.dist2_star,
         ctx.r_nM,
         ctx.k_star,
     )
-    return sample, design, penalty, flags
+    return sample, design, weights, flags
 
 
 def _run_replicate(
@@ -494,9 +493,9 @@ def _run_replicate(
 ) -> ExperimentRow:
     seed = replicate_seed(config, ctx.cell_index, rep)
     start = time.perf_counter()
-    sample, design, penalty, flags = _draw(ctx, seed, buffers)
+    sample, design, weights, flags = _draw(ctx, seed, buffers)
     try:
-        result = fit(design, sample.y, penalty)
+        result = fit(design, sample.y, weights)
     except ConvergenceError as exc:
         result = exc.partial_fit
     risk = population_dist2(ctx.population, result.lambda_hat)
@@ -611,20 +610,26 @@ class CellSummary:
 
 def _rows_by_cell(config: ExperimentConfig, rows) -> list[list[ExperimentRow]]:
     """Each cell's rows in replicate order. Row ``rep`` of cell ``c`` has the
-    config's preset, k_or_beta, A, n and M for ``c`` and the seed
-    ``replicate_seed(config, c, rep)``. Raises ConfigError for a row that
-    matches no cell, a (cell, rep) given twice, or a cell without R rows."""
-    m_of = _parse_m_rule(config.m_rule)
+    config's preset, k_or_beta, A, n and M for ``c``, the seed
+    ``replicate_seed(config, c, rep)``, and the right-hand sides
+    ``rhs_t21_risk`` and ``rhs_t21_l1`` of ``cell_context(config, c)``,
+    which differ for rows from another rate_kind or C_f unless k* = 0.
+    Raises ConfigError for a row that matches no cell, a (cell, rep) given
+    twice, or a cell without R rows."""
     cells = [[None] * config.R for _ in config.n_values]
     for row in rows:
         cell, rep = divmod(row.seed - config.seed, SEED_CELL_STRIDE)  # inverts replicate_seed
-        n = config.n_values[cell] if 0 <= cell < len(cells) and rep < config.R else None
-        if n is None or (row.preset, row.k_or_beta, row.A, row.n, row.M, row.rep) != (
-            config.preset, config.k_or_beta, config.A, n, m_of(n), rep
+        ctx = cell_context(config, cell) if 0 <= cell < len(cells) and rep < config.R else None
+        if ctx is None or (
+            row.preset, row.k_or_beta, row.A, row.n, row.M, row.rep,
+            row.rhs_t21_risk, row.rhs_t21_l1,
+        ) != (
+            config.preset, config.k_or_beta, config.A, ctx.n, ctx.M, rep,
+            ctx.rhs_t21_risk, ctx.rhs_t21_l1,
         ):
             raise ConfigError(f"row n = {row.n}, seed = {row.seed} is not from this config")
         if cells[cell][rep] is not None:
-            raise ConfigError(f"two rows for cell n = {n}, rep = {rep}")
+            raise ConfigError(f"two rows for cell n = {ctx.n}, rep = {rep}")
         cells[cell][rep] = row
     for n, reps in zip(config.n_values, cells):
         if None in reps:

@@ -4,11 +4,12 @@ Minimizes
 
     n^-1 sum_i (Y_i - sum_j lambda_j f_j(X_i))^2  +  2 sum_j omega_j |lambda_j|
 
-with per-coordinate weights omega_j = r_{n,M} ||f_j||_n. Cyclic coordinate
-descent with exact one-dimensional minimization gives closed soft-threshold
-updates and an easily certified KKT optimum. One scale-free KKT test ends
-the fit, after a sweep or for one linear solve on the support once the
-signs hold for a sweep.
+with per-coordinate weights omega_j = r_{n,M} ||f_j||_n
+(:func:`penalty_weights`); :func:`fit` reads only the weight vector omega.
+Cyclic coordinate descent with exact one-dimensional minimization gives
+closed soft-threshold updates and an easily certified KKT optimum. One
+scale-free KKT test ends the fit, after a sweep or for one linear solve on
+the support once the signs hold for a sweep.
 
 Runs are deterministic: initialization at zero, sweep order 0..M-1, no
 randomness anywhere.
@@ -51,53 +52,14 @@ def soft_threshold(z, t):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Tuning constant A (finite and > 0 for every rate kind), rate and weights."""
-
-    A: float
-    rate_kind: str
-    r_nM: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not (math.isfinite(self.A) and self.A > 0):
-            raise ConfigError(f"tuning constant A must be finite and positive, got {self.A}")
-        if self.rate_kind not in ("log_M", "log_n", "explicit"):
-            raise ConfigError(f"unknown rate kind {self.rate_kind!r}")
-        if not (math.isfinite(self.r_nM) and self.r_nM > 0):
-            raise ConfigError(
-                f"rate r_nM must be finite and positive (log_n needs n >= 2), got {self.r_nM}"
-            )
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ConfigError("penalty weights must be finite and nonnegative")
-
-
-def penalty_config(
-    design: DesignMatrix,
-    A: float,
-    rate_kind: str = "log_M",
-    explicit_r: float | None = None,
-) -> PenaltyConfig:
-    """Build the penalty from a design: omega_j = r_{n,M} ||f_j||_n.
-
-    ``rate_kind`` is one of ``log_M``, ``log_n``, ``explicit`` (the latter
-    takes the rate value from ``explicit_r``).
-    """
-    if rate_kind == "explicit":
-        if explicit_r is None or not (math.isfinite(explicit_r) and explicit_r > 0):
-            raise ConfigError(
-                f"explicit rate kind needs a finite positive explicit_r, got {explicit_r}"
-            )
-        r = float(explicit_r)
-    else:
-        r = rate(A, design.n, design.M, rate_kind)
-    return PenaltyConfig(
-        A=float(A),
-        rate_kind=rate_kind,
-        r_nM=r,
-        weights=r * empirical_norms(design),
-    )
+def penalty_weights(design: DesignMatrix, r_nM: float) -> np.ndarray:
+    """The penalty weights omega_j = r_{n,M} ||f_j||_n of a design, for a
+    finite and positive rate r_{n,M} (:func:`rate`, or a value of its own)."""
+    if not (math.isfinite(r_nM) and r_nM > 0):
+        raise ConfigError(
+            f"rate r_nM must be finite and positive (log_n needs n >= 2), got {r_nM}"
+        )
+    return r_nM * empirical_norms(design)
 
 
 @dataclass(frozen=True)
@@ -108,10 +70,8 @@ class LassoFit:
     raises: its stopping test passed after a sweep or for the exact
     finish. ``kkt_residual`` is the largest violation, unscaled, at a fresh
     residual. ``sweeps`` counts coordinate-descent sweeps; the finish is
-    not one. ``support``/``m_hat`` count exact nonzeros; ``frozen`` lists
-    columns with zero empirical norm that were pinned at 0.
-    ``objective_path`` holds the penalized objective after each sweep
-    (diagnostic). ``duality_gap`` is P(lambda_hat) - D(theta)
+    not one. ``support``/``m_hat`` count exact nonzeros. ``duality_gap`` is
+    P(lambda_hat) - D(theta)
     >= 0 for the dual point theta = s * (Y - f_lambda_hat(X)), scaled by
     the largest s <= 1 with |n^-1 <f_j, theta>| <= omega_j for every j; it
     bounds the objective's distance to the optimum.
@@ -125,8 +85,6 @@ class LassoFit:
     duality_gap: float
     sweeps: int
     converged: bool
-    frozen: tuple = ()
-    objective_path: tuple = ()
 
 
 def _violation(grad: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -177,11 +135,15 @@ def _exact_finish(g, gram, signs, weights, bound):
 def fit(
     design: DesignMatrix,
     y,
-    penalty: PenaltyConfig,
+    weights,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> LassoFit:
     """Cyclic coordinate descent from a zero start, on sufficient statistics.
+
+    ``weights`` is the penalty's omega, one finite nonnegative value per
+    column (ConfigError otherwise); :func:`penalty_weights` gives the
+    paper's r_{n,M} ||f_j||_n.
 
     Each update is the exact one-dimensional minimizer
     soft_threshold(c_j, omega_j) / ||f_j||_n^2 with
@@ -213,16 +175,17 @@ def fit(
         raise ShapeError(f"response must have shape ({n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise NumericError("response vector contains non-finite values")
-    weights = np.asarray(penalty.weights, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     if weights.shape != (M,):
         raise ShapeError(f"weights must have shape ({M},), got {weights.shape}")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ConfigError("penalty weights must be finite and nonnegative")
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
     col_sq = design.norms_sq
-    frozen = tuple(int(j) for j in np.flatnonzero(col_sq == 0.0))
     coords = [
         (j, w_j, q_j)
         for j, (w_j, q_j) in enumerate(zip(weights.tolist(), col_sq.tolist()))
@@ -246,7 +209,6 @@ def fit(
     lam = [0.0] * M
     signs = np.zeros(M)
     tried = False  # the exact finish was refused for the current signs
-    path = []
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -266,9 +228,7 @@ def fit(
                     col = gram[j] = phi.T @ phi[:, j] / n
                 grad -= (new - old) * col
                 lam[j] = new
-        lam_v = np.array(lam, dtype=float)
-        path.append(float(yy - lam_v @ g - lam_v @ grad + 2.0 * (weights @ np.abs(lam_v))))
-        previous, signs = signs, np.sign(lam_v)
+        previous, signs = signs, np.sign(lam)
         if (_violation(grad, signs, weights) <= bound).all():
             converged = True
             break
@@ -299,8 +259,6 @@ def fit(
         duality_gap=_duality_gap(resid_sq, grad, lam, weights),
         sweeps=sweeps,
         converged=converged,
-        frozen=frozen,
-        objective_path=tuple(path),
     )
     if not converged:
         raise ConvergenceError(

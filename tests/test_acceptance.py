@@ -17,25 +17,23 @@ from l1agg import (
     DesignMatrix,
     ExperimentConfig,
     build_fourier,
-    empirical_norms,
     evaluate,
     fit,
     generate,
     kappa,
     lemma_bounds,
     membership,
-    penalty_config,
+    penalty_weights,
     population_dist2,
     population_gram,
+    rate,
     rate_slope,
     run,
-    soft_threshold,
     uniform_measure,
-    write_rows_csv,
 )
 from l1agg.experiments import cell_context, event_diagnostics, replicate_seed
 from l1agg.oracles import COHERENCE_THRESHOLD
-from l1agg.solver import PenaltyConfig
+from l1agg.solver import soft_threshold
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -103,12 +101,12 @@ def c1_fits():
         q, _ = np.linalg.qr(rng.normal(size=(64, 8)))
         design = DesignMatrix(n=64, M=8, entries=q * math.sqrt(64))
         y = rng.normal(size=64)
-        penalty = penalty_config(design, A=1.0, rate_kind="log_M")
+        weights = penalty_weights(design, rate(1.0, 64, 8, "log_M"))
         start = time.perf_counter()
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         fit_seconds += time.perf_counter() - start
-        closed = soft_threshold(design.entries.T @ y / 64, penalty.weights)
-        records.append((design, y, penalty.weights, result, closed))
+        closed = soft_threshold(design.entries.T @ y / 64, weights)
+        records.append((design, y, weights, result, closed))
     return records, fit_seconds
 
 
@@ -145,10 +143,10 @@ def c2_fits():
         entries = rng.normal(size=(4, 2))
         design = DesignMatrix(n=4, M=2, entries=entries)
         y = entries @ np.array([1.0, -1.0]) + 0.5 * rng.normal(size=4)
-        penalty = penalty_config(design, A=0.5, rate_kind="log_M")
-        result = fit(design, y, penalty)
-        lam_grid, obj_grid = grid_search_2d(design, y, penalty.weights)
-        records.append((design, y, penalty.weights, result, lam_grid, obj_grid))
+        weights = penalty_weights(design, rate(0.5, 4, 2, "log_M"))
+        result = fit(design, y, weights)
+        lam_grid, obj_grid = grid_search_2d(design, y, weights)
+        records.append((design, y, weights, result, lam_grid, obj_grid))
     return records
 
 
@@ -176,14 +174,9 @@ def c6_fits():
         seed = replicate_seed(config, 0, rep)
         sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
         design = evaluate(pop.dictionary, sample.x)
-        penalty = PenaltyConfig(
-            A=config.A,
-            rate_kind=config.rate_kind,
-            r_nM=ctx.r_nM,
-            weights=ctx.r_nM * empirical_norms(design),
-        )
-        result = fit(design, sample.y, penalty)
-        records.append((ctx, design, sample, penalty, result))
+        weights = penalty_weights(design, ctx.r_nM)
+        result = fit(design, sample.y, weights)
+        records.append((ctx, design, sample, weights, result))
     return records
 
 
@@ -235,10 +228,10 @@ def test_c3_kkt_certificates(c1_fits, c2_fits, c6_fits, c4_experiment):
     for design, y, weights, result, _, _ in c2_fits:
         worst = max(worst, independent_kkt(design.entries, y, result.lambda_hat, weights))
         checked += 1
-    for ctx, design, sample, penalty, result in c6_fits:
+    for ctx, design, sample, weights, result in c6_fits:
         worst = max(
             worst,
-            independent_kkt(design.entries, sample.y, result.lambda_hat, penalty.weights),
+            independent_kkt(design.entries, sample.y, result.lambda_hat, weights),
         )
         checked += 1
     # A fresh batch of harness replicates, refit here and recertified.
@@ -248,11 +241,11 @@ def test_c3_kkt_certificates(c1_fits, c2_fits, c6_fits, c4_experiment):
         seed = replicate_seed(config, 2, rep)
         sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
         design = evaluate(pop.dictionary, sample.x)
-        penalty = penalty_config(design, config.A, config.rate_kind)
-        result = fit(design, sample.y, penalty)
+        weights = penalty_weights(design, ctx.r_nM)
+        result = fit(design, sample.y, weights)
         worst = max(
             worst,
-            independent_kkt(design.entries, sample.y, result.lambda_hat, penalty.weights),
+            independent_kkt(design.entries, sample.y, result.lambda_hat, weights),
         )
         checked += 1
     row_worst = max(r.kkt for r in rows)
@@ -288,12 +281,12 @@ def test_c5_l1_scaling(c4_experiment):
 def test_c6_exact_representation(c6_fits):
     worst_risk = 0.0
     recovered = True
-    for ctx, design, sample, penalty, result in c6_fits:
+    for ctx, design, sample, weights, result in c6_fits:
         # Penalty must sit below the smallest active gradient, so that
         # support recovery is the expected outcome at this tuning.
         grad0 = np.abs(design.entries.T @ sample.y) / design.n
         active = np.flatnonzero(ctx.lambda_star)
-        assert np.max(penalty.weights[active]) < np.min(grad0[active])
+        assert np.max(weights[active]) < np.min(grad0[active])
         risk = population_dist2(ctx.population, result.lambda_hat)
         worst_risk = max(worst_risk, risk)
         recovered = recovered and set(active) <= set(result.support.tolist())

@@ -781,6 +781,35 @@ class TestExperimentAndSummary:
             written.append(rows_csv.read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize(
+        "written, summarized",
+        [
+            # k* reads 1, 1, 2, 2 at C_f = 1 and 3, 3, 4, 5 at C_f = 0.05.
+            ("preset = fourier-sobolev\nn_values = 256,512,1024,2048\nm_rule = fixed:25\n"
+             "k_or_beta = 1.0\nrate_kind = log_n\nC_f = 1.0\n", "C_f = 0.05"),
+            ("preset = fourier-L0k\nn_values = 256,512,1024,2048\nm_rule = power:0.75\n"
+             "k_or_beta = 3.0\nrate_kind = log_M\nC_f = 1.0\n", "rate_kind = log_n"),
+        ],
+        ids=["C_f", "rate_kind"],
+    )
+    def test_rows_from_another_config_are_refused(self, written, summarized, tmp_path, capsys):
+        # Rows carry no C_f or rate_kind; they used to summarize under the
+        # other value with exit 0, k* and r_nM taken from the config.
+        rows_csv = tmp_path / "rows.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(written + f"A = 4.0\nR = 30\nseed = 0\nout = {rows_csv}\n")
+        assert run_cli(["experiment", "--config", str(cfg)], capsys)[0] == 0
+        other = tmp_path / "other.txt"
+        other.write_text(cfg.read_text() + summarized + "\n")
+        code, out, err = run_cli(
+            ["summary", "--config", str(other), "--rows", str(rows_csv),
+             "--out", str(tmp_path / "summary.csv")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: row n = 256, seed = 0 is not from this config"]
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_missing_config_exit_3(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["experiment", "--config", str(tmp_path / "nope.txt")], capsys
@@ -862,6 +891,10 @@ def malformed_case(case, tmp_path):
         return fit(good_data, A="inf"), None
     if case == "rate-explicit-inf":
         return fit(good_data, rate="explicit:inf"), None
+    if case == "rate-logn-one-row":
+        # log n = 0 at n = 1, so the rate and every weight are 0.
+        data = write("data.csv", "x1,y\n0.1,1.0\n")
+        return fit(data, rate="logn"), "rate r_nM must be finite and positive (log_n needs n >= 2)"
     if case.startswith("config-nonfinite-"):
         # A non-finite A, C_f or k_or_beta used to run (A = inf wrote rows
         # with infinite right-hand sides), or fail with a misleading message.
@@ -1024,7 +1057,7 @@ class TestMalformedInput:
             "config-m-rule", "summary-short-row", "bounds-n-nan", "bounds-n-inf",
             "bounds-n-2.5", "bounds-M-nan", "bounds-M-inf", "bounds-M-2.5",
             "bounds-m_lambda-2.5", "bounds-unknown-key", "fit-tol-nan", "fit-tol-inf",
-            "fit-max-sweeps-0", "fit-A-inf", "rate-explicit-inf",
+            "fit-max-sweeps-0", "fit-A-inf", "rate-explicit-inf", "rate-logn-one-row",
             "config-nonfinite-A-inf", "config-nonfinite-A-nan", "config-nonfinite-C_f-nan",
             "config-nonfinite-k_or_beta-nan", "config-m-rule-power-nan", "config-m-rule-power-inf",
             "config-m-rule-power-400",

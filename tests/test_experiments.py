@@ -29,7 +29,8 @@ from l1agg import (
     linear_truth,
     load_config,
     noise_bounded_uniform,
-    penalty_config,
+    penalty_weights,
+    rate,
     rate_slope,
     read_rows_csv,
     run,
@@ -37,7 +38,6 @@ from l1agg import (
     sobolev_truth,
     summarize,
     uniform_measure,
-    write_rows_csv,
 )
 from l1agg import dictionary as dictionary_module
 from l1agg import experiments, oracles, solver
@@ -53,6 +53,7 @@ from l1agg.experiments import (
     replicate_seed,
     rows_csv_text,
     sample_noise,
+    write_rows_csv,
 )
 
 
@@ -472,11 +473,9 @@ class TestRun:
         pop = ctx.population
         for rep in range(cfg.R):
             seed = replicate_seed(cfg, 0, rep)
-            from l1agg import evaluate, fit, generate, penalty_config
-
             sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
             design = evaluate(pop.dictionary, sample.x)
-            result = fit(design, sample.y, penalty_config(design, cfg.A, "log_M"))
+            result = fit(design, sample.y, penalty_weights(design, ctx.r_nM))
             ols, *_ = np.linalg.lstsq(design.entries, sample.y, rcond=None)
             np.testing.assert_allclose(result.lambda_hat, ols, atol=1e-5)
             np.testing.assert_allclose(ols, ctx.lambda_star, atol=1e-10)
@@ -624,7 +623,8 @@ class TestMonotoneSparsityInA:
             design = evaluate(d, sample.x)
             sizes = []
             for a_value in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-                result = fit(design, sample.y, penalty_config(design, a_value, "log_n"))
+                weights = penalty_weights(design, rate(a_value, 128, 10, "log_n"))
+                result = fit(design, sample.y, weights)
                 sizes.append(result.m_hat)
             assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 

@@ -1,16 +1,18 @@
 """Every function that l1agg exports is used outside the module that
 defines it: called, imported or read by another library module, a demo or
-a perfbench script, or shown as code in README.md. A word in prose is not
-a use. A function that only an acceptance gate calls is listed with that
-gate. Exported classes are exempt; they are the functions' result and
+a perfbench script, or shown as code in README.md. A word in prose or in
+a string literal is not a use. A function that only an acceptance gate
+calls is listed with that gate. Exported classes are exempt; they are the functions' result and
 argument types. Every exported name loads from its module on first use."""
 
 import ast
 import functools
 import inspect
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 import pytest
 
@@ -30,9 +32,21 @@ IMPORT_LIST = re.compile(r"^\s*(?:from\s+\S+\s+)?import\s+(\([^)]*\)|.*)$", re.M
 CODE_BLOCK = re.compile(r"^```.*?^```", re.S | re.M)
 
 
+@functools.cache
+def without_strings(source: str) -> str:
+    """Python ``source`` with every string literal, docstrings included,
+    replaced by ``""``."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return tokenize.untokenize(
+        tok._replace(string='""') if tok.type == tokenize.STRING else tok for tok in tokens
+    )
+
+
 def uses(name: str, source: str) -> bool:
     """Whether Python ``source`` calls, imports or reads ``name``:
-    ``name(``, ``.name``, or an import list that holds it."""
+    ``name(``, ``.name``, or an import list that holds it. Names inside
+    string literals (``"module.name"``) do not count."""
+    source = without_strings(source)
     word = re.compile(rf"\b{name}\b")
     return bool(re.search(rf"\b{name}\(|\.{name}\b", source)) or any(
         word.search(names) for names in IMPORT_LIST.findall(source)

@@ -14,7 +14,6 @@ from l1agg import (
     DesignMatrix,
     ExperimentConfig,
     NumericError,
-    PenaltyConfig,
     build_coordinate,
     build_fourier,
     empirical_gram,
@@ -22,13 +21,13 @@ from l1agg import (
     evaluate,
     event_flags,
     fit,
-    penalty_config,
+    penalty_weights,
     predict,
     rate,
     run,
-    soft_threshold,
 )
-from l1agg import experiments, solver
+from l1agg import cli, experiments, solver
+from l1agg.solver import soft_threshold
 
 
 def make_design(entries):
@@ -40,6 +39,11 @@ def orthonormalized_design(rng, n, M):
     """Columns exactly orthonormal in the empirical inner product."""
     q, _ = np.linalg.qr(rng.normal(size=(n, M)))
     return make_design(q * math.sqrt(n))
+
+
+def log_m_weights(design, A):
+    """The penalty weights at the rate A sqrt(log M / n)."""
+    return penalty_weights(design, rate(A, design.n, design.M, "log_M"))
 
 
 def reference_violation(grad, signs, weights):
@@ -84,7 +88,6 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
     residual = y.copy()
     signs = np.zeros(M)
     tried = False
-    path = []
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -98,7 +101,6 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
             if new != lam[j]:
                 residual -= (new - lam[j]) * col
                 lam[j] = new
-        path.append(float(residual @ residual / n + 2.0 * (weights @ np.abs(lam))))
         previous, signs = signs, np.sign(lam)
         if np.all(reference_violation(phi.T @ residual / n, signs, weights) <= bound):
             converged = True
@@ -117,8 +119,6 @@ def reference_fit(design, y, weights, tol=1e-9, max_sweeps=100_000):
         "sweeps": sweeps,
         "converged": converged,
         "support": np.flatnonzero(lam != 0.0),
-        "frozen": tuple(int(j) for j in np.flatnonzero(col_sq == 0.0)),
-        "objective_path": path,
     }
 
 
@@ -148,7 +148,7 @@ def reference_cases():
     for name, (entries, A) in cases.items():
         design = make_design(entries)
         y = entries[:, :3] @ np.array([1.5, -2.0, 0.7]) + 0.3 * rng.normal(size=design.n)
-        out[name] = (design, y, penalty_config(design, A=A).weights)
+        out[name] = (design, y, log_m_weights(design, A))
     return out
 
 
@@ -158,10 +158,8 @@ REFERENCE_CASES = reference_cases()
 def assert_matches_reference(result, ref):
     assert result.sweeps == ref["sweeps"]
     assert result.converged == ref["converged"]
-    assert result.frozen == ref["frozen"]
     np.testing.assert_array_equal(result.support, ref["support"])
     assert np.max(np.abs(result.lambda_hat - ref["lambda_hat"])) <= 1e-12
-    np.testing.assert_allclose(result.objective_path, ref["objective_path"], rtol=1e-12, atol=0)
 
 
 def primal_dual_gap(design, y, lam, weights):
@@ -235,22 +233,27 @@ class TestRate:
         ids=["rate-inf", "weight-nan", "weight-inf"],
     )
     def test_nonfinite_penalty_rejected(self, r, weights):
+        # A bad rate is refused when the weights are formed, a bad weight
+        # when fit reads it.
+        design = make_design(np.random.default_rng(2).normal(size=(10, 2)))
         with pytest.raises(ConfigError):
-            PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=r, weights=np.array(weights))
+            fit(design, design.entries[:, 0], penalty_weights(design, r) * np.array(weights))
 
     @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
-    def test_explicit_rate_still_needs_a_valid_a(self, A):
-        # An explicit rate does not read A, but a bad A used to be kept.
-        design = make_design(np.random.default_rng(2).normal(size=(10, 3)))
-        with pytest.raises(ConfigError, match="A must be finite and positive"):
-            penalty_config(design, A, "explicit", 0.5)
-        with pytest.raises(ConfigError, match="A must be finite and positive"):
-            PenaltyConfig(A=A, rate_kind="explicit", r_nM=0.5, weights=np.ones(3))
+    def test_explicit_rate_still_needs_a_valid_a(self, A, tmp_path, capsys):
+        # An explicit rate does not read A, but a bad A used to be kept; the
+        # library takes the rate alone, and the CLI refuses a bad --A.
+        data = tmp_path / "data.csv"
+        data.write_text("x1,y\n0.1,1.0\n0.2,2.0\n0.3,0.5\n")
+        argv = ["fit", "--dict", "fourier:3", "--data", str(data), "--A", str(A),
+                "--rate", "explicit:0.5", "--out", str(tmp_path / "coef.csv")]
+        assert cli.main(argv) == 1
+        assert "A must be finite and positive" in capsys.readouterr().err
 
     def test_nonfinite_explicit_rate_rejected(self):
         design = make_design(np.random.default_rng(2).normal(size=(10, 3)))
-        with pytest.raises(ConfigError):
-            penalty_config(design, 1.0, "explicit", math.inf)
+        with pytest.raises(ConfigError, match="rate r_nM must be finite and positive"):
+            penalty_weights(design, math.nan)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -284,15 +287,15 @@ class TestFit:
         rng = np.random.default_rng(0)
         design = orthonormalized_design(rng, 64, 8)
         y = rng.normal(size=64)
-        penalty = penalty_config(design, A=1.0, rate_kind="log_M")
-        result = fit(design, y, penalty)
-        closed = soft_threshold(design.entries.T @ y / 64, penalty.weights)
+        weights = log_m_weights(design, 1.0)
+        result = fit(design, y, weights)
+        closed = soft_threshold(design.entries.T @ y / 64, weights)
         np.testing.assert_allclose(result.lambda_hat, closed, atol=1e-8)
 
     def test_zero_response(self):
         design = make_design(np.random.default_rng(1).normal(size=(10, 3)))
-        penalty = penalty_config(design, A=1.0)
-        result = fit(design, np.zeros(10), penalty)
+        weights = log_m_weights(design, 1.0)
+        result = fit(design, np.zeros(10), weights)
         np.testing.assert_array_equal(result.lambda_hat, 0.0)
         assert result.objective == 0.0
 
@@ -304,38 +307,28 @@ class TestFit:
         design = evaluate(build_fourier(5), np.array([0.1, 0.2, 0.3]))
         y = scale * np.array([1.0, 1.0, -1.0])
         with pytest.raises(NumericError, match="is not finite"):
-            fit(design, y, penalty_config(design, A=1.0))
+            fit(design, y, log_m_weights(design, 1.0))
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(5)
         design = make_design(rng.normal(size=(4, 2)))
         y = rng.normal(size=4)
-        penalty = penalty_config(design, A=0.5, rate_kind="log_M")
-        result = fit(design, y, penalty)
-        lam_grid, obj_grid = grid_search_2d(design, y, penalty.weights)
+        weights = log_m_weights(design, 0.5)
+        result = fit(design, y, weights)
+        lam_grid, obj_grid = grid_search_2d(design, y, weights)
         np.testing.assert_allclose(result.lambda_hat, lam_grid, atol=2e-3)
         assert result.objective == pytest.approx(obj_grid, abs=1e-5)
-
-    def test_objective_monotone_over_sweeps(self):
-        rng = np.random.default_rng(9)
-        entries = rng.normal(size=(30, 6))
-        entries[:, 3] = 0.9 * entries[:, 2] + 0.1 * entries[:, 3]  # correlated
-        design = make_design(entries)
-        y = rng.normal(size=30)
-        result = fit(design, y, penalty_config(design, A=0.3))
-        path = np.array(result.objective_path)
-        assert np.all(np.diff(path) <= 1e-12 * (1 + np.abs(path[:-1])))
 
     def test_kkt_certificate_recomputable(self):
         rng = np.random.default_rng(13)
         design = make_design(rng.normal(size=(40, 5)))
         y = rng.normal(size=40)
-        penalty = penalty_config(design, A=1.0)
-        result = fit(design, y, penalty)
+        weights = log_m_weights(design, 1.0)
+        result = fit(design, y, weights)
         # The largest KKT violation, recomputed from a fresh residual: zero
         # coordinates need |grad_j| <= omega_j, active ones equality with
         # omega_j sign(lambda_j).
-        lam, w = result.lambda_hat, penalty.weights
+        lam, w = result.lambda_hat, weights
         grad = design.entries.T @ (y - design.entries @ lam) / design.n
         again = np.where(lam == 0.0, np.maximum(np.abs(grad) - w, 0.0), np.abs(grad - w * np.sign(lam)))
         assert np.count_nonzero(lam) >= 1 and np.count_nonzero(lam == 0.0) >= 1
@@ -346,10 +339,7 @@ class TestFit:
         design = make_design(rng.normal(size=(25, 4)))
         y = rng.normal(size=25)
         grad0 = np.abs(design.entries.T @ y / 25)
-        penalty = PenaltyConfig(
-            A=1.0, rate_kind="explicit", r_nM=1.0, weights=grad0 + 1e-12
-        )
-        result = fit(design, y, penalty)
+        result = fit(design, y, grad0 + 1e-12)
         np.testing.assert_array_equal(result.lambda_hat, 0.0)
         assert result.sweeps == 1
 
@@ -357,14 +347,11 @@ class TestFit:
         rng = np.random.default_rng(33)
         design = make_design(rng.normal(size=(50, 6)))
         y = rng.normal(size=50)
-        penalty = penalty_config(design, A=0.8)
-        base = fit(design, y, penalty)
+        weights = log_m_weights(design, 0.8)
+        base = fit(design, y, weights)
         perm = np.array([4, 2, 0, 5, 1, 3])
         design_p = make_design(design.entries[:, perm])
-        penalty_p = PenaltyConfig(
-            A=0.8, rate_kind="log_M", r_nM=penalty.r_nM, weights=penalty.weights[perm]
-        )
-        permuted = fit(design_p, y, penalty_p)
+        permuted = fit(design_p, y, weights[perm])
         np.testing.assert_allclose(
             permuted.lambda_hat, base.lambda_hat[perm], atol=1e-10
         )
@@ -373,9 +360,9 @@ class TestFit:
         rng = np.random.default_rng(44)
         design = make_design(rng.normal(size=(32, 5)))
         y = rng.normal(size=32)
-        penalty = penalty_config(design, A=0.5)
-        a = fit(design, y, penalty)
-        b = fit(design, y, penalty)
+        weights = log_m_weights(design, 0.5)
+        a = fit(design, y, weights)
+        b = fit(design, y, weights)
         assert np.array_equal(a.lambda_hat, b.lambda_hat)
         assert a.objective == b.objective
         assert a.sweeps == b.sweeps
@@ -385,12 +372,7 @@ class TestFit:
         entries[:, 1] = 0.0
         design = make_design(entries)
         y = entries[:, 0] * 2.0
-        penalty = PenaltyConfig(
-            A=1.0, rate_kind="explicit", r_nM=0.01,
-            weights=0.01 * np.sqrt(np.mean(entries**2, axis=0)),
-        )
-        result = fit(design, y, penalty)
-        assert result.frozen == (1,)
+        result = fit(design, y, 0.01 * np.sqrt(np.mean(entries**2, axis=0)))
         assert result.lambda_hat[1] == 0.0
 
     def test_non_convergence_error_carries_partial_fit(self):
@@ -399,9 +381,9 @@ class TestFit:
         entries = np.hstack([base + 1e-4 * rng.normal(size=(40, 1)) for _ in range(4)])
         design = make_design(entries)
         y = rng.normal(size=40)
-        penalty = penalty_config(design, A=0.01)
+        weights = log_m_weights(design, 0.01)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit(design, y, penalty, tol=1e-15, max_sweeps=2)
+            fit(design, y, weights, tol=1e-15, max_sweeps=2)
         partial = excinfo.value.partial_fit
         assert partial is not None
         assert partial.sweeps == 2
@@ -414,7 +396,7 @@ class TestFit:
         rng = np.random.default_rng(12)
         design = orthonormalized_design(rng, 60, 5)
         y = design.entries @ np.array([2.0, 0.0, -1.0, 0.0, 0.5]) + 0.1 * rng.normal(size=60)
-        result = fit(design, y, penalty_config(design, A=1.0), max_sweeps=1)
+        result = fit(design, y, log_m_weights(design, 1.0), max_sweeps=1)
         assert result.sweeps == 1 and result.kkt_residual <= 1e3 * 1e-9
         assert result.converged
 
@@ -430,7 +412,7 @@ class TestFit:
         design = make_design(entries)
         y = rng.normal(size=40)
         with pytest.raises(ConvergenceError, match=r"tol \* \|\|f_j\|\|_n") as excinfo:
-            fit(design, y, penalty_config(design, A=0.01), max_sweeps=100)
+            fit(design, y, log_m_weights(design, 0.01), max_sweeps=100)
         partial = excinfo.value.partial_fit
         bound = 1e-9 * np.sqrt(y @ y / 40) * np.sqrt(design.norms_sq)
         assert partial.sweeps == 100 and not partial.converged
@@ -447,35 +429,32 @@ class TestFit:
         design = make_design(np.random.default_rng(4).normal(size=(20, 3)))
         y = design.entries[:, 0]
         with pytest.raises(ConfigError):
-            fit(design, y, penalty_config(design, A=1.0), **stop)
+            fit(design, y, log_m_weights(design, 1.0), **stop)
 
     def test_objective_identity(self):
         rng = np.random.default_rng(17)
         design = make_design(rng.normal(size=(30, 4)))
         y = rng.normal(size=30)
-        penalty = penalty_config(design, A=1.0)
-        result = fit(design, y, penalty)
+        weights = log_m_weights(design, 1.0)
+        result = fit(design, y, weights)
         resid = y - design.entries @ result.lambda_hat
-        recomputed = resid @ resid / 30 + 2 * penalty.weights @ np.abs(result.lambda_hat)
+        recomputed = resid @ resid / 30 + 2 * weights @ np.abs(result.lambda_hat)
         assert result.objective == pytest.approx(recomputed, rel=1e-10)
 
 
 class TestReferenceLoop:
-    """``fit`` against the residual loop it replaced: the same sweeps, support
-    and frozen columns, coefficients to 1e-12 and the per-sweep objective to
-    1e-12 relative."""
+    """``fit`` against the residual loop it replaced: the same sweeps and
+    support, and coefficients to 1e-12."""
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_matches_residual_loop(self, case):
         design, y, weights = REFERENCE_CASES[case]
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        assert_matches_reference(fit(design, y, penalty), reference_fit(design, y, weights))
+        assert_matches_reference(fit(design, y, weights), reference_fit(design, y, weights))
 
     def test_partial_fits_match(self):
         design, y, weights = REFERENCE_CASES["correlated"]
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit(design, y, penalty, tol=1e-15, max_sweeps=2)
+            fit(design, y, weights, tol=1e-15, max_sweeps=2)
         ref = reference_fit(design, y, weights, tol=1e-15, max_sweeps=2)
         assert not ref["converged"]
         assert_matches_reference(excinfo.value.partial_fit, ref)
@@ -507,8 +486,7 @@ class TestGramPath:
         g = design.entries.T @ y / design.n
         assert np.count_nonzero(np.abs(g) > weights) == failing
         calls = self.spy_gram(monkeypatch)
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        assert_matches_reference(fit(design, y, penalty), reference_fit(design, y, weights))
+        assert_matches_reference(fit(design, y, weights), reference_fit(design, y, weights))
         assert calls == products
 
     def test_sparse_fourier_fit_forms_columns(self, monkeypatch):
@@ -517,7 +495,7 @@ class TestGramPath:
         y = design.entries[:, [1, 4, 8]] @ np.array([1.0, -0.8, 0.5])
         y += 0.3 * rng.normal(size=512)
         calls = self.spy_gram(monkeypatch)
-        result = fit(design, y, penalty_config(design, A=2.0, rate_kind="log_n"))
+        result = fit(design, y, penalty_weights(design, rate(2.0, 512, 25, "log_n")))
         assert calls == []
         assert result.m_hat == 3
 
@@ -548,8 +526,7 @@ class TestExactFinish:
         assert x[1] < 0.0  # the system for signs (+, +) has a negative root
         assert solver._exact_finish(g, gram, both, weights, bound) is None
         finish = solver._exact_finish(g, gram, np.array([1.0, 0.0]), weights, bound)
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         assert result.m_hat == 1
         assert np.max(np.abs(finish - result.lambda_hat)) <= 1e-12
 
@@ -566,7 +543,7 @@ class TestExactFinish:
         entries[:, 1] = entries[:, 0] + 1e-9 * rng.normal(size=60)
         design = make_design(entries)
         y = entries[:, 0] + 0.5 * entries[:, 2] + 0.1 * rng.normal(size=60)
-        penalty = penalty_config(design, A=0.1)
+        weights = log_m_weights(design, 0.1)
         tries = []
         exact_finish = solver._exact_finish
 
@@ -576,11 +553,11 @@ class TestExactFinish:
             return found
 
         monkeypatch.setattr(solver, "_exact_finish", spy)
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         assert tries and all(found is None for _, found in tries)
         assert any(signs[0] != 0.0 and signs[1] != 0.0 for signs, _ in tries)
         monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
-        plain = fit(design, y, penalty)
+        plain = fit(design, y, weights)
         assert np.array_equal(result.lambda_hat, plain.lambda_hat)
         assert result.sweeps == plain.sweeps
         assert result.objective == plain.objective
@@ -591,10 +568,10 @@ class TestExactFinish:
         # fit), where the sweeps alone need 6-9 to pass the stopping test.
         exact_finish = solver._exact_finish
 
-        def plain_signs(design, y, penalty, sweeps):
+        def plain_signs(design, y, weights, sweeps):
             monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
             try:
-                lam = fit(design, y, penalty, max_sweeps=sweeps).lambda_hat
+                lam = fit(design, y, weights, max_sweeps=sweeps).lambda_hat
             except ConvergenceError as err:
                 lam = err.partial_fit.lambda_hat
             finally:
@@ -603,10 +580,10 @@ class TestExactFinish:
 
         fits = []
 
-        def spy(design, y, penalty):
+        def spy(design, y, weights):
             # run reuses its design array, so the signs are read here.
-            result = fit(design, y, penalty)
-            signs = [plain_signs(design, y, penalty, k) for k in range(1, result.sweeps + 1)]
+            result = fit(design, y, weights)
+            signs = [plain_signs(design, y, weights, k) for k in range(1, result.sweeps + 1)]
             settled = [k for k in range(2, result.sweeps + 1)
                        if np.array_equal(signs[k - 1], signs[k - 2])]
             fits.append((result, settled))
@@ -637,17 +614,17 @@ class TestScaleEquivariance:
             base[:, 4] = base[:, 1]
         y = base @ np.array([1.0, -0.5, 0.0, 0.25, 0.0, 0.0]) + 0.1 * rng.normal(size=200)
         design = evaluate(build_coordinate(6, domain=[-c, c]), c * base)
-        penalty = penalty_config(design, A=0.05, rate_kind="log_M")
-        return fit(design, y, penalty), penalty, design, y
+        weights = log_m_weights(design, 0.05)
+        return fit(design, y, weights), weights, design, y
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_scaled_columns_give_scaled_fit(self, c):
         unit = self.scaled_fit(1.0)[0]
-        scaled, penalty, _, _ = self.scaled_fit(c)
+        scaled, weights, _, _ = self.scaled_fit(c)
         np.testing.assert_array_equal(scaled.support, unit.support)
         assert scaled.converged == unit.converged
         np.testing.assert_allclose(c * scaled.lambda_hat, unit.lambda_hat, rtol=1e-9, atol=0)
-        assert scaled.kkt_residual <= 1e-12 * penalty.weights.max()
+        assert scaled.kkt_residual <= 1e-12 * weights.max()
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
     def test_refused_finish_gives_scaled_fit(self, monkeypatch, c):
@@ -677,8 +654,7 @@ class TestDualityGap:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_gap_at_convergence(self, case):
         design, y, weights = REFERENCE_CASES[case]
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         assert -1e-12 <= result.duality_gap <= 1e-8
         direct = primal_dual_gap(design, y, result.lambda_hat, weights)
         assert result.duality_gap == pytest.approx(direct, abs=1e-12)
@@ -689,8 +665,7 @@ class TestDualityGap:
         design, y, weights = REFERENCE_CASES["correlated"]
         weights = weights.copy()
         weights[0] = 0.0
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         direct = primal_dual_gap(design, y, result.lambda_hat, weights)
         assert result.duality_gap == pytest.approx(direct, abs=1e-12)
         if (design.entries[:, 0] @ (y - design.entries @ result.lambda_hat)) != 0.0:
@@ -701,16 +676,14 @@ class TestDualityGap:
         # under this suite's filter) though only ratios below 1 bound s.
         design, y, _ = REFERENCE_CASES["correlated"]
         weights = np.full(design.M, 1e308)
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
-        result = fit(design, y, penalty)
+        result = fit(design, y, weights)
         assert result.m_hat == 0
         assert result.duality_gap == 0.0
 
     def test_gap_before_convergence_is_positive(self):
         design, y, weights = REFERENCE_CASES["correlated"]
-        penalty = PenaltyConfig(A=1.0, rate_kind="explicit", r_nM=1.0, weights=weights)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit(design, y, penalty, tol=1e-15, max_sweeps=1)
+            fit(design, y, weights, tol=1e-15, max_sweeps=1)
         partial = excinfo.value.partial_fit
         direct = primal_dual_gap(design, y, partial.lambda_hat, weights)
         assert partial.duality_gap > 1e-8

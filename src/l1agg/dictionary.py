@@ -198,16 +198,14 @@ def build_fourier(M: int) -> Dictionary:
     f_1 = 1, f_{2k} = sqrt(2) cos(2 pi k x), f_{2k+1} = sqrt(2) sin(2 pi k x),
     indexed 1..M (so the Python column for f_j is j - 1).
     """
-    if M < 2:
-        raise DictionaryError("fourier dictionaries need M >= 2")
     return Dictionary(kind="fourier", M=int(M), d=1, domain=np.array([[0.0, 1.0]]))
 
 
 def build_coordinate(d: int, domain=None) -> Dictionary:
     """Coordinate-projection dictionary f_j(x) = x_j, j = 1..d, for linear
     designs."""
-    if d < 1:
-        raise DictionaryError("coordinate dictionaries need d >= 1")
+    if d < 2:
+        raise DictionaryError(f"coordinate dictionaries need d >= 2 axes, got d = {d}")
     box = _as_domain(domain if domain is not None else [0.0, 1.0], d)
     return Dictionary(kind="coordinate", M=int(d), d=int(d), domain=box)
 
@@ -562,9 +560,9 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
 def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     """Exact ``(Psi, L0)`` under the uniform measure, or None without one.
 
-    The fourier basis is orthonormal, Psi = I, and its largest mixed
-    fourth moment is E[f_2^4] = 3/2. Coordinate dictionaries use the
-    first, second and fourth moments of the uniform box law.
+    L0 is the largest fourth moment max_j E[f_j^4]. The fourier basis is
+    orthonormal, Psi = I, and L0 = E[f_2^4] = 3/2. Coordinate dictionaries
+    use the first, second and fourth moments of the uniform box law.
     """
     if measure.kind != "uniform":
         return None
@@ -579,9 +577,7 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
     psi = np.outer(m1, m1)
     np.fill_diagonal(psi, m2)
-    mixed = np.outer(m2, m2)
-    np.fill_diagonal(mixed, m4)
-    return psi, float(mixed.max())
+    return psi, float(m4.max())
 
 
 def _sup_norm(dictionary: Dictionary) -> float:
@@ -631,9 +627,10 @@ class PopulationConstants:
     ``psi`` is the Gram of inner products <f_i, f_j>, ``L`` the exact max
     sup-norm (:func:`_sup_norm`), ``c0`` the smallest population norm
     sqrt(min_j Psi_jj), read off Psi's diagonal like every other use of the
-    squared norms, and ``L0`` the largest mixed fourth moment
-    max E[f_i^2 f_j^2]; finite L and L0 and c0 > 0 are the boundedness
-    conditions. Psi and L0 are the closed forms of
+    squared norms, and ``L0`` the largest fourth moment max_j E[f_j^4],
+    which by Cauchy-Schwarz equals the largest mixed moment
+    max_{i,j} E[f_i^2 f_j^2] of the lemmas; finite L and L0 and c0 > 0 are
+    the boundedness conditions. Psi and L0 are the closed forms of
     :func:`_uniform_closed_form` when it has them, else they come from
     ``design``, the dictionary on the :func:`quadrature_grid` ``nodes``
     (points, weights). Each is formed on first read and kept
@@ -659,11 +656,12 @@ class PopulationConstants:
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def psi(self) -> np.ndarray:
-        """The closed form, or sum_i w_i f(x_i) f(x_i)^T on the nodes, symmetrised."""
+        """The closed form, or sum_i w_i f(x_i) f(x_i)^T on the nodes, as the
+        exactly symmetric product x^T x with x = design * sqrt(w)."""
         if self._exact is not None:
             return _read_only(_finite(self._exact[0]))
-        psi = self.design.T @ (self.design * self.nodes[1][:, None])
-        return _read_only(_finite(0.5 * (psi + psi.T)))
+        x = self.design * np.sqrt(self.nodes[1])[:, None]
+        return _read_only(_finite(x.T @ x))
 
     @cached_property
     def L(self) -> float:
@@ -677,11 +675,12 @@ class PopulationConstants:
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
     def L0(self) -> float:
-        """The closed form, or the largest weighted fourth moment on the nodes."""
+        """The closed form, or max_j sum_i w_i f_j(x_i)^4 on the nodes."""
         if self._exact is not None:
             return _finite(self._exact[1])
         sq = self.design * self.design
-        return _finite(float((sq.T @ (sq * self.nodes[1][:, None])).max()))
+        sq *= sq
+        return _finite(float((self.nodes[1] @ sq).max()))
 
 
 def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> PopulationConstants:

@@ -43,9 +43,10 @@ class CoherenceReport:
 
 
 def empirical_gram(design: DesignMatrix) -> np.ndarray:
-    """Empirical Gram n^-1 sum_k f_i(X_k) f_j(X_k), symmetrized."""
-    psi = design.entries.T @ design.entries / design.n
-    return 0.5 * (psi + psi.T)
+    """Empirical Gram n^-1 sum_k f_i(X_k) f_j(X_k), as X^T X / n: numpy
+    forms a product of a matrix with its own transpose by one symmetric
+    rank-k update, so the result is exactly symmetric."""
+    return design.entries.T @ design.entries / design.n
 
 
 def _unit_diagonal(psi) -> np.ndarray:
@@ -86,14 +87,14 @@ def kappa(psi) -> float:
     Equals the smallest eigenvalue of D^{-1/2} psi D^{-1/2} with
     D = diag(psi), from ``eigvalsh``, which reads the lower triangle of the
     scaled matrix: both Gram producers (:class:`PopulationConstants` and
-    :func:`empirical_gram`) symmetrise exactly, and an exactly symmetric
-    psi scales to an exactly symmetric matrix. Eigenvalues within -1e-10
-    of zero are quadrature noise and clamp to 0; a smaller one raises
-    NumericError (psi is not PSD), and so does an eigensolver that does
-    not converge. An exactly diagonal psi (:func:`_exactly_diagonal`) is
-    neither scaled nor passed to LAPACK: its value is the smallest
-    psi_jj * (s_j * s_j) with s_j = 1 / sqrt(psi_jj), the entry the scaled
-    matrix would hold.
+    :func:`empirical_gram`) are exactly symmetric products X^T X, and an
+    exactly symmetric psi scales to an exactly symmetric matrix.
+    Eigenvalues within -1e-10 of zero are quadrature noise and clamp to 0;
+    a smaller one raises NumericError (psi is not PSD), and so does an
+    eigensolver that does not converge. An exactly diagonal psi
+    (:func:`_exactly_diagonal`) is neither scaled nor passed to LAPACK: its
+    value is the smallest psi_jj * (s_j * s_j) with s_j = 1 / sqrt(psi_jj),
+    the entry the scaled matrix would hold.
     """
     psi = np.asarray(psi, dtype=float)
     if _exactly_diagonal(psi):

@@ -31,7 +31,8 @@ DEFAULT_MAX_SWEEPS = 100_000
 
 
 def rate(A: float, n: int, M: int, kind: str) -> float:
-    """Penalty scale r_{n,M}: A sqrt(log M / n) or A sqrt(log n / n)."""
+    """Penalty scale r_{n,M}: A sqrt(log M / n) or A sqrt(log n / n). The
+    log_n rate is 0 at n = 1, so it needs n >= 2."""
     if not (math.isfinite(A) and A > 0):
         raise ConfigError(f"tuning constant A must be finite and positive, got {A}")
     if n < 1:
@@ -41,6 +42,8 @@ def rate(A: float, n: int, M: int, kind: str) -> float:
     if kind == "log_M":
         return A * math.sqrt(math.log(M) / n)
     if kind == "log_n":
+        if n < 2:
+            raise ConfigError(f"rate kind log_n needs n >= 2, got n = {n}")
         return A * math.sqrt(math.log(n) / n)
     raise ConfigError(f"unknown rate kind {kind!r} (expected log_M or log_n)")
 
@@ -56,9 +59,7 @@ def penalty_weights(design: DesignMatrix, r_nM: float) -> np.ndarray:
     """The penalty weights omega_j = r_{n,M} ||f_j||_n of a design, for a
     finite and positive rate r_{n,M} (:func:`rate`, or a value of its own)."""
     if not (math.isfinite(r_nM) and r_nM > 0):
-        raise ConfigError(
-            f"rate r_nM must be finite and positive (log_n needs n >= 2), got {r_nM}"
-        )
+        raise ConfigError(f"rate r_nM must be finite and positive, got {r_nM}")
     return r_nM * empirical_norms(design)
 
 

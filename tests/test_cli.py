@@ -892,9 +892,13 @@ def malformed_case(case, tmp_path):
     if case == "rate-explicit-inf":
         return fit(good_data, rate="explicit:inf"), None
     if case == "rate-logn-one-row":
-        # log n = 0 at n = 1, so the rate and every weight are 0.
+        # log n = 0 at n = 1, so the rate and every weight would be 0.
         data = write("data.csv", "x1,y\n0.1,1.0\n")
-        return fit(data, rate="logn"), "rate r_nM must be finite and positive (log_n needs n >= 2)"
+        return fit(data, rate="logn"), "rate kind log_n needs n >= 2, got n = 1"
+    if case == "rate-explicit-zero":
+        # Used to add "(log_n needs n >= 2)" to the message of a rate that
+        # is not log_n.
+        return fit(good_data, rate="explicit:0"), "rate r_nM must be finite and positive, got 0.0"
     if case.startswith("config-nonfinite-"):
         # A non-finite A, C_f or k_or_beta used to run (A = inf wrote rows
         # with infinite right-hand sides), or fail with a misleading message.
@@ -912,6 +916,11 @@ def malformed_case(case, tmp_path):
         return fit(good_data, dictionary="fourier:x"), None
     if case == "dict-coordinate-box":
         return ["diagnose", "--dict", "coordinate:3:1"], None
+    if case == "dict-coordinate-1":
+        # Used to pass the builder's d >= 1 check and fail on the generic
+        # "dictionaries need M >= 2 functions".
+        return (["diagnose", "--dict", "coordinate:1"],
+                "coordinate dictionaries need d >= 2 axes, got d = 1")
     if case == "rate-explicit":
         return fit(good_data, rate="explicit:z"), None
     if case == "support":
@@ -1051,6 +1060,7 @@ class TestMalformedInput:
         "case",
         [
             "fit-nonnumeric-y", "fit-ragged-row", "dict-fourier", "dict-coordinate-box",
+            "dict-coordinate-1", "rate-explicit-zero",
             "rate-explicit", "support", "density-short-row", "density-zero",
             "tabulated-dict-nonnumeric",
             "tabulated-truth-short-row", "theta-index", "bounds-value", "config-value",
@@ -1079,6 +1089,8 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         if location is not None:
             assert location in lines[0]
+        if case == "rate-explicit-zero":
+            assert "log_n" not in err
         assert not os.path.exists(tmp_path / "out.csv")
 
 

@@ -570,22 +570,66 @@ class TestValidateA2:
         assert population_constants(d, uniform_measure()).L == max(exact)
 
     def test_quadrature_constants_are_the_one_design_formulas(self):
-        # A tabulated dictionary under a density measure has no closed form:
-        # Psi and L0 come bit for bit from one quadrature design, and c0
-        # from Psi's diagonal.
+        # A tabulated dictionary has no closed form under either measure:
+        # Psi and L0 come bit for bit from one quadrature design, Psi as
+        # x^T x with x = phi sqrt(w) and L0 as the largest weighted fourth
+        # moment, and c0 from Psi's diagonal. By Cauchy-Schwarz L0 is also
+        # the largest mixed moment, which the M x M product used to give.
         grid = np.linspace(0.0, 1.0, 9)
         d = build_tabulated([(grid, np.cos(j * grid) + j) for j in range(4)])
-        ramp = grid_density_measure(grid, 1.0 + grid)
-        pts, w = quadrature_grid(d, ramp)
-        phi = evaluate(d, pts).entries
-        psi = phi.T @ (phi * w[:, None])
-        psi = 0.5 * (psi + psi.T)
-        sq = phi * phi
-        v = population_constants(d, ramp)
-        assert np.array_equal(v.psi, psi)
-        assert np.array_equal(population_gram(d, ramp), psi)
-        assert v.c0 == float(np.sqrt(max(np.diag(psi).min(), 0.0)))
-        assert v.L0 == float((sq.T @ (sq * w[:, None])).max())
+        for measure in (uniform_measure(), grid_density_measure(grid, 1.0 + grid)):
+            pts, w = quadrature_grid(d, measure)
+            phi = evaluate(d, pts).entries
+            x = phi * np.sqrt(w)[:, None]
+            psi = x.T @ x
+            sq = phi * phi
+            v = population_constants(d, measure)
+            assert np.array_equal(v.psi, psi)
+            assert np.array_equal(population_gram(d, measure), psi)
+            assert v.c0 == float(np.sqrt(max(np.diag(psi).min(), 0.0)))
+            assert v.L0 == float((w @ (sq * sq)).max())
+            mixed = float((sq.T @ (sq * w[:, None])).max())
+            assert v.L0 == pytest.approx(mixed, rel=1e-14, abs=0.0)
+
+    @staticmethod
+    def pairwise_l0(box):
+        """max_{i,j} E[x_i^2 x_j^2] under the uniform law on ``box``, from
+        the M x M mixed-moment matrix the coordinate closed form used to
+        build."""
+        a, b = box[:, 0], box[:, 1]
+        m2 = (a * a + a * b + b * b) / 3.0
+        m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
+        mixed = np.outer(m2, m2)
+        np.fill_diagonal(mixed, m4)
+        return float(mixed.max())
+
+    def test_coordinate_l0_is_the_pairwise_maximum(self):
+        # L0 = max_j E[x_j^4] keeps every bit of the pairwise maximum, on
+        # mc_dense's box and on random boxes whose axes are drawn apart,
+        # some near-degenerate (widths down to below one ulp) or degenerate.
+        rng = np.random.default_rng(5)
+        boxes = [np.tile([-1.0, 1.0], (20, 1))]
+        for _ in range(300):
+            d = int(rng.integers(2, 7))
+            lo = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
+            width = np.abs(lo) * 10.0 ** rng.uniform(-17, 1, size=d)
+            width[rng.random(d) < 0.2] = 0.0
+            boxes.append(np.column_stack([lo, lo + width]))
+        for box in boxes:
+            v = population_constants(build_coordinate(len(box), domain=box), uniform_measure())
+            assert v.L0 == self.pairwise_l0(box)
+        dense = build_coordinate(20, domain=[-1.0, 1.0])
+        assert population_constants(dense, uniform_measure()).L0 == 0.2
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.7, 2.0 / 3.0])
+    def test_coordinate_l0_on_repeated_degenerate_axes(self, c):
+        # On [c, c]^2 every E[x_i^2 x_j^2] is c^4, but m2 * m2 may round
+        # above m4: on [0.3, 0.3]^2 the pairwise maximum read
+        # 0.008100000000000001 and m4 reads 0.008099999999999998.
+        box = np.tile([c, c], (2, 1))
+        v = population_constants(build_coordinate(2, domain=box), uniform_measure())
+        assert v.L0 == pytest.approx(self.pairwise_l0(box), rel=1e-15, abs=0.0)
+        assert v.L0 == pytest.approx(c**4, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("density", [False, True], ids=["uniform", "grid-density"])
     def test_c0_is_read_off_the_gram_diagonal(self, density):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from l1agg import (
     DegenerateDictionaryError,
+    DesignMatrix,
     ExperimentConfig,
     NumericError,
     ShapeError,
@@ -27,6 +28,7 @@ from l1agg import (
     uniform_measure,
 )
 from l1agg import gram, oracles
+from l1agg.dictionary import PopulationConstants
 from l1agg.experiments import cell_context
 from l1agg.gram import write_gram_csv
 
@@ -78,6 +80,24 @@ class TestGramPair:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             diagnostics(np.eye(3), (), np.eye(4))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 57])
+    def test_both_producers_are_exactly_symmetric(self, order, n):
+        # kappa's eigvalsh reads only the lower triangle, so neither Gram
+        # may differ from its transpose in any bit.
+        M = 130
+        rng = np.random.default_rng(n)
+        entries = np.asarray(rng.normal(size=(n, M)) * rng.uniform(0.1, 10.0, M), order=order)
+        psi = empirical_gram(DesignMatrix(n=n, M=M, entries=entries))
+        assert np.array_equal(psi, psi.T)
+        grid = np.linspace(0.0, 1.0, n + 1)
+        tables = [(grid, rng.normal(size=grid.size)) for _ in range(M)]
+        constants = PopulationConstants(build_tabulated(tables), uniform_measure())
+        # The quadrature design comes from evaluate in F order; the cached
+        # value is replaced to try the other order too.
+        vars(constants)["design"] = np.asarray(constants.design, order=order)
+        assert np.array_equal(constants.psi, constants.psi.T)
 
 
 class TestKappa:

@@ -8,11 +8,9 @@ argument types. Every exported name loads from its module on first use."""
 import ast
 import functools
 import inspect
-import io
 import pathlib
 import re
 import sys
-import tokenize
 
 import pytest
 
@@ -28,29 +26,29 @@ EXPORTED_FUNCTIONS = sorted(
 
 # Exported for an acceptance gate alone, each with the gate whose test calls it.
 GATE_HELD = {"membership": "c9"}
-IMPORT_LIST = re.compile(r"^\s*(?:from\s+\S+\s+)?import\s+(\([^)]*\)|.*)$", re.M)
 CODE_BLOCK = re.compile(r"^```.*?^```", re.S | re.M)
 
 
 @functools.cache
-def without_strings(source: str) -> str:
-    """Python ``source`` with every string literal, docstrings included,
-    replaced by ``""``."""
-    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    return tokenize.untokenize(
-        tok._replace(string='""') if tok.type == tokenize.STRING else tok for tok in tokens
-    )
+def names_used(source: str) -> frozenset[str]:
+    """Every name that Python ``source`` reads (``name``, ``.name``) or
+    imports (``import a.name``, ``from a import name``), from its syntax
+    tree: a name inside a string literal (``"module.name"``) is not in it,
+    and one inside an f-string's replacement field is."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return frozenset(found)
 
 
 def uses(name: str, source: str) -> bool:
-    """Whether Python ``source`` calls, imports or reads ``name``:
-    ``name(``, ``.name``, or an import list that holds it. Names inside
-    string literals (``"module.name"``) do not count."""
-    source = without_strings(source)
-    word = re.compile(rf"\b{name}\b")
-    return bool(re.search(rf"\b{name}\(|\.{name}\b", source)) or any(
-        word.search(names) for names in IMPORT_LIST.findall(source)
-    )
+    """Whether Python ``source`` calls, imports or reads ``name``."""
+    return name in names_used(source)
 
 
 def readme_code(text: str) -> list[str]:
@@ -68,6 +66,26 @@ def sources_outside(module_name: str) -> tuple[str, ...]:
 
 def test_exports_include_functions():
     assert "population_constants" in EXPORTED_FUNCTIONS
+
+
+@pytest.mark.parametrize(
+    "source, used",
+    [
+        ("foo(1)", True),
+        ("x = l1agg.foo", True),
+        ("from l1agg import (\n    bar,\n    foo,\n)", True),
+        ("import l1agg.foo", True),
+        ('x = f"{foo(1)}"', True),
+        ('x = "foo(1)"', False),
+        ('"""Calls foo(1) and reads .foo."""', False),
+        ("def foo():\n    pass", False),
+        ("food(1)", False),
+    ],
+)
+def test_uses_reads_the_syntax_tree(source, used):
+    # A call inside an f-string used to be no use on Python 3.10 and 3.11,
+    # where tokenize reads an f-string as one string token.
+    assert uses("foo", source) is used
 
 
 @pytest.mark.parametrize("name", EXPORTED_FUNCTIONS)

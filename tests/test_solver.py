@@ -218,6 +218,11 @@ class TestRate:
     def test_boundary_n_one(self):
         assert rate(1.0, 1, 2, "log_M") == pytest.approx(math.sqrt(math.log(2)))
 
+    def test_log_n_refuses_one_sample(self):
+        # log 1 = 0: the rate used to be 0, refused later by penalty_weights.
+        with pytest.raises(ConfigError, match="log_n needs n >= 2, got n = 1"):
+            rate(1.0, 1, 5, "log_n")
+
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ConfigError):
             rate(0.0, 10, 5, "log_M")

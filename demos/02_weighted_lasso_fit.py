@@ -21,14 +21,11 @@ from l1agg import (
     penalty_weights,
     predict,
     rate,
-    uniform_measure,
 )
 
 dictionary = build_fourier(25)
 truth = l0k_truth(3)  # |theta| = (3, 2, 1) at basis indices 2, 4, 7
-sample = generate(
-    dictionary, truth, uniform_measure(), noise_bounded_uniform(1.0), n=2048, seed=7
-)
+sample = generate(dictionary, truth, noise_bounded_uniform(1.0), n=2048, seed=7)
 design = evaluate(dictionary, sample.x)
 
 r_nM = rate(4.0, design.n, design.M, "log_n")

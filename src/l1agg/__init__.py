@@ -54,7 +54,6 @@ _EXPORTS = {
         "UnsupportedOperationError",
     ),
     "gram": (
-        "CoherenceReport",
         "coherence",
         "diagnostics",
         "empirical_gram",
@@ -62,9 +61,6 @@ _EXPORTS = {
     ),
     "oracles": (
         "BoundConstants",
-        "EventFlags",
-        "MembershipFlags",
-        "OracleReport",
         "PopulationProblem",
         "TruthSpec",
         "evaluate_truth",
@@ -89,11 +85,8 @@ _EXPORTS = {
         "lemma_bounds",
     ),
     "experiments": (
-        "CellSummary",
         "ExperimentConfig",
         "ExperimentRow",
-        "NoiseModel",
-        "Sample",
         "bound_check",
         "generate",
         "load_config",
@@ -105,7 +98,6 @@ _EXPORTS = {
         "summarize",
     ),
     "solver": (
-        "LassoFit",
         "fit",
         "penalty_weights",
         "rate",

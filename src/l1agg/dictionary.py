@@ -394,28 +394,16 @@ def _spectrum(coef: np.ndarray):
 def _fourier_grid(coef: np.ndarray, N: int) -> np.ndarray:
     """Values of sum_j c_j f_j at x_i = i / N, i = 0..N-1, by one real inverse FFT.
 
-    sum_k a_k exp(2 pi i k i / N) = sum_m b_m exp(2 pi i m i / N), where b_m
-    sums the a_k with k = m (mod N); the folding is exact, so any frequency
-    is allowed. The real part of that sum has the Hermitian spectrum
-    h_m = (b_m + conj b_{(N - m) mod N}) / 2, whose half m <= N / 2 one
-    ``irfft`` of length N sums. The half is folded directly: a_k goes to
-    bin k mod N and conj a_k to bin -k mod N, wherever that bin is at most
-    N / 2, by two ``bincount``s of length N / 2 + 1 for each of the real
-    and imaginary parts. These are the sums of a full-length fold, added
-    in the same order, so the values keep their bits, while only the half
-    spectrum and the N output values are held; the output is scaled and
-    shifted in place.
+    Every frequency k of ``coef`` must be below N / 2. The real part of
+    sum_k a_k exp(2 pi i k i / N) then has the Hermitian spectrum
+    h_k = a_k / 2, h_{N-k} = conj(a_k) / 2, whose half m <= N / 2 is
+    a_k / 2 on bins 1..K and zero elsewhere; one ``irfft`` of length N sums
+    it. Only the half spectrum and the N output values are held; the
+    output is scaled and shifted in place.
     """
     c0, a = _spectrum(coef)
-    half = N // 2 + 1
-    k = np.arange(1, a.size + 1) % N
-    mirror = -k % N
-    direct, folded = k < half, mirror < half
-    h = np.empty(half, dtype=complex)
-    h.real = np.bincount(k[direct], a.real[direct], half)
-    h.real += np.bincount(mirror[folded], a.real[folded], half)
-    h.imag = np.bincount(k[direct], a.imag[direct], half)
-    h.imag -= np.bincount(mirror[folded], a.imag[folded], half)
+    h = np.zeros(N // 2 + 1, dtype=complex)
+    h[1 : a.size + 1] = a
     h *= 0.5
     out = np.fft.irfft(h, N)
     out *= np.sqrt(2.0) * N

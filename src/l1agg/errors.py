@@ -31,7 +31,7 @@ class DegenerateDictionaryError(L1AggError):
 
 class UnsupportedOperationError(L1AggError):
     """Operation outside what the library computes: a grid for a dictionary
-    with d > 1 (grids span one axis), or a draw from a non-uniform measure."""
+    with d > 1 (grids span one axis)."""
 
 
 class ConvergenceError(L1AggError):

@@ -30,14 +30,13 @@ import numpy as np
 from ._util import _integral, atomic_write_text, csv_text, parse_value, read_csv, read_key_values
 from .dictionary import (
     Dictionary,
-    MeasureSpec,
     build_coordinate,
     build_fourier,
     evaluate,
     uniform_measure,
     _check_out,
 )
-from .errors import ConfigError, ConvergenceError, UnsupportedOperationError
+from .errors import ConfigError, ConvergenceError
 from .gram import kappa
 from .oracles import (
     BoundConstants,
@@ -113,7 +112,6 @@ class Sample:
 def generate(
     dictionary: Dictionary,
     truth: TruthSpec,
-    measure: MeasureSpec,
     noise: NoiseModel,
     n: int,
     seed: int,
@@ -126,9 +124,7 @@ def generate(
     noise, from one ``default_rng(seed)`` stream. The design is
     ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
     ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError. Only the uniform
-    measure is drawn from: a grid-density measure raises
-    UnsupportedOperationError.
+    domain whose width overflows raises ConfigError.
 
     ``out``, when given, is the array the design is drawn into and the
     sample's ``x``: a writeable C-order (n, d) float64 array, or
@@ -136,8 +132,6 @@ def generate(
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
-    if measure.kind != "uniform":
-        raise UnsupportedOperationError(f"designs are drawn uniformly, not from {measure.kind}")
     if out is not None:
         _check_out(out, (n, dictionary.d), "C")
     rng = np.random.default_rng(seed)
@@ -194,8 +188,7 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty strictly increasing grid")
         if min(n_values) < 2:
             raise ConfigError("n_values entries must be >= 2")
-        # Evaluated at every n, so that a rule that overflows fails here.
-        list(map(_parse_m_rule(self.m_rule), n_values))
+        m_of = _parse_m_rule(self.m_rule)
         for name in ("A", "C_f", "k_or_beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -215,6 +208,10 @@ class ExperimentConfig:
             k = self.k_or_beta
             if k != int(k) or k < 0:
                 raise ConfigError("k must be a nonnegative integer for this preset")
+        # Every cell's dictionary and truth, so that an m_rule that overflows
+        # or a k_or_beta that the preset refuses at some M fails here.
+        for n in n_values:
+            _preset_pair(self.preset, self.k_or_beta, m_of(n))
 
 
 def _parse_m_rule(rule: str):
@@ -291,7 +288,7 @@ def load_config(path) -> ExperimentConfig:
 def _linear_pattern(M: int, k: int) -> np.ndarray:
     """k nonzero coordinate coefficients k, k-1, ..., 1 spread across M."""
     if not 0 <= k <= M:
-        raise ConfigError("need 0 <= k <= M")
+        raise ConfigError(f"need 0 <= k <= M, got k = {k}, M = {M}")
     coeffs = np.zeros(M)
     if k == 1:
         coeffs[0] = 1.0
@@ -472,7 +469,7 @@ def _draw(ctx: CellContext, seed: int, buffers=(None, None)):
     """
     x_out, design_out = buffers
     pop = ctx.population
-    sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed, out=x_out)
+    sample = generate(pop.dictionary, pop.truth, ctx.noise, ctx.n, seed=seed, out=x_out)
     design = evaluate(pop.dictionary, sample.x, out=design_out)
     weights = penalty_weights(design, ctx.r_nM)
     flags = event_flags(
@@ -565,14 +562,21 @@ def write_rows_csv(path, rows) -> None:
     atomic_write_text(path, rows_csv_text(rows))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, found {text!r}")
+    return value
+
+
 def read_rows_csv(path) -> list[ExperimentRow]:
     """Read a rows CSV back; the rows carry ``converged=None``.
 
     Raises ShapeError for a header other than :data:`CSV_HEADER`, and
     naming ``path:line`` for a ragged row or a cell that does not parse as
-    its column's type.
+    its column's type; a float column holds finite numbers only.
     """
-    parsers = [_PARSERS[f.type] for f in _ROW_FIELDS]
+    parsers = [_finite if f.type == "float" else _PARSERS[f.type] for f in _ROW_FIELDS]
     _, rows = read_csv(
         path,
         lambda cells: ExperimentRow(
@@ -740,13 +744,11 @@ class BoundCheckCell:
 
     n: int
     M: int
-    kind: str
     scale: float
     rhs: float
     fraction: float
     prob_floor: float
     satisfied: bool
-    fitted: bool
 
 
 def cell_tail_floor(ctx: CellContext, C_f: float) -> float:
@@ -803,13 +805,11 @@ def bound_check(
             BoundCheckCell(
                 n=ctx.n,
                 M=ctx.M,
-                kind=kind,
                 scale=scale,
                 rhs=rhs,
                 fraction=fraction,
                 prob_floor=floor,
                 satisfied=bool(fraction >= floor),
-                fitted=fit_scale,
             )
         )
     return out

@@ -332,12 +332,14 @@ def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
     """Grid estimate of L(lambda) = ||f - f_lambda||_inf (a lower bound).
 
     The grid is :func:`sup_norm_grid`. For a fourier dictionary and a
-    fourier truth, f - f_lambda has coefficients theta - lambda, and its
-    values at x_i = i / (SUP_GRID_POINTS - 1) come from one real inverse
-    FFT (:func:`_fourier_grid`; x = 1 repeats x = 0), which holds the half
-    spectrum and one N-point output that it scales and shifts in place.
-    Other pairs stream :func:`predict` and :func:`evaluate_truth` over the
-    grid. ``lam`` is checked as in :func:`predict`.
+    fourier truth, f - f_lambda has coefficients theta - lambda; while its
+    highest frequency is below N / 2, N = SUP_GRID_POINTS - 1, its values
+    at x_i = i / N come from one real inverse FFT (:func:`_fourier_grid`;
+    x = 1 repeats x = 0), which holds the half spectrum and one N-point
+    output that it scales and shifts in place. Other pairs, and a fourier
+    pair that reaches N / 2, stream :func:`predict` and
+    :func:`evaluate_truth` over the grid. ``lam`` is checked as in
+    :func:`predict`.
     """
     lam = _check_lambda(lam, dictionary.M)
     if dictionary.kind == "fourier" and truth.kind == "fourier":
@@ -345,7 +347,11 @@ def sup_norm_error(dictionary: Dictionary, truth: TruthSpec, lam) -> float:
         coef = np.zeros(max(lam.size, theta.size))
         coef[: theta.size] = theta
         coef[: lam.size] -= lam
-        return float(np.abs(_fourier_grid(coef, SUP_GRID_POINTS - 1)).max())
+        N = SUP_GRID_POINTS - 1
+        # The highest frequency: coefficient j (0-based) has frequency (j + 1) // 2.
+        K = (np.flatnonzero(coef).max(initial=0) + 1) // 2
+        if 2 * K < N:
+            return float(np.abs(_fourier_grid(coef, N)).max())
     pts = sup_norm_grid(dictionary)
     diff = predict(dictionary, lam, pts) - evaluate_truth(truth, pts)
     return float(np.max(np.abs(diff)))

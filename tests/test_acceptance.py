@@ -172,7 +172,7 @@ def c6_fits():
     records = []
     for rep in range(config.R):
         seed = replicate_seed(config, 0, rep)
-        sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+        sample = generate(pop.dictionary, pop.truth, ctx.noise, ctx.n, seed)
         design = evaluate(pop.dictionary, sample.x)
         weights = penalty_weights(design, ctx.r_nM)
         result = fit(design, sample.y, weights)
@@ -239,7 +239,7 @@ def test_c3_kkt_certificates(c1_fits, c2_fits, c6_fits, c4_experiment):
     pop = ctx.population
     for rep in range(10):
         seed = replicate_seed(config, 2, rep)
-        sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+        sample = generate(pop.dictionary, pop.truth, ctx.noise, ctx.n, seed)
         design = evaluate(pop.dictionary, sample.x)
         weights = penalty_weights(design, ctx.r_nM)
         result = fit(design, sample.y, weights)

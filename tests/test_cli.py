@@ -18,11 +18,13 @@ from l1agg import (
     oracle_scan,
     population_dist2,
     population_problem,
+    run,
     sparsity,
     tabulated_truth,
     uniform_measure,
 )
 from l1agg.cli import main
+from l1agg.experiments import rows_csv_text
 from l1agg.gram import write_gram_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1048,6 +1050,31 @@ def malformed_case(case, tmp_path):
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
         return ["summary", "--config", cfg, "--rows", rows, "--out", out], f"{rows}:2"
+    if case.startswith("summary-nonfinite-"):
+        # A nan risk used to summarize with exit 0 (risk_slope=nan,
+        # median_risk=nan), and a nan kkt counted as converged.
+        _, _, column, value = case.split("-")
+        cfg = write("cfg.txt", CONFIG)
+        lines = rows_csv_text(run(load_config(cfg))).splitlines()
+        cells = lines[4].split(",")
+        cells[ROWS_HEADER.strip().split(",").index(column)] = value
+        lines[4] = ",".join(cells)
+        rows = write("rows.csv", "\n".join(lines) + "\n")
+        return (["summary", "--config", cfg, "--rows", rows, "--out", out],
+                f"{rows}:5: expected a finite number, found {value!r}")
+    if case in ("config-sobolev-beta-0", "config-linear-k-above-M"):
+        # Both configs used to pass the check and fail once the run
+        # started, with an error that did not name the config file.
+        if case == "config-sobolev-beta-0":
+            text = CONFIG.replace("fourier-L0k", "fourier-sobolev").replace(
+                "k_or_beta = 3", "k_or_beta = 0")
+            message = "beta must be finite and positive, got 0.0"
+        else:
+            text = CONFIG.replace("fourier-L0k", "linear").replace(
+                "k_or_beta = 3", "k_or_beta = 25").replace("fixed:10", "fixed:20")
+            message = "need 0 <= k <= M, got k = 25, M = 20"
+        cfg = write("cfg.txt", text)
+        return ["experiment", "--config", cfg, "--out", out], f"{cfg}: {message}"
     raise AssertionError(case)
 
 
@@ -1077,7 +1104,9 @@ class TestMalformedInput:
             "fourier-truth-off-domain", "tabulated-truth-narrow",
             "fit-A-negative-explicit", "config-seed-negative", "config-A-overflow",
             "fit-data-not-utf8", "config-not-utf8", "oracle-truth-overflow",
-            "fit-y-1e300", "fit-y-1e308",
+            "fit-y-1e300", "fit-y-1e308", "summary-nonfinite-risk-nan",
+            "summary-nonfinite-kkt-nan", "summary-nonfinite-l1_err-inf",
+            "config-sobolev-beta-0", "config-linear-k-above-M",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

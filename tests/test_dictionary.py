@@ -194,14 +194,15 @@ class TestEvaluate:
             predict(build_fourier(m + 12), padded, x), predict(build_fourier(m), lam, x)
         )
 
-    def test_fourier_grid_folds_frequencies_above_n(self):
-        # Frequencies up to 3N land on the N-point real inverse FFT by
-        # k mod N and then onto its Hermitian half by m -> N - m; unfolded,
-        # they would be off by O(1). Odd and even N end the half differently.
+    def test_fourier_grid_matches_direct_sums(self):
+        # Every frequency below N / 2, the most the N-point half spectrum
+        # holds without a frequency and its mirror sharing a bin. Odd and
+        # even N end the half differently; N = 1 and 2 hold the constant.
         for N in [1, 2, 7, 8, 64]:
-            coef = np.random.default_rng(7).normal(size=6 * N + 1)
+            K = (N - 1) // 2
+            coef = np.random.default_rng(7).normal(size=2 * K + 1)
             x = np.arange(N) / N
-            freq = 2.0 * np.pi * x[:, None] * np.arange(1, 3 * N + 1)
+            freq = 2.0 * np.pi * x[:, None] * np.arange(1, K + 1)
             direct = coef[0] + math.sqrt(2) * (
                 np.cos(freq) @ coef[1::2] + np.sin(freq) @ coef[2::2]
             )
@@ -214,14 +215,15 @@ class TestEvaluate:
     def test_fourier_grid_half_fold_matches_full_fold(self, N):
         # The full fold, written out: b_m sums the a_k with k = m (mod N)
         # over all N bins, then h_m = (b_m + conj b_{-m mod N}) / 2 for
-        # m <= N / 2. Frequencies k = 0 and k = N / 2 (mod N) are where a
-        # frequency and its mirror land in the same bin of the half.
+        # m <= N / 2. Below N / 2 no two frequencies share a bin, so the
+        # half spectrum is a_k / 2 on bins 1..K, bit for bit.
         rng = np.random.default_rng(N)
+        top = (N - 1) // 2  # the highest frequency below N / 2
         if N < 100:
-            freqs = np.arange(1, 3 * N + 1)
+            freqs = np.arange(1, top + 1)
         else:
-            freqs = np.r_[1:60, N // 2, N - 1, N, N + 1, N + N // 2, 2 * N, 3 * N]
-        coef = np.zeros(6 * N + 1)
+            freqs = np.r_[1:60, top - 1, top]
+        coef = np.zeros(2 * top + 1)
         coef[0] = rng.normal()
         coef[2 * freqs - 1] = rng.normal(size=freqs.size)
         coef[2 * freqs] = rng.normal(size=freqs.size)

@@ -17,14 +17,12 @@ from l1agg import (
     ConfigError,
     ExperimentConfig,
     ShapeError,
-    UnsupportedOperationError,
     bound_check,
     build_coordinate,
     build_fourier,
     evaluate,
     fit,
     generate,
-    grid_density_measure,
     l0k_truth,
     linear_truth,
     load_config,
@@ -37,7 +35,6 @@ from l1agg import (
     run_single,
     sobolev_truth,
     summarize,
-    uniform_measure,
 )
 from l1agg import dictionary as dictionary_module
 from l1agg import experiments, oracles, solver
@@ -121,21 +118,21 @@ class TestGenerate:
     def test_noiseless(self):
         d = build_fourier(5)
         truth = l0k_truth(2)
-        sample = generate(d, truth, uniform_measure(), noise_bounded_uniform(0.0), 50, seed=4)
+        sample = generate(d, truth, noise_bounded_uniform(0.0), 50, seed=4)
         np.testing.assert_array_equal(sample.y, sample.f_values)
         np.testing.assert_array_equal(sample.w, 0.0)
 
     def test_same_seed_bit_identical(self):
         d = build_fourier(5)
         truth = l0k_truth(2)
-        a = generate(d, truth, uniform_measure(), noise_bounded_uniform(1.0), 100, 7)
-        b = generate(d, truth, uniform_measure(), noise_bounded_uniform(1.0), 100, 7)
+        a = generate(d, truth, noise_bounded_uniform(1.0), 100, 7)
+        b = generate(d, truth, noise_bounded_uniform(1.0), 100, 7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
 
     def test_points_in_domain(self):
         d = build_fourier(3)
-        sample = generate(d, l0k_truth(1), uniform_measure(), noise_bounded_uniform(0.0), 1000, 0)
+        sample = generate(d, l0k_truth(1), noise_bounded_uniform(0.0), 1000, 0)
         assert sample.x.min() >= 0.0 and sample.x.max() <= 1.0
 
     @pytest.mark.parametrize("n", [1, 8192])
@@ -147,7 +144,7 @@ class TestGenerate:
         d = build_coordinate(3, domain=box)
         noise = noise_bounded_uniform(1.0)
         for out in (None, np.empty((n, 3))):
-            sample = generate(d, linear_truth(np.ones(3)), uniform_measure(), noise, n, 5, out=out)
+            sample = generate(d, linear_truth(np.ones(3)), noise, n, 5, out=out)
             rng = np.random.default_rng(5)
             assert np.array_equal(sample.x, rng.uniform(box[:, 0], box[:, 1], (n, 3)))
             assert np.array_equal(sample.w, rng.uniform(-1.0, 1.0, n))
@@ -157,30 +154,27 @@ class TestGenerate:
         # with no overflow warning and no non-finite points.
         d = build_coordinate(2, domain=[-1e308, 1e308])
         with pytest.raises(ConfigError, match=re.escape("domain [[-1e+308, 1e+308]")):
-            generate(
-                d, linear_truth(np.ones(2)), uniform_measure(), noise_bounded_uniform(0.0), 4, 0
-            )
+            generate(d, linear_truth(np.ones(2)), noise_bounded_uniform(0.0), 4, 0)
 
     UNIFORM = (
         build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]]),
         linear_truth(np.array([1.0, -2.0, 0.5])),
-        uniform_measure(),
     )
 
     @pytest.mark.parametrize("case", [UNIFORM], ids=["uniform"])
     @pytest.mark.parametrize("n", [1, 517])
     def test_out_gives_the_same_sample(self, case, n):
-        dictionary, truth, measure = case
+        dictionary, truth = case
         noise = noise_bounded_uniform(1.0)
         out = np.full((n, dictionary.d), np.nan)
-        sample = generate(dictionary, truth, measure, noise, n, 9, out=out)
-        fresh = generate(dictionary, truth, measure, noise, n, 9)
+        sample = generate(dictionary, truth, noise, n, 9, out=out)
+        fresh = generate(dictionary, truth, noise, n, 9)
         assert sample.x is out
         for field in ("x", "y", "f_values", "w"):
             assert np.array_equal(getattr(sample, field), getattr(fresh, field))
         # Refilled for another seed, the same array holds that seed's draw.
-        again = generate(dictionary, truth, measure, noise, n, 10, out=out)
-        assert np.array_equal(again.x, generate(dictionary, truth, measure, noise, n, 10).x)
+        again = generate(dictionary, truth, noise, n, 10, out=out)
+        assert np.array_equal(again.x, generate(dictionary, truth, noise, n, 10).x)
 
     @pytest.mark.parametrize(
         "make",
@@ -194,20 +188,9 @@ class TestGenerate:
         ids=["rows", "columns", "float32", "F-order", "list"],
     )
     def test_wrong_out_refused(self, make):
-        dictionary, truth, measure = self.UNIFORM
+        dictionary, truth = self.UNIFORM
         with pytest.raises(ShapeError, match="out must be"):
-            generate(dictionary, truth, measure, noise_bounded_uniform(0.0), 8, 0, out=make(8, 3))
-
-    @pytest.mark.parametrize("out", [None, np.empty((8, 1))], ids=["fresh", "out"])
-    def test_density_measure_is_not_drawn_from(self, out):
-        # The draw used to invert the CDF linearly, uniform within each
-        # table cell, while every population integral uses the
-        # piecewise-linear density: E[X] was 0.484 against 0.4577 here.
-        measure = grid_density_measure([0.0, 0.4, 1.0], [1.0, 3.0, 0.5])
-        with pytest.raises(UnsupportedOperationError, match="drawn uniformly"):
-            generate(
-                build_fourier(5), l0k_truth(2), measure, noise_bounded_uniform(0.0), 8, 0, out=out
-            )
+            generate(dictionary, truth, noise_bounded_uniform(0.0), 8, 0, out=make(8, 3))
 
 
 class TestPresetTruths:
@@ -473,7 +456,7 @@ class TestRun:
         pop = ctx.population
         for rep in range(cfg.R):
             seed = replicate_seed(cfg, 0, rep)
-            sample = generate(pop.dictionary, pop.truth, pop.measure, ctx.noise, ctx.n, seed)
+            sample = generate(pop.dictionary, pop.truth, ctx.noise, ctx.n, seed)
             design = evaluate(pop.dictionary, sample.x)
             result = fit(design, sample.y, penalty_weights(design, ctx.r_nM))
             ols, *_ = np.linalg.lstsq(design.entries, sample.y, rcond=None)
@@ -541,9 +524,10 @@ class TestMeasuredStages:
         assert [kwargs["out"] for _, kwargs in calls["generate"]] == [None]
         assert [kwargs["out"] for _, kwargs in calls["evaluate"]] == [None]
 
-    def test_draw_passes_the_seed_sixth(self, calls):
-        # perfbench's tracer labels a replicate's spans by generate's sixth
-        # positional argument, the seed; out goes by keyword.
+    def test_draw_passes_the_seed_by_keyword(self, calls):
+        # perfbench's tracer labels a replicate's spans by generate's seed,
+        # which it reads from the keywords when fewer than six positional
+        # arguments come; out goes by keyword too.
         cfg = tiny_config()
         ctx = cell_context(cfg, 1)
         seed = replicate_seed(cfg, 1, 4)
@@ -553,8 +537,8 @@ class TestMeasuredStages:
         run_single(cfg, 1, 4)
         assert len(calls["generate"]) == 3
         for args, kwargs in calls["generate"]:
-            assert len(args) == 6 and args[5] == seed
-            assert set(kwargs) == {"out"}
+            assert len(args) == 4 and kwargs["seed"] == seed
+            assert set(kwargs) == {"seed", "out"}
         assert calls["generate"][1][1]["out"] is buffers[0]
         assert calls["evaluate"][1][1]["out"] is buffers[1]
 
@@ -617,9 +601,8 @@ class TestMonotoneSparsityInA:
     def test_support_shrinks_along_penalty_ladder(self):
         d = build_fourier(10)
         truth = l0k_truth(3)
-        measure = uniform_measure()
         for seed in range(5):
-            sample = generate(d, truth, measure, noise_bounded_uniform(1.0), 128, seed)
+            sample = generate(d, truth, noise_bounded_uniform(1.0), 128, seed)
             design = evaluate(d, sample.x)
             sizes = []
             for a_value in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
@@ -786,7 +769,6 @@ class TestBoundCheck:
         for kind in ("t21_risk", "t21_l1"):
             cells = bound_check(cfg, rows, kind, fit_scale=True)
             for cell in cells:
-                assert cell.fitted
                 assert cell.fraction >= 0.9
 
     def test_zero_unit_rhs_fit_matches_constants(self):

@@ -44,7 +44,7 @@ from l1agg import (
     theorem_rhs,
     uniform_measure,
 )
-from l1agg import dictionary
+from l1agg import dictionary, oracles
 from l1agg.dictionary import SUP_GRID_POINTS, sup_norm_grid
 from l1agg.oracles import COHERENCE_THRESHOLD, _oracle_search
 from l1agg.tails import LEMMA_KINDS, LEMMA_PARAMS
@@ -845,6 +845,25 @@ class TestOracleReport:
             for chunk in np.array_split(grid, 20)
         )
         assert sup_norm_error(d, truth, lam) == pytest.approx(dense, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("top", ["cos", "sin", "beyond"])
+    def test_sup_norm_error_fourier_pair_reaching_half_the_grid_streams(
+        self, monkeypatch, top
+    ):
+        # On a 17-point grid (N = 16) frequency 8 = N / 2 shares its bin of
+        # the half spectrum with its mirror, so a pair reaching it is
+        # streamed like every other pair, not summed by the FFT.
+        monkeypatch.setattr(dictionary, "SUP_GRID_POINTS", 17)
+        monkeypatch.setattr(oracles, "SUP_GRID_POINTS", 17)
+        monkeypatch.setattr(oracles, "_fourier_grid", None)
+        M = {"cos": 16, "sin": 17, "beyond": 23}[top]
+        rng = np.random.default_rng(M)
+        d = build_fourier(M)
+        truth = fourier_truth(rng.normal(size=M))
+        lam = rng.normal(size=M)
+        pts = np.linspace(0.0, 1.0, 17)[:, None]
+        expected = np.abs(dictionary.predict(d, lam, pts) - evaluate_truth(truth, pts)).max()
+        assert sup_norm_error(d, truth, lam) == expected
 
     def test_sup_norm_error_tabulated_pair_is_node_maximum(self):
         # f - f_lambda is piecewise linear with kinks at the merged table

@@ -13,7 +13,6 @@ prints the explicit tail-probability bounds for the good events.
 import numpy as np
 
 from l1agg import (
-    BoundConstants,
     bernstein_bound,
     build_fourier,
     fourier_truth,
@@ -44,13 +43,12 @@ print("L(lambda*) (grid sup) =", f"{report.L_lambda:.5f}")
 print("memberships:", report.memberships)
 
 # Theorem-shaped right-hand sides with unit constants.
-constants = BoundConstants()
 print("\nrisk RHS  (weak sparsity, kappa = 1):",
-      f"{theorem_rhs('t21_risk', constants, r, report.k_star, kappa_M=1.0):.5f}")
+      f"{theorem_rhs('t21_risk', r, report.k_star, kappa_M=1.0):.5f}")
 print("l1 RHS:   ",
-      f"{theorem_rhs('t21_l1', constants, r, report.k_star, kappa_M=1.0):.5f}")
+      f"{theorem_rhs('t21_l1', r, report.k_star, kappa_M=1.0):.5f}")
 print("combined RHS (weak approximation):",
-      f"{theorem_rhs('t23', constants, r, report.k_star, dist2=report.dist2):.5f}")
+      f"{theorem_rhs('t23', r, report.k_star, dist2=report.dist2):.5f}")
 
 # Explicit tail bounds for the good events at this configuration.
 b = np.e - 1.0  # E exp|W| for uniform noise on [-1, 1]

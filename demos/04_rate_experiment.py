@@ -12,7 +12,7 @@ the full configuration.
 
 import numpy as np
 
-from l1agg import BoundConstants, ExperimentConfig, bound_check, rate_slope, run, summarize
+from l1agg import ExperimentConfig, bound_check, rate_slope, run, summarize
 
 config = ExperimentConfig(
     preset="fourier-L0k",
@@ -49,5 +49,5 @@ for cell in bound_check(config, rows, "t21_risk", fit_scale=True):
     )
 
 # One-constant check against the recorded unit-constant RHS.
-cells = bound_check(config, rows, "t21_risk", BoundConstants(B1=2.0))
+cells = bound_check(config, rows, "t21_risk", 2.0)
 print("\nB1 = 2 satisfied on all cells:", all(c.satisfied for c in cells))

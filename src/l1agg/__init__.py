@@ -60,7 +60,6 @@ _EXPORTS = {
         "kappa",
     ),
     "oracles": (
-        "BoundConstants",
         "PopulationProblem",
         "TruthSpec",
         "evaluate_truth",

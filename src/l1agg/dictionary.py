@@ -176,12 +176,14 @@ def grid_density_measure(grid, density) -> MeasureSpec:
 
     The table follows the rule of :func:`_check_table` (ShapeError), and
     every density value must be positive: the design density is bounded
-    away from zero.
+    away from zero. A table whose integral is not finite, an overflow
+    included, raises NumericError and no warning.
     """
     grid, density = _check_table(grid, density, ShapeError, "density table")
     if not np.all(density > 0):
         raise ConfigError("density values must be positive")
-    total = np.trapezoid(density, grid)
+    with np.errstate(over="ignore"):
+        total = np.trapezoid(density, grid)
     if not (np.isfinite(total) and total > 0):
         raise NumericError("density does not integrate to a positive value")
     return MeasureSpec(kind="grid-density", density_table=(grid, density / total))

@@ -39,7 +39,6 @@ from .dictionary import (
 from .errors import ConfigError, ConvergenceError
 from .gram import kappa
 from .oracles import (
-    BoundConstants,
     PopulationProblem,
     TruthSpec,
     evaluate_truth,
@@ -395,8 +394,8 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         dist2_star=dist2_star,
         L_lambda_star=l_lambda,
         kappa_M=kappa_m,
-        rhs_t21_risk=theorem_rhs("t21_risk", BoundConstants(), r_nM, k_star, kappa_m),
-        rhs_t21_l1=theorem_rhs("t21_l1", BoundConstants(), r_nM, k_star, kappa_m),
+        rhs_t21_risk=theorem_rhs("t21_risk", r_nM, k_star, kappa_m),
+        rhs_t21_l1=theorem_rhs("t21_l1", r_nM, k_star, kappa_m),
         regime_ok=regime_ok,
     )
 
@@ -573,17 +572,23 @@ def read_rows_csv(path) -> list[ExperimentRow]:
     """Read a rows CSV back; the rows carry ``converged=None``.
 
     Raises ShapeError for a header other than :data:`CSV_HEADER`, and
-    naming ``path:line`` for a ragged row or a cell that does not parse as
-    its column's type; a float column holds finite numbers only.
+    naming ``path:line`` for a ragged row, a cell that does not parse as
+    its column's type, or a value that no run writes: a float column holds
+    finite numbers only, ``risk``, ``l1_err`` and ``kkt`` nonnegative ones,
+    and ``m_hat`` lies in [0, M] of its own row.
     """
     parsers = [_finite if f.type == "float" else _PARSERS[f.type] for f in _ROW_FIELDS]
-    _, rows = read_csv(
-        path,
-        lambda cells: ExperimentRow(
-            *(parse(cell) for parse, cell in zip(parsers, cells)), converged=None
-        ),
-        header=CSV_HEADER.split(","),
-    )
+
+    def parse_row(cells):
+        row = ExperimentRow(*(parse(cell) for parse, cell in zip(parsers, cells)), converged=None)
+        for name in ("risk", "l1_err", "kkt"):
+            if getattr(row, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, found {getattr(row, name)!r}")
+        if not 0 <= row.m_hat <= row.M:
+            raise ValueError(f"m_hat must lie in [0, M = {row.M}], found {row.m_hat}")
+        return row
+
+    _, rows = read_csv(path, parse_row, header=CSV_HEADER.split(","))
     return rows
 
 
@@ -751,12 +756,16 @@ class BoundCheckCell:
     satisfied: bool
 
 
-def cell_tail_floor(ctx: CellContext, C_f: float) -> float:
-    """1 - (L5 + L6, plus L7 when k* >= 1), clamped to [0, 1]."""
+def cell_tail_floor(config: ExperimentConfig, cell_index: int) -> float:
+    """1 - (L5 + L6, plus L7 when k* >= 1), clamped to [0, 1], for grid cell
+    ``cell_index`` of ``config``: the lemmas read the cell's
+    :func:`cell_context`, whose oracle was chosen at ``config.C_f``, and
+    that same C_f."""
+    ctx = cell_context(config, cell_index)
     pop = ctx.population
     params = dict(
         M=ctx.M, r_nM=ctx.r_nM, b=ctx.noise.b, c0=pop.c0, L=pop.L, L0=pop.L0,
-        kappa_M=ctx.kappa_M, C_f=C_f, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star,
+        kappa_M=ctx.kappa_M, C_f=config.C_f, m_lambda=ctx.k_star, L_lambda=ctx.L_lambda_star,
     )
     lemmas = ("L5", "L6", "L7") if ctx.k_star >= 1 else ("L5", "L6")
     total = sum(lemma_bounds(which, ctx.n, **params) for which in lemmas)
@@ -767,20 +776,24 @@ def bound_check(
     config: ExperimentConfig,
     rows,
     kind: str = "t21_risk",
-    constants: BoundConstants | None = None,
+    scale: float | None = None,
     fit_scale: bool = False,
 ) -> list[BoundCheckCell]:
     """Check risk / l1 bounds per cell.
 
-    With ``constants`` given, the RHS is B1 (risk) or B2 (l1) times the
-    unit-constant RHS recorded on the rows. With ``fit_scale`` the scale
-    is instead fitted as the smallest value covering the first half of
-    the replicates and evaluated on the held-out second half.
+    Exactly one of ``scale`` and ``fit_scale`` is given, or ConfigError.
+    A ``scale`` is the theorem's constant, B1 for ``t21_risk`` or B2 for
+    ``t21_l1``: positive, infinity allowed, and the RHS is ``scale`` times
+    the unit-constant RHS recorded on the rows. With ``fit_scale`` each
+    cell's scale is instead fitted as the smallest value covering the
+    first half of the replicates and evaluated on the held-out second half.
     """
     if kind not in ("t21_risk", "t21_l1"):
         raise ConfigError("bound_check supports kinds t21_risk and t21_l1")
-    if not fit_scale and constants is None:
-        raise ConfigError("bound_check needs constants unless fit_scale is set")
+    if fit_scale == (scale is not None):
+        raise ConfigError("bound_check needs exactly one of scale and fit_scale")
+    if not (fit_scale or scale > 0):
+        raise ConfigError(f"bound_check scale must be positive, got {scale}")
     out = []
     for cell_index, cell_rows in enumerate(_rows_by_cell(config, rows)):
         ctx = cell_context(config, cell_index)
@@ -788,24 +801,23 @@ def bound_check(
         values = np.array(
             [r.risk if kind == "t21_risk" else r.l1_err for r in cell_rows]
         )
+        cell_scale = scale
         if fit_scale:
             half = len(cell_rows) // 2
             train, test = values[:half], values[half:]
             if train.size == 0 or test.size == 0:
                 raise ConfigError("fit mode needs at least 2 replicates per cell")
-            scale = float(np.max(train) / base) if base > 0 else math.inf
+            cell_scale = float(np.max(train) / base) if base > 0 else math.inf
             values = test
-        else:
-            scale = constants.B1 if kind == "t21_risk" else constants.B2
         # A unit RHS of 0 (k* = 0) gives an RHS of 0 at any scale, inf included.
-        rhs = scale * base if base > 0 else 0.0
+        rhs = cell_scale * base if base > 0 else 0.0
         fraction = float(np.mean(values <= rhs))
-        floor = cell_tail_floor(ctx, config.C_f)
+        floor = cell_tail_floor(config, cell_index)
         out.append(
             BoundCheckCell(
                 n=ctx.n,
                 M=ctx.M,
-                scale=scale,
+                scale=cell_scale,
                 rhs=rhs,
                 fraction=fraction,
                 prob_floor=floor,

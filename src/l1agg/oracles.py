@@ -404,41 +404,22 @@ def membership(
     )
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """User-supplied or empirically fitted constants of the risk bounds.
-
-    B1 and B2 scale the kappa-dependent risk and l1 bounds (t21) and
-    C_prime the weak-approximation bound (t23). None of these have sharp
-    known values; defaults of 1 give bound *shapes* whose scaling can be
-    checked even though levels cannot.
-    """
-
-    B1: float = 1.0
-    B2: float = 1.0
-    C_prime: float = 1.0
-
-    def __post_init__(self):
-        for name in ("B1", "B2", "C_prime"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"bound constant {name} must be positive")
-
-
 THEOREM_KINDS = ("t21_risk", "t21_l1", "t23")
 
 
 def theorem_rhs(
     kind: str,
-    constants: BoundConstants,
     r_nM: float,
     m_lambda: int,
     kappa_M: float | None = None,
     dist2: float | None = None,
 ) -> float:
-    """Evaluate a risk-bound right-hand side literally.
+    """Evaluate a risk-bound right-hand side literally, with unit constant.
 
-    t21_*: B kappa_M^-1 r^2 M(lambda) (risk) / B kappa_M^-1 r M(lambda) (l1);
-    t23:   C' (dist2 + r^2 M(lambda)).
+    t21_*: kappa_M^-1 r^2 M(lambda) (risk) / kappa_M^-1 r M(lambda) (l1);
+    t23:   dist2 + r^2 M(lambda).
+    None of the theorems' constants (B1, B2 for t21, C' for t23) has a
+    sharp known value; the bound with constant B is B times this value.
     Any other kind raises ConfigError naming :data:`THEOREM_KINDS`; values
     at which the formula overflows raise NumericError naming the kind.
     """
@@ -453,10 +434,11 @@ def theorem_rhs(
         raise ConfigError("t21 bounds need kappa_M in (0, 1]")
     try:
         if kind == "t23":
-            return constants.C_prime * (dist2 + r_nM**2 * m_lambda)
-        scale = constants.B1 if kind == "t21_risk" else constants.B2
+            return dist2 + r_nM**2 * m_lambda
         power = 2 if kind == "t21_risk" else 1
-        return scale / kappa_M * r_nM**power * m_lambda
+        # This order of operations is part of the rows CSV: _rows_by_cell
+        # compares a row's right-hand sides with these bit for bit.
+        return 1.0 / kappa_M * r_nM**power * m_lambda
     except ArithmeticError as exc:  # r_nM**2 overflowing
         raise NumericError(f"theorem {kind} cannot be evaluated ({type(exc).__name__})") from None
 

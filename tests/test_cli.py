@@ -1050,18 +1050,90 @@ def malformed_case(case, tmp_path):
         cfg = write("cfg.txt", CONFIG)
         rows = write("rows.csv", ROWS_HEADER + "fourier-L0k,64,10\n")
         return ["summary", "--config", cfg, "--rows", rows, "--out", out], f"{rows}:2"
-    if case.startswith("summary-nonfinite-"):
+    if case.startswith(("summary-nonfinite-", "summary-bad-")):
         # A nan risk used to summarize with exit 0 (risk_slope=nan,
-        # median_risk=nan), and a nan kkt counted as converged.
-        _, _, column, value = case.split("-")
+        # median_risk=nan), and a nan kkt counted as converged. A negative
+        # risk, l1_err or kkt, or an m_hat outside [0, M], also summarized
+        # with exit 0, although no run writes one.
+        _, what, column, value = case.split("-", 3)
         cfg = write("cfg.txt", CONFIG)
         lines = rows_csv_text(run(load_config(cfg))).splitlines()
         cells = lines[4].split(",")
         cells[ROWS_HEADER.strip().split(",").index(column)] = value
         lines[4] = ",".join(cells)
         rows = write("rows.csv", "\n".join(lines) + "\n")
+        message = (f"expected a finite number, found {value!r}" if what == "nonfinite"
+                   else f"{column} must")
         return (["summary", "--config", cfg, "--rows", rows, "--out", out],
-                f"{rows}:5: expected a finite number, found {value!r}")
+                f"{rows}:5: {message}")
+    if case == "summary-wrong-header":
+        cfg = write("cfg.txt", CONFIG)
+        rows = write("rows.csv", ROWS_HEADER.replace("risk", "loss", 1) + "fourier-L0k,64,10\n")
+        return (["summary", "--config", cfg, "--rows", rows, "--out", out],
+                f"{rows}:1: expected the header")
+    if case.startswith("config-set-"):
+        setting = case[len("config-set-"):]
+        message = {
+            "preset=foo": "unknown preset 'foo'",
+            "n_values=1,64": "n_values entries must be >= 2",
+            "A=-1": "tuning constant A must be positive",
+            "rate_kind=log2": "rate_kind must be log_M or log_n",
+            "R=0": "replicate count R must be >= 1",
+            "C_f=-1": "C_f must be nonnegative",
+            "k_or_beta=2.5": "k must be a nonnegative integer",
+            "m_rule=fixed": "m_rule 'fixed' must look like fixed:<M> or power:<s>",
+            "m_rule=fixed:1": "fixed dictionary size must be >= 2",
+            "m_rule=cube:2": "unknown m_rule kind 'cube'",
+        }[setting]
+        key, _, value = setting.partition("=")
+        lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
+                 for ln in CONFIG.splitlines()]
+        cfg = write("cfg.txt", "\n".join(lines) + "\n")
+        return ["experiment", "--config", cfg, "--out", out], f"{cfg}: {message}"
+    if case == "experiment-no-out":
+        cfg = write("cfg.txt", CONFIG)
+        return ["experiment", "--config", cfg], "experiment needs an output path"
+    if case == "bounds-no-n":
+        params = write("params.txt", "M = 10\nc0 = 1\nL = 1\n")
+        return ["bounds", "--params", params, "--which", "L4"], "needs n"
+    if case == "fit-y-nan":
+        data = write("data.csv", "x1,y\n0.1,1.0\n0.2,nan\n0.3,0.5\n")
+        return fit(data, dictionary="fourier:5"), "response vector contains non-finite values"
+    if case == "rate-log2":
+        return fit(good_data, rate="log2"), "unknown rate 'log2'"
+    if case == "oracle-kmin-above-kmax":
+        return (["oracle", "--dict", "fourier:8", "--truth", "l0k:2", "--kmin", "3",
+                 "--kmax", "2", "--out", out], "need 0 <= kmin <= kmax")
+    if case.startswith(("spec-dict-", "spec-measure-", "spec-truth-")):
+        # Refusals of a --dict, --measure or --truth value; a CSV they name
+        # is a 3-row table with the case's header.
+        flag, _, spec = case[len("spec-"):].partition("-")
+        message = {
+            "foo:3": "unknown dictionary shorthand 'foo:3'",
+            "coordinate:3:1,0": "lower bounds must not exceed upper bounds",
+            "coordinate:3:0,inf": "domain bounds must be finite",
+            "tabulated:t;f1": "tabulated CSV must start with header x",
+            "gauss": "unknown measure shorthand 'gauss'",
+            "density:x;d": "CSV must have header x,density",
+            "foo:1": "unknown truth shorthand 'foo:1'",
+            "theta:1@0": "theta indices are 1-based",
+            "l0k:-1": "k must be nonnegative",
+            "tabulated:x;g": "CSV must have header x,f",
+        }[spec]
+        kind, _, header = spec.partition(":")
+        if kind in ("tabulated", "density"):
+            spec = f"{kind}:" + write("table.csv", header.replace(";", ",") + "\n0,1\n0.5,2\n1,1\n")
+        if flag == "dict":
+            return ["diagnose", "--dict", spec], message
+        if flag == "measure":
+            return ["diagnose", "--dict", "fourier:4", "--measure", spec], message
+        return oracle(spec), message
+    if case == "density-overflow":
+        # The trapezoid overflowed: numpy's "overflow encountered in add"
+        # warning came before the error line.
+        dens = write("dens.csv", "x,density\n0,1e308\n1,1e308\n")
+        return (["diagnose", "--dict", "fourier:5", "--measure", f"density:{dens}"],
+                "density does not integrate to a positive value")
     if case in ("config-sobolev-beta-0", "config-linear-k-above-M"):
         # Both configs used to pass the check and fail once the run
         # started, with an error that did not name the config file.
@@ -1079,7 +1151,8 @@ def malformed_case(case, tmp_path):
 
 
 # Malformed inputs whose error is numeric: exit 4, not 1.
-NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow", "fit-y-1e300", "fit-y-1e308")
+NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow", "fit-y-1e300", "fit-y-1e308",
+                 "fit-y-nan", "density-overflow")
 
 
 class TestMalformedInput:
@@ -1107,6 +1180,17 @@ class TestMalformedInput:
             "fit-y-1e300", "fit-y-1e308", "summary-nonfinite-risk-nan",
             "summary-nonfinite-kkt-nan", "summary-nonfinite-l1_err-inf",
             "config-sobolev-beta-0", "config-linear-k-above-M",
+            "summary-bad-kkt--5.0", "summary-bad-risk--0.5", "summary-bad-l1_err--1.0",
+            "summary-bad-m_hat--3", "summary-bad-m_hat-999", "density-overflow",
+            "spec-dict-foo:3", "spec-dict-coordinate:3:1,0", "spec-dict-coordinate:3:0,inf",
+            "spec-dict-tabulated:t;f1", "spec-measure-gauss", "spec-measure-density:x;d",
+            "spec-truth-foo:1", "spec-truth-theta:1@0", "spec-truth-l0k:-1",
+            "spec-truth-tabulated:x;g", "rate-log2", "oracle-kmin-above-kmax", "fit-y-nan",
+            "bounds-no-n", "experiment-no-out", "summary-wrong-header",
+            "config-set-preset=foo", "config-set-n_values=1,64", "config-set-A=-1",
+            "config-set-rate_kind=log2", "config-set-R=0", "config-set-C_f=-1",
+            "config-set-k_or_beta=2.5", "config-set-m_rule=fixed", "config-set-m_rule=fixed:1",
+            "config-set-m_rule=cube:2",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from l1agg import (
-    BoundConstants,
     ConfigError,
     ExperimentConfig,
     ShapeError,
@@ -319,8 +318,7 @@ class TestRun:
         for cfg in configs:
             for cell in range(len(cfg.n_values)):
                 calls.clear()
-                ctx = cell_context(cfg, cell)
-                cell_tail_floor(ctx, cfg.C_f)
+                cell_tail_floor(cfg, cell)
                 assert len(calls) == 1
             calls.clear()
             assert len(run(cfg)) == 2 * cfg.R
@@ -587,6 +585,7 @@ class TestOracleSupNormCache:
     def test_cached_scan_gives_the_fresh_context(self):
         self.clear()
         cached = [cell_context(SOBOLEV_GRID, cell) for cell in range(4)]
+        floors = [cell_tail_floor(SOBOLEV_GRID, cell) for cell in range(4)]
         for cell, ctx in enumerate(cached):
             self.clear()
             fresh = cell_context(SOBOLEV_GRID, cell)
@@ -594,7 +593,7 @@ class TestOracleSupNormCache:
             self.assert_same(ctx, fresh)
             for name in ("psi", "g", "f2", "c0", "L", "L0"):
                 self.assert_same(getattr(ctx.population, name), getattr(fresh.population, name))
-            assert cell_tail_floor(ctx, 1.0) == cell_tail_floor(fresh, 1.0)
+            assert cell_tail_floor(SOBOLEV_GRID, cell) == floors[cell]
 
 
 class TestMonotoneSparsityInA:
@@ -742,7 +741,7 @@ class TestBoundCheck:
     def test_infinite_rhs_sanity(self):
         cfg = tiny_config()
         rows = run(cfg)
-        cells = bound_check(cfg, rows, "t21_risk", BoundConstants(B1=math.inf))
+        cells = bound_check(cfg, rows, "t21_risk", math.inf)
         assert all(c.fraction == 1.0 for c in cells)
         assert all(c.satisfied for c in cells)
 
@@ -760,7 +759,7 @@ class TestBoundCheck:
         rows = run(cfg)
         # Exact representation: the shrinkage bias is ~2 r^2, so any
         # constant comfortably above 2 makes the bound hold surely.
-        cells = bound_check(cfg, rows, "t21_risk", BoundConstants(B1=4.0))
+        cells = bound_check(cfg, rows, "t21_risk", 4.0)
         assert cells[0].fraction == 1.0
 
     def test_split_sample_fit_holds_out(self):
@@ -780,14 +779,28 @@ class TestBoundCheck:
         )
         rows = run(cfg)
         fitted = bound_check(cfg, rows, fit_scale=True)
-        fixed = bound_check(cfg, rows, constants=BoundConstants())
+        fixed = bound_check(cfg, rows, scale=1.0)
         for f, c in zip(fitted, fixed):
             assert (f.rhs, f.fraction, f.satisfied) == (c.rhs, c.fraction, c.satisfied) == (0.0, 1.0, True)
 
     def test_requires_constants_or_fit(self):
         cfg = tiny_config()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="exactly one of scale and fit_scale"):
             bound_check(cfg, run(cfg), "t21_risk")
+
+    @pytest.mark.parametrize("kind", ["t21_risk", "t21_l1"])
+    def test_scale_and_fit_scale_refused(self, kind):
+        # A scale given with fit_scale used to be dropped without a word.
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="exactly one of scale and fit_scale"):
+            bound_check(cfg, run(cfg), kind, 100.0, fit_scale=True)
+
+    @pytest.mark.parametrize("kind", ["t21_risk", "t21_l1"])
+    @pytest.mark.parametrize("scale", [math.nan, 0.0, -1.0])
+    def test_bad_scale_refused(self, kind, scale):
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="scale must be positive"):
+            bound_check(cfg, run(cfg), kind, scale)
 
 
 class TestEventFrequenciesVsBounds:

@@ -1,6 +1,5 @@
 """Oracle vectors, memberships, theorem RHS shapes, and tail bounds."""
 
-import dataclasses
 import itertools
 import math
 import time
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1agg import (
-    BoundConstants,
     ConfigError,
     DesignMatrix,
     DomainError,
@@ -499,28 +497,22 @@ class TestMembership:
 
 class TestTheoremRhs:
     def test_risk_shape(self):
-        c = BoundConstants(B1=1.0)
-        assert theorem_rhs("t21_risk", c, 0.1, 4, kappa_M=0.5) == pytest.approx(0.08)
+        assert theorem_rhs("t21_risk", 0.1, 4, kappa_M=0.5) == pytest.approx(0.08)
 
     def test_t23(self):
-        c = BoundConstants(C_prime=2.0)
-        assert theorem_rhs("t23", c, 0.1, 1, dist2=0.01) == pytest.approx(0.04)
+        assert theorem_rhs("t23", 0.1, 1, dist2=0.01) == pytest.approx(0.02)
 
     def test_empty_oracle(self):
-        c = BoundConstants()
-        assert theorem_rhs("t21_risk", c, 0.1, 0, kappa_M=1.0) == 0.0
+        assert theorem_rhs("t21_risk", 0.1, 0, kappa_M=1.0) == 0.0
 
     @pytest.mark.parametrize("kind", ["t22_risk", "t22_l1", "t24"])
     def test_unknown_kind_names_the_kinds(self, kind):
         with pytest.raises(ConfigError, match=r"\('t21_risk', 't21_l1', 't23'\)"):
-            theorem_rhs(kind, BoundConstants(), 0.1, 1, kappa_M=1.0, dist2=0.0)
-
-    def test_constants_are_b1_b2_and_c_prime(self):
-        assert [f.name for f in dataclasses.fields(BoundConstants)] == ["B1", "B2", "C_prime"]
+            theorem_rhs(kind, 0.1, 1, kappa_M=1.0, dist2=0.0)
 
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):
-            theorem_rhs("t21_risk", BoundConstants(), 0.1, 3, kappa_M=0.0)
+            theorem_rhs("t21_risk", 0.1, 3, kappa_M=0.0)
 
     @pytest.mark.parametrize(
         "kind, r_nM, dist2",
@@ -529,19 +521,14 @@ class TestTheoremRhs:
     def test_nan_input_refused(self, kind, r_nM, dist2):
         # Each used to return nan.
         with pytest.raises(ConfigError):
-            theorem_rhs(kind, BoundConstants(), r_nM, 1, kappa_M=1.0, dist2=dist2)
-
-    @pytest.mark.parametrize("name", ["B1", "B2", "C_prime"])
-    def test_nan_constant_refused(self, name):
-        with pytest.raises(ConfigError, match=f"bound constant {name} must be positive"):
-            BoundConstants(**{name: math.nan})
+            theorem_rhs(kind, r_nM, 1, kappa_M=1.0, dist2=dist2)
 
     @pytest.mark.parametrize("kind", ["t21_risk", "t23"])
     def test_overflow_is_a_numeric_error(self, kind):
         # r**2 used to raise a bare OverflowError.
         with pytest.raises(NumericError, match=f"theorem {kind} cannot be evaluated"):
-            theorem_rhs(kind, BoundConstants(), 1e200, 1, kappa_M=1.0, dist2=0.0)
-        assert theorem_rhs("t21_l1", BoundConstants(), 1e200, 1, kappa_M=1.0) == 1e200
+            theorem_rhs(kind, 1e200, 1, kappa_M=1.0, dist2=0.0)
+        assert theorem_rhs("t21_l1", 1e200, 1, kappa_M=1.0) == 1e200
 
 
 class TestBernstein:

@@ -13,26 +13,43 @@ import tempfile
 from .errors import ConfigError, ShapeError
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-file + rename so readers never see a torn file;
-    an OSError that names a file names ``path``, never the temp file."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError that names a file as one that names ``path``."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        tmp = None
+        yield
     except OSError as exc:
         if exc.filename is None:
             raise
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    finally:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A temporary file beside ``path``, created on entry and yielded open
+    for UTF-8 text. When the block ends, it replaces ``path``, so readers
+    never see a torn file; when the block raises, it is removed. An
+    OSError from creating or renaming it names ``path``, never the
+    temporary file."""
+    path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    with _naming(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        with _naming(path):
+            os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 def fmt(value) -> str:

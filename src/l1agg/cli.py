@@ -38,10 +38,10 @@ from .errors import (
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1 (2 is reserved
-    for solver non-convergence)."""
+    for solver non-convergence) and to one ``error:`` line, with no usage
+    block before it."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 

@@ -19,15 +19,25 @@ in-memory rows).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import _integral, atomic_write_text, csv_text, parse_value, read_csv, read_key_values
+from ._util import (
+    _integral,
+    atomic_write_text,
+    atomic_writer,
+    csv_text,
+    parse_value,
+    read_csv,
+    read_key_values,
+)
 from .dictionary import (
     Dictionary,
     build_coordinate,
@@ -123,7 +133,9 @@ def generate(
     noise, from one ``default_rng(seed)`` stream. The design is
     ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
     ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError.
+    domain whose width overflows raises ConfigError. On a cube (one axis,
+    or every axis with the same bounds) low and width are scalars, so the
+    same two operations run without broadcasting a row over the rows.
 
     ``out``, when given, is the array the design is drawn into and the
     sample's ``x``: a writeable C-order (n, d) float64 array, or
@@ -135,13 +147,16 @@ def generate(
         _check_out(out, (n, dictionary.d), "C")
     rng = np.random.default_rng(seed)
     box = dictionary.domain
+    low = box[:, 0]
     with np.errstate(over="ignore"):
-        width = box[:, 1] - box[:, 0]
-    if not np.all(np.isfinite(width)):
+        width = box[:, 1] - low
+    if not np.isfinite(width).all():
         raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
+    if len(box) == 1 or (box == box[0]).all():
+        low, width = low[0], width[0]
     x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
     x *= width
-    x += box[:, 0]
+    x += low
     f_values = evaluate_truth(truth, x)
     w = sample_noise(noise, n, rng)
     return Sample(x=x, y=f_values + w, f_values=f_values, w=w)
@@ -522,18 +537,22 @@ def _run_replicate(
 def run(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the full replicate grid in deterministic (cell, rep) order.
 
-    Writes the CSV artifact when ``config.out`` is set. Non-convergent
-    replicates are recorded in-row, never fatal. The replicates of a cell
-    share one pair of draw and design arrays (:func:`_cell_buffers`).
+    Writes the CSV artifact when ``config.out`` is set. Its temporary file
+    is created beside it before the first cell, so an output that cannot
+    be written fails before any replicate runs; a run that raises removes
+    it. Non-convergent replicates are recorded in-row, never fatal. The
+    replicates of a cell share one pair of draw and design arrays
+    (:func:`_cell_buffers`).
     """
-    rows = []
-    for cell_index in range(len(config.n_values)):
-        ctx = cell_context(config, cell_index)
-        buffers = _cell_buffers(ctx)
-        for rep in range(config.R):
-            rows.append(_run_replicate(config, ctx, rep, buffers))
-    if config.out:
-        write_rows_csv(config.out, rows)
+    with atomic_writer(config.out) if config.out else contextlib.nullcontext() as out:
+        rows = []
+        for cell_index in range(len(config.n_values)):
+            ctx = cell_context(config, cell_index)
+            buffers = _cell_buffers(ctx)
+            for rep in range(config.R):
+                rows.append(_run_replicate(config, ctx, rep, buffers))
+        if out is not None:
+            write_rows_csv(out, rows)
     return rows
 
 
@@ -557,8 +576,14 @@ def rows_csv_text(rows) -> str:
     )
 
 
-def write_rows_csv(path, rows) -> None:
-    atomic_write_text(path, rows_csv_text(rows))
+def write_rows_csv(out, rows) -> None:
+    """Write the rows CSV to ``out``: a path, written atomically, or a text
+    file open for writing, such as the one :func:`run` opens."""
+    text = rows_csv_text(rows)
+    if isinstance(out, (str, os.PathLike)):
+        atomic_write_text(out, text)
+    else:
+        out.write(text)
 
 
 def _finite(text: str) -> float:

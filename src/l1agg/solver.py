@@ -112,13 +112,15 @@ def _exact_finish(g, gram, signs, weights, bound):
     """The minimizer for support S = {j: signs_j != 0} with signs s, or None.
 
     Solves Psi_SS x = g_S - omega_S s with g = n^-1 Phi^T Y from the cached
-    Gram columns, and accepts x only if sign(x) = s and every coordinate's
-    KKT violation, taken from these sufficient statistics with gradient
-    g - Psi_.S x, is within ``bound``. A singular or near-singular Psi_SS
-    fails one of these tests."""
+    Gram rows ``gram``, the whole Psi or a dict of the rows formed so far
+    (every row in S among them), and accepts x only if sign(x) = s and
+    every coordinate's KKT violation, taken from these sufficient
+    statistics with gradient g - Psi_.S x, is within ``bound``. A singular
+    or near-singular Psi_SS fails one of these tests."""
     S = np.flatnonzero(signs)
     s = signs[S]
-    rows = np.array([gram[j] for j in S.tolist()])  # Psi_.S transposed
+    # Psi_S., which is Psi_.S transposed.
+    rows = gram[S] if isinstance(gram, np.ndarray) else np.array([gram[j] for j in S.tolist()])
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.solve(rows[:, S].T, g[S] - weights[S] * s)
@@ -174,12 +176,12 @@ def fit(
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise ShapeError(f"response must have shape ({n},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NumericError("response vector contains non-finite values")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (M,):
         raise ShapeError(f"weights must have shape ({M},), got {weights.shape}")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+    if not np.isfinite(weights).all() or (weights < 0).any():
         raise ConfigError("penalty weights must be finite and nonnegative")
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and positive, got {tol}")
@@ -202,9 +204,10 @@ def fit(
     item = grad.item  # grad changes in place only, so this stays bound to it
     # sqrt(yy * col_sq) could overflow where each factor does not.
     bound = tol * math.sqrt(yy) * np.sqrt(col_sq)
-    # j -> Psi_j; one BLAS-3 product beats M columns when most will move.
+    # gram[j] is Psi_j. One BLAS-3 product beats M columns when most will
+    # move; otherwise a dict holds each Psi_j from coordinate j's first move.
     if 2 * np.count_nonzero(np.abs(g) > weights) > len(coords):
-        gram = dict(enumerate(empirical_gram(design)))
+        gram = empirical_gram(design)
     else:
         gram = {}
     lam = [0.0] * M
@@ -224,8 +227,9 @@ def fit(
             else:
                 new = 0.0
             if new != old:
-                col = gram.get(j)
-                if col is None:
+                try:
+                    col = gram[j]
+                except KeyError:
                     col = gram[j] = phi.T @ phi[:, j] / n
                 grad -= (new - old) * col
                 lam[j] = new

@@ -1,8 +1,10 @@
 """Command-line interface: dispatch, exit codes, file contracts."""
 
+import errno
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from l1agg import (
     tabulated_truth,
     uniform_measure,
 )
+from l1agg import experiments
 from l1agg.cli import main
 from l1agg.experiments import rows_csv_text
 from l1agg.gram import write_gram_csv
@@ -307,6 +310,34 @@ class TestWriteErrors:
         assert len(errors) == 1 and repr(str(out)) in errors[0]
         assert ".tmp-" not in err
         assert not [p for p in tmp_path.rglob(".tmp-*")]
+
+    @pytest.mark.parametrize("target", ["missing-dir", "read-only-dir"])
+    def test_experiment_fails_before_the_first_cell(self, target, tmp_path, capsys, monkeypatch):
+        # The whole grid used to run before the rows' write failed.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CONFIG)
+        out = tmp_path / "out" / "rows.csv"
+        if target == "read-only-dir":
+            out.parent.mkdir()
+            out.parent.chmod(0o555)
+            if os.access(out.parent, os.W_OK):
+                # A privileged user may write into a mode-555 directory, so
+                # mkstemp refuses it as the kernel refuses everyone else.
+                def refuse(dir, prefix, suffix):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                          os.path.join(dir, f"{prefix}x{suffix}"))
+
+                monkeypatch.setattr(tempfile, "mkstemp", refuse)
+
+        def unreachable(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "cell_context", unreachable)
+        code, _, err = run_cli(["experiment", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and repr(str(out)) in lines[0]
+        assert not [p for p in tmp_path.rglob("*") if p.name not in ("cfg.txt", "out")]
 
 
 class TestDiagnose:
@@ -1090,6 +1121,15 @@ def malformed_case(case, tmp_path):
                  for ln in CONFIG.splitlines()]
         cfg = write("cfg.txt", "\n".join(lines) + "\n")
         return ["experiment", "--config", cfg, "--out", out], f"{cfg}: {message}"
+    if case.startswith("usage-"):
+        # argparse's usage block used to come before the error line.
+        return {
+            "usage-missing-flag": (fit(good_data)[:-2],
+                                   "the following arguments are required: --out"),
+            "usage-unknown-flag": (fit(good_data) + ["--frob", "1"],
+                                   "unrecognized arguments: --frob 1"),
+            "usage-bad-choice": (["frob"], "argument command: invalid choice: 'frob'"),
+        }[case]
     if case == "experiment-no-out":
         cfg = write("cfg.txt", CONFIG)
         return ["experiment", "--config", cfg], "experiment needs an output path"
@@ -1190,7 +1230,8 @@ class TestMalformedInput:
             "config-set-preset=foo", "config-set-n_values=1,64", "config-set-A=-1",
             "config-set-rate_kind=log2", "config-set-R=0", "config-set-C_f=-1",
             "config-set-k_or_beta=2.5", "config-set-m_rule=fixed", "config-set-m_rule=fixed:1",
-            "config-set-m_rule=cube:2",
+            "config-set-m_rule=cube:2", "usage-missing-flag", "usage-unknown-flag",
+            "usage-bad-choice",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

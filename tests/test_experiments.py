@@ -136,17 +136,24 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n", [1, 8192])
     def test_uniform_draw_is_generator_uniform(self, n):
-        # An asymmetric per-axis box with a zero-width axis: the design is
-        # bit for bit Generator.uniform's, drawn fresh or into ``out``, and
+        # An asymmetric per-axis box with a zero-width axis, and two cubes
+        # that generate maps with scalars: the linear preset's [-1, 1]^20
+        # and Fourier's [0, 1]. The design is bit for bit Generator.uniform's
+        # (with scalar bounds on a cube), drawn fresh or into ``out``, and
         # the noise is the next draw from the same stream.
         box = np.array([[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]])
-        d = build_coordinate(3, domain=box)
+        cases = [
+            (build_coordinate(3, domain=box), linear_truth(np.ones(3)), box[:, 0], box[:, 1]),
+            (build_coordinate(20, domain=[-1, 1]), linear_truth(np.ones(20)), -1.0, 1.0),
+            (build_fourier(5), l0k_truth(2), 0.0, 1.0),
+        ]
         noise = noise_bounded_uniform(1.0)
-        for out in (None, np.empty((n, 3))):
-            sample = generate(d, linear_truth(np.ones(3)), noise, n, 5, out=out)
-            rng = np.random.default_rng(5)
-            assert np.array_equal(sample.x, rng.uniform(box[:, 0], box[:, 1], (n, 3)))
-            assert np.array_equal(sample.w, rng.uniform(-1.0, 1.0, n))
+        for d, truth, low, high in cases:
+            for out in (None, np.empty((n, d.d))):
+                sample = generate(d, truth, noise, n, 5, out=out)
+                rng = np.random.default_rng(5)
+                assert sample.x.tobytes() == rng.uniform(low, high, (n, d.d)).tobytes()
+                assert sample.w.tobytes() == rng.uniform(-1.0, 1.0, n).tobytes()
 
     def test_overflowing_domain_width_refused(self):
         # high - low overflows to inf: one ConfigError naming the domain,
@@ -239,6 +246,27 @@ class TestRun:
         run(cfg)
         text_b = (tmp_path / "rows.csv").read_bytes()
         assert text_a == text_b
+
+    def test_raising_run_leaves_no_file(self, tmp_path, monkeypatch):
+        # The rows' temporary file is created before the first cell and
+        # removed when the run raises; the old rows stay as they were.
+        out = tmp_path / "rows.csv"
+        out.write_text("old rows\n")
+        seen = []
+        real_context = experiments.cell_context
+
+        def second_cell_fails(config, cell_index):
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            if cell_index == 1:
+                raise KeyboardInterrupt
+            return real_context(config, cell_index)
+
+        monkeypatch.setattr(experiments, "cell_context", second_cell_fails)
+        with pytest.raises(KeyboardInterrupt):
+            run(tiny_config(out=str(out)))
+        assert [len(names) for names in seen] == [2, 2]
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+        assert out.read_text() == "old rows\n"
 
     def test_seed_rule(self):
         cfg = tiny_config()

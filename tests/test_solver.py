@@ -1,6 +1,7 @@
 """Coordinate descent solver: closed forms, KKT certificates, properties."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from l1agg import (
     DesignMatrix,
     ExperimentConfig,
     NumericError,
+    ShapeError,
     build_coordinate,
     build_fourier,
     empirical_gram,
@@ -433,8 +435,35 @@ class TestFit:
         # one sweep whatever the KKT residual; no sweep budget runs nothing.
         design = make_design(np.random.default_rng(4).normal(size=(20, 3)))
         y = design.entries[:, 0]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="tol must be finite|max_sweeps must be >= 1"):
             fit(design, y, log_m_weights(design, 1.0), **stop)
+
+    @pytest.mark.parametrize(
+        "which, bad, error, message",
+        [
+            ("y", (21,), ShapeError, "response must have shape (20,), got (21,)"),
+            ("y", (20, 1), ShapeError, "response must have shape (20,), got (20, 1)"),
+            ("weights", (2,), ShapeError, "weights must have shape (3,), got (2,)"),
+            ("weights", (1, 3), ShapeError, "weights must have shape (3,), got (1, 3)"),
+            *[("y", v, NumericError, "response vector contains non-finite values")
+              for v in (math.nan, math.inf, -math.inf)],
+            *[("weights", v, ConfigError, "penalty weights must be finite and nonnegative")
+              for v in (math.nan, math.inf, -math.inf, -0.5)],
+        ],
+        ids=["y-long", "y-column", "weights-short", "weights-row", "y-nan", "y-inf", "y-minus-inf",
+             "weights-nan", "weights-inf", "weights-minus-inf", "weights-negative"],
+    )
+    def test_bad_response_or_weights_refused(self, which, bad, error, message):
+        # A shape (a tuple) replaces the array, a value its entry 1; each is
+        # refused before the first sweep.
+        design = make_design(np.random.default_rng(4).normal(size=(20, 3)))
+        inputs = {"y": design.entries[:, 0].copy(), "weights": log_m_weights(design, 1.0)}
+        if isinstance(bad, tuple):
+            inputs[which] = np.ones(bad)
+        else:
+            inputs[which][1] = bad
+        with pytest.raises(error, match=re.escape(message)):
+            fit(design, inputs["y"], inputs["weights"])
 
     def test_objective_identity(self):
         rng = np.random.default_rng(17)

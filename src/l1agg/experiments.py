@@ -23,21 +23,12 @@ import contextlib
 import dataclasses
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (
-    _integral,
-    atomic_write_text,
-    atomic_writer,
-    csv_text,
-    parse_value,
-    read_csv,
-    read_key_values,
-)
+from ._util import _integral, atomic_writer, csv_text, parse_value, read_csv, read_key_values
 from .dictionary import (
     Dictionary,
     build_coordinate,
@@ -133,9 +124,9 @@ def generate(
     noise, from one ``default_rng(seed)`` stream. The design is
     ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
     ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError. On a cube (one axis,
-    or every axis with the same bounds) low and width are scalars, so the
-    same two operations run without broadcasting a row over the rows.
+    domain whose width overflows raises ConfigError. On a cube (every axis
+    with the same bounds) low and width are scalars, so the same two
+    operations run without broadcasting a row over the rows.
 
     ``out``, when given, is the array the design is drawn into and the
     sample's ``x``: a writeable C-order (n, d) float64 array, or
@@ -152,7 +143,7 @@ def generate(
         width = box[:, 1] - low
     if not np.isfinite(width).all():
         raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
-    if len(box) == 1 or (box == box[0]).all():
+    if (box == box[0]).all():
         low, width = low[0], width[0]
     x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
     x *= width
@@ -540,9 +531,9 @@ def run(config: ExperimentConfig) -> list[ExperimentRow]:
     Writes the CSV artifact when ``config.out`` is set. Its temporary file
     is created beside it before the first cell, so an output that cannot
     be written fails before any replicate runs; a run that raises removes
-    it. Non-convergent replicates are recorded in-row, never fatal. The
-    replicates of a cell share one pair of draw and design arrays
-    (:func:`_cell_buffers`).
+    it, and a killed one can leave it behind. Non-convergent replicates
+    are recorded in-row, never fatal. The replicates of a cell share one
+    pair of draw and design arrays (:func:`_cell_buffers`).
     """
     with atomic_writer(config.out) if config.out else contextlib.nullcontext() as out:
         rows = []
@@ -576,14 +567,9 @@ def rows_csv_text(rows) -> str:
     )
 
 
-def write_rows_csv(out, rows) -> None:
-    """Write the rows CSV to ``out``: a path, written atomically, or a text
-    file open for writing, such as the one :func:`run` opens."""
-    text = rows_csv_text(rows)
-    if isinstance(out, (str, os.PathLike)):
-        atomic_write_text(out, text)
-    else:
-        out.write(text)
+def write_rows_csv(fh, rows) -> None:
+    """Write the rows CSV to ``fh``, a text file open for writing."""
+    fh.write(rows_csv_text(rows))
 
 
 def _finite(text: str) -> float:

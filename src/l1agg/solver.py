@@ -112,15 +112,13 @@ def _exact_finish(g, gram, signs, weights, bound):
     """The minimizer for support S = {j: signs_j != 0} with signs s, or None.
 
     Solves Psi_SS x = g_S - omega_S s with g = n^-1 Phi^T Y from the cached
-    Gram rows ``gram``, the whole Psi or a dict of the rows formed so far
-    (every row in S among them), and accepts x only if sign(x) = s and
-    every coordinate's KKT violation, taken from these sufficient
-    statistics with gradient g - Psi_.S x, is within ``bound``. A singular
-    or near-singular Psi_SS fails one of these tests."""
+    Gram columns, and accepts x only if sign(x) = s and every coordinate's
+    KKT violation, taken from these sufficient statistics with gradient
+    g - Psi_.S x, is within ``bound``. A singular or near-singular Psi_SS
+    fails one of these tests."""
     S = np.flatnonzero(signs)
     s = signs[S]
-    # Psi_S., which is Psi_.S transposed.
-    rows = gram[S] if isinstance(gram, np.ndarray) else np.array([gram[j] for j in S.tolist()])
+    rows = np.array([gram[j] for j in S.tolist()])  # Psi_.S transposed
     with np.errstate(all="ignore"):
         try:
             x = np.linalg.solve(rows[:, S].T, g[S] - weights[S] * s)

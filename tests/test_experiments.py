@@ -37,6 +37,7 @@ from l1agg import (
 )
 from l1agg import dictionary as dictionary_module
 from l1agg import experiments, oracles, solver
+from l1agg._util import atomic_writer
 from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
@@ -375,7 +376,8 @@ class TestRun:
         cfg = tiny_config()
         rows = run(cfg)
         path = tmp_path / "rows.csv"
-        write_rows_csv(path, rows)
+        with atomic_writer(path) as fh:
+            write_rows_csv(fh, rows)
         back = read_rows_csv(path)
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
@@ -719,7 +721,8 @@ class TestSummaries:
         path = tmp_path / "rows.csv"
         for converged, kkt, expected in ((False, 1e-8, 0.0), (True, 1e-5, 1.0)):
             rows = [dataclasses.replace(row, converged=converged, kkt=kkt)]
-            write_rows_csv(path, rows)
+            with atomic_writer(path) as fh:
+                write_rows_csv(fh, rows)
             assert summarize(cfg, rows)[0].frac_nonconverged == expected
             assert summarize(cfg, read_rows_csv(path))[0].frac_nonconverged == expected
 

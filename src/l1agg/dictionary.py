@@ -546,7 +546,6 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     return pts, w
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
     """Exact ``(Psi, L0)`` under the uniform measure, or None without one.
 
@@ -614,74 +613,59 @@ def _finite(value, what="population Gram, L, c0 or L0"):
 class PopulationConstants:
     """Psi, L, c0 and L0 of a dictionary under a design measure.
 
-    ``psi`` is the Gram of inner products <f_i, f_j>, ``L`` the exact max
-    sup-norm (:func:`_sup_norm`), ``c0`` the smallest population norm
-    sqrt(min_j Psi_jj), read off Psi's diagonal like every other use of the
-    squared norms, and ``L0`` the largest fourth moment max_j E[f_j^4],
-    which by Cauchy-Schwarz equals the largest mixed moment
+    ``psi`` is the read-only Gram of inner products <f_i, f_j>, ``L`` the
+    exact max sup-norm (:func:`_sup_norm`), ``c0`` the smallest population
+    norm sqrt(min_j Psi_jj), read off Psi's diagonal like every other use
+    of the squared norms, and ``L0`` the largest fourth moment
+    max_j E[f_j^4], which by Cauchy-Schwarz equals the largest mixed moment
     max_{i,j} E[f_i^2 f_j^2] of the lemmas; finite L and L0 and c0 > 0 are
-    the boundedness conditions. Psi and L0 are the closed forms of
-    :func:`_uniform_closed_form` when it has them, else they come from
-    ``design``, the dictionary on the :func:`quadrature_grid` ``nodes``
-    (points, weights). Each is formed on first read and kept
-    read-only; one that is not finite, such as a product that overflows,
-    raises NumericError, and no warning, when it is first read.
+    the boundedness conditions. :func:`population_constants` forms them.
     """
 
-    dictionary: Dictionary
-    measure: MeasureSpec
+    psi: np.ndarray
+    L: float
+    c0: float
+    L0: float
 
-    @cached_property
-    def nodes(self) -> tuple:
-        return tuple(_read_only(a) for a in quadrature_grid(self.dictionary, self.measure))
 
-    @cached_property
-    def design(self) -> np.ndarray:
-        return _read_only(evaluate(self.dictionary, self.nodes[0]).entries)
+@np.errstate(over="ignore", invalid="ignore")
+def _constants(dictionary: Dictionary, measure: MeasureSpec, nodes=None):
+    """``(constants, design)``: the :class:`PopulationConstants` of the
+    dictionary under the measure, and the dictionary on the quadrature
+    ``nodes`` (points, weights) or None.
 
-    @cached_property
-    def _exact(self):
-        return _uniform_closed_form(self.dictionary, self.measure)
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def psi(self) -> np.ndarray:
-        """The closed form, or sum_i w_i f(x_i) f(x_i)^T on the nodes, as the
-        exactly symmetric product x^T x with x = design * sqrt(w)."""
-        if self._exact is not None:
-            return _read_only(_finite(self._exact[0]))
-        x = self.design * np.sqrt(self.nodes[1])[:, None]
-        return _read_only(_finite(x.T @ x))
-
-    @cached_property
-    def L(self) -> float:
-        return _finite(_sup_norm(self.dictionary))
-
-    @cached_property
-    def c0(self) -> float:
-        """sqrt(max(min_j Psi_jj, 0)): the squared norms are Psi's diagonal."""
-        return float(np.sqrt(max(self.psi.diagonal().min(), 0.0)))
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def L0(self) -> float:
-        """The closed form, or max_j sum_i w_i f_j(x_i)^4 on the nodes."""
-        if self._exact is not None:
-            return _finite(self._exact[1])
-        sq = self.design * self.design
-        sq *= sq
-        return _finite(float((self.nodes[1] @ sq).max()))
+    Psi and L0 are the closed forms of :func:`_uniform_closed_form` when it
+    has them. Otherwise, or when ``nodes`` are given, one design is formed
+    on the nodes (:func:`quadrature_grid`'s when not given); without a
+    closed form Psi is sum_i w_i f(x_i) f(x_i)^T, the exactly symmetric
+    product x^T x with x = design * sqrt(w), and L0 is
+    max_j sum_i w_i f_j(x_i)^4. A value that is not finite, such as a
+    product that overflows, raises NumericError, and no warning.
+    """
+    exact = _uniform_closed_form(dictionary, measure)
+    design = None
+    if exact is None or nodes is not None:
+        pts, w = quadrature_grid(dictionary, measure) if nodes is None else nodes
+        design = evaluate(dictionary, pts).entries
+    if exact is not None:
+        psi, L0 = exact
+    else:
+        x = design * np.sqrt(w)[:, None]
+        psi = x.T @ x
+        x = np.multiply(design, design, out=x)  # the fourth powers, in x's buffer
+        x *= x
+        L0 = float((w @ x).max())
+    psi = _read_only(_finite(psi))
+    c0 = float(np.sqrt(max(psi.diagonal().min(), 0.0)))
+    return PopulationConstants(psi, _finite(_sup_norm(dictionary)), c0, _finite(L0)), design
 
 
 def population_constants(dictionary: Dictionary, measure: MeasureSpec) -> PopulationConstants:
-    """The :class:`PopulationConstants` of the dictionary under the measure,
-    with Psi, L, c0 and L0 read, so that one that is not finite raises
-    NumericError here."""
-    constants = PopulationConstants(dictionary, measure)
-    constants.psi, constants.L, constants.c0, constants.L0
-    return constants
+    """The :class:`PopulationConstants` of the dictionary under the measure
+    (:func:`_constants`); one that is not finite raises NumericError."""
+    return _constants(dictionary, measure)[0]
 
 
 def population_gram(dictionary: Dictionary, measure: MeasureSpec) -> np.ndarray:
-    """Psi_M of :class:`PopulationConstants`, without forming L, c0 or L0."""
-    return PopulationConstants(dictionary, measure).psi
+    """Psi_M of :func:`population_constants`."""
+    return population_constants(dictionary, measure).psi

@@ -312,8 +312,8 @@ def _linear_pattern(M: int, k: int) -> np.ndarray:
 class CellContext:
     """Everything replicate-independent about one (n, M) grid cell.
 
-    ``population`` is the cell's :class:`PopulationProblem`: its dictionary,
-    measure and truth, Psi, c0, L and L0. :func:`cell_context` caches
+    ``population`` is the cell's :class:`PopulationProblem`: its dictionary
+    and truth, Psi, c0, L, L0, g and ||f||^2. :func:`cell_context` caches
     contexts, so ``lambda_star`` and the arrays of ``population`` are
     read-only: a write raises ValueError instead of changing later runs.
     """
@@ -714,11 +714,12 @@ def summary_csv_text(summaries) -> str:
 
 
 def _ols_line(x, y) -> tuple[float, float, float]:
-    """Least squares line through (x, y): (slope, intercept, slope stderr)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ConfigError("a least squares line needs matching 1-d arrays with >= 2 points")
+    """Least squares line through (x, y): (slope, intercept, slope stderr).
+
+    ``x`` and ``y`` are 1-d float arrays of one length of at least 4, as
+    :func:`rate_slope` gives them, so the residual has at least 2 degrees
+    of freedom.
+    """
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx <= 0:
@@ -726,8 +727,7 @@ def _ols_line(x, y) -> tuple[float, float, float]:
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
-    dof = x.size - 2
-    stderr = float(np.sqrt(np.sum(resid**2) / dof / sxx)) if dof > 0 else 0.0
+    stderr = float(np.sqrt(np.sum(resid**2) / (x.size - 2) / sxx))
     return slope, intercept, stderr
 
 

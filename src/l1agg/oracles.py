@@ -22,7 +22,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +33,12 @@ from .dictionary import (
     PopulationConstants,
     build_fourier,
     predict,
+    quadrature_grid,
     sup_norm_grid,
     _DOMAIN_SLACK,
     _check_lambda,
     _check_table,
+    _constants,
     _finite,
     _fourier_grid,
     _read_only,
@@ -191,45 +192,21 @@ def _restricted_residual(psi, g, f2, support):
     return lam_s, _residual2(psi_s, g_s, f2, lam_s)
 
 
-_TRUTH_PRODUCTS = "truth inner products g or ||f||^2"
-
-
 @dataclass(frozen=True)
 class PopulationProblem(PopulationConstants):
     """The :class:`PopulationConstants` of a dictionary under a measure,
-    with a truth f: ``g`` (g_j = <f_j, f>) and ``f2`` (||f||^2), each formed
-    on first read, g read-only. A coefficient problem holds ``theta`` =
-    theta_M and ``tail``, and g = Psi theta_M; a quadrature problem
-    (``theta`` None) reads ``f_nodes``, the truth at the quadrature nodes,
-    and takes g and f2 from weighted sums over the nodes. A g or f2 that
-    is not finite raises NumericError, and no warning, when first read.
+    with a truth f: ``g`` (g_j = <f_j, f>, read-only) and ``f2``
+    (||f||^2), all finite. A coefficient problem holds ``theta`` = theta_M
+    and ``tail``, and g = Psi theta_M; a quadrature problem has ``theta``
+    None and ``tail`` 0. :func:`population_problem` forms them.
     """
 
+    dictionary: Dictionary
     truth: TruthSpec
     theta: np.ndarray | None
     tail: float
-
-    @cached_property
-    def f_nodes(self) -> np.ndarray:
-        return _read_only(evaluate_truth(self.truth, self.nodes[0]))
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def g(self) -> np.ndarray:
-        if self.theta is None:
-            g = self.design.T @ (self.nodes[1] * self.f_nodes)
-        else:
-            g = self.psi @ self.theta
-        return _read_only(_finite(g, _TRUTH_PRODUCTS))
-
-    @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
-    def f2(self) -> float:
-        if self.theta is None:
-            f2 = float(self.nodes[1] @ (self.f_nodes * self.f_nodes))
-        else:
-            f2 = float(self.theta @ self.g) + self.tail
-        return _finite(f2, _TRUTH_PRODUCTS)
+    g: np.ndarray
+    f2: float
 
 
 def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: TruthSpec):
@@ -239,11 +216,16 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
     Under the uniform measure, a fourier dictionary and truth, or a
     coordinate dictionary and a linear truth of at most M coefficients,
     give a coefficient problem: theta_M is the truth's first M coefficients
-    zero-padded, tail = ||theta beyond M||^2. Any other triple is a
-    quadrature problem on the one-axis :func:`quadrature_grid` (d > 1 is
-    refused here), whose g comes from the design on its nodes. A fourier
-    truth on a domain outside [0, 1], and a tabulated truth whose table
-    ends more than _DOMAIN_SLACK inside the domain, raise ConfigError.
+    zero-padded, tail = ||theta beyond M||^2, g = Psi theta_M and
+    ||f||^2 = theta_M' g + tail. Any other triple is a quadrature problem
+    on the one-axis :func:`quadrature_grid` (d > 1 is refused there): with
+    the truth f and the design on its nodes, g = design' (w f) and
+    ||f||^2 = w' f^2. A fourier truth on a domain outside [0, 1], and a
+    tabulated truth whose table ends more than _DOMAIN_SLACK inside the
+    domain, raise ConfigError after the grid's own refusals; a truth that
+    cannot be evaluated on the nodes fails next, then the constants
+    (:func:`dictionary._constants`). A g or ||f||^2 that is not finite
+    raises NumericError, and no warning.
     """
     M = dictionary.M
     pair = (dictionary.kind, truth.kind)
@@ -253,20 +235,34 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
     ):
         theta, theta_M = truth.theta, np.zeros(M)
         theta_M[: theta.size] = theta[:M]
-        with np.errstate(over="ignore"):  # an infinite tail fails in f2 or the distance
+        constants, _ = _constants(dictionary, measure)
+        with np.errstate(over="ignore", invalid="ignore"):
             tail = float(theta[M:] @ theta[M:])
-        return PopulationProblem(dictionary, measure, truth, _read_only(theta_M), tail)
-    problem = PopulationProblem(dictionary, measure, truth, None, 0.0)
-    problem.nodes  # the grid's own refusals come first
-    lo, hi = domain = dictionary.domain[0].tolist()
-    if truth.kind == "fourier" and (lo < -_DOMAIN_SLACK or hi > 1.0 + _DOMAIN_SLACK):
-        raise ConfigError(f"a trigonometric truth is defined on [0, 1], not on the domain {domain}")
-    if truth.kind == "tabulated":
-        ends = truth.table[0][[0, -1]].tolist()
-        if ends[0] > lo + _DOMAIN_SLACK or ends[1] < hi - _DOMAIN_SLACK:
-            raise ConfigError(f"tabulated truth spans {ends}, not the domain {domain}")
-    problem.f_nodes  # a truth that cannot be evaluated on the nodes fails here
-    return problem
+            g = constants.psi @ theta_M
+            f2 = float(theta_M @ g) + tail
+        theta_M = _read_only(theta_M)
+    else:
+        pts, w = quadrature_grid(dictionary, measure)
+        lo, hi = domain = dictionary.domain[0].tolist()
+        if truth.kind == "fourier" and (lo < -_DOMAIN_SLACK or hi > 1.0 + _DOMAIN_SLACK):
+            raise ConfigError(
+                f"a trigonometric truth is defined on [0, 1], not on the domain {domain}"
+            )
+        if truth.kind == "tabulated":
+            ends = truth.table[0][[0, -1]].tolist()
+            if ends[0] > lo + _DOMAIN_SLACK or ends[1] < hi - _DOMAIN_SLACK:
+                raise ConfigError(f"tabulated truth spans {ends}, not the domain {domain}")
+        f = evaluate_truth(truth, pts)
+        constants, design = _constants(dictionary, measure, (pts, w))
+        theta_M, tail = None, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = design.T @ (w * f)
+            f2 = float(w @ (f * f))
+    what = "truth inner products g or ||f||^2"
+    return PopulationProblem(
+        **vars(constants), dictionary=dictionary, truth=truth, theta=theta_M, tail=tail,
+        g=_read_only(_finite(g, what)), f2=_finite(f2, what),
+    )
 
 
 def _oracle_search(psi, g, f2, k: int):
@@ -308,13 +304,10 @@ def population_dist2(problem: PopulationProblem, lam) -> float:
     A coefficient problem gives d' Psi d (clamped at 0) + tail with
     d = lambda - theta_M; a quadrature problem the residual the oracle
     search ranks supports by, :func:`_residual2`, which at lambda = 0 is
-    ||f||^2 and needs no design. ``lam`` is checked as in
-    :func:`predict`. A distance that is not finite raises NumericError,
-    and no warning.
+    ||f||^2. ``lam`` is checked as in :func:`predict`. A distance that is
+    not finite raises NumericError, and no warning.
     """
     lam = _check_lambda(lam, problem.dictionary.M)
-    if problem.theta is None and not lam.any():
-        return problem.f2
     with np.errstate(over="ignore", invalid="ignore"):
         if problem.theta is not None:
             diff = lam - problem.theta
@@ -512,8 +505,7 @@ def oracle_path(problem: PopulationProblem, ks):
     [0, M], else ConfigError), lazily: the best k-sparse approximation,
     its squared population distance and whether it is exact.
 
-    k = 0 gives zero and reads no Psi. At the first k > 0 the path reads
-    the problem's Psi and g once. When Psi is exactly diagonal by
+    k = 0 gives zero. When the problem's Psi is exactly diagonal by
     :func:`gram._exactly_diagonal`, the test that also spares
     :func:`gram.kappa` its LAPACK call (the Fourier basis, a centred
     coordinate box, functions with disjoint supports), the best k-sparse
@@ -521,17 +513,15 @@ def oracle_path(problem: PopulationProblem, ks):
     to the smaller index, at lambda_j = g_j / Psi_jj, and is exact. Otherwise
     :func:`_oracle_search` runs on Psi, g and ||f||^2.
     """
-    M = problem.dictionary.M
-    diagonal = None  # decided at the first k > 0
+    M, psi, g = problem.dictionary.M, problem.psi, problem.g
+    diag = psi.diagonal()
+    diagonal = _exactly_diagonal(psi)
+    if diagonal:
+        order = np.argsort(-np.abs(g) / np.sqrt(diag), kind="stable")
     for k in ks:
         if not 0 <= k <= M:
             raise ConfigError(f"oracle size k = {k} lies outside [0, M] = [0, {M}]")
         lam, exact = np.zeros(M), True
-        if k > 0 and diagonal is None:
-            psi, g = problem.psi, problem.g
-            diag, diagonal = psi.diagonal(), _exactly_diagonal(psi)
-            if diagonal:
-                order = np.argsort(-np.abs(g) / np.sqrt(diag), kind="stable")
         if k > 0 and diagonal:
             keep = order[:k]
             lam[keep] = g[keep] / diag[keep]

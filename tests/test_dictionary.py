@@ -35,6 +35,8 @@ from l1agg import dictionary as dictionary_module
 from l1agg.dictionary import (
     FOURIER_SUM_BUDGET,
     SUP_GRID_POINTS,
+    Dictionary,
+    MeasureSpec,
     _fourier_grid,
     quadrature_grid,
     sup_norm_grid,
@@ -116,6 +118,8 @@ class TestEvaluate:
         d = build_coordinate(3)
         with pytest.raises(ShapeError):
             evaluate(d, [[0.1, 0.2]])
+        with pytest.raises(ShapeError, match="points are 1-d but the dictionary has d = 3"):
+            evaluate(d, [0.1, 0.2, 0.3])
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
@@ -657,10 +661,11 @@ class TestValidateA2:
             if value is None
             else build_tabulated([(grid, np.array([value, value])), (grid, grid)])
         )
-        with pytest.raises(NumericError, match="not finite"):
-            population_constants(d, uniform_measure())
-        if value == 1e100:  # the Gram alone is finite, and used to raise
-            assert np.all(np.isfinite(population_gram(d, uniform_measure())))
+        # The Gram is formed with the other constants, so at 1e100, where
+        # it alone is finite, population_gram refuses too.
+        for build in (population_constants, population_gram):
+            with pytest.raises(NumericError, match="not finite"):
+                build(d, uniform_measure())
 
 
 class TestFourierOrthonormality:
@@ -832,10 +837,35 @@ class TestCsvLoaders:
             loader(path)
 
 
-class TestInvariants:
-    def test_coordinate_requires_m_eq_d(self):
-        from l1agg.dictionary import Dictionary
+UNIT = np.array([[0.0, 1.0]])
+TABLE = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
+
+class TestInvariants:
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: Dictionary(kind="wavelet", M=3, d=1, domain=UNIT),
+             DictionaryError, "unknown dictionary kind 'wavelet'"),
+            (lambda: Dictionary(kind="fourier", M=3, d=2, domain=np.tile(UNIT, (2, 1))),
+             DictionaryError, "fourier dictionaries require d = 1"),
+            (lambda: Dictionary(kind="tabulated", M=3, d=1, domain=UNIT, tables=(TABLE,) * 2),
+             DictionaryError, "one table per function"),
+            (lambda: DesignMatrix(n=4, M=3, entries=np.ones((3, 4))),
+             ShapeError, r"entries shape \(3, 4\) != \(4, 3\)"),
+            (lambda: MeasureSpec(kind="gaussian"), ConfigError, "unknown measure kind 'gaussian'"),
+            (lambda: MeasureSpec(kind="grid-density"), ConfigError, "needs a density table"),
+        ],
+        ids=["dictionary-kind", "fourier-d", "table-count", "design-shape", "measure-kind",
+             "density-table"],
+    )
+    def test_record_constructors_refuse(self, make, error, match):
+        # Each exported record checks itself when built directly, not only
+        # through its builder function.
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_coordinate_requires_m_eq_d(self):
         box = np.tile([0.0, 1.0], (3, 1))
         for M in (2, 4):
             with pytest.raises(DictionaryError, match="M = d"):
@@ -847,7 +877,5 @@ class TestInvariants:
             build_tabulated(bad)
 
     def test_fourier_nonunit_domain_rejected(self):
-        from l1agg.dictionary import Dictionary
-
         with pytest.raises(DictionaryError):
             Dictionary(kind="fourier", M=3, d=1, domain=np.array([[0.0, 2.0]]))

@@ -122,6 +122,10 @@ class TestGenerate:
         np.testing.assert_array_equal(sample.y, sample.f_values)
         np.testing.assert_array_equal(sample.w, 0.0)
 
+    def test_no_samples_refused(self):
+        with pytest.raises(ConfigError, match="need n >= 1 samples"):
+            generate(build_fourier(5), l0k_truth(2), noise_bounded_uniform(1.0), 0, seed=4)
+
     def test_same_seed_bit_identical(self):
         d = build_fourier(5)
         truth = l0k_truth(2)
@@ -301,6 +305,13 @@ class TestRun:
         # M = floor(n^s), at least 2: 2^0.75 < 2, 256^0.75 = 64, 2048^0.75 = 304.4.
         cfg = tiny_config(n_values=(2, 256, 2048), m_rule="power:0.75")
         assert [cell_context(cfg, i).M for i in range(3)] == [2, 64, 304]
+
+    @pytest.mark.parametrize("rep", [-1, 30], ids=["negative", "past-end"])
+    def test_replicate_out_of_range_refused(self, rep):
+        cfg = tiny_config()
+        assert cfg.R == 30
+        with pytest.raises(ConfigError, match="replicate index out of range"):
+            run_single(cfg, 0, rep)
 
     def test_power_m_rule_that_overflows_is_refused_with_the_config(self):
         # floor(n^s) used to raise a bare OverflowError from the first cell
@@ -768,6 +779,20 @@ class TestRateSlope:
             rate_slope(cfg, rows, "l1_err")
 
 
+    def test_unknown_y_field_refused(self):
+        with pytest.raises(ConfigError, match="y_field must be 'risk' or 'l1_err'"):
+            rate_slope(tiny_config(), [], "median")
+
+    def test_zero_median_refused(self):
+        # A zero truth and a penalty that keeps every fit at zero: each
+        # risk is 0, so log median risk is not defined.
+        cfg = tiny_config(n_values=(64, 128, 256, 512), k_or_beta=0, A=64.0)
+        rows = run(cfg)
+        assert {row.risk for row in rows} == {0.0}
+        with pytest.raises(ConfigError, match="median errors must be positive"):
+            rate_slope(cfg, rows)
+
+
 class TestBoundCheck:
     def test_infinite_rhs_sanity(self):
         cfg = tiny_config()
@@ -813,6 +838,19 @@ class TestBoundCheck:
         fixed = bound_check(cfg, rows, scale=1.0)
         for f, c in zip(fitted, fixed):
             assert (f.rhs, f.fraction, f.satisfied) == (c.rhs, c.fraction, c.satisfied) == (0.0, 1.0, True)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ConfigError, match="supports kinds t21_risk and t21_l1"):
+            bound_check(tiny_config(), [], "t23", 1.0)
+
+    def test_fit_needs_two_replicates_per_cell(self):
+        # The linear preset at R = 1: the split leaves no held-out half.
+        cfg = ExperimentConfig(
+            preset="linear", n_values=(64,), m_rule="fixed:6", k_or_beta=2,
+            A=1e-5, rate_kind="log_M", R=1, seed=5,
+        )
+        with pytest.raises(ConfigError, match="fit mode needs at least 2 replicates per cell"):
+            bound_check(cfg, run(cfg), fit_scale=True)
 
     def test_requires_constants_or_fit(self):
         cfg = tiny_config()

@@ -27,8 +27,7 @@ from l1agg import (
     population_gram,
     uniform_measure,
 )
-from l1agg import gram, oracles
-from l1agg.dictionary import PopulationConstants
+from l1agg import dictionary, gram, oracles
 from l1agg.experiments import cell_context
 from l1agg.gram import write_gram_csv
 
@@ -83,7 +82,7 @@ class TestGramPair:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [1, 2, 57])
-    def test_both_producers_are_exactly_symmetric(self, order, n):
+    def test_both_producers_are_exactly_symmetric(self, order, n, monkeypatch):
         # kappa's eigvalsh reads only the lower triangle, so neither Gram
         # may differ from its transpose in any bit.
         M = 130
@@ -93,11 +92,17 @@ class TestGramPair:
         assert np.array_equal(psi, psi.T)
         grid = np.linspace(0.0, 1.0, n + 1)
         tables = [(grid, rng.normal(size=grid.size)) for _ in range(M)]
-        constants = PopulationConstants(build_tabulated(tables), uniform_measure())
-        # The quadrature design comes from evaluate in F order; the cached
-        # value is replaced to try the other order too.
-        vars(constants)["design"] = np.asarray(constants.design, order=order)
-        assert np.array_equal(constants.psi, constants.psi.T)
+        # The quadrature design comes from evaluate in F order; evaluate is
+        # replaced to hand the population Gram the other order too.
+        evaluate_f = dictionary.evaluate
+
+        def evaluate_in_order(d, pts):
+            entries = np.asarray(evaluate_f(d, pts).entries, order=order)
+            return DesignMatrix(n=pts.shape[0], M=d.M, entries=entries)
+
+        monkeypatch.setattr(dictionary, "evaluate", evaluate_in_order)
+        psi = population_gram(build_tabulated(tables), uniform_measure())
+        assert np.array_equal(psi, psi.T)
 
 
 class TestKappa:
@@ -328,6 +333,11 @@ class TestCoherence:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ShapeError):
             coherence(np.empty((0, 0)), [])
+
+    def test_correlation_beyond_one_refused(self):
+        # [[1, 2], [2, 1]] is no Gram matrix: its correlation is 2.
+        with pytest.raises(NumericError, match="correlation magnitude exceeds 1"):
+            coherence(np.array([[1.0, 2.0], [2.0, 1.0]]), [0])
 
     def test_identity_needs_no_matrix_temporaries(self):
         # Scaling np.eye(2048) to unit diagonal peaked at 64 MB.

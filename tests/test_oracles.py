@@ -17,6 +17,7 @@ from l1agg import (
     DomainError,
     NumericError,
     ShapeError,
+    TruthSpec,
     bernstein_bound,
     build_coordinate,
     build_fourier,
@@ -26,6 +27,7 @@ from l1agg import (
     event_flags,
     fourier_truth,
     grid_density_measure,
+    kappa,
     lemma_bounds,
     l0k_truth,
     linear_truth,
@@ -97,6 +99,11 @@ class TestSparsity:
         _, count = sparsity(np.array([1e-17, 1.0]))
         assert count == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_refused(self, bad):
+        with pytest.raises(NumericError, match="non-finite entries"):
+            sparsity(np.array([1.0, bad]))
+
 
 class TestCoefficientTruths:
     @pytest.mark.parametrize("make", [fourier_truth, linear_truth])
@@ -110,6 +117,20 @@ class TestCoefficientTruths:
     def test_shape_refused(self, make, coef):
         with pytest.raises(ConfigError, match="nonempty"):
             make(coef)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ConfigError, match="unknown truth kind 'wavelet'"):
+            TruthSpec(kind="wavelet", theta=np.ones(2))
+
+    def test_one_dimensional_points(self):
+        # 1-d points are one axis: a tabulated truth reads them as (n, 1),
+        # and a linear truth of two coefficients finds too few coordinates.
+        x = np.array([0.25, 0.5])
+        truth = tabulated_truth([0.0, 1.0], [1.0, 3.0])
+        assert evaluate_truth(truth, x).tolist() == evaluate_truth(truth, x[:, None]).tolist()
+        assert evaluate_truth(truth, x).tolist() == [1.5, 2.0]
+        with pytest.raises(ShapeError, match="fewer coordinates than truth coefficients"):
+            evaluate_truth(linear_truth([1.0, 2.0]), x)
 
 
 def top_abs(theta, M, k):
@@ -328,6 +349,32 @@ class TestOraclePath:
         assert np.all(path[0][1] == 0.0) and path[0][3]
         assert len(design_points) == builds
 
+    @pytest.mark.parametrize("pair", ["fourier-sobolev", "tabulated"])
+    def test_builder_does_the_whole_population_pass(self, pair, monkeypatch):
+        # Psi, g and ||f||^2 used to be formed on first read, so kappa and
+        # the oracle path ran the closed form or the quadrature design.
+        if pair == "tabulated":
+            d, truth = ORACLE_PAIRS[pair]()
+        else:
+            d, truth = build_fourier(25), sobolev_truth(1.0)
+        problem = population_problem(d, uniform_measure(), truth)
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for module, name in [
+            (dictionary, "evaluate"),
+            (dictionary, "_uniform_closed_form"),
+            (oracles, "evaluate_truth"),
+        ]:
+            monkeypatch.setattr(module, name, spy(module, name))
+        kappa(problem.psi)
+        for _, lam, dist2, _ in oracle_path(problem, range(d.M + 1)):
+            assert population_dist2(problem, lam) == dist2
+        assert calls == []
+
     def test_quadrature_problem_arrays_are_read_only(self):
         # A fourier dictionary with a tabulated truth takes the exact Psi = I
         # and g from the design on the quadrature nodes.
@@ -335,8 +382,7 @@ class TestOraclePath:
             build_fourier(5), uniform_measure(), fine_tabulated_truth(np.cos)
         )
         assert np.array_equal(problem.psi, np.eye(5)) and problem.theta is None
-        pts, w = problem.nodes
-        for shared in (pts, w, problem.design, problem.psi, problem.g, problem.f_nodes):
+        for shared in (problem.psi, problem.g):
             with pytest.raises(ValueError, match="read-only"):
                 shared[...] = 0.0
 
@@ -384,27 +430,13 @@ class TestLinearDistance:
         assert got == pytest.approx(diff @ psi @ diff, rel=1e-14)
 
     def test_overflowing_gram_is_a_numeric_error(self):
-        # On a 1e200 box the second moments overflow: one NumericError,
-        # no numpy warning. On a 1e100 box only the fourth moments, which
-        # the distance does not read, overflow.
-        truth = linear_truth(np.ones(2))
-        huge = build_coordinate(2, domain=[-1e200, 1e200])
-        with pytest.raises(NumericError, match="not finite"):
-            population_dist2(population_problem(huge, uniform_measure(), truth), np.zeros(2))
-        wide = build_coordinate(2, domain=[-1e100, 1e100])
-        problem = population_problem(wide, uniform_measure(), truth)
-        assert population_dist2(problem, np.zeros(2)) == pytest.approx(2e200 / 3, rel=1e-14)
-
-    def test_wide_box_distance_reads_no_fourth_moment(self):
-        # The problem is the box's population constants: on a 1e100 box its
-        # L0 overflows, and only a read of L0 raises.
-        wide = build_coordinate(2, domain=[-1e100, 1e100])
-        problem = population_problem(wide, uniform_measure(), linear_truth(np.ones(2)))
-        assert math.isfinite(population_dist2(problem, np.array([1.0, 0.0])))
-        assert problem.L == 1e100
-        assert problem.c0 == pytest.approx(math.sqrt(1e200 / 3), rel=1e-15)
-        with pytest.raises(NumericError, match="population Gram, L, c0 or L0 is not finite"):
-            problem.L0
+        # On a 1e200 box the second moments overflow, on a 1e100 box only
+        # the fourth moments: one NumericError when the problem is built,
+        # no numpy warning.
+        for bound in (1e200, 1e100):
+            box = build_coordinate(2, domain=[-bound, bound])
+            with pytest.raises(NumericError, match="population Gram, L, c0 or L0 is not finite"):
+                population_problem(box, uniform_measure(), linear_truth(np.ones(2)))
 
 
 class TestOverflowingTruth:
@@ -412,31 +444,32 @@ class TestOverflowingTruth:
     and no numpy warning (the suite turns warnings into errors)."""
 
     def test_distance_overflow(self):
-        # Psi = I and g = theta are finite, and the closed-form path never
-        # reads ||f||^2, but d'Psi d at lambda = 0 is 2e616: it read inf.
-        truth = fourier_truth([1e308, 1e308])
-        problem = population_problem(build_fourier(4), uniform_measure(), truth)
-        assert np.all(np.isfinite(problem.g))
+        # Psi = I and g = theta are finite, but ||f||^2 = 2e616 is not, so
+        # the problem is refused; it used to be built and d'Psi d at
+        # lambda = 0 read inf. The same overflow beyond M, in
+        # ||theta beyond M||^2, is refused too.
+        for theta in ([1e308, 1e308], [1.0, 0.0, 0.0, 0.0, 1e308, 1e308]):
+            with pytest.raises(NumericError, match=r"g or \|\|f\|\|\^2 is not finite"):
+                population_problem(build_fourier(4), uniform_measure(), fourier_truth(theta))
+        # A finite problem whose distance to a finite lambda overflows.
+        problem = population_problem(build_fourier(4), uniform_measure(), fourier_truth([1.0]))
         with pytest.raises(NumericError, match="distance .* is not finite"):
-            population_dist2(problem, np.zeros(4))
-        with pytest.raises(NumericError, match="distance .* is not finite"):
-            list(oracle_path(problem, range(3)))
-        with pytest.raises(NumericError, match=r"g or \|\|f\|\|\^2 is not finite"):
-            problem.f2
-        # The same overflow beyond M, in ||theta beyond M||^2.
-        truth = fourier_truth([1.0, 0.0, 0.0, 0.0, 1e308, 1e308])
-        problem = population_problem(build_fourier(4), uniform_measure(), truth)
-        with pytest.raises(NumericError, match="distance .* is not finite"):
-            population_dist2(problem, np.zeros(4))
+            population_dist2(problem, np.array([1e308, 1e308, 0.0, 0.0]))
 
     def test_quadrature_products_overflow(self):
+        # The Gram of a 1e200 table overflows first. With a finite Gram,
+        # ||f||^2 of a 1e200 truth overflows, and so does g of a 1e308
+        # truth against a column of 4s, which is checked first.
         grid = np.linspace(0.0, 1.0, 5)
-        d = build_tabulated([(grid, np.full(5, 1e200)), (grid, 1e200 * grid)])
-        truth = tabulated_truth(grid, np.full(5, 1e200))
-        for read in ("g", "f2"):
-            problem = population_problem(d, uniform_measure(), truth)
-            with pytest.raises(NumericError, match=r"g or \|\|f\|\|\^2 is not finite"):
-                getattr(problem, read)
+        for dictionary_value, truth_value, what in [
+            (1e200, 1e200, "population Gram, L, c0 or L0"),
+            (1.0, 1e200, r"g or \|\|f\|\|\^2"),
+            (4.0, 1e308, r"g or \|\|f\|\|\^2"),
+        ]:
+            d = build_tabulated([(grid, np.full(5, dictionary_value)), (grid, grid)])
+            truth = tabulated_truth(grid, np.full(5, truth_value))
+            with pytest.raises(NumericError, match=f"{what} is not finite"):
+                population_problem(d, uniform_measure(), truth)
 
 
 class TestMembership:
@@ -487,6 +520,21 @@ class TestMembership:
         low = membership(dist2, 3, 0.001, 0.5, cf_low, 1.0)
         high = membership(dist2, 3, 0.001, 0.5, cf_low + bump, 1.0)
         assert not low.in_oracle_set or high.in_oracle_set
+
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ((math.nan, 1, 0.0, 0.1), NumericError, "inputs must be finite"),
+            ((0.0, 1, math.inf, 0.1), NumericError, "inputs must be finite"),
+            ((0.0, 1, 0.0, math.inf), NumericError, "inputs must be finite"),
+            ((0.0, 1, 0.0, 0.0), ConfigError, "needs r_nM > 0"),
+            ((0.0, 1, 0.0, -0.1), ConfigError, "needs r_nM > 0"),
+        ],
+        ids=["dist2-nan", "rho-inf", "r-inf", "r-zero", "r-negative"],
+    )
+    def test_bad_input_refused(self, args, error, match):
+        with pytest.raises(error, match=match):
+            membership(*args, 1.0, 1.0)
 
     @pytest.mark.parametrize("constants", [(math.nan, 1.0), (1.0, math.nan)])
     def test_nan_constant_refused(self, constants):
@@ -565,6 +613,10 @@ class TestBernstein:
         # The first four used to return 1.0, the fifth 0.0, and n = 10.5 was read.
         with pytest.raises(ConfigError, match=rf"needs (finite|an integer) {name}\b"):
             bernstein_bound(*args)
+
+    def test_zero_variance_and_range_give_zero(self):
+        # w2 = d = 0: the deviation eps > 0 has probability 0.
+        assert bernstein_bound(10, 0.5, 0.0, 0.0) == 0.0
 
     def test_integral_float_n_accepted(self):
         assert bernstein_bound(1e2, 1.0, 1.0, 0.0) == bernstein_bound(100, 1.0, 1.0, 0.0)
@@ -744,6 +796,14 @@ class TestEventFlags:
         )
         # 0.25 > 2 * 0.1 + 0.01
         assert not flags_bad.e3
+
+    def test_noise_shape_refused(self):
+        design = self._design(n=10)
+        with pytest.raises(ShapeError, match="noise vector must match the design row count"):
+            event_flags(
+                design, np.zeros(design.n + 1), np.ones(design.M), np.ones(design.M),
+                np.zeros(design.n), 0.0, 0.1, 1,
+            )
 
 
 class TestOracleReport:

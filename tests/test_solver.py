@@ -225,6 +225,16 @@ class TestRate:
         with pytest.raises(ConfigError, match="log_n needs n >= 2, got n = 1"):
             rate(1.0, 1, 5, "log_n")
 
+    @pytest.mark.parametrize(
+        "n, M, match",
+        [(0, 5, "sample size n must be >= 1"), (10, 1, "dictionary size M must be >= 2")],
+        ids=["n-zero", "M-one"],
+    )
+    def test_too_small_n_or_m_rejected(self, n, M, match):
+        for kind in ("log_M", "log_n"):
+            with pytest.raises(ConfigError, match=match):
+                rate(1.0, n, M, kind)
+
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ConfigError):
             rate(0.0, 10, 5, "log_M")

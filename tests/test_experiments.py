@@ -778,7 +778,6 @@ class TestRateSlope:
         with pytest.raises(ConfigError):
             rate_slope(cfg, rows, "l1_err")
 
-
     def test_unknown_y_field_refused(self):
         with pytest.raises(ConfigError, match="y_field must be 'risk' or 'l1_err'"):
             rate_slope(tiny_config(), [], "median")

@@ -46,12 +46,8 @@ _EXPORTS = {
         "ConfigError",
         "ConvergenceError",
         "DegenerateDictionaryError",
-        "DictionaryError",
-        "DomainError",
         "L1AggError",
         "NumericError",
-        "ShapeError",
-        "UnsupportedOperationError",
     ),
     "gram": (
         "coherence",

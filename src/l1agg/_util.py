@@ -10,7 +10,7 @@ import numbers
 import os
 import tempfile
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 
 @contextlib.contextmanager
@@ -76,33 +76,33 @@ def csv_text(header, rows) -> str:
 def read_csv(path, parse_row, header=None):
     """Read a headered CSV file into ``(names, records)``: the header cells
     stripped of white space (checked against ``header`` when given) and
-    ``parse_row(cells)`` for each non-blank row. Raises ShapeError naming
+    ``parse_row(cells)`` for each non-blank row. Raises ConfigError naming
     ``path:line`` for a row whose width differs from the header's or that
     ``parse_row`` rejects with ValueError, and for a file without rows,
-    and ShapeError naming ``path`` for a file that is not UTF-8 text. A
+    and naming ``path`` for a file that is not UTF-8 text. A
     leading UTF-8 byte-order mark is skipped."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             names = [name.strip() for name in next(reader, [])]
             if header is not None and names != list(header):
-                raise ShapeError(f"{path}:1: expected the header {','.join(header)}")
+                raise ConfigError(f"{path}:1: expected the header {','.join(header)}")
             records = []
             for cells in reader:
                 if not cells:
                     continue
                 if len(cells) != len(names):
-                    raise ShapeError(
+                    raise ConfigError(
                         f"{path}:{reader.line_num}: {len(cells)} cells, header has {len(names)}"
                     )
                 try:
                     records.append(parse_row(cells))
                 except ValueError as exc:
-                    raise ShapeError(f"{path}:{reader.line_num}: {exc}") from None
+                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        raise ShapeError(f"{path}: not UTF-8 text") from None
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if not records:
-        raise ShapeError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     return names, records
 
 

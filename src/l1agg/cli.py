@@ -3,8 +3,10 @@
 Subcommands: fit, diagnose, oracle, bounds, experiment, summary. Machine
 output goes to files (written atomically) or stdout; human-readable
 reports go to stderr, library warnings as one ``warning:`` line per
-distinct message. Exit codes: 0 ok, 1 usage error (or a request too large
-for memory), 2 non-convergence, 3 I/O error, 4 numeric error.
+distinct message. Exit codes: 0 ok; 1 usage error, ConfigError (or another
+L1AggError) or a request too large for memory; 2 non-convergence of
+``fit`` (ConvergenceError); 3 I/O error; 4 NumericError, its subclass
+DegenerateDictionaryError included.
 Configuration comes only from flags and files, never from environment
 variables; all randomness flows from the explicit seed in the experiment
 config.
@@ -24,13 +26,7 @@ import warnings
 
 from . import __version__
 from ._util import atomic_write_text, csv_text, parse_value, read_key_values
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateDictionaryError,
-    L1AggError,
-    NumericError,
-)
+from .errors import ConfigError, ConvergenceError, L1AggError, NumericError
 
 # Each command imports the layer modules it runs when it runs, so a call
 # pays for no module it does not use.
@@ -181,7 +177,9 @@ def _cmd_diagnose(args) -> int:
     support = [parse_value(tok, int, "--support") - 1 for tok in tokens]
     if any(not 0 <= j < dictionary.M for j in support):
         raise ConfigError(f"--support indices must lie in [1, {dictionary.M}]")
-    # Raises on a non-finite L or L0, so a2_bounded and a2_moments hold below.
+    # Raises on a non-finite L or L0, so a2_bounded and a2_moments hold below;
+    # diagnostics raises DegenerateDictionaryError on a nonpositive diagonal
+    # of Psi, so c0 > 0 and a2_norms holds too.
     constants = population_constants(dictionary, measure)
     psi_n = None
     if args.data:
@@ -195,7 +193,7 @@ def _cmd_diagnose(args) -> int:
         f"c0={constants.c0!r}",
         f"L0={constants.L0!r}",
         "a2_bounded=1",
-        f"a2_norms={1 if constants.c0 > 0.0 else 0}",
+        "a2_norms=1",
         "a2_moments=1",
     ]
     if args.data:
@@ -372,7 +370,6 @@ _EXIT_CODES = {
     L1AggError: 1,
     OSError: 3,
     NumericError: 4,
-    DegenerateDictionaryError: 4,
     MemoryError: 1,
 }
 
@@ -385,8 +382,8 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)
-        except SystemExit as exc:  # --help and --version
-            return 0 if (exc.code == 0 or exc.code is None) else 1
+        except SystemExit:  # --help and --version; usage errors raise _UsageError
+            return 0
         except tuple(_EXIT_CODES) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)

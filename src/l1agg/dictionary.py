@@ -26,14 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import read_csv
-from .errors import (
-    ConfigError,
-    DictionaryError,
-    DomainError,
-    NumericError,
-    ShapeError,
-    UnsupportedOperationError,
-)
+from .errors import ConfigError, NumericError
 
 # Quadrature / scan resolutions; every grid spans one axis.
 QUADRATURE_POINTS = 4096
@@ -51,28 +44,28 @@ def _as_domain(domain, d: int) -> np.ndarray:
     if box.shape == (2,):
         box = np.tile(box, (d, 1))
     if box.shape != (d, 2):
-        raise ShapeError(f"domain must have shape ({d}, 2), got {box.shape}")
+        raise ConfigError(f"domain must have shape ({d}, 2), got {box.shape}")
     if not np.all(np.isfinite(box)):
-        raise DictionaryError("domain bounds must be finite")
+        raise ConfigError("domain bounds must be finite")
     if np.any(box[:, 0] > box[:, 1]):
-        raise DictionaryError("domain lower bounds must not exceed upper bounds")
+        raise ConfigError("domain lower bounds must not exceed upper bounds")
     return box
 
 
-def _check_table(grid, values, error, what: str):
+def _check_table(grid, values, what: str):
     """``(grid, values)`` as float arrays, checked by the one table rule.
 
     Both 1-d, of equal length and at least 2 points, finite, with strictly
-    increasing abscissae; a breach raises ``error`` naming ``what``.
+    increasing abscissae; a breach raises ConfigError naming ``what``.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-        raise error(f"{what} needs matching 1-d x and value columns of >= 2 points")
+        raise ConfigError(f"{what} needs matching 1-d x and value columns of >= 2 points")
     if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-        raise error(f"{what} entries must be finite")
+        raise ConfigError(f"{what} entries must be finite")
     if not np.all(np.diff(grid) > 0):
-        raise error(f"{what} abscissae must be strictly increasing")
+        raise ConfigError(f"{what} abscissae must be strictly increasing")
     return grid, values
 
 
@@ -93,24 +86,24 @@ class Dictionary:
 
     def __post_init__(self):
         if self.kind not in ("fourier", "coordinate", "tabulated"):
-            raise DictionaryError(f"unknown dictionary kind {self.kind!r}")
+            raise ConfigError(f"unknown dictionary kind {self.kind!r}")
         if self.M < 2:
-            raise DictionaryError("dictionaries need M >= 2 functions")
+            raise ConfigError("dictionaries need M >= 2 functions")
         if self.kind == "fourier":
             if self.d != 1:
-                raise DictionaryError("fourier dictionaries require d = 1")
+                raise ConfigError("fourier dictionaries require d = 1")
             if not (self.domain[0, 0] == 0.0 and self.domain[0, 1] == 1.0):
-                raise DictionaryError(
+                raise ConfigError(
                     "fourier dictionaries are defined on [0, 1]; "
                     "rescale your data instead of the basis"
                 )
         if self.kind == "coordinate" and self.M != self.d:
-            raise DictionaryError("coordinate dictionaries require M = d")
+            raise ConfigError("coordinate dictionaries require M = d")
         if self.kind == "tabulated":
             if len(self.tables) != self.M:
-                raise DictionaryError("tabulated kind needs one table per function")
+                raise ConfigError("tabulated kind needs one table per function")
             for grid, vals in self.tables:
-                _check_table(grid, vals, DictionaryError, "dictionary table")
+                _check_table(grid, vals, "dictionary table")
 
 
 @dataclass(frozen=True)
@@ -129,11 +122,11 @@ class DesignMatrix:
 
     def __post_init__(self):
         if self.entries.shape != (self.n, self.M):
-            raise ShapeError(
+            raise ConfigError(
                 f"entries shape {self.entries.shape} != ({self.n}, {self.M})"
             )
         if self.n < 1:
-            raise ShapeError("design matrices need n >= 1 rows")
+            raise ConfigError("design matrices need n >= 1 rows")
         if not np.all(np.isfinite(self.norms_sq)) and not np.all(np.isfinite(self.entries)):
             raise NumericError("design matrix contains non-finite entries")
 
@@ -174,12 +167,12 @@ def uniform_measure() -> MeasureSpec:
 def grid_density_measure(grid, density) -> MeasureSpec:
     """Tabulated 1-d design density, trapezoid-normalized to integrate to 1.
 
-    The table follows the rule of :func:`_check_table` (ShapeError), and
+    The table follows the rule of :func:`_check_table` (ConfigError), and
     every density value must be positive: the design density is bounded
     away from zero. A table whose integral is not finite, an overflow
     included, raises NumericError and no warning.
     """
-    grid, density = _check_table(grid, density, ShapeError, "density table")
+    grid, density = _check_table(grid, density, "density table")
     if not np.all(density > 0):
         raise ConfigError("density values must be positive")
     with np.errstate(over="ignore"):
@@ -207,7 +200,7 @@ def build_coordinate(d: int, domain=None) -> Dictionary:
     """Coordinate-projection dictionary f_j(x) = x_j, j = 1..d, for linear
     designs."""
     if d < 2:
-        raise DictionaryError(f"coordinate dictionaries need d >= 2 axes, got d = {d}")
+        raise ConfigError(f"coordinate dictionaries need d >= 2 axes, got d = {d}")
     box = _as_domain(domain if domain is not None else [0.0, 1.0], d)
     return Dictionary(kind="coordinate", M=int(d), d=int(d), domain=box)
 
@@ -235,12 +228,12 @@ def load_tabulated_csv(path) -> Dictionary:
     """Load a tabulated dictionary from CSV with header ``x,f1,...,fM``.
 
     The domain is the x range of the table. A header whose first name is
-    not ``x`` raises DictionaryError; a non-numeric cell, a ragged row or a
-    file without data rows raises ShapeError naming ``path:line``.
+    not ``x``, a non-numeric cell, a ragged row or a file without data
+    rows raises ConfigError; the last three name ``path:line``.
     """
     names, data = read_numeric_csv(path)
     if names[0] != "x":
-        raise DictionaryError(f"{path}: tabulated CSV must start with header x,f1,...,fM")
+        raise ConfigError(f"{path}: tabulated CSV must start with header x,f1,...,fM")
     grid = data[:, 0]
     tables = [(grid, data[:, j]) for j in range(1, data.shape[1])]
     return build_tabulated(tables, domain=[float(grid.min()), float(grid.max())])
@@ -251,14 +244,14 @@ def load_points_csv(path):
 
     Returns ``(points, y)`` with ``y = None`` when no response column is
     present. ``points`` has shape (n, d). A bad header, a non-numeric cell,
-    a ragged row or a file without data rows raises ShapeError; the last
+    a ragged row or a file without data rows raises ConfigError; the last
     three name ``path:line``.
     """
     names, data = read_numeric_csv(path)
     has_y = names[-1] == "y"
     d = len(names) - (1 if has_y else 0)
     if d < 1 or any(names[i] != f"x{i + 1}" for i in range(d)):
-        raise ShapeError(f"{path}: points CSV header must be x1,...,xd[,y]")
+        raise ConfigError(f"{path}: points CSV header must be x1,...,xd[,y]")
     return data[:, :d], (data[:, d] if has_y else None)
 
 
@@ -272,7 +265,7 @@ def _check_out(out, shape, order: str, points=None) -> np.ndarray:
 
     It must be a writeable float64 ndarray, contiguous in ``order`` ("C"
     or "F"), that shares no memory with ``points`` when they are given
-    (``np.may_share_memory``); anything else raises ShapeError.
+    (``np.may_share_memory``); anything else raises ConfigError.
     """
     if not (
         isinstance(out, np.ndarray)
@@ -281,9 +274,9 @@ def _check_out(out, shape, order: str, points=None) -> np.ndarray:
         and out.flags[f"{order}_CONTIGUOUS"]
         and out.flags.writeable
     ):
-        raise ShapeError(f"out must be a writeable {order}-order float64 array of shape {shape}")
+        raise ConfigError(f"out must be a writeable {order}-order float64 array of shape {shape}")
     if points is not None and np.may_share_memory(out, points):
-        raise ShapeError("out may share memory with the points")
+        raise ConfigError("out may share memory with the points")
     return out
 
 
@@ -293,7 +286,7 @@ def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
     The copy is written into ``out`` when one is given (:func:`_check_out`,
     order "F"). One per-axis min/max over the copy tests the bounds; NaN
     propagates through both, so only a failed test scans for non-finite
-    values (NumericError) and points outside the domain (DomainError). A
+    values (NumericError) and points outside the domain (ConfigError). A
     tabulated dictionary's functions are clamped interpolants on the whole
     line, so for it such points only warn.
     """
@@ -303,10 +296,10 @@ def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         if dictionary.d != 1:
-            raise ShapeError(f"points are 1-d but the dictionary has d = {dictionary.d}")
+            raise ConfigError(f"points are 1-d but the dictionary has d = {dictionary.d}")
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != dictionary.d:
-        raise ShapeError(
+        raise ConfigError(
             f"points shape {pts.shape} does not match dictionary dimension d = {dictionary.d}"
         )
     if out is not None:
@@ -320,7 +313,7 @@ def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise NumericError("evaluation points contain non-finite values")
     if dictionary.kind != "tabulated":
-        raise DomainError("evaluation points fall outside the dictionary domain")
+        raise ConfigError("evaluation points fall outside the dictionary domain")
     warnings.warn(
         "evaluation points outside the dictionary domain were clamped",
         RuntimeWarning,
@@ -353,7 +346,7 @@ def evaluate(dictionary: Dictionary, points, *, out=None) -> DesignMatrix:
 
     ``out``, when given, is the array the entries are written into and the
     design holds: a writeable column-major (n, M) float64 array that shares
-    no memory with ``points``, or ShapeError. The entries are the same
+    no memory with ``points``, or ConfigError. The entries are the same
     bits as without it.
     """
     M = dictionary.M
@@ -458,11 +451,11 @@ def _fourier_sum(c0: float, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _check_lambda(lam, M: int) -> np.ndarray:
-    """``lam`` as a float array of shape (M,) (else ShapeError) with finite
+    """``lam`` as a float array of shape (M,) (else ConfigError) with finite
     entries (else NumericError)."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (M,):
-        raise ShapeError(f"coefficient vector must have shape ({M},), got {lam.shape}")
+        raise ConfigError(f"coefficient vector must have shape ({M},), got {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise NumericError("coefficient vector contains non-finite entries")
     return lam
@@ -508,10 +501,10 @@ def _axis_grid(dictionary: Dictionary, nodes: int) -> np.ndarray:
 
     Grids span one axis. Only coordinate dictionaries have d > 1, and their
     population constants are closed forms under the uniform measure, so a
-    request for a d-dimensional grid raises UnsupportedOperationError.
+    request for a d-dimensional grid raises ConfigError.
     """
     if dictionary.d > 1:
-        raise UnsupportedOperationError(
+        raise ConfigError(
             f"grids span one axis; the {dictionary.kind} dictionary has d = {dictionary.d}"
         )
     return np.linspace(*dictionary.domain[0], nodes)[:, None]

@@ -1,37 +1,29 @@
-"""Semantic exception hierarchy shared by all l1agg modules."""
+"""Semantic exception hierarchy shared by all l1agg modules.
+
+One class per CLI exit code: ConfigError 1, ConvergenceError 2 (through
+``fit``), NumericError 4. DegenerateDictionaryError is the one subclass,
+kept so that a caller can tell a zero-norm function from other numeric
+failures; it exits 4 as NumericError does.
+"""
 
 
 class L1AggError(Exception):
     """Base class for all l1agg errors."""
 
 
-class DictionaryError(L1AggError):
-    """Invalid dictionary construction (bad M, kind constraints, bad tables)."""
-
-
-class ShapeError(L1AggError):
-    """Dimension mismatch between arrays, points and dictionaries."""
-
-
-class DomainError(L1AggError):
-    """Evaluation points fall outside the dictionary domain."""
-
-
 class ConfigError(L1AggError):
-    """Invalid tuning parameter, rate kind, or experiment configuration."""
+    """An input the library does not take: a bad tuning parameter, rate
+    kind or experiment configuration, a bad dictionary or table, an array
+    of the wrong shape, a point outside the dictionary domain, or a grid
+    over more than one axis."""
 
 
 class NumericError(L1AggError):
     """A computation produced non-finite or otherwise unusable values."""
 
 
-class DegenerateDictionaryError(L1AggError):
+class DegenerateDictionaryError(NumericError):
     """A Gram diagonal entry is nonpositive (zero-norm dictionary function)."""
-
-
-class UnsupportedOperationError(L1AggError):
-    """Operation outside what the library computes: a grid for a dictionary
-    with d > 1 (grids span one axis)."""
 
 
 class ConvergenceError(L1AggError):

@@ -130,7 +130,7 @@ def generate(
 
     ``out``, when given, is the array the design is drawn into and the
     sample's ``x``: a writeable C-order (n, d) float64 array, or
-    ShapeError. The sample is the same bits as without it.
+    ConfigError. The sample is the same bits as without it.
     """
     if n < 1:
         raise ConfigError("need n >= 1 samples")
@@ -291,8 +291,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _linear_pattern(M: int, k: int) -> np.ndarray:
-    """k nonzero coordinate coefficients k, k-1, ..., 1 spread across M."""
-    if not 0 <= k <= M:
+    """k nonzero coordinate coefficients k, k-1, ..., 1 spread across M;
+    ExperimentConfig has already refused a negative k."""
+    if k > M:
         raise ConfigError(f"need 0 <= k <= M, got k = {k}, M = {M}")
     coeffs = np.zeros(M)
     if k == 1:
@@ -582,7 +583,7 @@ def _finite(text: str) -> float:
 def read_rows_csv(path) -> list[ExperimentRow]:
     """Read a rows CSV back; the rows carry ``converged=None``.
 
-    Raises ShapeError for a header other than :data:`CSV_HEADER`, and
+    Raises ConfigError for a header other than :data:`CSV_HEADER`, and
     naming ``path:line`` for a ragged row, a cell that does not parse as
     its column's type, or a value that no run writes: a float column holds
     finite numbers only, ``risk``, ``l1_err`` and ``kkt`` nonnegative ones,
@@ -816,7 +817,7 @@ def bound_check(
         if fit_scale:
             half = len(cell_rows) // 2
             train, test = values[:half], values[half:]
-            if train.size == 0 or test.size == 0:
+            if train.size == 0:
                 raise ConfigError("fit mode needs at least 2 replicates per cell")
             cell_scale = float(np.max(train) / base) if base > 0 else math.inf
             values = test

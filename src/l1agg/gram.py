@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import atomic_write_text, csv_text
 from .dictionary import DesignMatrix
-from .errors import DegenerateDictionaryError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateDictionaryError, NumericError
 
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -58,7 +58,7 @@ def _unit_diagonal(psi) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or psi.size == 0:
-        raise ShapeError("a Gram matrix must be nonempty and square")
+        raise ConfigError("a Gram matrix must be nonempty and square")
     if not np.all(np.isfinite(psi)):
         raise NumericError("Gram matrix contains non-finite entries")
     if np.max(np.abs(psi - psi.T)) > _SYM_TOL:
@@ -129,7 +129,7 @@ def coherence(psi, support) -> float:
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     M = psi.shape[0]
     if support.size and (support.min() < 0 or support.max() >= M):
-        raise ShapeError(f"support indices must lie in [0, {M})")
+        raise ConfigError(f"support indices must lie in [0, {M})")
     if rho is None:
         return 0.0
     off = np.abs(rho[support])
@@ -139,12 +139,12 @@ def coherence(psi, support) -> float:
 
 def diagnostics(psi_M, support=(), psi_nM=None) -> CoherenceReport:
     """The :class:`CoherenceReport` of the population Gram ``psi_M`` and,
-    when given, the empirical Gram ``psi_nM`` (same shape, else ShapeError)."""
+    when given, the empirical Gram ``psi_nM`` (same shape, else ConfigError)."""
     rho_lambda = coherence(psi_M, support)
     eta_nM = rho_lambda_emp = None
     if psi_nM is not None:
         if np.shape(psi_nM) != np.shape(psi_M):
-            raise ShapeError("psi_M and psi_nM must have matching shapes")
+            raise ConfigError("psi_M and psi_nM must have matching shapes")
         try:
             rho_lambda_emp = coherence(psi_nM, support)
         except DegenerateDictionaryError:

@@ -43,7 +43,7 @@ from .dictionary import (
     _fourier_grid,
     _read_only,
 )
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .gram import _exactly_diagonal, coherence
 
 COHERENCE_THRESHOLD = 1.0 / 45.0
@@ -94,9 +94,9 @@ def tabulated_truth(grid, values) -> TruthSpec:
     """Truth tabulated on a 1-d grid, completed by linear interpolation.
 
     The table follows the rule of :func:`dictionary._check_table`
-    (ShapeError).
+    (ConfigError).
     """
-    grid, values = _check_table(grid, values, ShapeError, "tabulated truth")
+    grid, values = _check_table(grid, values, "tabulated truth")
     return TruthSpec(kind="tabulated", table=(grid, values))
 
 
@@ -143,7 +143,7 @@ def evaluate_truth(truth: TruthSpec, points) -> np.ndarray:
         pts = pts[:, None]
     if truth.kind == "linear":
         if pts.shape[1] < truth.theta.size:
-            raise ShapeError("points have fewer coordinates than truth coefficients")
+            raise ConfigError("points have fewer coordinates than truth coefficients")
         return pts[:, : truth.theta.size] @ truth.theta
     grid, values = truth.table
     return np.interp(pts[:, 0], grid, values)
@@ -465,7 +465,7 @@ def event_flags(
     """
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (design.n,):
-        raise ShapeError("noise vector must match the design row count")
+        raise ConfigError("noise vector must match the design row count")
     v = design.entries.T @ noise / design.n
     e1 = bool(np.all(2.0 * np.abs(v) <= weights))
     norms_sq = design.norms_sq

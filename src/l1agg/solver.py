@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DesignMatrix, empirical_norms
-from .errors import ConfigError, ConvergenceError, NumericError, ShapeError
+from .errors import ConfigError, ConvergenceError, NumericError
 from .gram import empirical_gram
 
 DEFAULT_TOL = 1e-9
@@ -173,12 +173,12 @@ def fit(
     n, M = design.n, design.M
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
-        raise ShapeError(f"response must have shape ({n},), got {y.shape}")
+        raise ConfigError(f"response must have shape ({n},), got {y.shape}")
     if not np.isfinite(y).all():
         raise NumericError("response vector contains non-finite values")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (M,):
-        raise ShapeError(f"weights must have shape ({M},), got {weights.shape}")
+        raise ConfigError(f"weights must have shape ({M},), got {weights.shape}")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ConfigError("penalty weights must be finite and nonnegative")
     if not (np.isfinite(tol) and tol > 0):

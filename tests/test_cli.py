@@ -25,7 +25,7 @@ from l1agg import (
     tabulated_truth,
     uniform_measure,
 )
-from l1agg import experiments
+from l1agg import errors, experiments
 from l1agg.cli import main
 from l1agg.experiments import rows_csv_text
 from l1agg.gram import write_gram_csv
@@ -123,6 +123,27 @@ class TestDispatch:
         )
         proc = run_python(["-c", code])
         assert proc.returncode == 0, proc.stderr
+
+
+# The exit code of each class in l1agg.errors that ends a command with an
+# error line. ConvergenceError reaches the user through fit, which writes
+# its partial fit and exits 2 (TestFit).
+EXIT_CODES = {"L1AggError": 1, "ConfigError": 1, "NumericError": 4, "DegenerateDictionaryError": 4}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_code(self):
+        classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+        assert classes == {*EXIT_CODES, "ConvergenceError"}
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_class_exits_with_its_code(self, name, monkeypatch, capsys):
+        def refuse(*_):
+            raise getattr(errors, name)("refused")
+
+        monkeypatch.setattr("l1agg.dictionary.population_constants", refuse)
+        code, out, err = run_cli(["diagnose", "--dict", "fourier:8"], capsys)
+        assert (code, out, err) == (EXIT_CODES[name], "", "error: refused\n")
 
 
 LAYER_MODULES = ("dictionary", "gram", "solver", "oracles", "tails", "experiments")
@@ -1116,6 +1137,8 @@ def malformed_case(case, tmp_path):
             "m_rule=fixed": "m_rule 'fixed' must look like fixed:<M> or power:<s>",
             "m_rule=fixed:1": "fixed dictionary size must be >= 2",
             "m_rule=cube:2": "unknown m_rule kind 'cube'",
+            "m_rule=power:0": "power m_rule needs a finite positive exponent, got 0.0",
+            "k_or_beta=-1": "k must be a nonnegative integer",
         }[setting]
         key, _, value = setting.partition("=")
         lines = [f"{key} = {value}" if ln.startswith(f"{key} =") else ln
@@ -1145,6 +1168,25 @@ def malformed_case(case, tmp_path):
     if case == "oracle-kmin-above-kmax":
         return (["oracle", "--dict", "fourier:8", "--truth", "l0k:2", "--kmin", "3",
                  "--kmax", "2", "--out", out], "need 0 <= kmin <= kmax")
+    if case == "oracle-kmin-negative":
+        return (["oracle", "--dict", "fourier:8", "--truth", "l0k:2", "--kmin", "-1",
+                 "--kmax", "0", "--out", out], "need 0 <= kmin <= kmax")
+    if case == "measure-density-no-path":
+        return (["diagnose", "--dict", "fourier:4", "--measure", "density:"],
+                "unknown measure shorthand 'density:'")
+    if case == "rate-explicit-no-value":
+        return fit(good_data, rate="explicit:"), "unknown rate 'explicit:'"
+    if case == "fit-header-y-only":
+        data = write("data.csv", "y\n1.0\n2.0\n")
+        return fit(data), f"{data}: points CSV header must be x1,...,xd[,y]"
+    if case == "bounds-c0-inf":
+        params = write("params.txt", "n = 100\nM = 10\nc0 = inf\nL = 1\n")
+        return ["bounds", "--params", params, "--which", "L4"], "needs finite c0 > 0, got inf"
+    if case == "density-underflow":
+        # The trapezoid of a positive table underflows to 0.
+        dens = write("dens.csv", "x,density\n0,5e-324\n0.1,5e-324\n")
+        return (["diagnose", "--dict", "fourier:5", "--measure", f"density:{dens}"],
+                "density does not integrate to a positive value")
     if case.startswith(("spec-dict-", "spec-measure-", "spec-truth-")):
         # Refusals of a --dict, --measure or --truth value; a CSV they name
         # is a 3-row table with the case's header.
@@ -1193,7 +1235,7 @@ def malformed_case(case, tmp_path):
 
 # Malformed inputs whose error is numeric: exit 4, not 1.
 NUMERIC_CASES = ("config-A-overflow", "oracle-truth-overflow", "fit-y-1e300", "fit-y-1e308",
-                 "fit-y-nan", "density-overflow")
+                 "fit-y-nan", "density-overflow", "density-underflow")
 
 
 class TestMalformedInput:
@@ -1232,7 +1274,9 @@ class TestMalformedInput:
             "config-set-rate_kind=log2", "config-set-R=0", "config-set-C_f=-1",
             "config-set-k_or_beta=2.5", "config-set-m_rule=fixed", "config-set-m_rule=fixed:1",
             "config-set-m_rule=cube:2", "usage-missing-flag", "usage-unknown-flag",
-            "usage-bad-choice",
+            "usage-bad-choice", "oracle-kmin-negative", "measure-density-no-path",
+            "rate-explicit-no-value", "fit-header-y-only", "bounds-c0-inf", "density-underflow",
+            "config-set-m_rule=power:0", "config-set-k_or_beta=-1",
         ],
     )
     def test_one_error_line(self, case, tmp_path, capsys):

@@ -10,12 +10,8 @@ import pytest
 
 from l1agg import (
     ConfigError,
-    DictionaryError,
     DesignMatrix,
-    DomainError,
     NumericError,
-    ShapeError,
-    UnsupportedOperationError,
     build_coordinate,
     build_fourier,
     build_tabulated,
@@ -43,6 +39,7 @@ from l1agg.dictionary import (
 )
 
 QUADRATURE_TOL = 1e-6
+OUTSIDE = "evaluation points fall outside the dictionary domain"
 
 
 def _quadrature_column_norm(fn, n_nodes=200_001):
@@ -67,7 +64,7 @@ class TestBuildFourier:
         assert evaluate(d, [0.125]).entries[0, 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_small_m(self):
-        with pytest.raises(DictionaryError):
+        with pytest.raises(ConfigError, match="dictionaries need M >= 2 functions"):
             build_fourier(1)
 
     def test_even_m_ends_with_cosine(self):
@@ -116,13 +113,18 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self):
         d = build_coordinate(3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"points shape \(1, 2\) does not match .* d = 3"):
             evaluate(d, [[0.1, 0.2]])
-        with pytest.raises(ShapeError, match="points are 1-d but the dictionary has d = 3"):
+        with pytest.raises(ConfigError, match="points are 1-d but the dictionary has d = 3"):
             evaluate(d, [0.1, 0.2, 0.3])
 
+    def test_three_dimensional_points_refused(self):
+        message = "points shape (2, 1, 1) does not match dictionary dimension d = 1"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            evaluate(build_fourier(3), np.zeros((2, 1, 1)))
+
     def test_outside_domain_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=OUTSIDE):
             evaluate(build_fourier(3), [1.5])
 
     def test_determinism_bit_identical(self):
@@ -290,9 +292,9 @@ class TestCheckPoints:
         pts[4, 1] = box[1, side] + step / 4
         evaluate(d, pts)
         pts[4, 1] = box[1, side] + step
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=OUTSIDE):
             evaluate(d, pts)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=OUTSIDE):
             predict(d, np.ones(3), pts)
 
     def test_tabulated_warns_once_and_clamps(self):
@@ -310,7 +312,7 @@ class TestCheckPoints:
     )
     def test_zero_points(self, dictionary, points):
         assert predict(dictionary, np.ones(dictionary.M), points).shape == (0,)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="design matrices need n >= 1 rows"):
             evaluate(dictionary, points)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -405,13 +407,13 @@ class TestEvaluateOut:
         ids=["rows", "columns", "float32", "C-order", "strided", "list"],
     )
     def test_wrong_out_refused(self, dictionary, shape, make):
-        with pytest.raises(ShapeError, match="out must be"):
+        with pytest.raises(ConfigError, match="out must be"):
             evaluate(dictionary, self.points(dictionary, shape), out=make(shape[0], dictionary.M))
 
     def test_read_only_out_refused(self):
         out = np.empty((9, 3), order="F")
         out.flags.writeable = False
-        with pytest.raises(ShapeError, match="out must be"):
+        with pytest.raises(ConfigError, match="out must be"):
             evaluate(build_coordinate(3), np.full((9, 3), 0.5), out=out)
 
     def test_out_sharing_the_points_refused(self):
@@ -420,11 +422,11 @@ class TestEvaluateOut:
         d = build_coordinate(3)
         buf = np.full((9, 3), 0.5, order="F")
         for pts in (buf, buf[:, :], buf[:, ::-1]):
-            with pytest.raises(ShapeError, match="share memory"):
+            with pytest.raises(ConfigError, match="share memory"):
                 evaluate(d, pts, out=buf)
         assert np.all(buf == 0.5)
         out = np.zeros((9, 4), order="F")
-        with pytest.raises(ShapeError, match="share memory"):
+        with pytest.raises(ConfigError, match="share memory"):
             evaluate(build_fourier(4), out[:, 1], out=out)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -441,9 +443,9 @@ class TestEvaluateOut:
     def test_outside_domain_refused_through_out(self):
         pts = np.full((17, 3), 0.5)
         pts[-1, 2] = 1.5
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=OUTSIDE):
             evaluate(build_coordinate(3), pts, out=np.empty((17, 3), order="F"))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=OUTSIDE):
             evaluate(build_fourier(5), np.full(17, -0.5), out=np.empty((17, 5), order="F"))
 
     def test_tabulated_clamps_through_out(self):
@@ -709,7 +711,7 @@ class TestGridDensityMeasure:
 
     def test_unsorted_density_table_rejected(self):
         # Used to be accepted, and interpolated as if sorted.
-        with pytest.raises(ShapeError, match="density table abscissae must be strictly increasing"):
+        with pytest.raises(ConfigError, match="density table abscissae must be strictly increasing"):
             grid_density_measure([0.0, 0.6, 0.3, 1.0], [1.0, 2.0, 1.0, 3.0])
 
     def test_quadrature_weights_sum_to_one(self):
@@ -734,7 +736,7 @@ class TestGridDensityMeasure:
     def test_span_checked_after_the_one_axis_check(self):
         table = grid_density_measure([0.0, 1.0], [1.0, 1.0])
         d = build_coordinate(2, domain=[-1.0, 1.0])
-        with pytest.raises(UnsupportedOperationError, match="grids span one axis"):
+        with pytest.raises(ConfigError, match="grids span one axis"):
             quadrature_grid(d, table)
 
     def test_flat_density_matches_exact_fourier_constants(self):
@@ -767,16 +769,16 @@ class TestGridBudget:
     # Grids span one axis; a coordinate dictionary with d > 1 has none.
     def test_sup_norm_scan_refuses_d_above_one(self):
         d = build_coordinate(20)
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(ConfigError, match="grids span one axis"):
             sup_norm_error(d, linear_truth(np.ones(20)), np.zeros(20))
 
     def test_quadrature_refuses_d_above_one(self):
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(ConfigError, match="grids span one axis"):
             quadrature_grid(build_coordinate(20), uniform_measure())
 
     def test_density_measure_refuses_d_above_one(self):
         flat = grid_density_measure([0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(UnsupportedOperationError, match="grids span one axis"):
+        with pytest.raises(ConfigError, match="grids span one axis"):
             population_gram(build_coordinate(2), flat)
 
     def test_closed_forms_need_no_grid(self):
@@ -810,7 +812,7 @@ class TestCsvLoaders:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=re.escape("points CSV header must be x1,...,xd[,y]")):
             load_points_csv(path)
 
     @pytest.mark.parametrize("loader", [load_points_csv, load_tabulated_csv])
@@ -826,14 +828,14 @@ class TestCsvLoaders:
         header = "x1,y\n" if loader is load_points_csv else "x,f1\n"
         path = tmp_path / "table.csv"
         path.write_text(header + body)
-        with pytest.raises(ShapeError, match=re.escape(f"{path}:{line}: ")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: ")):
             loader(path)
 
     @pytest.mark.parametrize("loader", [load_points_csv, load_tabulated_csv])
     def test_no_data_rows(self, tmp_path, loader):
         path = tmp_path / "table.csv"
         path.write_text("x1,y\n" if loader is load_points_csv else "x,f1\n")
-        with pytest.raises(ShapeError, match="no data rows"):
+        with pytest.raises(ConfigError, match="no data rows"):
             loader(path)
 
 
@@ -846,18 +848,29 @@ class TestInvariants:
         "make, error, match",
         [
             (lambda: Dictionary(kind="wavelet", M=3, d=1, domain=UNIT),
-             DictionaryError, "unknown dictionary kind 'wavelet'"),
+             ConfigError, "unknown dictionary kind 'wavelet'"),
             (lambda: Dictionary(kind="fourier", M=3, d=2, domain=np.tile(UNIT, (2, 1))),
-             DictionaryError, "fourier dictionaries require d = 1"),
+             ConfigError, "fourier dictionaries require d = 1"),
             (lambda: Dictionary(kind="tabulated", M=3, d=1, domain=UNIT, tables=(TABLE,) * 2),
-             DictionaryError, "one table per function"),
+             ConfigError, "one table per function"),
             (lambda: DesignMatrix(n=4, M=3, entries=np.ones((3, 4))),
-             ShapeError, r"entries shape \(3, 4\) != \(4, 3\)"),
+             ConfigError, r"entries shape \(3, 4\) != \(4, 3\)"),
             (lambda: MeasureSpec(kind="gaussian"), ConfigError, "unknown measure kind 'gaussian'"),
             (lambda: MeasureSpec(kind="grid-density"), ConfigError, "needs a density table"),
+            (lambda: Dictionary(kind="fourier", M=3, d=1, domain=np.array([[0.5, 1.0]])),
+             ConfigError, r"fourier dictionaries are defined on \[0, 1\]"),
+            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+                                tables=((np.zeros((2, 2)), np.ones((2, 2))), TABLE)),
+             ConfigError, "dictionary table needs matching 1-d x and value columns"),
+            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+                                tables=((np.array([0.0, 0.5, 1.0]), np.ones(2)), TABLE)),
+             ConfigError, "dictionary table needs matching 1-d x and value columns"),
+            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+                                tables=((np.array([0.0, 1.0]), np.array([1.0, np.inf])), TABLE)),
+             ConfigError, "dictionary table entries must be finite"),
         ],
         ids=["dictionary-kind", "fourier-d", "table-count", "design-shape", "measure-kind",
-             "density-table"],
+             "density-table", "fourier-domain", "table-2-d", "table-lengths", "table-value-inf"],
     )
     def test_record_constructors_refuse(self, make, error, match):
         # Each exported record checks itself when built directly, not only
@@ -868,14 +881,14 @@ class TestInvariants:
     def test_coordinate_requires_m_eq_d(self):
         box = np.tile([0.0, 1.0], (3, 1))
         for M in (2, 4):
-            with pytest.raises(DictionaryError, match="M = d"):
+            with pytest.raises(ConfigError, match="M = d"):
                 Dictionary(kind="coordinate", M=M, d=3, domain=box)
 
     def test_tabulated_grid_strictly_increasing(self):
         bad = [(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))] * 2
-        with pytest.raises(DictionaryError):
+        with pytest.raises(ConfigError, match="dictionary table abscissae must be"):
             build_tabulated(bad)
 
     def test_fourier_nonunit_domain_rejected(self):
-        with pytest.raises(DictionaryError):
+        with pytest.raises(ConfigError, match=r"defined on \[0, 1\]"):
             Dictionary(kind="fourier", M=3, d=1, domain=np.array([[0.0, 2.0]]))

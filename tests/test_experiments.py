@@ -15,7 +15,6 @@ import pytest
 from l1agg import (
     ConfigError,
     ExperimentConfig,
-    ShapeError,
     bound_check,
     build_coordinate,
     build_fourier,
@@ -37,7 +36,7 @@ from l1agg import (
 )
 from l1agg import dictionary as dictionary_module
 from l1agg import experiments, oracles, solver
-from l1agg._util import atomic_writer
+from l1agg._util import atomic_writer, fmt
 from l1agg.cli import main
 from l1agg.experiments import (
     CSV_HEADER,
@@ -200,7 +199,7 @@ class TestGenerate:
     )
     def test_wrong_out_refused(self, make):
         dictionary, truth = self.UNIFORM
-        with pytest.raises(ShapeError, match="out must be"):
+        with pytest.raises(ConfigError, match="out must be"):
             generate(dictionary, truth, noise_bounded_uniform(0.0), 8, 0, out=make(8, 3))
 
 
@@ -415,8 +414,17 @@ class TestRun:
         lines[line - 1] = ",".join(cells)
         path = tmp_path / "rows.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ShapeError, match=re.escape(f"{path}:{line}: ")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: ")):
             read_rows_csv(path)
+
+    @pytest.mark.parametrize(
+        "value, cell",
+        [("log_n", "log_n"), (True, "1"), (False, "0"), (30, "30"), (0.1, "0.1"),
+         (np.float64(2.5), "2.5")],
+        ids=["str", "true", "false", "int", "float", "float64"],
+    )
+    def test_csv_cell_format(self, value, cell):
+        assert fmt(value) == cell
 
     def test_rows_csv_header_from_row_fields(self):
         assert CSV_HEADER == (
@@ -713,6 +721,21 @@ class TestSummaries:
         with pytest.raises(ConfigError, match="not from this config"):
             summarize(self.linear_config(A=0.002), rows)
 
+    @pytest.mark.parametrize(
+        "seed, rep",
+        [(0, 0), (6, 5), (2_000_001, 0)],
+        ids=["seed-before-config", "rep-past-R", "cell-past-grid"],
+    )
+    def test_row_outside_the_seed_grid_rejected(self, seed, rep):
+        # The config's seed is 1, R = 5 and there are two cells: seed 0
+        # falls before cell 0, seed 6 is rep 5 of cell 0, and 2_000_001 is
+        # rep 0 of cell 2.
+        cfg = self.linear_config()
+        rows = run(cfg)
+        rows[0] = dataclasses.replace(rows[0], seed=seed, rep=rep)
+        with pytest.raises(ConfigError, match=f"row n = 32, seed = {seed} is not from this"):
+            summarize(cfg, rows)
+
     def test_duplicate_and_missing_replicates_rejected(self):
         cfg = self.linear_config()
         rows = run(cfg)
@@ -777,6 +800,27 @@ class TestRateSlope:
         rows = run(cfg)
         with pytest.raises(ConfigError):
             rate_slope(cfg, rows, "l1_err")
+
+    def test_drops_out_of_regime_and_invalid_cells(self, monkeypatch):
+        # n = 8 is out of regime (n / (k*^2 log M) < 1); n = 512 is made
+        # invalid by a one-sweep budget (every replicate non-converged).
+        cfg = tiny_config(n_values=(8, 64, 128, 256, 512, 1024), m_rule="fixed:25", A=4.0)
+        rows = [row for row in run(cfg) if row.n != 512]
+        monkeypatch.setattr("l1agg.experiments.fit", functools.partial(solver.fit, max_sweeps=1))
+        rows += [run_single(cfg, 4, rep) for rep in range(cfg.R)]
+        cells = summarize(cfg, rows)
+        assert [(c.valid, c.regime_ok) for c in cells] == [
+            (True, False), (True, True), (True, True), (True, True), (False, True), (True, True)
+        ]
+        kept = [cells[i] for i in (1, 2, 3, 5)]
+        x = np.array([math.log(c.n / math.log(c.n)) for c in kept])
+        for field in ("risk", "l1_err"):
+            med = np.array([getattr(c, f"median_{field}") for c in kept])
+            assert rate_slope(cfg, rows, field) == _ols_line(x, np.log(med))
+        # Without n = 1024, three usable cells are left.
+        short = dataclasses.replace(cfg, n_values=cfg.n_values[:5])
+        with pytest.raises(ConfigError, match="rate slopes need >= 4 usable grid cells"):
+            rate_slope(short, [row for row in rows if row.n != 1024])
 
     def test_unknown_y_field_refused(self):
         with pytest.raises(ConfigError, match="y_field must be 'risk' or 'l1_err'"):
@@ -947,6 +991,10 @@ class TestConfigFile:
     def test_n_values_strictly_increasing(self):
         with pytest.raises(ConfigError):
             tiny_config(n_values=(64, 64))
+
+    def test_empty_n_values_refused(self):
+        with pytest.raises(ConfigError, match="n_values must be a nonempty strictly increasing"):
+            tiny_config(n_values=())
 
     @pytest.mark.parametrize(
         "field, value", [("n_values", (64, 256.7)), ("R", 30.5), ("seed", 1.5)]

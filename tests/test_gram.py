@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l1agg import (
+    ConfigError,
     DegenerateDictionaryError,
     DesignMatrix,
     ExperimentConfig,
     NumericError,
-    ShapeError,
     build_coordinate,
     build_fourier,
     build_tabulated,
@@ -77,7 +77,7 @@ class TestGramPair:
         np.testing.assert_allclose(psi, np.eye(M), atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="psi_M and psi_nM must have matching shapes"):
             diagnostics(np.eye(3), (), np.eye(4))
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -244,7 +244,7 @@ class TestOneDiagonalTest:
         "nan off-diagonal": (
             lambda: np.where(np.eye(3) == 1, 1.0, np.nan), (NumericError, "non-finite")
         ),
-        "non-square": (lambda: np.eye(2, 3), (ShapeError, "nonempty and square")),
+        "non-square": (lambda: np.eye(2, 3), (ConfigError, "nonempty and square")),
     }
 
     def test_kappa_skips_lapack_where_the_oracle_is_closed_form(self, monkeypatch):
@@ -331,7 +331,7 @@ class TestCoherence:
         assert coherence(scaled, [1, 2]) == pytest.approx(rl_before, abs=1e-12)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="a Gram matrix must be nonempty and square"):
             coherence(np.empty((0, 0)), [])
 
     def test_correlation_beyond_one_refused(self):
@@ -352,7 +352,7 @@ class TestCoherence:
 
     @pytest.mark.parametrize("support", [[1, 4], [-1, 2]])
     def test_diagonal_gram_still_checks_the_support(self, support):
-        with pytest.raises(ShapeError, match=r"support indices must lie in \[0, 4\)"):
+        with pytest.raises(ConfigError, match=r"support indices must lie in \[0, 4\)"):
             coherence(np.diag([1.0, 2.0, 3.0, 4.0]), support)
 
 
@@ -390,6 +390,11 @@ class TestEta:
 class TestGramRule:
     # kappa and coherence check their matrix by one rule, with one message
     # per breach.
+    @pytest.mark.parametrize("check", [kappa, lambda psi: coherence(psi, [0])])
+    def test_one_dimensional_rejected(self, check):
+        with pytest.raises(ConfigError, match="a Gram matrix must be nonempty and square"):
+            check(np.ones(3))
+
     @pytest.mark.parametrize("check", [kappa, lambda psi: coherence(psi, [0])])
     def test_non_symmetric_rejected(self, check):
         psi = np.eye(3)

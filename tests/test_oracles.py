@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from l1agg import (
     ConfigError,
     DesignMatrix,
-    DomainError,
     NumericError,
-    ShapeError,
     TruthSpec,
     bernstein_bound,
     build_coordinate,
@@ -118,6 +116,11 @@ class TestCoefficientTruths:
         with pytest.raises(ConfigError, match="nonempty"):
             make(coef)
 
+    @pytest.mark.parametrize("kind", ["fourier", "linear"])
+    def test_coefficients_required(self, kind):
+        with pytest.raises(ConfigError, match=f"{kind} truths need a nonempty, finite 1-d"):
+            TruthSpec(kind=kind)
+
     def test_unknown_kind_refused(self):
         with pytest.raises(ConfigError, match="unknown truth kind 'wavelet'"):
             TruthSpec(kind="wavelet", theta=np.ones(2))
@@ -129,7 +132,7 @@ class TestCoefficientTruths:
         truth = tabulated_truth([0.0, 1.0], [1.0, 3.0])
         assert evaluate_truth(truth, x).tolist() == evaluate_truth(truth, x[:, None]).tolist()
         assert evaluate_truth(truth, x).tolist() == [1.5, 2.0]
-        with pytest.raises(ShapeError, match="fewer coordinates than truth coefficients"):
+        with pytest.raises(ConfigError, match="fewer coordinates than truth coefficients"):
             evaluate_truth(linear_truth([1.0, 2.0]), x)
 
 
@@ -375,6 +378,24 @@ class TestOraclePath:
             assert population_dist2(problem, lam) == dist2
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "dictionary, truth, message",
+        [
+            (build_coordinate(2), linear_truth(np.ones(3)),
+             "grids span one axis; the coordinate dictionary has d = 2"),
+            (build_tabulated([(np.array([-1.0, 1.0]), np.ones(2))] * 2, domain=[-1.0, 1.0]),
+             fourier_truth([1.0]),
+             r"trigonometric truth is defined on \[0, 1\], not on the domain \[-1.0, 1.0\]"),
+            (build_fourier(3), tabulated_truth([0.5, 1.0], [1.0, 2.0]),
+             r"tabulated truth spans \[0.5, 1.0\], not the domain \[0.0, 1.0\]"),
+        ],
+        ids=["linear-truth-longer-than-M", "fourier-truth-from-minus-one",
+             "tabulated-truth-starts-inside"],
+    )
+    def test_problem_refused(self, dictionary, truth, message):
+        with pytest.raises(ConfigError, match=message):
+            population_problem(dictionary, uniform_measure(), truth)
+
     def test_quadrature_problem_arrays_are_read_only(self):
         # A fourier dictionary with a tabulated truth takes the exact Psi = I
         # and g from the design on the quadrature nodes.
@@ -394,7 +415,7 @@ class TestOraclePath:
         assert problem.f2 == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_linear_truth_on_a_box_searches_the_moment_gram(self):
-        # Used to raise UnsupportedOperationError: grids span one axis.
+        # Used to be refused: grids span one axis.
         box = [[-1.0, 3.0], [0.0, 1.0], [-2.0, -0.5]]
         d = build_coordinate(3, domain=box)
         theta = np.array([1.0, -2.0, 0.5])
@@ -558,6 +579,21 @@ class TestTheoremRhs:
         with pytest.raises(ConfigError, match=r"\('t21_risk', 't21_l1', 't23'\)"):
             theorem_rhs(kind, 0.1, 1, kappa_M=1.0, dist2=0.0)
 
+    @pytest.mark.parametrize(
+        "kind, m_lambda, extra, message",
+        [
+            ("t21_risk", -1, dict(kappa_M=1.0), r"needs r_nM > 0 and M\(lambda\) >= 0"),
+            ("t23", 1, {}, "t23 needs a nonnegative dist2"),
+            ("t21_l1", 1, {}, r"t21 bounds need kappa_M in \(0, 1\]"),
+            ("t21_risk", 1, dict(kappa_M=0.0), r"t21 bounds need kappa_M in \(0, 1\]"),
+            ("t21_risk", 1, dict(kappa_M=1.5), r"t21 bounds need kappa_M in \(0, 1\]"),
+        ],
+        ids=["m-negative", "t23-no-dist2", "t21-no-kappa", "kappa-zero", "kappa-above-one"],
+    )
+    def test_bad_argument_refused(self, kind, m_lambda, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            theorem_rhs(kind, 0.1, m_lambda, **extra)
+
     def test_bad_kappa_rejected(self):
         with pytest.raises(ConfigError):
             theorem_rhs("t21_risk", 0.1, 3, kappa_M=0.0)
@@ -582,6 +618,9 @@ class TestTheoremRhs:
 class TestBernstein:
     def test_vacuous_at_n_zero(self):
         assert bernstein_bound(0, 1.0, 1.0, 0.0) == 1.0
+
+    def test_vacuous_at_epsilon_zero(self):
+        assert bernstein_bound(100, 0.0, 1.0, 1.0) == 1.0
 
     def test_simple_value(self):
         assert bernstein_bound(100, 1.0, 1.0, 0.0) == pytest.approx(math.exp(-50.0))
@@ -799,7 +838,7 @@ class TestEventFlags:
 
     def test_noise_shape_refused(self):
         design = self._design(n=10)
-        with pytest.raises(ShapeError, match="noise vector must match the design row count"):
+        with pytest.raises(ConfigError, match="noise vector must match the design row count"):
             event_flags(
                 design, np.zeros(design.n + 1), np.ones(design.M), np.ones(design.M),
                 np.zeros(design.n), 0.0, 0.1, 1,
@@ -940,11 +979,11 @@ class TestOracleReport:
          ([0.0], "matching 1-d")],
     )
     def test_tabulated_truth_table_rule(self, x, message):
-        with pytest.raises(ShapeError, match=message):
+        with pytest.raises(ConfigError, match=message):
             tabulated_truth(x, np.ones(len(x)))
 
     def test_sup_norm_error_fft_rejects_wrong_length(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"must have shape \(5,\), got \(4,\)"):
             sup_norm_error(build_fourier(5), sobolev_truth(1.0), np.zeros(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -970,7 +1009,7 @@ class TestOracleReport:
 
     def test_fourier_truth_outside_unit_interval_rejected(self):
         truth = fourier_truth(np.array([0.5, 1.0, -1.0]))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="points fall outside the dictionary domain"):
             evaluate_truth(truth, np.array([0.5, 1.5]))
 
     def test_sup_norm_error_reported(self):

@@ -15,7 +15,6 @@ from l1agg import (
     DesignMatrix,
     ExperimentConfig,
     NumericError,
-    ShapeError,
     build_coordinate,
     build_fourier,
     empirical_gram,
@@ -326,6 +325,13 @@ class TestFit:
         with pytest.raises(NumericError, match="is not finite"):
             fit(design, y, log_m_weights(design, 1.0))
 
+    def test_overflowing_correlation_is_refused(self):
+        # y is finite and n^-1 ||y||^2 = 1e20, but n^-1 Phi^T y overflows on
+        # a 1e300 box; every bound would be infinite, as above.
+        design = evaluate(build_coordinate(2, domain=[-1e300, 1e300]), np.full((3, 2), 1e300))
+        with pytest.raises(NumericError, match=r"or n\^-1 Phi\^T y is not finite"):
+            fit(design, np.full(3, 1e10), np.ones(2))
+
     def test_matches_grid_search(self):
         rng = np.random.default_rng(5)
         design = make_design(rng.normal(size=(4, 2)))
@@ -451,10 +457,10 @@ class TestFit:
     @pytest.mark.parametrize(
         "which, bad, error, message",
         [
-            ("y", (21,), ShapeError, "response must have shape (20,), got (21,)"),
-            ("y", (20, 1), ShapeError, "response must have shape (20,), got (20, 1)"),
-            ("weights", (2,), ShapeError, "weights must have shape (3,), got (2,)"),
-            ("weights", (1, 3), ShapeError, "weights must have shape (3,), got (1, 3)"),
+            ("y", (21,), ConfigError, "response must have shape (20,), got (21,)"),
+            ("y", (20, 1), ConfigError, "response must have shape (20,), got (20, 1)"),
+            ("weights", (2,), ConfigError, "weights must have shape (3,), got (2,)"),
+            ("weights", (1, 3), ConfigError, "weights must have shape (3,), got (1, 3)"),
             *[("y", v, NumericError, "response vector contains non-finite values")
               for v in (math.nan, math.inf, -math.inf)],
             *[("weights", v, ConfigError, "penalty weights must be finite and nonnegative")

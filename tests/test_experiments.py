@@ -803,7 +803,7 @@ class TestRateSlope:
 
     def test_drops_out_of_regime_and_invalid_cells(self, monkeypatch):
         # n = 8 is out of regime (n / (k*^2 log M) < 1); n = 512 is made
-        # invalid by a one-sweep budget (every replicate non-converged).
+        # invalid by a one-sweep budget (over 20% of its replicates non-converged).
         cfg = tiny_config(n_values=(8, 64, 128, 256, 512, 1024), m_rule="fixed:25", A=4.0)
         rows = [row for row in run(cfg) if row.n != 512]
         monkeypatch.setattr("l1agg.experiments.fit", functools.partial(solver.fit, max_sweeps=1))

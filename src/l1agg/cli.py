@@ -278,7 +278,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    from .experiments import load_config, rate_slope, read_rows_csv, summarize, summary_csv_text
+    from .experiments import _summary_slope, load_config, read_rows_csv, summarize, summary_csv_text
 
     config = load_config(args.config)
     rows = read_rows_csv(args.rows)
@@ -288,7 +288,7 @@ def _cmd_summary(args) -> int:
     slope_records = []
     for y_field, label in (("risk", "risk"), ("l1_err", "l1")):
         try:
-            slope, intercept, stderr = rate_slope(config, rows, y_field)
+            slope, intercept, stderr = _summary_slope(summaries, y_field)
         except ConfigError as exc:
             print(f"note: no {label} slope ({exc})", file=sys.stderr)
             continue

@@ -39,19 +39,6 @@ FOURIER_SUM_BUDGET = 1 << 16
 _DOMAIN_SLACK = 1e-12
 
 
-def _as_domain(domain, d: int) -> np.ndarray:
-    box = np.asarray(domain, dtype=float)
-    if box.shape == (2,):
-        box = np.tile(box, (d, 1))
-    if box.shape != (d, 2):
-        raise ConfigError(f"domain must have shape ({d}, 2), got {box.shape}")
-    if not np.all(np.isfinite(box)):
-        raise ConfigError("domain bounds must be finite")
-    if np.any(box[:, 0] > box[:, 1]):
-        raise ConfigError("domain lower bounds must not exceed upper bounds")
-    return box
-
-
 def _check_table(grid, values, what: str):
     """``(grid, values)`` as float arrays, checked by the one table rule.
 
@@ -71,17 +58,17 @@ def _check_table(grid, values, what: str):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """An ordered family of M real-valued functions on a compact box.
+    """An ordered family of M real-valued functions on [lo, hi]^d.
 
-    ``tables`` is only populated for the tabulated kind: one
-    ``(grid, values)`` pair of 1-d arrays per function, with strictly
-    increasing grid abscissae.
+    ``domain`` is the interval ``(lo, hi)`` of every axis, held as two
+    floats: finite, with lo <= hi, and (0, 1) for fourier. ``tables`` is
+    only populated for the tabulated kind: one ``(grid, values)`` pair of
+    1-d arrays per function, with strictly increasing grid abscissae.
     """
 
     kind: str
     M: int
-    d: int
-    domain: np.ndarray
+    domain: tuple
     tables: tuple = ()
 
     def __post_init__(self):
@@ -89,21 +76,29 @@ class Dictionary:
             raise ConfigError(f"unknown dictionary kind {self.kind!r}")
         if self.M < 2:
             raise ConfigError("dictionaries need M >= 2 functions")
-        if self.kind == "fourier":
-            if self.d != 1:
-                raise ConfigError("fourier dictionaries require d = 1")
-            if not (self.domain[0, 0] == 0.0 and self.domain[0, 1] == 1.0):
-                raise ConfigError(
-                    "fourier dictionaries are defined on [0, 1]; "
-                    "rescale your data instead of the basis"
-                )
-        if self.kind == "coordinate" and self.M != self.d:
-            raise ConfigError("coordinate dictionaries require M = d")
+        bounds = np.asarray(self.domain, dtype=float)
+        if bounds.shape != (2,):
+            raise ConfigError(f"domain must be one interval [lo, hi], got shape {bounds.shape}")
+        if not np.all(np.isfinite(bounds)):
+            raise ConfigError("domain bounds must be finite")
+        if bounds[0] > bounds[1]:
+            raise ConfigError("domain lower bounds must not exceed upper bounds")
+        object.__setattr__(self, "domain", tuple(bounds.tolist()))
+        if self.kind == "fourier" and self.domain != (0.0, 1.0):
+            raise ConfigError(
+                "fourier dictionaries are defined on [0, 1]; "
+                "rescale your data instead of the basis"
+            )
         if self.kind == "tabulated":
             if len(self.tables) != self.M:
                 raise ConfigError("tabulated kind needs one table per function")
             for grid, vals in self.tables:
                 _check_table(grid, vals, "dictionary table")
+
+    @property
+    def d(self) -> int:
+        """The number of axes: M for coordinate, 1 for the other kinds."""
+        return self.M if self.kind == "coordinate" else 1
 
 
 @dataclass(frozen=True)
@@ -193,16 +188,15 @@ def build_fourier(M: int) -> Dictionary:
     f_1 = 1, f_{2k} = sqrt(2) cos(2 pi k x), f_{2k+1} = sqrt(2) sin(2 pi k x),
     indexed 1..M (so the Python column for f_j is j - 1).
     """
-    return Dictionary(kind="fourier", M=int(M), d=1, domain=np.array([[0.0, 1.0]]))
+    return Dictionary(kind="fourier", M=int(M), domain=(0.0, 1.0))
 
 
 def build_coordinate(d: int, domain=None) -> Dictionary:
     """Coordinate-projection dictionary f_j(x) = x_j, j = 1..d, for linear
-    designs."""
+    designs on [lo, hi]^d, ``domain = (lo, hi)`` ((0, 1) by default)."""
     if d < 2:
         raise ConfigError(f"coordinate dictionaries need d >= 2 axes, got d = {d}")
-    box = _as_domain(domain if domain is not None else [0.0, 1.0], d)
-    return Dictionary(kind="coordinate", M=int(d), d=int(d), domain=box)
+    return Dictionary(kind="coordinate", M=int(d), domain=(0.0, 1.0) if domain is None else domain)
 
 
 def build_tabulated(tables: Sequence, domain=None) -> Dictionary:
@@ -212,8 +206,10 @@ def build_tabulated(tables: Sequence, domain=None) -> Dictionary:
         (np.ascontiguousarray(g, dtype=float), np.ascontiguousarray(v, dtype=float))
         for g, v in tables
     )
-    box = _as_domain(domain if domain is not None else [0.0, 1.0], 1)
-    return Dictionary(kind="tabulated", M=len(clean), d=1, domain=box, tables=clean)
+    return Dictionary(
+        kind="tabulated", M=len(clean), domain=(0.0, 1.0) if domain is None else domain,
+        tables=clean,
+    )
 
 
 def read_numeric_csv(path):
@@ -236,7 +232,7 @@ def load_tabulated_csv(path) -> Dictionary:
         raise ConfigError(f"{path}: tabulated CSV must start with header x,f1,...,fM")
     grid = data[:, 0]
     tables = [(grid, data[:, j]) for j in range(1, data.shape[1])]
-    return build_tabulated(tables, domain=[float(grid.min()), float(grid.max())])
+    return build_tabulated(tables, domain=(grid.min(), grid.max()))
 
 
 def load_points_csv(path):
@@ -284,7 +280,7 @@ def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
     """A private column-major (n, d) copy of the points, within the domain.
 
     The copy is written into ``out`` when one is given (:func:`_check_out`,
-    order "F"). One per-axis min/max over the copy tests the bounds; NaN
+    order "F"). One min/max over the copy tests the bounds; NaN
     propagates through both, so only a failed test scans for non-finite
     values (NumericError) and points outside the domain (ConfigError). A
     tabulated dictionary's functions are clamped interpolants on the whole
@@ -305,10 +301,9 @@ def _check_points(dictionary: Dictionary, points, out=None) -> np.ndarray:
     if out is not None:
         np.copyto(_check_out(out, pts.shape, "F", points), pts)
         pts = out
-    lo = dictionary.domain[:, 0] - _DOMAIN_SLACK
-    hi = dictionary.domain[:, 1] + _DOMAIN_SLACK
-    smallest, largest = pts.min(axis=0, initial=np.inf), pts.max(axis=0, initial=-np.inf)
-    if np.all(lo <= smallest) and np.all(largest <= hi):
+    lo, hi = dictionary.domain
+    smallest, largest = pts.min(initial=np.inf), pts.max(initial=-np.inf)
+    if lo - _DOMAIN_SLACK <= smallest and largest <= hi + _DOMAIN_SLACK:
         return pts
     if not np.all(np.isfinite(pts)):
         raise NumericError("evaluation points contain non-finite values")
@@ -507,7 +502,7 @@ def _axis_grid(dictionary: Dictionary, nodes: int) -> np.ndarray:
         raise ConfigError(
             f"grids span one axis; the {dictionary.kind} dictionary has d = {dictionary.d}"
         )
-    return np.linspace(*dictionary.domain[0], nodes)[:, None]
+    return np.linspace(*dictionary.domain, nodes)[:, None]
 
 
 def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
@@ -531,7 +526,7 @@ def quadrature_grid(dictionary: Dictionary, measure: MeasureSpec):
     w[[0, -1]] *= 0.5
     if measure.kind == "grid-density":
         grid, density = measure.density_table
-        ends, domain = grid[[0, -1]].tolist(), dictionary.domain[0].tolist()
+        ends, domain = grid[[0, -1]].tolist(), list(dictionary.domain)
         if max(abs(end - bound) for end, bound in zip(ends, domain)) > _DOMAIN_SLACK:
             raise ConfigError(f"density table spans {ends}, not the domain {domain}")
         w = w * np.interp(pts[:, 0], grid, density)
@@ -544,7 +539,9 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
 
     L0 is the largest fourth moment max_j E[f_j^4]. The fourier basis is
     orthonormal, Psi = I, and L0 = E[f_2^4] = 3/2. Coordinate dictionaries
-    use the first, second and fourth moments of the uniform box law.
+    use the first, second and fourth moments of the uniform law on
+    [lo, hi], formed on length-1 arrays: a scalar ``**`` can differ from
+    numpy's array power in the last bit, and L0 keeps the array's bits.
     """
     if measure.kind != "uniform":
         return None
@@ -552,29 +549,27 @@ def _uniform_closed_form(dictionary: Dictionary, measure: MeasureSpec):
         return np.eye(dictionary.M), 1.5
     if dictionary.kind != "coordinate":
         return None
-    a = dictionary.domain[:, 0]
-    b = dictionary.domain[:, 1]
+    a, b = np.array(dictionary.domain).reshape(2, 1)
     m1 = (a + b) / 2.0
     m2 = (a * a + a * b + b * b) / 3.0
     m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
-    psi = np.outer(m1, m1)
+    psi = np.full((dictionary.M, dictionary.M), m1 * m1)
     np.fill_diagonal(psi, m2)
-    return psi, float(m4.max())
+    return psi, float(m4[0])
 
 
 def _sup_norm(dictionary: Dictionary) -> float:
     """Exact L = max_j sup_x |f_j(x)| over the dictionary domain.
 
-    sqrt(2) for fourier, the largest |bound| of the d axes for
+    sqrt(2) for fourier, the larger |bound| of the interval for
     coordinate, and for tabulated the largest |value| of the clamped
     interpolant, which peaks at a table node or at a domain end.
     """
     if dictionary.kind == "fourier":
         return float(np.sqrt(2.0))
-    box = dictionary.domain
+    lo, hi = dictionary.domain
     if dictionary.kind == "coordinate":
-        return float(np.abs(box).max())
-    lo, hi = box[0]
+        return max(abs(lo), abs(hi))
     peaks = []
     for grid, vals in dictionary.tables:
         inside = vals[(grid > lo) & (grid < hi)]

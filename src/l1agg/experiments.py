@@ -121,12 +121,10 @@ def generate(
     """Draw X_i iid uniform on the dictionary domain and Y_i = f(X_i) + W_i.
 
     Deterministic given the seed: the design is drawn first, then the
-    noise, from one ``default_rng(seed)`` stream. The design is
-    ``low + (high - low) * rng.random((n, d))``, bit for bit the draw of
-    ``rng.uniform(low, high, (n, d))`` without its broadcasting path; a
-    domain whose width overflows raises ConfigError. On a cube (every axis
-    with the same bounds) low and width are scalars, so the same two
-    operations run without broadcasting a row over the rows.
+    noise, from one ``default_rng(seed)`` stream. With ``(low, high)`` the
+    domain, the design is ``low + (high - low) * rng.random((n, d))``, bit
+    for bit the draw of ``rng.uniform(low, high, (n, d))``; a domain whose
+    width overflows raises ConfigError.
 
     ``out``, when given, is the array the design is drawn into and the
     sample's ``x``: a writeable C-order (n, d) float64 array, or
@@ -136,15 +134,11 @@ def generate(
         raise ConfigError("need n >= 1 samples")
     if out is not None:
         _check_out(out, (n, dictionary.d), "C")
+    low, high = dictionary.domain
+    width = high - low
+    if not math.isfinite(width):
+        raise ConfigError(f"domain {[low, high]} is too wide to draw from")
     rng = np.random.default_rng(seed)
-    box = dictionary.domain
-    low = box[:, 0]
-    with np.errstate(over="ignore"):
-        width = box[:, 1] - low
-    if not np.isfinite(width).all():
-        raise ConfigError(f"domain {box.tolist()} is too wide to draw from")
-    if (box == box[0]).all():
-        low, width = low[0], width[0]
     x = rng.random((n, dictionary.d)) if out is None else rng.random(out=out)
     x *= width
     x += low
@@ -378,7 +372,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
         # With the oracle set empty at this resolution the scan's last
         # vector (the whole truncated truth) keeps rows computable; the
         # cell stays out of the slope-eligible regime.
-        lambda_star, dist2_star, _, oracle_found = oracle_scan(problem, r_nM, config.C_f)
+        lambda_star, dist2_star, oracle_found = oracle_scan(problem, r_nM, config.C_f)
     _, k_star = sparsity(lambda_star)
     # Exact representation has L(lambda*) = 0; only a residual needs a grid scan.
     l_lambda = 0.0 if dist2_star == 0.0 else _oracle_sup_norm(
@@ -387,7 +381,7 @@ def cell_context(config: ExperimentConfig, cell_index: int) -> CellContext:
 
     kappa_m = kappa(problem.psi)
     regime_ok = oracle_found and (k_star == 0 or n / (k_star * k_star * math.log(M)) >= 1.0)
-    for shared in (lambda_star, truth.theta, dictionary.domain):
+    for shared in (lambda_star, truth.theta):
         shared.flags.writeable = False
     return CellContext(
         cell_index=cell_index,
@@ -740,7 +734,13 @@ def rate_slope(config: ExperimentConfig, rows, y_field: str = "risk"):
     """
     if y_field not in ("risk", "l1_err"):
         raise ConfigError("y_field must be 'risk' or 'l1_err'")
-    cells = [s for s in summarize(config, rows) if s.valid and s.regime_ok]
+    return _summary_slope(summarize(config, rows), y_field)
+
+
+def _summary_slope(summaries, y_field: str):
+    """:func:`rate_slope` of the cells ``summaries`` of :func:`summarize`,
+    for a ``y_field`` of ``risk`` or ``l1_err``."""
+    cells = [s for s in summaries if s.valid and s.regime_ok]
     if any(s.reps < 30 for s in cells):
         raise ConfigError("rate slopes need >= 30 replicates per cell")
     if len(cells) < 4:
@@ -762,7 +762,6 @@ class BoundCheckCell:
     n: int
     M: int
     scale: float
-    rhs: float
     fraction: float
     prob_floor: float
     satisfied: bool
@@ -830,7 +829,6 @@ def bound_check(
                 n=ctx.n,
                 M=ctx.M,
                 scale=cell_scale,
-                rhs=rhs,
                 fraction=fraction,
                 prob_floor=floor,
                 satisfied=bool(fraction >= floor),

@@ -243,7 +243,7 @@ def population_problem(dictionary: Dictionary, measure: MeasureSpec, truth: Trut
         theta_M = _read_only(theta_M)
     else:
         pts, w = quadrature_grid(dictionary, measure)
-        lo, hi = domain = dictionary.domain[0].tolist()
+        lo, hi = domain = list(dictionary.domain)
         if truth.kind == "fourier" and (lo < -_DOMAIN_SLACK or hi > 1.0 + _DOMAIN_SLACK):
             raise ConfigError(
                 f"a trigonometric truth is defined on [0, 1], not on the domain {domain}"
@@ -488,8 +488,7 @@ class OracleReport:
 
     ``k_star`` is None when no sparsity level up to M satisfies the
     weak-sparsity inequality (the oracle set is empty); the remaining
-    fields are then NaN/None. ``exact`` records whether the oracle is
-    exact (a closed form or an exhaustive search).
+    fields are then NaN/None.
     """
 
     lambda_star: np.ndarray | None
@@ -497,7 +496,6 @@ class OracleReport:
     dist2: float
     L_lambda: float
     memberships: MembershipFlags | None
-    exact: bool
 
 
 def oracle_path(problem: PopulationProblem, ks):
@@ -507,10 +505,11 @@ def oracle_path(problem: PopulationProblem, ks):
 
     k = 0 gives zero. When the problem's Psi is exactly diagonal by
     :func:`gram._exactly_diagonal`, the test that also spares
-    :func:`gram.kappa` its LAPACK call (the Fourier basis, a centred
-    coordinate box, functions with disjoint supports), the best k-sparse
-    lambda keeps the k coordinates of largest |g_j| / sqrt(Psi_jj), ties
-    to the smaller index, at lambda_j = g_j / Psi_jj, and is exact. Otherwise
+    :func:`gram.kappa` its LAPACK call (the Fourier basis, a coordinate
+    dictionary on a centred interval, functions with disjoint supports),
+    the best k-sparse lambda keeps the k coordinates of largest
+    |g_j| / sqrt(Psi_jj), ties to the smaller index, at
+    lambda_j = g_j / Psi_jj, and is exact. Otherwise
     :func:`_oracle_search` runs on Psi, g and ||f||^2.
     """
     M, psi, g = problem.dictionary.M, problem.psi, problem.g
@@ -533,7 +532,7 @@ def oracle_path(problem: PopulationProblem, ks):
 def oracle_scan(problem: PopulationProblem, r_nM: float, C_f: float = 1.0):
     """Scan k = 0, 1, ..., M for the effective dimension.
 
-    Returns ``(lambda, dist2, exact, found)`` for the smallest k whose best
+    Returns ``(lambda, dist2, found)`` for the smallest k whose best
     k-sparse approximation satisfies ||f_lambda - f||^2 <= C_f r^2 M(lambda).
     When no k up to M does, ``found`` is False and the other entries
     belong to k = M.
@@ -541,11 +540,11 @@ def oracle_scan(problem: PopulationProblem, r_nM: float, C_f: float = 1.0):
     if not (r_nM > 0 and C_f >= 0):
         raise ConfigError(f"oracle scan needs r_nM > 0 and C_f >= 0, got {r_nM}, {C_f}")
     ks = range(problem.dictionary.M + 1)
-    for _, lam, dist2, exact in oracle_path(problem, ks):
+    for _, lam, dist2, _ in oracle_path(problem, ks):
         _, m_lambda = sparsity(lam)
         if dist2 <= C_f * r_nM * r_nM * m_lambda:
-            return lam, dist2, exact, True
-    return lam, dist2, exact, False
+            return lam, dist2, True
+    return lam, dist2, False
 
 
 def oracle_report(
@@ -561,7 +560,7 @@ def oracle_report(
     weak-approximation membership flags, and rho(lambda) is read from the
     problem's Psi.
     """
-    lam, dist2, exact, found = oracle_scan(problem, r_nM, C_f)
+    lam, dist2, found = oracle_scan(problem, r_nM, C_f)
     if not found:
         return OracleReport(
             lambda_star=None,
@@ -569,7 +568,6 @@ def oracle_report(
             dist2=math.nan,
             L_lambda=math.nan,
             memberships=None,
-            exact=True,
         )
     support, m_lambda = sparsity(lam)
     rho_lambda = coherence(problem.psi, support)
@@ -579,5 +577,4 @@ def oracle_report(
         dist2=dist2,
         L_lambda=sup_norm_error(problem.dictionary, problem.truth, lam),
         memberships=membership(dist2, m_lambda, rho_lambda, r_nM, C_f, C_f_prime),
-        exact=exact,
     )

@@ -545,7 +545,7 @@ class TestOracle:
         # The scan stops at the first k on the path with dist2 <= C_f r^2 M(lambda).
         r_nM = (residuals[2] / 2.0) ** 0.5
         first = next(k for k, lam, dist2, _ in path if dist2 <= r_nM * r_nM * sparsity(lam)[1])
-        lam_star, _, _, found = oracle_scan(problem, r_nM)
+        lam_star, _, found = oracle_scan(problem, r_nM)
         assert found and 1 <= first <= 2
         assert sparsity(lam_star)[1] == first
 
@@ -871,7 +871,8 @@ class TestExperimentAndSummary:
         )
         assert code == 3
 
-    def test_slopes_csv(self, tmp_path, capsys):
+    def write_slope_rows(self, tmp_path, capsys):
+        """A four-cell grid with slopes, run; returns (config, rows) paths."""
         rows_csv = tmp_path / "rows.csv"
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -887,6 +888,10 @@ class TestExperimentAndSummary:
             f"out = {rows_csv}\n"
         )
         assert run_cli(["experiment", "--config", str(cfg)], capsys)[0] == 0
+        return cfg, rows_csv
+
+    def test_slopes_csv(self, tmp_path, capsys):
+        cfg, rows_csv = self.write_slope_rows(tmp_path, capsys)
         slopes_csv = tmp_path / "slopes.csv"
         code, out, _ = run_cli(
             ["summary", "--config", str(cfg), "--rows", str(rows_csv),
@@ -900,6 +905,32 @@ class TestExperimentAndSummary:
         assert lines[0] == "quantity,slope,intercept,stderr"
         assert lines[1].startswith("risk,")
         assert float(lines[1].split(",")[1]) < 0.0
+
+    def test_summary_groups_the_rows_once(self, tmp_path, capsys, monkeypatch):
+        # The summary CSV and both slopes come from one pass over the rows;
+        # each rate_slope call used to summarize them again (3 passes).
+        cfg, rows_csv = self.write_slope_rows(tmp_path, capsys)
+        calls = []
+        grouped = experiments._rows_by_cell
+
+        def spy(*args):
+            calls.append(args)
+            return grouped(*args)
+
+        monkeypatch.setattr(experiments, "_rows_by_cell", spy)
+        code, out, _ = run_cli(
+            ["summary", "--config", str(cfg), "--rows", str(rows_csv),
+             "--out", str(tmp_path / "summary.csv")],
+            capsys,
+        )
+        assert (code, len(calls)) == (0, 1)
+        config, rows = load_config(cfg), experiments.read_rows_csv(rows_csv)
+        expected = []
+        for field, label in (("risk", "risk"), ("l1_err", "l1")):
+            slope, intercept, stderr = experiments.rate_slope(config, rows, field)
+            expected += [f"{label}_slope={slope!r}", f"{label}_intercept={intercept!r}",
+                         f"{label}_stderr={stderr!r}"]
+        assert out.splitlines() == expected
 
 
 CONFIG = (
@@ -1195,6 +1226,8 @@ def malformed_case(case, tmp_path):
             "foo:3": "unknown dictionary shorthand 'foo:3'",
             "coordinate:3:1,0": "lower bounds must not exceed upper bounds",
             "coordinate:3:0,inf": "domain bounds must be finite",
+            "coordinate:3:0": "domain must be one interval [lo, hi], got shape (1,)",
+            "coordinate:3:0,1,2": "domain must be one interval [lo, hi], got shape (3,)",
             "tabulated:t;f1": "tabulated CSV must start with header x",
             "gauss": "unknown measure shorthand 'gauss'",
             "density:x;d": "CSV must have header x,density",
@@ -1266,6 +1299,7 @@ class TestMalformedInput:
             "summary-bad-kkt--5.0", "summary-bad-risk--0.5", "summary-bad-l1_err--1.0",
             "summary-bad-m_hat--3", "summary-bad-m_hat-999", "density-overflow",
             "spec-dict-foo:3", "spec-dict-coordinate:3:1,0", "spec-dict-coordinate:3:0,inf",
+            "spec-dict-coordinate:3:0", "spec-dict-coordinate:3:0,1,2",
             "spec-dict-tabulated:t;f1", "spec-measure-gauss", "spec-measure-density:x;d",
             "spec-truth-foo:1", "spec-truth-theta:1@0", "spec-truth-l0k:-1",
             "spec-truth-tabulated:x;g", "rate-log2", "oracle-kmin-above-kmax", "fit-y-nan",

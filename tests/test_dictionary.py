@@ -285,13 +285,13 @@ class TestCheckPoints:
 
     @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
     def test_domain_slack_is_kept(self, side):
-        box = np.array([[-1.0, 3.0], [0.25, 0.5], [-7.25, -2.0]])
-        d = build_coordinate(3, domain=box)
+        bounds = (-1.0, 3.0)
+        d = build_coordinate(3, domain=bounds)
         step = 2e-12 if side else -2e-12
-        pts = np.tile(box.mean(axis=1), (9, 1))
-        pts[4, 1] = box[1, side] + step / 4
+        pts = np.full((9, 3), 1.0)
+        pts[4, 1] = bounds[side] + step / 4
         evaluate(d, pts)
-        pts[4, 1] = box[1, side] + step
+        pts[4, 1] = bounds[side] + step
         with pytest.raises(ConfigError, match=OUTSIDE):
             evaluate(d, pts)
         with pytest.raises(ConfigError, match=OUTSIDE):
@@ -369,16 +369,16 @@ class TestEvaluateOut:
     ]
     CASES = [
         (build_fourier(7), (33, 1)),
-        (build_coordinate(3, domain=[[-1.0, 3.0], [0.5, 0.5], [-7.25, -2.0]]), (33, 3)),
+        (build_coordinate(3, domain=[-1.0, 3.0]), (33, 3)),
         (build_tabulated(TABLES), (33, 1)),
     ]
     IDS = ["fourier", "coordinate", "tabulated"]
 
     @staticmethod
     def points(dictionary, shape):
-        box = dictionary.domain
+        lo, hi = dictionary.domain
         u = np.random.default_rng(4).random(shape)
-        return box[:, 0] + (box[:, 1] - box[:, 0]) * u
+        return lo + (hi - lo) * u
 
     @pytest.mark.parametrize("dictionary, shape", CASES, ids=IDS)
     def test_same_bits_into_the_given_array(self, dictionary, shape):
@@ -533,8 +533,8 @@ class TestValidateA2:
         assert v.c0 > 0
 
     def test_zero_column_fails_norm_flag(self):
-        # Second coordinate is pinned at 0, so f_2 is the zero function.
-        d = build_coordinate(2, domain=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # On [0, 0]^2 every coordinate is the zero function.
+        d = build_coordinate(2, domain=[0.0, 0.0])
         v = population_constants(d, uniform_measure())
         assert v.c0 == 0.0
 
@@ -551,10 +551,10 @@ class TestValidateA2:
             v = population_constants(d, uniform_measure())
             assert v.L0 <= v.L**4 + 1e-9
 
-    def test_coordinate_sup_norm_uses_first_m_axes(self):
-        box = [[-2.0, 1.0], [0.5, 3.0]]
-        v = population_constants(build_coordinate(2, domain=box), uniform_measure())
-        assert v.L == 3.0
+    def test_coordinate_sup_norm_is_the_larger_bound(self):
+        for bounds, L in [((-2.0, 1.0), 2.0), ((-1.0, 3.0), 3.0), ((-3.0, -0.5), 3.0)]:
+            v = population_constants(build_coordinate(2, domain=bounds), uniform_measure())
+            assert v.L == L
 
     def test_tabulated_sup_norm_matches_dense_scan(self):
         # The first table extends past the domain, the second is clamped on
@@ -600,11 +600,11 @@ class TestValidateA2:
             assert v.L0 == pytest.approx(mixed, rel=1e-14, abs=0.0)
 
     @staticmethod
-    def pairwise_l0(box):
-        """max_{i,j} E[x_i^2 x_j^2] under the uniform law on ``box``, from
-        the M x M mixed-moment matrix the coordinate closed form used to
-        build."""
-        a, b = box[:, 0], box[:, 1]
+    def pairwise_l0(bounds, d):
+        """max_{i,j} E[x_i^2 x_j^2] under the uniform law on [lo, hi]^d,
+        ``bounds = (lo, hi)``, from the d x d mixed-moment matrix the
+        coordinate closed form used to build."""
+        a, b = np.full(d, bounds[0]), np.full(d, bounds[1])
         m2 = (a * a + a * b + b * b) / 3.0
         m4 = (a**4 + a**3 * b + a**2 * b**2 + a * b**3 + b**4) / 5.0
         mixed = np.outer(m2, m2)
@@ -612,20 +612,26 @@ class TestValidateA2:
         return float(mixed.max())
 
     def test_coordinate_l0_is_the_pairwise_maximum(self):
-        # L0 = max_j E[x_j^4] keeps every bit of the pairwise maximum, on
-        # mc_dense's box and on random boxes whose axes are drawn apart,
-        # some near-degenerate (widths down to below one ulp) or degenerate.
+        # L0 = max_j E[x_j^4] is the pairwise maximum on mc_dense's
+        # [-1, 1]^20 and on random intervals, some near-degenerate (widths
+        # down to below one ulp) or degenerate. Every bit is kept unless
+        # the width is below 1e-6 of |lo|: there m2 * m2 can round up to
+        # 5.5e-16 above m4 (2.3e-8 of |lo| is the widest such case here).
         rng = np.random.default_rng(5)
-        boxes = [np.tile([-1.0, 1.0], (20, 1))]
+        cases = [((-1.0, 1.0), 20)]
         for _ in range(300):
-            d = int(rng.integers(2, 7))
-            lo = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
-            width = np.abs(lo) * 10.0 ** rng.uniform(-17, 1, size=d)
-            width[rng.random(d) < 0.2] = 0.0
-            boxes.append(np.column_stack([lo, lo + width]))
-        for box in boxes:
-            v = population_constants(build_coordinate(len(box), domain=box), uniform_measure())
-            assert v.L0 == self.pairwise_l0(box)
+            lo = rng.normal() * 10.0 ** rng.uniform(-3, 3)
+            width = 0.0 if rng.random() < 0.2 else abs(lo) * 10.0 ** rng.uniform(-17, 1)
+            cases.append(((lo, lo + width), int(rng.integers(2, 7))))
+        kept = 0
+        for bounds, d in cases:
+            v = population_constants(build_coordinate(d, domain=bounds), uniform_measure())
+            pairwise = self.pairwise_l0(bounds, d)
+            assert v.L0 == pytest.approx(pairwise, rel=1e-15, abs=0.0)
+            if bounds[1] - bounds[0] > 1e-6 * abs(bounds[0]):
+                assert v.L0 == pairwise
+                kept += 1
+        assert kept > 50
         dense = build_coordinate(20, domain=[-1.0, 1.0])
         assert population_constants(dense, uniform_measure()).L0 == 0.2
 
@@ -634,9 +640,8 @@ class TestValidateA2:
         # On [c, c]^2 every E[x_i^2 x_j^2] is c^4, but m2 * m2 may round
         # above m4: on [0.3, 0.3]^2 the pairwise maximum read
         # 0.008100000000000001 and m4 reads 0.008099999999999998.
-        box = np.tile([c, c], (2, 1))
-        v = population_constants(build_coordinate(2, domain=box), uniform_measure())
-        assert v.L0 == pytest.approx(self.pairwise_l0(box), rel=1e-15, abs=0.0)
+        v = population_constants(build_coordinate(2, domain=[c, c]), uniform_measure())
+        assert v.L0 == pytest.approx(self.pairwise_l0((c, c), 2), rel=1e-15, abs=0.0)
         assert v.L0 == pytest.approx(c**4, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("density", [False, True], ids=["uniform", "grid-density"])
@@ -655,7 +660,7 @@ class TestValidateA2:
     @pytest.mark.parametrize("value", [1e100, 1e160, None])
     def test_overflow_is_a_numeric_error_without_warning(self, value):
         # At 1e100 the quadrature fourth moments overflow, at 1e160 the
-        # quadrature Gram, and on a 1e200 box the closed-form moments;
+        # quadrature Gram, and on [-1e200, 1e200] the closed-form moments;
         # each used to warn from numpy before the error.
         grid = np.array([0.0, 1.0])
         d = (
@@ -839,7 +844,7 @@ class TestCsvLoaders:
             loader(path)
 
 
-UNIT = np.array([[0.0, 1.0]])
+UNIT = (0.0, 1.0)
 TABLE = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
 
@@ -847,30 +852,37 @@ class TestInvariants:
     @pytest.mark.parametrize(
         "make, error, match",
         [
-            (lambda: Dictionary(kind="wavelet", M=3, d=1, domain=UNIT),
+            (lambda: Dictionary(kind="wavelet", M=3, domain=UNIT),
              ConfigError, "unknown dictionary kind 'wavelet'"),
-            (lambda: Dictionary(kind="fourier", M=3, d=2, domain=np.tile(UNIT, (2, 1))),
-             ConfigError, "fourier dictionaries require d = 1"),
-            (lambda: Dictionary(kind="tabulated", M=3, d=1, domain=UNIT, tables=(TABLE,) * 2),
+            (lambda: Dictionary(kind="tabulated", M=3, domain=UNIT, tables=(TABLE,) * 2),
              ConfigError, "one table per function"),
             (lambda: DesignMatrix(n=4, M=3, entries=np.ones((3, 4))),
              ConfigError, r"entries shape \(3, 4\) != \(4, 3\)"),
             (lambda: MeasureSpec(kind="gaussian"), ConfigError, "unknown measure kind 'gaussian'"),
             (lambda: MeasureSpec(kind="grid-density"), ConfigError, "needs a density table"),
-            (lambda: Dictionary(kind="fourier", M=3, d=1, domain=np.array([[0.5, 1.0]])),
+            (lambda: Dictionary(kind="fourier", M=3, domain=(0.5, 1.0)),
              ConfigError, r"fourier dictionaries are defined on \[0, 1\]"),
-            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+            (lambda: Dictionary(kind="tabulated", M=2, domain=UNIT,
                                 tables=((np.zeros((2, 2)), np.ones((2, 2))), TABLE)),
              ConfigError, "dictionary table needs matching 1-d x and value columns"),
-            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+            (lambda: Dictionary(kind="tabulated", M=2, domain=UNIT,
                                 tables=((np.array([0.0, 0.5, 1.0]), np.ones(2)), TABLE)),
              ConfigError, "dictionary table needs matching 1-d x and value columns"),
-            (lambda: Dictionary(kind="tabulated", M=2, d=1, domain=UNIT,
+            (lambda: Dictionary(kind="tabulated", M=2, domain=UNIT,
                                 tables=((np.array([0.0, 1.0]), np.array([1.0, np.inf])), TABLE)),
              ConfigError, "dictionary table entries must be finite"),
+            # Each of the next three used to be accepted by the constructor,
+            # which left the domain rule to the builders.
+            (lambda: Dictionary(kind="coordinate", M=2, domain=(1.0, 0.0)),
+             ConfigError, "domain lower bounds must not exceed upper bounds"),
+            (lambda: Dictionary(kind="coordinate", M=2, domain=(0.0, np.inf)),
+             ConfigError, "domain bounds must be finite"),
+            (lambda: Dictionary(kind="coordinate", M=2, domain=np.array([[1.0, 0.0], [1.0, 0.0]])),
+             ConfigError, r"domain must be one interval \[lo, hi\], got shape \(2, 2\)"),
         ],
-        ids=["dictionary-kind", "fourier-d", "table-count", "design-shape", "measure-kind",
-             "density-table", "fourier-domain", "table-2-d", "table-lengths", "table-value-inf"],
+        ids=["dictionary-kind", "table-count", "design-shape", "measure-kind",
+             "density-table", "fourier-domain", "table-2-d", "table-lengths", "table-value-inf",
+             "domain-reversed", "domain-inf", "domain-box"],
     )
     def test_record_constructors_refuse(self, make, error, match):
         # Each exported record checks itself when built directly, not only
@@ -878,11 +890,12 @@ class TestInvariants:
         with pytest.raises(error, match=match):
             make()
 
-    def test_coordinate_requires_m_eq_d(self):
-        box = np.tile([0.0, 1.0], (3, 1))
-        for M in (2, 4):
-            with pytest.raises(ConfigError, match="M = d"):
-                Dictionary(kind="coordinate", M=M, d=3, domain=box)
+    @pytest.mark.parametrize("domain", [[0.25, 0.75], np.array([0.25, 0.75]), (1, 2)])
+    def test_domain_is_held_as_two_floats(self, domain):
+        for d in (build_coordinate(3, domain=domain), build_tabulated([TABLE] * 2, domain=domain)):
+            assert d.domain == tuple(float(v) for v in domain)
+            assert all(type(v) is float for v in d.domain)
+        assert (build_coordinate(3).d, build_tabulated([TABLE] * 2).d, build_fourier(3).d) == (3, 1, 1)
 
     def test_tabulated_grid_strictly_increasing(self):
         bad = [(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]))] * 2
@@ -891,4 +904,4 @@ class TestInvariants:
 
     def test_fourier_nonunit_domain_rejected(self):
         with pytest.raises(ConfigError, match=r"defined on \[0, 1\]"):
-            Dictionary(kind="fourier", M=3, d=1, domain=np.array([[0.0, 2.0]]))
+            Dictionary(kind="fourier", M=3, domain=(0.0, 2.0))
